@@ -39,17 +39,13 @@ The 100k-host rung (tens of minutes; committed baseline in
     PYTHONPATH=src python benchmarks/scale.py \
         --sweep 100000x100000,100000x200000
 
-Sweep points take a kernel tag: ``1000x3400:legacy`` runs the seed
-kernel (``use_columnar=False`` — host and VM state re-listed from Python
-objects every scheduling round), ``1000x3400:fresh`` runs the
-columnar kernel with the per-round matrix rebuild
-(``use_persistent_matrix=False``), and ``1000x3400:scalar-refresh``
-runs the full scheduler kernel with the engine's per-host scalar
-refresh loop (``batched_refresh=False``) — the A/B twin of the
-untagged point, which must match it bit-identically on every
-determinism field while the untagged point adds the memoized
-cross-host share solve (``share_memo_*`` row fields).  Untagged points
-run the full persistent cross-round matrix with batched refresh.
+Sweep points take a kernel tag: ``1000x3400:scalar-refresh`` runs the
+scheduler with the engine's per-host scalar refresh loop
+(``batched_refresh=False``) — the A/B twin of the untagged point, which
+must match it bit-identically on every determinism field while the
+untagged point adds the memoized cross-host share solve
+(``share_memo_*`` row fields).  Untagged points run the persistent
+cross-round score matrix with batched refresh.
 ``1000x3400:service`` runs the same workload through the live
 control-plane service (:mod:`repro.service`) — every job admitted
 individually through the journaled admit/settle path — and reports
@@ -57,7 +53,7 @@ individually through the journaled admit/settle path — and reports
 (``latency_p50_ms``/``latency_p99_ms``) alongside the usual
 determinism fields, so service-mode regressions gate like any other
 kernel.
-Persistent rows carry the matrix's rescore counters (``rescore_*``
+Rows carry the persistent matrix's rescore counters (``rescore_*``
 fields) so a throughput regression can be attributed to cells rescored
 rather than guessed at.  ``--profile``
 wraps each child run in cProfile and saves ``.prof`` artifacts next to
@@ -117,8 +113,8 @@ def _scaled_cluster(n_hosts: int):
 #: Kernel tags a sweep point may carry (``""`` = persistent matrix +
 #: batched engine refresh; ``scalar-refresh`` = same scheduler kernel
 #: with the per-host scalar refresh loop, the batched path's
-#: differential oracle A/B).
-KINDS = ("", "legacy", "fresh", "scalar-refresh", "service")
+#: differential oracle A/B; ``service`` = the live control plane).
+KINDS = ("", "scalar-refresh", "service")
 
 
 def run_point(
@@ -146,11 +142,7 @@ def run_point(
     if kind == "service":
         return _run_service_point(n_hosts, jobs_target, seed, cfg)
     stream = Grid5000WeekGenerator(cfg, seed=seed).stream()
-    policy = ScoreBasedPolicy(
-        ScoreConfig.sb(),
-        use_columnar=kind != "legacy",
-        use_persistent_matrix=False if kind in ("legacy", "fresh") else None,
-    )
+    policy = ScoreBasedPolicy(ScoreConfig.sb())
     t0 = time.perf_counter()
     res = simulate(
         cluster=_scaled_cluster(n_hosts),
@@ -171,7 +163,6 @@ def run_point(
     row = {
         "hosts": n_hosts,
         "jobs_target": jobs_target,
-        "legacy": kind == "legacy",
         "kind": kind,
         "n_jobs": res.n_jobs,
         "wall_clock_s": wall,
@@ -257,7 +248,6 @@ def _run_service_point(
     return {
         "hosts": n_hosts,
         "jobs_target": jobs_target,
-        "legacy": False,
         "kind": "service",
         "n_jobs": res.n_jobs,
         "wall_clock_s": wall,
@@ -283,7 +273,7 @@ def _run_service_point(
 
 def _child_main(args: argparse.Namespace) -> int:
     """``--single`` entry: one point, JSON on stdout, optional profile."""
-    kind = "legacy" if args.legacy else args.kind
+    kind = args.kind
     kwargs = dict(
         checkpoint_dir=args.ckpt_dir,
         checkpoint_interval_s=args.ckpt_interval,
@@ -339,7 +329,7 @@ def _spawn_point(
 
 
 def parse_sweep(spec: str) -> List[Tuple[int, int, str]]:
-    """``"1000x3400,1000x10300:legacy"`` -> [(1000, 3400, ""), ...]."""
+    """``"1000x3400,1000x10300:service"`` -> [(1000, 3400, ""), ...]."""
     points: List[Tuple[int, int, str]] = []
     for token in spec.split(","):
         token = token.strip()
@@ -358,7 +348,7 @@ def parse_sweep(spec: str) -> List[Tuple[int, int, str]]:
         except ValueError:
             raise SystemExit(
                 f"bad sweep point {token!r} "
-                "(want HOSTSxJOBS[:legacy|:fresh|:service])"
+                "(want HOSTSxJOBS[:scalar-refresh|:service])"
             ) from None
     if not points:
         raise SystemExit("empty sweep")
@@ -515,38 +505,15 @@ def run_checkpoint_overhead(
 
 
 def _kind(row: Dict) -> str:
-    """Kernel tag of a result row (older reports only carried ``legacy``)."""
-    return row.get("kind", "legacy" if row.get("legacy") else "")
-
-
-def speedups(report: Dict) -> Dict[str, float]:
-    """Persistent-kernel events/s ratios per host count, when pairs ran.
-
-    ``h<N>`` is persistent vs the seed kernel (``:legacy``), ``h<N>-vs-fresh``
-    persistent vs the per-round columnar rebuild (``:fresh``).
-    """
-    by_kind: Dict[Tuple[int, str], float] = {}
-    for row in report["results"].values():
-        key = (row["hosts"], _kind(row))
-        by_kind[key] = max(by_kind.get(key, 0.0), row["events_per_s"])
-    out: Dict[str, float] = {}
-    for (hosts, kind), rate in by_kind.items():
-        if kind:
-            continue
-        legacy_rate = by_kind.get((hosts, "legacy"))
-        if legacy_rate:
-            out[f"h{hosts}"] = rate / legacy_rate
-        fresh_rate = by_kind.get((hosts, "fresh"))
-        if fresh_rate:
-            out[f"h{hosts}-vs-fresh"] = rate / fresh_rate
-    return out
+    """Kernel tag of a result row (untagged when absent)."""
+    return row.get("kind", "")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sweep", default="1000x3400,1000x10300",
-        help="comma-separated HOSTSxJOBS[:legacy] points "
+        help="comma-separated HOSTSxJOBS[:kind] points "
              "(default: the CI smoke pair)",
     )
     parser.add_argument("--seed", type=int, default=None,
@@ -589,7 +556,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--single", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--hosts", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--legacy", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--kind", default="", choices=KINDS,
                         help=argparse.SUPPRESS)
     parser.add_argument("--profile-out", default=None, help=argparse.SUPPRESS)
@@ -649,10 +615,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({row['normalized_events_per_s']:.2f} norm), "
             f"{row['maxrss_kb'] // 1024} MB peak{rescore}{service}"
         )
-    for pair, ratio in speedups(report).items():
-        label = ("persistent vs fresh rebuild" if pair.endswith("-vs-fresh")
-                 else "persistent vs legacy")
-        print(f"speedup {label} at {pair.split('-')[0]}: {ratio:.1f}x")
     print(f"wrote {args.out}")
 
     failures = check_memory_flatness(report, args.mem_tolerance)

@@ -2,9 +2,9 @@
 
 One tiny sweep point runs through the real ``run_point`` path (the same
 code the CI subprocess executes); the gate's decision logic — sweep
-parsing, throughput regression, determinism drift, memory flatness, and
-the kernel speedup report — is unit-tested against synthetic reports so
-gate bugs surface in the normal suite rather than as CI verdicts.
+parsing, throughput regression, determinism drift and memory flatness —
+is unit-tested against synthetic reports so gate bugs surface in the
+normal suite rather than as CI verdicts.
 """
 
 import copy
@@ -19,7 +19,6 @@ from benchmarks.scale import (
     parse_sweep,
     point_key,
     run_point,
-    speedups,
 )
 from repro.experiments.common import DEFAULT_SEED
 
@@ -28,7 +27,6 @@ class TestRunPoint:
     def test_tiny_point_runs_and_reports(self):
         row = run_point(20, 120, DEFAULT_SEED, "")
         assert row["hosts"] == 20 and row["kind"] == ""
-        assert row["legacy"] is False
         assert row["n_jobs"] > 0
         assert row["sim_events"] > 0
         assert row["wall_clock_s"] > 0
@@ -44,14 +42,9 @@ class TestRunPoint:
         assert row["rescore_savings_x"] > 1.0
         assert any(k.startswith("dirty_") for k in row["rescore_hist"])
 
-    def test_fresh_point_has_no_rescore_counters(self):
-        row = run_point(20, 120, DEFAULT_SEED, "fresh")
-        assert row["kind"] == "fresh" and row["legacy"] is False
-        assert "rescore_binds" not in row
-
     def test_point_is_deterministic_across_kernels(self):
         rows = [run_point(20, 120, DEFAULT_SEED, kind)
-                for kind in ("", "", "fresh", "legacy")]
+                for kind in ("", "", "scalar-refresh")]
         for other in rows[1:]:
             for fld in DETERMINISM_FIELDS:
                 assert rows[0][fld] == other[fld]
@@ -60,28 +53,33 @@ class TestRunPoint:
 class TestSweepParsing:
     def test_points_and_kind_suffixes(self):
         assert parse_sweep(
-            "1000x3400, 10000x100000:legacy,1000x3400:fresh"
+            "1000x3400, 10000x100000:scalar-refresh,1000x3400:service"
         ) == [
             (1000, 3400, ""),
-            (10000, 100000, "legacy"),
-            (1000, 3400, "fresh"),
+            (10000, 100000, "scalar-refresh"),
+            (1000, 3400, "service"),
         ]
 
     def test_bad_kind_rejected(self):
         with pytest.raises(SystemExit):
             parse_sweep("1000x3400:turbo")
 
+    @pytest.mark.parametrize("deleted", ["legacy", "fresh"])
+    def test_deleted_kernel_tags_rejected(self, deleted):
+        with pytest.raises(SystemExit):
+            parse_sweep(f"1000x3400:{deleted}")
+
     def test_point_key(self):
         assert point_key(1000, 3400, "") == "h1000-j3400"
-        assert point_key(1000, 3400, "legacy") == "h1000-j3400-legacy"
-        assert point_key(1000, 3400, "fresh") == "h1000-j3400-fresh"
+        assert point_key(1000, 3400, "scalar-refresh") == (
+            "h1000-j3400-scalar-refresh"
+        )
 
 
 def _row(hosts=1000, jobs=3400, kind="", norm=20.0, rss=50_000):
     return {
         "hosts": hosts,
         "jobs_target": jobs,
-        "legacy": kind == "legacy",
         "kind": kind,
         "n_jobs": jobs,
         "wall_clock_s": 5.0,
@@ -165,8 +163,8 @@ class TestMemoryFlatness:
 
     def test_different_kernels_not_compared(self):
         rep = _report([_row(jobs=3400, rss=50_000),
-                       _row(jobs=10300, kind="legacy", rss=500_000),
-                       _row(jobs=20600, kind="fresh", rss=250_000)])
+                       _row(jobs=10300, kind="scalar-refresh", rss=500_000),
+                       _row(jobs=20600, kind="service", rss=250_000)])
         assert check_memory_flatness(rep, 0.30) == []
 
     def test_matrix_growth_is_not_a_leak(self):
@@ -191,19 +189,3 @@ class TestMemoryFlatness:
             del row["kind"]
         failures = check_memory_flatness(rep, 0.30)
         assert any("memory grew" in f for f in failures)
-
-
-class TestSpeedups:
-    def test_persistent_vs_legacy_ratio(self):
-        rep = _report([_row(norm=100.0),
-                       _row(jobs=1000, kind="legacy", norm=10.0)])
-        assert speedups(rep) == {"h1000": 10.0}
-
-    def test_persistent_vs_fresh_ratio(self):
-        rep = _report([_row(norm=100.0),
-                       _row(jobs=1000, kind="legacy", norm=10.0),
-                       _row(jobs=2000, kind="fresh", norm=50.0)])
-        assert speedups(rep) == {"h1000": 10.0, "h1000-vs-fresh": 2.0}
-
-    def test_no_comparison_point_no_ratio(self):
-        assert speedups(_report([_row()])) == {}

@@ -1578,12 +1578,8 @@ class DatacenterSimulation(ActuatorsMixin):
             self._invariant_resyncs += 1
         # The score policy's persistent columnar kernel, when present, is
         # the third piece of incremental state worth an oracle.
-        cache = getattr(self.policy, "_host_cache", None)
-        if (
-            cache is not None
-            and getattr(cache, "is_columnar", False)
-            and cache.matches(self.hosts)
-        ):
+        cache = getattr(self.policy, "_state", None)
+        if cache is not None and cache.matches(self.hosts):
             try:
                 cache.verify_against_hosts()
             except StateError as exc:

@@ -90,7 +90,11 @@ __all__ = [
 #: clear :class:`StateError` instead of resuming wrong state.
 #: 2: batched engine refresh — the engine pickle gained the share memo
 #:    (``_share_memo``) and the cached ``_batched_refresh`` flag.
-SNAPSHOT_VERSION = 2
+#: 3: one score kernel — the score policy pickles its columnar state as
+#:    ``_state``, whose class layout changed (static host arrays folded
+#:    in, per-host arch/hypervisor string arrays dropped), and lost its
+#:    two kernel-selection attributes.
+SNAPSHOT_VERSION = 3
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

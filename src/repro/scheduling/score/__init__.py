@@ -10,9 +10,14 @@ pass then repeatedly applies the most beneficial move until no negative
   SB0/SB1/SB2/SB presets evaluated in §V;
 * :mod:`repro.scheduling.score.penalties` — scalar reference
   implementations of each penalty (the readable spec, property-tested
-  against the vectorized builder);
-* :mod:`repro.scheduling.score.matrix` — :class:`ScoreMatrixBuilder`, the
-  vectorized numpy matrix with incremental row updates;
+  against the vectorized matrix);
+* :mod:`repro.scheduling.score.columnar` — :class:`ColumnarClusterState`,
+  the host and VM arrays the matrix reads;
+* :mod:`repro.scheduling.score.persistent` — :class:`PersistentScoreMatrix`,
+  the one score kernel: the vectorized numpy matrix with incremental row
+  updates, rebindable across rounds;
+* :mod:`repro.scheduling.score.matrix` — :class:`ScoreMatrixBuilder`, a
+  one-shot matrix bound to a single round;
 * :mod:`repro.scheduling.score.solver` — :func:`hill_climb`, Algorithm 1;
 * :mod:`repro.scheduling.score.policy` — :class:`ScoreBasedPolicy` tying
   it all into the :class:`~repro.scheduling.base.SchedulingPolicy`
@@ -20,7 +25,7 @@ pass then repeatedly applies the most beneficial move until no negative
 """
 
 from repro.scheduling.score.config import ScoreConfig
-from repro.scheduling.score.matrix import HostArrayCache, ScoreMatrixBuilder
+from repro.scheduling.score.matrix import ScoreMatrixBuilder
 from repro.scheduling.score.solver import (
     AnytimeResult,
     Move,
@@ -37,7 +42,6 @@ from repro.scheduling.score.explain import (
 
 __all__ = [
     "ScoreConfig",
-    "HostArrayCache",
     "ScoreMatrixBuilder",
     "hill_climb",
     "anytime_hill_climb",

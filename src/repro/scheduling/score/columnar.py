@@ -1,21 +1,23 @@
 """Persistent columnar cluster state for the score kernel.
 
-:class:`ColumnarClusterState` extends the per-simulation
-:class:`~repro.scheduling.score.matrix.HostArrayCache` (static host specs)
-with the two remaining sources of per-round O(hosts + VMs) Python work in
-:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`:
+:class:`ColumnarClusterState` holds every host- and VM-side array the
+score matrix reads, so matrix construction never walks Python objects:
+
+* **Static host arrays** (``cap_cpu``, ``cap_mem``, ``cc``, ``cm``,
+  ``rel``, ``host_index``) are built once per host population; host
+  specs never change during a run.  :meth:`matches` guards reuse.
 
 * **Dynamic host columns** (``res_cpu``, ``res_mem``, ``nvms``, ``conc``,
   ``avail``) live in persistent numpy arrays that are *patched* from a
-  dirty-host set instead of re-listed from Host objects.  The state
-  registers a dirty sink on every host (:meth:`Host.add_dirty_sink`);
-  every host mutation — residency, reservations, operations, lifecycle
-  state, quarantine, aggregate resyncs — marks the host id, and
-  :meth:`sync` refreshes exactly those rows.  The refreshed values come
-  from the *same* ``Host`` reads the legacy per-round list comprehensions
-  performed (``cpu_reserved()``, ``mem_reserved()``, ``n_vms``,
-  ``concurrency_cost``, ``is_available and not quarantined``), so a
-  synced array is bit-identical to a from-scratch rebuild — the
+  dirty-host set instead of re-listed from Host objects.  After
+  :meth:`attach`, the state holds a dirty sink on every host
+  (:meth:`Host.add_dirty_sink`); every host mutation — residency,
+  reservations, operations, lifecycle state, quarantine, aggregate
+  resyncs — marks the host id, and :meth:`sync` refreshes exactly those
+  rows.  The refreshed values come from the ``Host`` reads
+  ``cpu_reserved()``, ``mem_reserved()``, ``n_vms``,
+  ``concurrency_cost`` and ``is_available and not quarantined``, so a
+  synced array is bit-identical to a from-scratch read — the
   :meth:`verify_against_hosts` oracle checks exactly that, and the
   engine's strict-invariant mode calls it every verification event.
 
@@ -31,14 +33,17 @@ The P_req matrix is factorized through **host classes**: hosts sharing
 ``(arch, hypervisor, cpu_capacity, mem_mb)`` are interchangeable for
 feasibility, so each VM slot stores one boolean per class (typically 3
 classes for the paper's datacenter) and the per-round ``(M, N)`` matrix is
-a numpy gather instead of four O(M·N) string/float broadcast comparisons.
-The per-class booleans evaluate the identical expressions the legacy
-broadcast did (string equality, ``req <= cap + 1e-9``), so the gathered
-matrix is bit-for-bit the legacy one.
+a numpy gather of per-class string equality and ``req <= cap + 1e-9``
+tests.
+
+A state registers nothing on its hosts until :meth:`attach`: one-shot
+matrices build unattached states (or :meth:`detached` twins of an
+attached one) and leave no sinks or listeners behind.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +51,6 @@ import numpy as np
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
 from repro.errors import SchedulingError, StateError
-from repro.scheduling.score.matrix import HostArrayCache
 
 __all__ = ["ColumnarClusterState"]
 
@@ -55,18 +59,29 @@ __all__ = ["ColumnarClusterState"]
 _MIN_SWEEP = 1024
 
 
-class ColumnarClusterState(HostArrayCache):
-    """Persistent host *and* VM arrays behind the score-matrix builder.
+class ColumnarClusterState:
+    """Persistent host *and* VM arrays behind the score matrix.
 
     Build one per (policy, host population) — `ScoreBasedPolicy` does this
-    on first use and reuses it for the whole simulation.  Not thread-safe;
-    observes hosts through the dirty-sink protocol, so any host mutation
-    that bypasses the instrumented ``Host`` mutators would go unseen (the
-    engine has no such path; :meth:`verify_against_hosts` exists to catch
-    one if it ever appears).
+    on first use, attaches it (:meth:`attach`), and reuses it for the whole
+    simulation.  Not thread-safe; observes hosts through the dirty-sink
+    protocol, so any host mutation that bypasses the instrumented ``Host``
+    mutators would go unseen (the engine has no such path;
+    :meth:`verify_against_hosts` exists to catch one if it ever appears).
+
+    ``capacity`` is the initial VM slot count; the registry doubles when
+    it runs out.
     """
 
     __slots__ = (
+        "hosts",
+        "host_index",
+        "cap_cpu",
+        "cap_mem",
+        "cc",
+        "cm",
+        "rel",
+        "_last_match",
         "dirty",
         "res_cpu",
         "res_mem",
@@ -90,13 +105,22 @@ class ColumnarClusterState(HostArrayCache):
         "matrix_listener",
     )
 
-    #: Flag `ScoreMatrixBuilder` checks to pick the columnar fast path
-    #: (duck-typed to keep the import graph acyclic).
-    is_columnar = True
-
-    def __init__(self, hosts: Sequence[Host]) -> None:
-        super().__init__(hosts)
+    def __init__(self, hosts: Sequence[Host], capacity: int = 64) -> None:
+        self.hosts = list(hosts)
         n = len(self.hosts)
+
+        # ---- static host arrays -----------------------------------------
+        #: Last *sequence object* that passed :meth:`matches` — the engine
+        #: hands the same list every round, so after one element-wise
+        #: check all later calls are an O(1) identity test (at 10k hosts
+        #: the per-round O(M) scan was ~half the simulation).
+        self._last_match: object = hosts
+        self.host_index = {h.host_id: i for i, h in enumerate(self.hosts)}
+        self.cap_cpu = np.array([h.spec.cpu_capacity for h in self.hosts])
+        self.cap_mem = np.array([h.spec.mem_mb for h in self.hosts])
+        self.cc = np.array([h.spec.creation_s for h in self.hosts])
+        self.cm = np.array([h.spec.migration_s for h in self.hosts])
+        self.rel = np.array([h.spec.reliability for h in self.hosts])
 
         # ---- host classes (P_req factorization) -------------------------
         keys: Dict[tuple, int] = {}
@@ -130,25 +154,72 @@ class ColumnarClusterState(HostArrayCache):
         self.avail = np.empty(n, dtype=bool)
         for i, h in enumerate(self.hosts):
             self._refresh_host(i, h)
-        for h in self.hosts:
-            h.add_dirty_sink(self.dirty)
 
-        # ---- VM slot registry -------------------------------------------
+        self._reset_registry(capacity)
+
+    def _reset_registry(self, capacity: int) -> None:
+        """An empty VM slot registry with ``capacity`` slots, no listener."""
         self._slot_of: Dict[int, int] = {}
         self._vm_of: Dict[int, Vm] = {}
         self._free: List[int] = []
         self._n_slots = 0
-        cap = 64
-        n_classes = len(arch)
-        self.v_cpu = np.empty(cap, dtype=float)
-        self.v_mem = np.empty(cap, dtype=float)
-        self.v_ftol = np.empty(cap, dtype=float)
-        self.v_feas = np.empty((cap, n_classes), dtype=bool)
+        n_classes = len(self._class_arch)
+        self.v_cpu = np.empty(capacity, dtype=float)
+        self.v_mem = np.empty(capacity, dtype=float)
+        self.v_ftol = np.empty(capacity, dtype=float)
+        self.v_feas = np.empty((capacity, n_classes), dtype=bool)
         self._next_sweep = _MIN_SWEEP
-        #: Slot-lifecycle observer (the persistent score matrix): notified
-        #: on registry growth, slot (re)fills, and sweep-time frees so its
-        #: per-column state tracks the slot space exactly.
+        #: Slot-lifecycle observer (the long-lived persistent score
+        #: matrix, set by its ``attach``): notified on registry growth,
+        #: slot (re)fills, and sweep-time frees so its per-column state
+        #: tracks the slot space exactly.
         self.matrix_listener = None
+
+    def attach(self) -> None:
+        """Subscribe to every host's mutations (idempotent); until then
+        :meth:`sync` sees no changes and the arrays keep the first read."""
+        for h in self.hosts:
+            h.add_dirty_sink(self.dirty)
+
+    def detached(self, capacity: int) -> "ColumnarClusterState":
+        """A twin sharing this state's host side over a new, empty registry.
+
+        The twin shares the host arrays *and* the dirty set (syncing
+        either is the same operation) but registers nothing: one-shot
+        matrices bind to such twins, off the long-lived registry.
+        """
+        twin = copy.copy(self)
+        twin._reset_registry(capacity)
+        return twin
+
+    def matches(self, hosts: Sequence[Host]) -> bool:
+        """Whether this state was built from exactly these host objects.
+
+        The identity fast path is guarded by a length check: a host list
+        *mutated in place* (append/remove) keeps its identity, and
+        accepting it would hand out arrays for a different cluster.  A
+        same-length in-place element swap cannot be seen from here — code
+        that does that must call :meth:`invalidate_match_memo` (the
+        element-wise check then re-validates or rejects the list).
+        """
+        n = len(self.cap_cpu)
+        if (hosts is self.hosts or hosts is self._last_match) and len(hosts) == n:
+            return True
+        if len(hosts) != n:
+            return False
+        if all(a is b for a, b in zip(hosts, self.hosts)):
+            self._last_match = hosts
+            return True
+        return False
+
+    def invalidate_match_memo(self) -> None:
+        """Drop the memoized sequence; the next :meth:`matches` re-checks.
+
+        For callers that mutate a previously matched host list in place
+        (same object, same length, different elements) — identity alone
+        cannot detect that.
+        """
+        self._last_match = None
 
     # ------------------------------------------------------------- host side
 
@@ -224,18 +295,8 @@ class ColumnarClusterState(HostArrayCache):
             )
         return row
 
-    def attach_matrix_listener(self, listener) -> None:
-        """Register the persistent score matrix as slot-lifecycle observer.
-
-        The listener must provide ``on_grow(new_cap)``,
-        ``on_slot_filled(slot)`` and ``on_slots_freed(slots)``; one
-        listener at a time (a new one replaces the old — the policy
-        rebuilds the matrix only alongside a new columnar state).
-        """
-        self.matrix_listener = listener
-
     def _grow(self) -> None:
-        cap = 2 * len(self.v_cpu)
+        cap = 2 * len(self.v_cpu) or 64
         for name in ("v_cpu", "v_mem", "v_ftol"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
@@ -302,7 +363,8 @@ class ColumnarClusterState(HostArrayCache):
 
         Returns ``(slots, cur, is_queued, tr)``; the caller gathers the
         static vectors (``v_cpu[slots]`` …) and :meth:`feasibility`.
-        Raises like the legacy builder on in-operation columns.
+        Raises :class:`~repro.errors.SchedulingError` on in-operation
+        columns (they are pinned, §III-A-3).
         """
         self._maybe_sweep()
         n = len(columns)

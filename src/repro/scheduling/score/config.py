@@ -85,7 +85,7 @@ class ScoreConfig:
     #: so *any* feasible cell looks like a huge win and the climber
     #: migrates it even though the inflated requirement travels with the
     #: VM and the move buys no fulfilment; see
-    #: :meth:`ScoreMatrixBuilder.current_costs`.  With ``True`` the
+    #: :meth:`PersistentScoreMatrix._compute_costs`.  With ``True`` the
     #: current cost is the cell's value with the *soft* SLA penalty
     #: (``c_sla``) instead of the hard infinity, so the VM migrates only
     #: when a destination genuinely beats staying put.  VMs that are

@@ -15,12 +15,12 @@ the virtual host / queue, costing ``queue_cost``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SchedulingError
-from repro.scheduling.score.matrix import ScoreMatrixBuilder
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 
 __all__ = ["AssignmentEvaluator"]
 
@@ -33,15 +33,17 @@ class AssignmentEvaluator:
     Parameters
     ----------
     builder:
-        A freshly built (unmutated) :class:`ScoreMatrixBuilder`; its host
-        and VM arrays are copied, with every column's current contribution
-        *removed* from the occupancy baselines so any assignment can be
-        evaluated from first principles.
+        A freshly bound (unmutated) score matrix; its host arrays and the
+        round columns' slot arrays are copied, with every column's current
+        contribution *removed* from the occupancy baselines so any
+        assignment can be evaluated from first principles.
     """
 
-    def __init__(self, builder: ScoreMatrixBuilder) -> None:
-        if builder.frozen.any():
+    def __init__(self, builder: PersistentScoreMatrix) -> None:
+        rs = builder._round_slots
+        if builder._frozen[rs].any():
             raise SchedulingError("evaluator needs an unmutated builder")
+        st = builder.state
         self.config = builder.config
         self.n_rows = builder.n_rows
         self.n_cols = builder.n_cols
@@ -51,16 +53,18 @@ class AssignmentEvaluator:
         self.cap_mem = builder.cap_mem.copy()
         self.cc = builder.cc.copy()
         self.cm = builder.cm.copy()
-        self.rel = builder.rel.copy()
+        self.rel = builder._rel.copy()
         self.conc = builder.conc.copy()
-        self.req_ok = builder.req_ok.copy()
-        self.vcpu = builder.vcpu.copy()
-        self.vmem = builder.vmem.copy()
-        self.tr = builder.tr.copy()
-        self.ftol = builder.ftol.copy()
-        self.fulf = builder.fulf.copy()
-        self.is_queued_initially = builder.is_queued.copy()
-        self.initial = builder.cur.copy()
+        self.req_ok = st.feasibility(rs)
+        self.vcpu = st.v_cpu[rs]
+        self.vmem = st.v_mem[rs]
+        self.ftol = st.v_ftol[rs]
+        # The migration predicate T_r < C_m in the matrix's bucket space.
+        self.cm_rank = builder._cm_rank
+        self.bucket = builder._bucket[rs]
+        self.fulf = builder._fulf[rs]
+        self.is_queued_initially = builder._q[rs]
+        self.initial = builder._cur[rs]
 
         # Occupancy baselines with the columns' own contributions removed.
         self.base_cpu = builder.res_cpu.copy()
@@ -120,7 +124,7 @@ class AssignmentEvaluator:
             if cfg.enable_virt and moved:
                 if self.is_queued_initially[j]:
                     s += self.cc[h]
-                elif self.tr[j] < self.cm[h]:
+                elif self.cm_rank[h] >= self.bucket[j]:
                     s += 2.0 * self.cm[h]
                 else:
                     s += self.cm[h] / 2.0

@@ -1,147 +1,31 @@
-"""Vectorized score-matrix construction with incremental updates.
+"""One-shot score matrices.
 
-:class:`ScoreMatrixBuilder` materializes the paper's (M+1)×N score matrix
-on dense numpy arrays.  The virtual-host row is implicit: queued VMs carry
-the configured ``queue_cost`` as their "current" cost, so any feasible
-placement is a (large) improvement — exactly the paper's "VMs entering the
-system are held in that queue with infinite score".
-
-Hot-path structure (per the HPC guides — vectorize, then touch only what
-changed):
-
-* :meth:`build` computes all rows with broadcast numpy expressions;
-* :meth:`apply_move` applies one hypothetical move, updates the occupancy
-  bookkeeping, freezes the moved column, and recomputes **only** the two
-  affected host rows;
-* the per-column current costs and a per-row running argmin of the diff
-  (score − current cost) are cached and maintained incrementally, so the
-  hill climber's "find the most negative cell" step is O(M) per move via
-  :meth:`best_move` instead of an O(M·N) fresh diff matrix;
-* in-round planned operations feed a ``pending`` concurrency cost per
-  host, so later moves in the same round see earlier ones through P_conc —
-  this is what makes SB2 stagger simultaneous creations.
-
-The minima cache is **per column**, not per row, and that choice is
-load-bearing: queued VMs are frequently identical, so the per-row argmin
-of the diff tends to point at the very column each move freezes —
-a per-row cache would invalidate every row on every move.  Per column,
-
-* freezing the moved column is an O(1) invalidation (its min goes +inf);
-* a current-cost change shifts the whole diff column uniformly, so the
-  cached min *value* shifts without moving the argmin *row*;
-* only the ≤2 recomputed host rows can displace a column's cached min,
-  and a full column rescan is needed only when the cached argmin row got
-  strictly worse — rare outside a host filling up.
-
-The incremental invariants (checked property-style in
-``tests/test_score_incremental.py`` against a from-scratch rebuild and the
-:class:`~repro.scheduling.score.evaluator.AssignmentEvaluator` oracle):
-
-* ``_cur_costs[j]`` always equals what :meth:`current_costs` computed from
-  scratch would return for column ``j``;
-* ``(_col_min_val[j], _col_min_row[j])`` always equal the value/argmin of
-  ``scores[:, j] - _cur_costs[j]`` (+inf when frozen), with the lowest
-  row winning ties, so :meth:`best_move` is bit-identical to
-  ``argmin(diff_matrix())`` — same cell, same tie-breaking.
+:class:`ScoreMatrixBuilder` is a
+:class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` bound to
+exactly one round, for whatever wants a matrix of its own for one
+decision: the SA/tabu solvers (they consume it), tests and
+micro-benchmarks.  Its columns go into an unattached
+:class:`~repro.scheduling.score.columnar.ColumnarClusterState` registry
+sized to the round, so slot ``j`` is column ``j`` and ``scores[i, j]`` is
+host ``i``'s score for column ``j``.  Building one registers nothing on
+the hosts or on a shared state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.cluster.host import Host
-from repro.cluster.vm import Vm, VmState
-from repro.errors import SchedulingError
+from repro.cluster.vm import Vm
+from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 
-__all__ = ["HostArrayCache", "ScoreMatrixBuilder"]
-
-INF = np.inf
-
-
-class HostArrayCache:
-    """Static host-side arrays, built once per simulation.
-
-    Host specs never change during a run, yet every scheduling round used
-    to rebuild the capacity/cost/reliability/arch arrays from Python
-    attribute access over all hosts.  A policy builds this cache on first
-    use and hands it to every :class:`ScoreMatrixBuilder` for the same
-    host sequence; the builder treats the arrays as read-only (its
-    per-round dynamic state — reserved resources, VM counts, concurrency
-    costs, availability — stays per-builder).
-
-    :meth:`matches` guards reuse: the fast path is sequence identity (the
-    engine passes the same ``hosts`` list every round); a rebuilt list of
-    the *same* Host objects is also accepted.
-    """
-
-    __slots__ = (
-        "hosts",
-        "host_index",
-        "cap_cpu",
-        "cap_mem",
-        "cc",
-        "cm",
-        "rel",
-        "arch",
-        "hyp",
-        "_last_match",
-    )
-
-    def __init__(self, hosts: Sequence[Host]) -> None:
-        self.hosts = list(hosts)
-        #: Last *sequence object* that passed :meth:`matches` — the engine
-        #: hands the same list every round, so after one element-wise
-        #: check all later calls are an O(1) identity test (at 10k hosts
-        #: the per-round O(M) scan was ~half the simulation).
-        self._last_match: object = hosts
-        self.host_index = {h.host_id: i for i, h in enumerate(self.hosts)}
-        self.cap_cpu = np.array([h.spec.cpu_capacity for h in self.hosts])
-        self.cap_mem = np.array([h.spec.mem_mb for h in self.hosts])
-        self.cc = np.array([h.spec.creation_s for h in self.hosts])
-        self.cm = np.array([h.spec.migration_s for h in self.hosts])
-        self.rel = np.array([h.spec.reliability for h in self.hosts])
-        self.arch = np.array([h.spec.arch for h in self.hosts])
-        self.hyp = np.array([h.spec.hypervisor for h in self.hosts])
-
-    #: True on :class:`~repro.scheduling.score.columnar.ColumnarClusterState`
-    #: — the builder's duck-typed switch for the persistent fast path.
-    is_columnar = False
-
-    def matches(self, hosts: Sequence[Host]) -> bool:
-        """Whether this cache was built from exactly these host objects.
-
-        The identity fast path is guarded by a length check: a host list
-        *mutated in place* (append/remove) keeps its identity, and
-        accepting it would hand out arrays for a different cluster.  A
-        same-length in-place element swap cannot be seen from here — code
-        that does that must call :meth:`invalidate_match_memo` (the
-        element-wise check then re-validates or rejects the list).
-        """
-        n = len(self.cap_cpu)
-        if (hosts is self.hosts or hosts is self._last_match) and len(hosts) == n:
-            return True
-        if len(hosts) != n:
-            return False
-        if all(a is b for a, b in zip(hosts, self.hosts)):
-            self._last_match = hosts
-            return True
-        return False
-
-    def invalidate_match_memo(self) -> None:
-        """Drop the memoized sequence; the next :meth:`matches` re-checks.
-
-        For callers that mutate a previously matched host list in place
-        (same object, same length, different elements) — identity alone
-        cannot detect that.
-        """
-        self._last_match = None
+__all__ = ["ScoreMatrixBuilder"]
 
 
-class ScoreMatrixBuilder:
-    """Builds and incrementally maintains the score matrix.
+class ScoreMatrixBuilder(PersistentScoreMatrix):
+    """A score matrix built and bound for one round.
 
     Parameters
     ----------
@@ -159,8 +43,9 @@ class ScoreMatrixBuilder:
         Optional vm_id → SLA fulfilment map (required when
         ``config.enable_sla``).
     host_cache:
-        Optional :class:`HostArrayCache` for these hosts — skips
-        rebuilding the static host-side arrays (built fresh when absent).
+        Optional :class:`ColumnarClusterState` for these hosts — its host
+        arrays are reused (synced, not re-read from the hosts) through a
+        :meth:`~ColumnarClusterState.detached` twin.
     reliability:
         Optional per-host reliability vector (host order) overriding the
         static spec ``F_rel`` in P_fault — the observed-reliability hook.
@@ -173,494 +58,12 @@ class ScoreMatrixBuilder:
         now: float,
         config: ScoreConfig,
         fulfillments: Optional[Dict[int, float]] = None,
-        host_cache: Optional[HostArrayCache] = None,
+        host_cache: Optional[ColumnarClusterState] = None,
         reliability: Optional[Sequence[float]] = None,
     ) -> None:
-        if host_cache is None or not host_cache.matches(hosts):
-            host_cache = HostArrayCache(hosts)
-        # Columnar fast path: a ColumnarClusterState (duck-typed via the
-        # ``is_columnar`` flag to keep the import graph acyclic) carries
-        # persistent dynamic host arrays and the per-VM slot registry.
-        columnar = host_cache if host_cache.is_columnar else None
-        self.host_cache = host_cache
-        self.hosts = host_cache.hosts
-        self.columns = list(columns)
-        self.now = float(now)
-        self.config = config
-        self.n_rows = len(self.hosts)
-        self.n_cols = len(self.columns)
-
-        host_index = host_cache.host_index
-
-        # ---- host-side arrays -------------------------------------------
-        # Static arrays come from the per-simulation cache; dynamic state
-        # (availability, occupancy, concurrency, in-round pending costs)
-        # comes from the columnar state's O(dirty) sync when available,
-        # else is rebuilt per round from the hosts' O(1) occupancy
-        # aggregates.  Quarantined hosts (supervisor exclusion) take no new
-        # columns; their residents' current cells go infinite, which prices
-        # them at queue_cost and lets the hill climber drain the machine.
-        self.cap_cpu = host_cache.cap_cpu
-        self.cap_mem = host_cache.cap_mem
-        if columnar is not None:
-            columnar.sync()
-            # Copies: apply_move mutates these hypothetically per round.
-            self.avail = columnar.avail.copy()
-            self.res_cpu = columnar.res_cpu.copy()
-            self.res_mem = columnar.res_mem.copy()
-            self.nvms = columnar.nvms.copy()
-            self.conc = columnar.conc.copy()
+        if host_cache is not None and host_cache.matches(hosts):
+            state = host_cache.detached(len(columns))
         else:
-            self.avail = np.array(
-                [h.is_available and not h.quarantined for h in self.hosts],
-                dtype=bool,
-            )
-            self.res_cpu = np.array([h.cpu_reserved() for h in self.hosts])
-            self.res_mem = np.array([h.mem_reserved() for h in self.hosts])
-            self.nvms = np.array([h.n_vms for h in self.hosts], dtype=float)
-            self.conc = np.array([h.concurrency_cost for h in self.hosts])
-        self.pending = np.zeros(self.n_rows)
-        self.cc = host_cache.cc
-        self.cm = host_cache.cm
-        self.rel = (
-            host_cache.rel
-            if reliability is None
-            else np.asarray(reliability, dtype=float)
-        )
-
-        # ---- vm-side arrays ----------------------------------------------
-        if columnar is not None:
-            slots, self.cur, self.is_queued, self.tr = columnar.prepare_columns(
-                self.columns, self.now
-            )
-            self.vcpu = columnar.v_cpu[slots]
-            self.vmem = columnar.v_mem[slots]
-            self.ftol = columnar.v_ftol[slots]
-            self.req_ok = columnar.feasibility(slots)
-        else:
-            for vm in self.columns:
-                if vm.in_operation:
-                    raise SchedulingError(
-                        f"vm {vm.vm_id} has an operation in flight and cannot be a column"
-                    )
-            self.vcpu = np.array([vm.cpu_req for vm in self.columns])
-            self.vmem = np.array([vm.mem_req for vm in self.columns])
-            self.cur = np.array(
-                [
-                    host_index.get(vm.host_id, -1) if vm.is_placed else -1
-                    for vm in self.columns
-                ],
-                dtype=int,
-            )
-            self.is_queued = np.array(
-                [vm.state is VmState.QUEUED for vm in self.columns], dtype=bool
-            )
-            self.tr = np.array(
-                [vm.remaining_user_time(self.now) for vm in self.columns]
-            )
-            self.ftol = np.array([vm.job.fault_tolerance for vm in self.columns])
-            # Requirement feasibility is string-based and static per round.
-            host_arch = host_cache.arch
-            host_hyp = host_cache.hyp
-            vm_arch = np.array([vm.job.arch for vm in self.columns])
-            vm_hyp = np.array([vm.job.hypervisor for vm in self.columns])
-            if self.n_cols:
-                self.req_ok = (
-                    (host_arch[:, None] == vm_arch[None, :])
-                    & (host_hyp[:, None] == vm_hyp[None, :])
-                    & (self.vcpu[None, :] <= self.cap_cpu[:, None] + 1e-9)
-                    & (self.vmem[None, :] <= self.cap_mem[:, None] + 1e-9)
-                )
-            else:
-                self.req_ok = np.zeros((self.n_rows, 0), dtype=bool)
-        if config.enable_sla:
-            if fulfillments is None:
-                raise SchedulingError("enable_sla requires a fulfillments map")
-            self.fulf = np.array(
-                [fulfillments.get(vm.vm_id, 1.0) for vm in self.columns]
-            )
-        else:
-            self.fulf = np.ones(self.n_cols)
-
-        self.frozen = np.zeros(self.n_cols, dtype=bool)
-        # The migration penalty depends only on static quantities (T_r at
-        # round start, per-host C_m), so it is materialized once and reused
-        # by every row rescore.
-        if self.n_cols:
-            cm2 = self.cm[:, None]
-            self._mig_pen = np.where(
-                self.tr[None, :] < cm2, 2.0 * cm2, cm2 / 2.0
-            )
-        else:
-            self._mig_pen = np.zeros((self.n_rows, 0))
-        # Unavailable rows can never hold a finite cell (``feasible``
-        # carries ``avail``), so the build scores only the available rows
-        # and leaves the rest at the +inf they would compute to anyway.
-        # Under the λ power manager most of a big datacenter is off, and
-        # this turns the per-round build from O(M×N) into O(online×N).
-        self.active_rows = np.nonzero(self.avail)[0]
-        self.scores = np.full((self.n_rows, self.n_cols), INF)
-        if self.n_cols and self.active_rows.size:
-            if self.active_rows.size == self.n_rows:
-                self.scores[:] = self._score_rows(None)
-            else:
-                self.scores[self.active_rows] = self._score_rows(self.active_rows)
-
-        # ---- incremental caches ------------------------------------------
-        self._cur_costs = self._compute_current_costs()
-        self._col_min_val = np.full(self.n_cols, INF)
-        self._col_min_row = np.zeros(self.n_cols, dtype=int)
-        if self.n_cols and self.n_rows:
-            self._refresh_col_minima(np.arange(self.n_cols))
-
-    # ----------------------------------------------------------------- math
-
-    def _score_rows(self, rows: Optional[np.ndarray]) -> np.ndarray:
-        """Compute score cells for the given host rows, all columns.
-
-        ``rows=None`` means *all* rows (the full build) and skips the
-        fancy-indexing copies — ``a[arange(M)]`` copies every host array
-        ~10 times per round, which is real money at 10k hosts.  The view
-        path performs the identical elementwise float operations, so the
-        cells stay bit-identical.
-        """
-        cfg = self.config
-        if rows is None:
-            R = np.arange(self.n_rows)
-            take = lambda a: a  # noqa: E731 - trivial view selector
-        else:
-            R = np.asarray(rows, dtype=int)
-            take = lambda a: a[R]  # noqa: E731
-        on = self.cur[None, :] == R[:, None]
-
-        add_cpu = np.where(on, 0.0, self.vcpu[None, :])
-        add_mem = np.where(on, 0.0, self.vmem[None, :])
-        occ_after = np.maximum(
-            (take(self.res_cpu)[:, None] + add_cpu) / take(self.cap_cpu)[:, None],
-            (take(self.res_mem)[:, None] + add_mem) / take(self.cap_mem)[:, None],
-        )
-        # P_pwr uses the host's occupation *without* the tentative VM —
-        # the paper's §III-A-4 defines "O(h, vm) = occupation of h" (no
-        # allocation), unlike P_res's "occupation of h allocating vm".
-        occ_now = np.maximum(
-            take(self.res_cpu) / take(self.cap_cpu),
-            take(self.res_mem) / take(self.cap_mem),
-        )[:, None]
-
-        feasible = (
-            take(self.req_ok)
-            & take(self.avail)[:, None]
-            & (occ_after <= 1.0 + 1e-9)
-        )
-
-        s = np.zeros((len(R), self.n_cols))
-        if cfg.enable_virt:
-            migration = take(self._mig_pen)
-            creation = np.broadcast_to(take(self.cc)[:, None], migration.shape)
-            s += np.where(on, 0.0, np.where(self.is_queued[None, :], creation, migration))
-        if cfg.enable_conc:
-            load = take(self.conc + self.pending)[:, None]
-            s += np.where(on, 0.0, load)
-        if cfg.enable_pwr:
-            t_empty = (take(self.nvms)[:, None] <= cfg.th_empty).astype(float)
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla:
-            viol = on & (self.fulf[None, :] < 1.0)
-            hard = viol & (self.fulf[None, :] <= cfg.th_sla)
-            s += np.where(viol, cfg.c_sla, 0.0)
-            s = np.where(hard, INF, s)
-        if cfg.enable_fault:
-            s += ((1.0 - take(self.rel))[:, None] - self.ftol[None, :]) * cfg.c_fail
-
-        return np.where(feasible, s, INF)
-
-    def _score_row(self, r: int) -> np.ndarray:
-        """One host row of the score matrix, with scalar host-side terms.
-
-        Bit-identical to ``_score_rows([r])`` — every elementwise float
-        operation is the same — but roughly half the numpy dispatches,
-        which is what the hill climber's per-move rescoring pays for.
-        """
-        cfg = self.config
-        if not self.avail[r]:
-            return np.full(self.n_cols, INF)
-        cap_cpu = self.cap_cpu[r]
-        cap_mem = self.cap_mem[r]
-        res_cpu = self.res_cpu[r]
-        res_mem = self.res_mem[r]
-
-        on = self.cur == r
-        add_cpu = np.where(on, 0.0, self.vcpu)
-        add_mem = np.where(on, 0.0, self.vmem)
-        occ_after = np.maximum(
-            (res_cpu + add_cpu) / cap_cpu, (res_mem + add_mem) / cap_mem
-        )
-        occ_now = max(res_cpu / cap_cpu, res_mem / cap_mem)
-        feasible = self.req_ok[r] & (occ_after <= 1.0 + 1e-9)
-
-        s = np.zeros(self.n_cols)
-        if cfg.enable_virt:
-            base = np.where(self.is_queued, self.cc[r], self._mig_pen[r])
-            s += np.where(on, 0.0, base)
-        if cfg.enable_conc:
-            s += np.where(on, 0.0, self.conc[r] + self.pending[r])
-        if cfg.enable_pwr:
-            t_empty = 1.0 if self.nvms[r] <= cfg.th_empty else 0.0
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla:
-            viol = on & (self.fulf < 1.0)
-            hard = viol & (self.fulf <= cfg.th_sla)
-            s += np.where(viol, cfg.c_sla, 0.0)
-            s = np.where(hard, INF, s)
-        if cfg.enable_fault:
-            s += ((1.0 - self.rel[r]) - self.ftol) * cfg.c_fail
-
-        return np.where(feasible, s, INF)
-
-    # -------------------------------------------------------------- caches
-
-    def _soft_current_cost(self, r: int, j: int) -> Optional[float]:
-        """Score of column ``j``'s own cell with the *soft* SLA penalty.
-
-        ``r`` must be ``cur[j]``.  Returns ``None`` when the cell is
-        genuinely infeasible for reasons other than the hard-SLA promotion
-        (host unavailable, P_req failed, occupation past 100 %) — those
-        VMs are forced out and keep the queue_cost pricing.  Otherwise the
-        returned value replays ``_score_row``'s float operations for an
-        "on" cell (where P_virt and P_conc contribute exactly 0.0) with
-        ``c_sla`` in place of the hard infinity, so it is bit-identical to
-        the score the cell would carry if ``fulf`` were above ``th_sla``.
-        """
-        cfg = self.config
-        if not self.avail[r] or not self.req_ok[r, j]:
-            return None
-        occ_now = max(
-            self.res_cpu[r] / self.cap_cpu[r], self.res_mem[r] / self.cap_mem[r]
-        )
-        if not occ_now <= 1.0 + 1e-9:
-            return None
-        s = 0.0
-        if cfg.enable_pwr:
-            t_empty = 1.0 if self.nvms[r] <= cfg.th_empty else 0.0
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla and self.fulf[j] < 1.0:
-            s += cfg.c_sla
-        if cfg.enable_fault:
-            s += ((1.0 - self.rel[r]) - self.ftol[j]) * cfg.c_fail
-        return float(s)
-
-    def _reprice_infinite(self, cols: np.ndarray, costs: np.ndarray) -> None:
-        """Apply the ``reprice_hard_sla`` fix to columns priced at INF.
-
-        ``cols`` are placed columns whose current cell is infinite and
-        ``costs`` their (queue_cost-initialized) cost slots, updated in
-        place where the soft pricing applies.
-        """
-        for k, j in enumerate(cols):
-            soft = self._soft_current_cost(int(self.cur[j]), int(j))
-            if soft is not None:
-                costs[k] = soft
-
-    def _compute_current_costs(self) -> np.ndarray:
-        """From-scratch per-column current costs (cache initialization)."""
-        costs = np.full(self.n_cols, self.config.queue_cost)
-        placed = np.nonzero(self.cur >= 0)[0]
-        if placed.size:
-            vals = self.scores[self.cur[placed], placed]
-            finite = np.isfinite(vals)
-            costs[placed[finite]] = vals[finite]
-            if self.config.reprice_hard_sla and not finite.all():
-                bad = placed[~finite]
-                sub = costs[bad]
-                self._reprice_infinite(bad, sub)
-                costs[bad] = sub
-        return costs
-
-    def _refresh_col_minima(self, cols: np.ndarray) -> None:
-        """Recompute the cached (value, argmin-row) of the diff for ``cols``.
-
-        Frozen columns are pinned at +inf / row 0 regardless of scores.
-        """
-        live = cols[~self.frozen[cols]]
-        dead = cols[self.frozen[cols]]
-        if dead.size:
-            self._col_min_val[dead] = INF
-            self._col_min_row[dead] = 0
-        if live.size:
-            # Only available rows can hold a finite diff, so the argmin
-            # scans those; on an all-∞ column the cached row is arbitrary
-            # (best_move never surfaces a row for a non-finite best and
-            # apply_move's take/rescan rules are inert at +inf).
-            act = self.active_rows
-            if act.size == 0:
-                self._col_min_val[live] = INF
-                self._col_min_row[live] = 0
-                return
-            if act.size == self.n_rows:
-                sub = self.scores[:, live]
-            else:
-                sub = self.scores[np.ix_(act, live)]
-            sub = sub - self._cur_costs[live][None, :]
-            k = np.argmin(sub, axis=0)
-            self._col_min_row[live] = act[k]
-            self._col_min_val[live] = sub[k, np.arange(len(live))]
-
-    # ------------------------------------------------------------ interface
-
-    def current_costs(self) -> np.ndarray:
-        """Per-column cost of the status quo.
-
-        Queued VMs sit on the virtual host at ``queue_cost``; placed VMs
-        cost their current cell.  An infinite current cell whose VM is
-        *forced* out (host unavailable/quarantined, requirements no longer
-        met, occupation pushed over 100 % by requirement inflation) also
-        maps to ``queue_cost``: the VM urgently wants out and any feasible
-        cell is an improvement.
-
-        A hard-SLA promotion (``fulf <= th_sla`` on an otherwise feasible
-        placement) historically got the same queue_cost pricing, which
-        made the climber migrate the VM to *any* feasible host every
-        consolidation round even though fulfilment follows the (inflated)
-        requirement, not the host — pure migration churn.  With
-        ``config.reprice_hard_sla`` those columns are priced at their soft
-        (``c_sla``) score instead, so they move only for genuine gains;
-        the legacy pricing remains the default because the committed
-        macro baselines were recorded with it.
-        """
-        return self._cur_costs.copy()
-
-    def diff_matrix(self) -> np.ndarray:
-        """scores − current costs, with frozen columns masked to +inf."""
-        diff = self.scores - self._cur_costs[None, :]
-        if self.frozen.any():
-            diff[:, self.frozen] = INF
-        return diff
-
-    def best_move(self) -> Optional[tuple]:
-        """``(row, col, gain)`` of the most negative diff cell, in O(N).
-
-        Reads the cached per-column minima instead of materializing the
-        diff matrix; ties break exactly like ``np.argmin(diff_matrix())``
-        — lowest row first, then lowest column.  Returns ``None`` on an
-        empty matrix; the returned ``gain`` may be non-negative or +inf
-        (the caller decides when to stop climbing).
-        """
-        if self.n_cols == 0 or self.n_rows == 0:
-            return None
-        best = float(np.min(self._col_min_val))
-        if not np.isfinite(best):
-            return 0, int(np.argmin(self._col_min_val)), best
-        ties = np.nonzero(self._col_min_val == best)[0]
-        k = int(np.argmin(self._col_min_row[ties]))
-        return int(self._col_min_row[ties[k]]), int(ties[k]), best
-
-    def apply_move(self, col: int, row: int) -> None:
-        """Hypothetically move column ``col`` to host row ``row``.
-
-        Updates occupancy bookkeeping, freezes the column (one move per VM
-        per round — the engine starts an operation on it immediately), adds
-        the planned operation to the destination's pending concurrency
-        cost, and recomputes the two affected host rows.
-        """
-        if self.frozen[col]:
-            raise SchedulingError(f"column {col} is frozen")
-        if not (0 <= row < self.n_rows):
-            raise SchedulingError(f"row {row} out of range")
-        old = int(self.cur[col])
-        if old == row:
-            raise SchedulingError("move must change the host")
-
-        if old >= 0:
-            self.res_cpu[old] -= self.vcpu[col]
-            self.res_mem[old] -= self.vmem[col]
-            self.nvms[old] -= 1
-        self.res_cpu[row] += self.vcpu[col]
-        self.res_mem[row] += self.vmem[col]
-        self.nvms[row] += 1
-        self.pending[row] += self.cc[row] if self.is_queued[col] else self.cm[row]
-
-        self.cur[col] = row
-        self.is_queued[col] = False
-        self.frozen[col] = True
-
-        touched = [row] if old < 0 else sorted({old, row})
-        for t in touched:
-            self.scores[t, :] = self._score_row(t)
-
-        # ---- incremental cache maintenance -------------------------------
-        # The moved column is frozen: O(1) invalidation.
-        self._col_min_val[col] = INF
-        self._col_min_row[col] = 0
-
-        # Current costs change only for columns homed on a touched row
-        # (their current cell was just recomputed).  A cost change shifts
-        # that column's whole diff uniformly, so the cached min value
-        # shifts with it and the argmin row stays put.
-        homed = self.cur == touched[0]
-        if len(touched) == 2:
-            homed |= self.cur == touched[1]
-        homed = np.nonzero(homed)[0]
-        if homed.size:
-            vals = self.scores[self.cur[homed], homed]
-            finite = np.isfinite(vals)
-            new_costs = np.where(finite, vals, self.config.queue_cost)
-            if self.config.reprice_hard_sla and not finite.all():
-                bad = np.nonzero(~finite)[0]
-                sub = new_costs[bad]
-                self._reprice_infinite(homed[bad], sub)
-                new_costs[bad] = sub
-            # (+inf cached minima absorb the shift: inf + finite == inf.)
-            self._col_min_val[homed] += self._cur_costs[homed] - new_costs
-            self._cur_costs[homed] = new_costs
-
-        # Score changes are confined to the touched rows.  For each live
-        # column, compare the cached min (v at row r) with the best new
-        # value over the touched rows (w at row rw, lowest row on ties).
-        # Every untouched row still holds a value >= v, so:
-        #   w < v, or w == v at a lower row  ->  (w, rw) is the new min;
-        #   cached row untouched, not beaten ->  cache still valid;
-        #   cached row touched and got worse ->  full column rescan.
-        live = ~self.frozen
-        v = self._col_min_val
-        r = self._col_min_row
-        if len(touched) == 1:
-            t0 = touched[0]
-            w = self.scores[t0] - self._cur_costs
-            # With one touched row the general rule below collapses to:
-            # take on a strict win, or a tie at a row index not above the
-            # cached one (covers both the rw<r and the in-T rw==r cases).
-            take = live & ((w < v) | ((w == v) & (r >= t0)))
-            rescan = live & (r == t0) & (w > v)
-            if take.any():
-                self._col_min_val[take] = w[take]
-                self._col_min_row[take] = t0
-        else:
-            d0 = self.scores[touched[0]] - self._cur_costs
-            d1 = self.scores[touched[1]] - self._cur_costs
-            first = d0 <= d1
-            w = np.where(first, d0, d1)
-            rw = np.where(first, touched[0], touched[1])
-            in_t = (r == touched[0]) | (r == touched[1])
-            take = (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
-            take &= live
-            rescan = live & in_t & ~take
-            if take.any():
-                self._col_min_val[take] = w[take]
-                self._col_min_row[take] = rw[take]
-        if rescan.any():
-            self._refresh_col_minima(np.nonzero(rescan)[0])
-
-    # -------------------------------------------------------------- reports
-
-    def host_row_score(self, row: int) -> float:
-        """Aggregated row score used for shutdown ranking (§III-C).
-
-        Mean of the row with infinities replaced by the queue cost — hosts
-        that cannot take anything (many ∞) and hosts that are expensive for
-        everything both rank high, i.e. are shut down first.
-        """
-        if self.n_cols == 0:
-            return 0.0
-        vals = self.scores[row, :].copy()
-        vals[~np.isfinite(vals)] = self.config.queue_cost
-        return float(vals.mean())
+            state = ColumnarClusterState(hosts, capacity=len(columns))
+        super().__init__(state, config)
+        self.bind_round(columns, now, fulfillments, reliability)

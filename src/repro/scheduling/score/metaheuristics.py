@@ -17,7 +17,7 @@ replacements inside :class:`~repro.scheduling.score.policy.ScoreBasedPolicy`
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -30,7 +30,8 @@ __all__ = ["simulated_annealing", "tabu_search", "SOLVERS", "solve"]
 
 
 def _moves_from_assignment(
-    builder: ScoreMatrixBuilder, assignment: np.ndarray
+    builder: ScoreMatrixBuilder, evaluator: AssignmentEvaluator,
+    assignment: np.ndarray,
 ) -> List[Move]:
     """Diff an assignment against the initial state into Move objects.
 
@@ -41,14 +42,14 @@ def _moves_from_assignment(
     migrations: List[Move] = []
     for j, vm in enumerate(builder.columns):
         target = int(assignment[j])
-        origin = int(builder.cur[j])
+        origin = int(evaluator.initial[j])
         if target < 0 or target == origin:
             continue
         move = Move(
             vm_id=vm.vm_id,
             host_id=builder.hosts[target].host_id,
             gain=0.0,
-            from_queue=bool(builder.is_queued[j]),
+            from_queue=bool(evaluator.is_queued_initially[j]),
         )
         (placements if move.from_queue else migrations).append(move)
     return placements + migrations
@@ -121,7 +122,7 @@ def simulated_annealing(
                 best_score = score
         temperature *= cooling
 
-    return _moves_from_assignment(builder, best)
+    return _moves_from_assignment(builder, evaluator, best)
 
 
 def tabu_search(
@@ -184,7 +185,7 @@ def tabu_search(
         if best_score == 0.0:
             break
 
-    return _moves_from_assignment(builder, best)
+    return _moves_from_assignment(builder, evaluator, best)
 
 
 #: Named solver registry used by ScoreBasedPolicy(solver=...).

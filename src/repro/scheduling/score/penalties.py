@@ -2,10 +2,11 @@
 
 These functions are the *readable specification* of each penalty, written
 exactly as the paper defines them.  The production path is the vectorized
-:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`; the test suite
-property-checks the builder cell-by-cell against these scalars, so any
-vectorization bug surfaces immediately (make-it-work / make-it-right /
-then-optimize, per the HPC guides).
+:class:`~repro.scheduling.score.persistent.PersistentScoreMatrix`; the
+test suite property-checks it cell-by-cell against these scalars (SLA
+fulfilment and observed reliability included), so any vectorization bug
+surfaces immediately (make-it-work / make-it-right / then-optimize, per
+the HPC guides).
 
 All functions take plain host/VM state objects and return a float
 (possibly ``inf``).  A high score means a high cost of keeping the VM on

@@ -1,13 +1,23 @@
-"""Persistent cross-round score matrix: O(dirty) rescoring.
+"""The score matrix: the paper's (M+1)xN matrix with O(dirty) rescoring.
 
-:class:`PersistentScoreMatrix` keeps the score matrix alive across
-scheduling rounds instead of rebuilding O(online x N) cells per round
-(:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`).  It shares
-the column slot registry of
-:class:`~repro.scheduling.score.columnar.ColumnarClusterState` — a matrix
-column *is* a columnar VM slot — and stores one persistent ``(M, cap)``
-cell array plus per-slot column attributes (current host, queued flag,
-migration-penalty bucket, SLA fulfilment, current cost, argmin cache).
+:class:`PersistentScoreMatrix` is the one score kernel.  The virtual-host
+row is implicit: queued VMs carry ``queue_cost`` as their "current" cost,
+so any feasible placement is a (large) improvement.  Every cell is one
+evaluation of ``Score(h, vm) = P_req + P_res + P_virt + P_conc + P_pwr +
+P_SLA + P_fault`` in :meth:`~PersistentScoreMatrix._score_block`, and
+every status quo cost comes from the same cells plus
+:meth:`~PersistentScoreMatrix._soft_current_cost`; the scalar
+:mod:`repro.scheduling.score.penalties` is the independent spec the tests
+hold it to.
+
+The policy keeps one matrix per cluster and rebinds it every round
+instead of rebuilding O(online x N) cells; a one-shot
+:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder` is the same
+class bound once.  A matrix column *is* a VM slot of its
+:class:`~repro.scheduling.score.columnar.ColumnarClusterState`; the matrix
+stores one ``(M, cap)`` cell array plus per-slot column attributes
+(current host, queued flag, migration-penalty bucket, SLA fulfilment,
+current cost, argmin cache).
 
 Per round, :meth:`bind_round`:
 
@@ -27,13 +37,12 @@ Per round, :meth:`bind_round`:
    scan) and keeps the per-column argmin caches valid under the partial
    rescoring via a generalized multi-row take/rescan rule.
 
-**The bit-identity invariant.**  Every cell is produced by the same
-elementwise float expressions as ``ScoreMatrixBuilder._score_rows`` (one
-shared formula, gathered over row/column subsets), so a cell rescored
-incrementally is bit-for-bit the cell a fresh build would compute; the
-``verify_against_fresh`` oracle and the whole-sim equality tests check
-exactly that.  Two representation changes make the incremental form
-possible without breaking it:
+**The bit-identity invariant.**  A cell rescored incrementally is
+bit-for-bit the cell a one-shot bind of the same cluster computes: both
+come from the same elementwise float expressions gathered over row/column
+subsets.  The ``verify_against_fresh`` oracle (run on every bind under
+``REPRO_STRICT_INVARIANTS``) checks exactly that.  Two representation
+choices make the incremental form possible:
 
 * the migration penalty ``T_r < C_m ? 2 C_m : C_m/2`` is factorized
   through **buckets**: with ``D`` the sorted distinct per-host migration
@@ -50,9 +59,18 @@ Tie-breaking is order-deterministic under partial rescoring: dirty rows
 are processed in ascending host index (the dirty feed is a *set*; sorting
 makes the result independent of mutation order), the multi-row argmin
 takes the lowest host index on value ties, and :meth:`best_move` breaks
-value ties by lowest row then lowest column exactly like the fresh
-builder — ``tests/test_score_persistent.py`` permutes dirty-row marking
-order and asserts identical move sequences.
+value ties by lowest row then lowest column, exactly like
+``np.argmin`` over the diff matrix — ``tests/test_score_persistent.py``
+permutes dirty-row marking order and asserts identical move sequences.
+
+Within a round, :meth:`apply_move` rescores only the <=2 affected host
+rows and maintains a per-column (min value, argmin row) cache of the diff
+(score - current cost), so :meth:`best_move` is O(N).  The cache is per
+column, not per row, because queued VMs are frequently identical: a
+per-row argmin tends to point at the very column each move freezes.
+In-round planned operations feed a ``pending`` concurrency cost per host,
+so later moves see earlier ones through P_conc — this is what makes SB2
+stagger simultaneous creations.
 
 A queued->placed :meth:`apply_move` flips the column's pricing from
 creation cost to migration penalty on *every* row; rather than rescoring
@@ -70,7 +88,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.host import Host
 from repro.cluster.vm import Vm
 from repro.errors import SchedulingError, StateError
 from repro.scheduling.score.columnar import ColumnarClusterState
@@ -87,25 +104,23 @@ def _log2_bucket(n: int) -> int:
 
 
 class PersistentScoreMatrix:
-    """Score matrix state surviving across ``policy.decide()`` rounds.
+    """Score matrix state, bindable to one scheduling round after another.
 
-    Duck-compatible with the slice of ``ScoreMatrixBuilder`` the
-    hill-climbing solver and the shutdown ranking consume: ``config``,
-    ``hosts``, ``columns``, ``n_rows``/``n_cols``, ``is_queued`` (round
-    order), ``host_cache``, :meth:`best_move`, :meth:`apply_move`,
-    :meth:`current_costs`, :meth:`host_row_score`.
+    The solvers and the shutdown ranking consume ``config``, ``hosts``,
+    ``columns``, ``n_rows``/``n_cols``, ``is_queued`` (round order),
+    :meth:`best_move`, :meth:`apply_move`, :meth:`current_costs` and
+    :meth:`host_row_score`.
 
-    Build one per (policy, columnar state); ``ScoreBasedPolicy`` does and
-    rebuilds it only when the cluster changes.  Requires the columnar
-    kernel (the column registry is the slot space) and the hill-climbing
-    solver (metaheuristics mutate a fresh builder destructively).
+    A long-lived matrix must be attached (:meth:`attach`) so it sees host
+    mutations and slot lifecycle events between binds;
+    ``ScoreBasedPolicy`` keeps one per (policy, columnar state) and
+    rebuilds it only when the cluster changes.  An unattached matrix is
+    valid for the round it is bound to — the one-shot
+    :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`.
     """
 
     def __init__(self, state: ColumnarClusterState, config: ScoreConfig) -> None:
         self.state = state
-        #: Alias for the fresh builder's attribute of the same name — the
-        #: shutdown ranking reads ``builder.host_cache.host_index``.
-        self.host_cache = state
         self.config = config
         self.hosts = state.hosts
         self.n_rows = len(state.hosts)
@@ -135,10 +150,9 @@ class PersistentScoreMatrix:
 
         # ---- dirty feeds ------------------------------------------------
         #: Host ids mutated since the last bind (power transitions included
-        #: — ``Host.state``/``Host.quarantined`` setters mark dirty).
+        #: — ``Host.state``/``Host.quarantined`` setters mark dirty); fed
+        #: once :meth:`attach` subscribes it.
         self._sink: set = set()
-        for h in state.hosts:
-            h.add_dirty_sink(self._sink)
         #: Host *indices* touched hypothetically by apply_move; restored
         #: from ground truth and rescored at the next bind.
         self._touched: set = set()
@@ -169,7 +183,6 @@ class PersistentScoreMatrix:
         self._live = np.zeros(cap, dtype=bool)
         self._live_list = np.empty(0, dtype=int)
         self._live_dirty = False
-        state.attach_matrix_listener(self)
 
         # ---- round binding ----------------------------------------------
         self.columns: List[Vm] = []
@@ -185,6 +198,20 @@ class PersistentScoreMatrix:
         self._binds = 0
         self._row_hist: Counter = Counter()
         self._col_hist: Counter = Counter()
+
+    def attach(self) -> None:
+        """Subscribe this matrix and its state to the cluster.
+
+        Registers the state's and the matrix's dirty sinks on every host
+        and makes the matrix the state's slot-lifecycle listener — the one
+        step that turns a one-round matrix into a cross-round one.  A
+        state has one listener at a time; attaching a second matrix to the
+        same state replaces the first.
+        """
+        self.state.attach()
+        for h in self.hosts:
+            h.add_dirty_sink(self._sink)
+        self.state.matrix_listener = self
 
     # -------------------------------------------------- slot registry hooks
 
@@ -249,12 +276,14 @@ class PersistentScoreMatrix:
     def _score_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Score cells for the given host rows x column slots.
 
-        The same elementwise float expressions as
-        ``ScoreMatrixBuilder._score_rows`` with the host/VM vectors
-        gathered from the persistent arrays, so each cell is bit-identical
-        to the fresh builder's.  The migration predicate is evaluated in
+        The paper's penalty sum over host/VM vectors gathered from the
+        persistent arrays.  The migration predicate is evaluated in
         bucket space (``cm_rank >= bucket`` <=> ``tr < cm``) — same
-        booleans, same ``2*cm`` / ``cm/2`` values.
+        booleans, same ``2*cm`` / ``cm/2`` values as the scalar spec.
+        P_pwr uses the host's occupation *without* the tentative VM — the
+        paper's §III-A-4 defines "O(h, vm) = occupation of h" (no
+        allocation), unlike P_res's "occupation of h allocating vm".
+        Unavailable rows score +inf.
         """
         cfg = self.config
         st = self.state
@@ -368,7 +397,18 @@ class PersistentScoreMatrix:
     # ---------------------------------------------------------------- costs
 
     def _soft_current_cost(self, r: int, slot: int) -> Optional[float]:
-        """``reprice_hard_sla`` soft pricing — mirrors the fresh builder."""
+        """Score of ``slot``'s own cell with the *soft* SLA penalty.
+
+        ``r`` must be the slot's current host.  Returns ``None`` when the
+        cell is genuinely infeasible for reasons other than the hard-SLA
+        promotion (host unavailable, P_req failed, occupation past 100 %)
+        — those VMs are forced out and keep the queue_cost pricing.
+        Otherwise the value replays :meth:`_score_row_slots`'s float
+        operations for an "on" cell (where P_virt and P_conc contribute
+        exactly 0.0) with ``c_sla`` in place of the hard infinity, so it
+        is bit-identical to the score the cell would carry if the
+        fulfilment were above ``th_sla``.
+        """
         cfg = self.config
         st = self.state
         if not self.avail[r] or not st.v_feas[slot, st.class_of_host[r]]:
@@ -389,11 +429,16 @@ class PersistentScoreMatrix:
         return float(s)
 
     def _compute_costs(self, slots: np.ndarray) -> np.ndarray:
-        """Per-slot current costs from the stored cells (fresh semantics).
+        """Per-slot current costs from the stored cells.
 
-        Unavailable current hosts read as +inf without touching the cell
-        array (their rows may hold garbage); infinite cells fall back to
-        ``queue_cost`` or — under ``reprice_hard_sla`` — the soft pricing.
+        Queued VMs cost ``queue_cost``; placed VMs cost their current
+        cell.  Unavailable current hosts read as +inf without touching the
+        cell array (their rows may hold garbage).  An infinite current
+        cell maps to ``queue_cost`` — the VM is forced out (host
+        unavailable/quarantined, requirements unmet, occupation over
+        100 %) and any feasible cell is an improvement — or, for a
+        hard-SLA promotion under ``config.reprice_hard_sla``, to the soft
+        pricing of :meth:`_soft_current_cost` (see that config field).
         """
         cfg = self.config
         costs = np.full(len(slots), cfg.queue_cost)
@@ -606,8 +651,8 @@ class PersistentScoreMatrix:
 
         # ---- observability ----------------------------------------------
         self._binds += 1
-        # Counterfactual: a fresh builder scores every row (available or
-        # not) for every round column.
+        # Counterfactual: a one-shot rebuild scores every row (available
+        # or not) for every round column.
         self._cells_total += self.n_rows * slots.size
         self._row_hist[_log2_bucket(hs.size)] += 1
         self._col_hist[_log2_bucket(cols_changed.size)] += 1
@@ -621,8 +666,11 @@ class PersistentScoreMatrix:
     def best_move(self) -> Optional[tuple]:
         """``(row, col, gain)`` of the most negative diff cell, O(N_round).
 
-        Bit-identical tie-breaking to the fresh builder: lowest row first,
-        then lowest column (round order).
+        Reads the cached per-column minima instead of materializing the
+        diff matrix; ties break exactly like ``np.argmin`` over it —
+        lowest row first, then lowest column (round order).  Returns
+        ``None`` on an empty matrix; the returned ``gain`` may be
+        non-negative or +inf (the caller decides when to stop climbing).
         """
         if self.n_cols == 0 or self.n_rows == 0:
             return None
@@ -638,12 +686,14 @@ class PersistentScoreMatrix:
     def apply_move(self, col: int, row: int) -> None:
         """Hypothetically move round column ``col`` to host ``row``.
 
-        Mirrors the fresh builder move-for-move (occupancy bookkeeping,
-        pending concurrency, freeze, <=2 row rescores restricted to the
-        round's columns, take/rescan cache maintenance) and additionally
-        remembers the touched rows for the next bind and marks a
-        queued->placed column stale (its pricing flipped on every row;
-        the full rescore is deferred to its next participation).
+        Updates occupancy bookkeeping, freezes the column (one move per VM
+        per round — the engine starts an operation on it immediately),
+        adds the planned operation to the destination's pending
+        concurrency cost, and rescores the <=2 affected host rows over the
+        round's columns.  It also remembers the touched rows for the next
+        bind and marks a queued->placed column stale (its pricing flipped
+        on every row; the full rescore is deferred to its next
+        participation).
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -684,10 +734,15 @@ class PersistentScoreMatrix:
         self._cells_rescored += len(touched) * rs.size
         self._cells_total += len(touched) * rs.size
 
-        # ---- cache maintenance (fresh builder's rules, round slots) -----
+        # ---- incremental cache maintenance ------------------------------
+        # The moved column is frozen: O(1) invalidation.
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
 
+        # Current costs change only for columns homed on a touched row
+        # (their current cell was just recomputed).  A cost change shifts
+        # that column's whole diff uniformly, so the cached min value
+        # shifts with it and the argmin row stays put.
         cur_r = self._cur[rs]
         homed = cur_r == touched[0]
         if len(touched) == 2:
@@ -699,12 +754,22 @@ class PersistentScoreMatrix:
             self._col_min_val[homed_slots] += old_costs - new_costs
             self._cost[homed_slots] = new_costs
 
+        # Score changes are confined to the touched rows.  For each live
+        # column, compare the cached min (v at row r) with the best new
+        # value over the touched rows (w at row rw, lowest row on ties).
+        # Every untouched row still holds a value >= v, so:
+        #   w < v, or w == v at a lower row  ->  (w, rw) is the new min;
+        #   cached row untouched, not beaten ->  cache still valid;
+        #   cached row touched and got worse ->  full column rescan.
         lv = ~self._frozen[rs]
         v = self._col_min_val[rs]
         r = self._col_min_row[rs]
         if len(touched) == 1:
             t0 = touched[0]
             w = self.scores[t0, rs] - self._cost[rs]
+            # With one touched row the general rule collapses to: take on
+            # a strict win, or a tie at a row index not above the cached
+            # one (covers both the rw<r and the in-T rw==r cases).
             take = lv & ((w < v) | ((w == v) & (r >= t0)))
             rescan = lv & (r == t0) & (w > v)
             if take.any():
@@ -730,7 +795,13 @@ class PersistentScoreMatrix:
             self._refresh_minima(rs[rescan])
 
     def host_row_score(self, row: int) -> float:
-        """Aggregated row score for shutdown ranking (fresh semantics)."""
+        """Aggregated row score used for shutdown ranking (§III-C).
+
+        Mean of the row over the round's columns with infinities replaced
+        by the queue cost — hosts that cannot take anything (many ∞) and
+        hosts that are expensive for everything both rank high, i.e. are
+        shut down first.
+        """
         if self.n_cols == 0:
             return 0.0
         qc = self.config.queue_cost
@@ -750,31 +821,26 @@ class PersistentScoreMatrix:
         fulfillments: Optional[Dict[int, float]] = None,
         reliability: Optional[Sequence[float]] = None,
     ) -> bool:
-        """Oracle: compare against a from-scratch ``ScoreMatrixBuilder``.
+        """Oracle: compare against a one-shot bind of the same round.
 
         Valid right after :meth:`bind_round` with the same arguments (the
         bound state is then real, not hypothetical).  Compares cells on
         active rows, current costs, and the argmin caches for every round
         column; raises :class:`~repro.errors.StateError` on any mismatch.
+        The one-shot registers nothing on the hosts or the state.
         """
-        from repro.scheduling.score.matrix import ScoreMatrixBuilder
-
-        fresh = ScoreMatrixBuilder(
-            hosts=self.hosts,
-            columns=columns,
-            now=now,
-            config=self.config,
-            fulfillments=fulfillments,
-            host_cache=self.state,
-            reliability=reliability,
+        fresh = PersistentScoreMatrix(
+            self.state.detached(len(columns)), self.config
         )
+        fresh.bind_round(columns, now, fulfillments, reliability)
         rs = self._round_slots
+        frs = fresh._round_slots
         act = self._active
-        if not np.array_equal(act, np.nonzero(fresh.avail)[0]):
+        if not np.array_equal(act, fresh._active):
             raise StateError("persistent matrix drift: active row set")
         if act.size and rs.size:
             mine = self.scores[np.ix_(act, rs)]
-            theirs = fresh.scores[act]
+            theirs = fresh.scores[np.ix_(act, frs)]
             if not np.array_equal(mine, theirs):
                 bad = np.nonzero(mine != theirs)
                 r0, c0 = int(bad[0][0]), int(bad[1][0])
@@ -784,8 +850,8 @@ class PersistentScoreMatrix:
                     f"{mine[r0, c0]!r} != fresh {theirs[r0, c0]!r}"
                 )
         for label, mine_a, fresh_a in (
-            ("cost", self._cost[rs], fresh._cur_costs),
-            ("min_val", self._col_min_val[rs], fresh._col_min_val),
+            ("cost", self._cost[rs], fresh._cost[frs]),
+            ("min_val", self._col_min_val[rs], fresh._col_min_val[frs]),
         ):
             if not np.array_equal(mine_a, fresh_a):
                 j = int(np.nonzero(mine_a != fresh_a)[0][0])
@@ -795,7 +861,7 @@ class PersistentScoreMatrix:
                 )
         finite = np.isfinite(self._col_min_val[rs])
         if not np.array_equal(
-            self._col_min_row[rs][finite], fresh._col_min_row[finite]
+            self._col_min_row[rs][finite], fresh._col_min_row[frs][finite]
         ):
             raise StateError("persistent matrix drift: argmin row")
         return True

@@ -1,6 +1,6 @@
 """The score-based scheduling policy.
 
-:class:`ScoreBasedPolicy` packages the matrix builder and the hill-climbing
+:class:`ScoreBasedPolicy` packages the score matrix and the hill-climbing
 solver behind the common :class:`~repro.scheduling.base.SchedulingPolicy`
 interface.  Each scheduling round it:
 
@@ -8,9 +8,16 @@ interface.  Each scheduling round it:
    migration is enabled (VMs with operations in flight are pinned and
    excluded, per §III-A-3);
 2. computes SLA fulfilments when dynamic enforcement is on;
-3. builds the matrix, runs Algorithm 1, and converts the chosen moves into
+3. binds the matrix, runs Algorithm 1 (or the SA/tabu solver), and
+   converts the chosen moves into
    :class:`~repro.scheduling.actions.Place` / :class:`~repro.scheduling.actions.Migrate`
    actions.
+
+The hill climber runs on one long-lived
+:class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` per
+cluster, rebound every round.  SA and tabu consume their matrix
+destructively, so they get a one-shot
+:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder` per round.
 
 It also overrides the shutdown ranking hook: idle hosts are ordered by
 their aggregated matrix-row score ("those nodes with a higher score are
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
@@ -31,7 +38,7 @@ from repro.scheduling.actions import Action, Migrate, Place
 from repro.scheduling.base import SchedulingContext, SchedulingPolicy
 from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
-from repro.scheduling.score.matrix import HostArrayCache, ScoreMatrixBuilder
+from repro.scheduling.score.matrix import ScoreMatrixBuilder
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.solver import anytime_hill_climb, hill_climb
 from repro.sla.monitor import fulfillment
@@ -65,49 +72,28 @@ class ScoreBasedPolicy(SchedulingPolicy):
         name: Optional[str] = None,
         solver: str = "hill_climb",
         solver_seed: int = 0,
-        use_columnar: bool = True,
-        use_persistent_matrix: Optional[bool] = None,
     ) -> None:
         self.config = config or ScoreConfig.sb()
         self.supports_migration = self.config.allow_migration
         self.solver = solver
         self.solver_seed = solver_seed
-        #: Persistent columnar kernel switch.  On (default), the policy
-        #: keeps a :class:`ColumnarClusterState` and matrix construction
-        #: is O(dirty hosts + columns); off, every round re-lists host and
-        #: VM state from Python objects (the seed kernel) — kept for A/B
-        #: benchmarking and the columnar-vs-seed equality oracle.
-        self.use_columnar = use_columnar
         if solver not in ("hill_climb", "sa", "tabu"):
             from repro.errors import ConfigurationError
 
             raise ConfigurationError(f"unknown solver {solver!r}")
-        #: Persistent cross-round score matrix switch.  Defaults to on
-        #: whenever its prerequisites hold (columnar kernel + the
-        #: hill-climbing solver — metaheuristics mutate a fresh builder);
-        #: pass False to force the per-round rebuild (A/B benchmarking,
-        #: the persistent-vs-fresh oracle).
-        if use_persistent_matrix is None:
-            use_persistent_matrix = use_columnar and solver == "hill_climb"
-        elif use_persistent_matrix and not (
-            use_columnar and solver == "hill_climb"
-        ):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "use_persistent_matrix requires use_columnar and the "
-                "hill_climb solver"
-            )
-        self.use_persistent_matrix = use_persistent_matrix
+        #: The attached columnar state for the current cluster, and — for
+        #: the hill climber — the attached long-lived score matrix over
+        #: it.  Built on first use, rebuilt only for a new cluster.
+        self._state: Optional[ColumnarClusterState] = None
         self._matrix: Optional[PersistentScoreMatrix] = None
-        #: Strict-mode self-check: every bind is verified against a fresh
-        #: build (same env convention as the engine's invariant sweeps).
+        #: Strict-mode self-check: every bind is verified against a
+        #: one-shot rebuild (same env convention as the engine's invariant
+        #: sweeps).
         self._verify_mode = os.environ.get(
             "REPRO_STRICT_INVARIANTS", ""
         ).lower()
         self.name = name if name is not None else self._derive_name()
         self._next_consolidation = 0.0
-        self._host_cache: Optional[HostArrayCache] = None
         #: host_id -> learned reliability, wired up by the engine when
         #: ``EngineConfig.observed_reliability`` is on; consulted only when
         #: the config sets ``use_observed_reliability``.
@@ -123,22 +109,26 @@ class ScoreBasedPolicy(SchedulingPolicy):
         #: property).
         self.budget_controller: Optional["RoundBudget"] = None
 
-    def _cached_host_arrays(self, ctx: SchedulingContext) -> HostArrayCache:
-        """The per-simulation static host arrays (rebuilt on a new cluster).
+    def _cluster_state(self, ctx: SchedulingContext) -> ColumnarClusterState:
+        """The attached columnar state for ``ctx.hosts`` (rebuilt on a new cluster).
 
         Policies may be reused across simulations with different clusters;
-        :meth:`HostArrayCache.matches` catches that (identity fast path on
-        the engine's stable host list, element-wise identity otherwise).
+        :meth:`ColumnarClusterState.matches` catches that (identity fast
+        path on the engine's stable host list, element-wise identity
+        otherwise).  A new state comes with a new long-lived matrix when
+        the solver is the hill climber; the attach step subscribes both to
+        the cluster.
         """
-        cache = self._host_cache
-        if cache is None or not cache.matches(ctx.hosts):
-            cache = (
-                ColumnarClusterState(ctx.hosts)
-                if self.use_columnar
-                else HostArrayCache(ctx.hosts)
-            )
-            self._host_cache = cache
-        return cache
+        state = self._state
+        if state is None or not state.matches(ctx.hosts):
+            state = ColumnarClusterState(ctx.hosts)
+            self._state = state
+            if self.solver == "hill_climb":
+                self._matrix = PersistentScoreMatrix(state, self.config)
+                self._matrix.attach()
+            else:
+                state.attach()
+        return state
 
     def _reliability_vector(
         self, ctx: SchedulingContext
@@ -172,31 +162,29 @@ class ScoreBasedPolicy(SchedulingPolicy):
         ctx: SchedulingContext,
         columns: List[Vm],
         fulfills: Optional[Dict[int, float]],
-    ) -> Union[ScoreMatrixBuilder, PersistentScoreMatrix]:
-        """The round's matrix: persistent (bound to this round) or fresh.
+    ) -> PersistentScoreMatrix:
+        """The round's matrix: the long-lived one rebound, or a one-shot.
 
-        The persistent matrix survives across rounds and rescores only
-        dirty rows/changed columns; it is rebuilt only when the host
-        cache is (a new cluster).  Under ``REPRO_STRICT_INVARIANTS`` every
-        bind is verified against a from-scratch build (``raise`` mode
-        propagates the drift, ``resync`` forces a full rebuild).
+        The hill climber's matrix survives across rounds and rescores only
+        dirty rows/changed columns.  SA and tabu mutate their matrix
+        destructively and get a one-shot per round.  Under
+        ``REPRO_STRICT_INVARIANTS`` every bind of the long-lived matrix is
+        verified against a one-shot rebuild (``raise`` mode propagates the
+        drift, ``resync`` forces a full rebuild).
         """
-        cache = self._cached_host_arrays(ctx)
+        state = self._cluster_state(ctx)
         reliability = self._reliability_vector(ctx)
-        if not (self.use_persistent_matrix and cache.is_columnar):
+        if self.solver != "hill_climb":
             return ScoreMatrixBuilder(
                 hosts=ctx.hosts,
                 columns=columns,
                 now=ctx.now,
                 config=self.config,
                 fulfillments=fulfills,
-                host_cache=cache,
+                host_cache=state,
                 reliability=reliability,
             )
         matrix = self._matrix
-        if matrix is None or matrix.state is not cache:
-            matrix = PersistentScoreMatrix(cache, self.config)
-            self._matrix = matrix
         matrix.bind_round(columns, ctx.now, fulfills, reliability)
         if self._verify_mode in ("raise", "resync"):
             try:
@@ -300,7 +288,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
         if self.config.enable_sla:
             fulfills = {vm.vm_id: fulfillment(vm, ctx.now) for vm in columns}
         builder = self._builder(ctx, columns, fulfills)
-        row_of = builder.host_cache.host_index
+        row_of = builder.state.host_index
         return sorted(
             candidates,
             key=lambda h: (-builder.host_row_score(row_of[h.host_id]), -h.host_id),

@@ -6,7 +6,7 @@ solver repeatedly:
 1. finds the most negative cell — the single move improving the global
    score the most,
 2. applies it hypothetically through
-   :meth:`~repro.scheduling.score.matrix.ScoreMatrixBuilder.apply_move`
+   :meth:`~repro.scheduling.score.persistent.PersistentScoreMatrix.apply_move`
    (which freezes the moved column and refreshes the two affected host
    rows),
 
@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.scheduling.score.matrix import ScoreMatrixBuilder
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 
 __all__ = ["Move", "hill_climb", "AnytimeResult", "anytime_hill_climb"]
 
@@ -42,13 +42,14 @@ class Move:
     from_queue: bool
 
 
-def hill_climb(builder: ScoreMatrixBuilder, *, max_moves: int | None = None) -> List[Move]:
+def hill_climb(builder: PersistentScoreMatrix, *, max_moves: int | None = None) -> List[Move]:
     """Run Algorithm 1 on a prepared matrix builder.
 
     Parameters
     ----------
     builder:
-        Freshly constructed matrix state; mutated in place.
+        A matrix bound to this round (one-shot or long-lived); mutated in
+        place.
     max_moves:
         Iteration limit; defaults to the config's ``max_moves`` or
         ``max(16, #columns)``.
@@ -68,7 +69,7 @@ def hill_climb(builder: ScoreMatrixBuilder, *, max_moves: int | None = None) -> 
 
     moves: List[Move] = []
     for _ in range(limit):
-        # O(M) lookup on the builder's incrementally maintained per-row
+        # O(N) lookup on the matrix's incrementally maintained per-column
         # argmin cache — no (M×N) diff materialization per move.
         best = builder.best_move()
         if best is None:
@@ -109,7 +110,7 @@ class AnytimeResult:
 
 
 def anytime_hill_climb(
-    builder: ScoreMatrixBuilder,
+    builder: PersistentScoreMatrix,
     *,
     budget: Optional[int] = None,
     deadline_s: Optional[float] = None,
@@ -127,8 +128,8 @@ def anytime_hill_climb(
     Parameters
     ----------
     builder:
-        Freshly constructed (or round-bound persistent) matrix state;
-        mutated in place exactly as by :func:`hill_climb`.
+        A matrix bound to this round (one-shot or long-lived); mutated in
+        place exactly as by :func:`hill_climb`.
     budget:
         Maximum iterations (committed moves).  The *deterministic* unit:
         equal budgets on equal matrix state give equal decisions across

@@ -9,7 +9,8 @@ Three layers of incremental bookkeeping replaced from-scratch scans:
   (replacing the f-string-keyed dict round trip);
 * :class:`MetricsCollector`'s delta-maintained node-state totals, fed by
   per-host transitions from the engine's dirty sweep;
-* :class:`ScoreMatrixBuilder`'s reusable :class:`HostArrayCache`.
+* the score matrix's reusable host arrays (a
+  :class:`ColumnarClusterState` passed as ``host_cache``).
 
 Each one claims *bit-identity* with the historical computation, so every
 test here compares exactly (``==`` / ``assert_array_equal``), never
@@ -31,12 +32,12 @@ from repro.engine.datacenter import DatacenterSimulation
 from repro.errors import CapacityError, StateError
 from repro.experiments.common import lambda_config, paper_cluster, paper_trace
 from repro.scheduling.score import (
-    HostArrayCache,
     ScoreConfig,
     ScoreMatrixBuilder,
     ScoreBasedPolicy,
     hill_climb,
 )
+from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.workload.job import Job
 
 CLASSES = [FAST, MEDIUM, SLOW]
@@ -270,7 +271,7 @@ class TestRecomputeSharesIdentity:
 
 
 # --------------------------------------------------------------------------
-# HostArrayCache: cached static arrays change nothing.
+# Host-array cache (ColumnarClusterState): cached host arrays change nothing.
 # --------------------------------------------------------------------------
 
 def random_cluster(rng, n_hosts, n_queued, n_placed, sla=False):
@@ -320,9 +321,10 @@ class TestHostArrayCache:
                                    fulfillments=fulfills)
         cached = ScoreMatrixBuilder(hosts, columns, 100.0, cfg,
                                     fulfillments=fulfills,
-                                    host_cache=HostArrayCache(hosts))
+                                    host_cache=ColumnarClusterState(hosts))
         np.testing.assert_array_equal(fresh.scores, cached.scores)
-        np.testing.assert_array_equal(fresh.diff_matrix(), cached.diff_matrix())
+        np.testing.assert_array_equal(fresh.current_costs(),
+                                      cached.current_costs())
         # The solver sees identical matrices, so identical move sequences
         # (apply_move mutates builder-internal state only).
         moves_fresh = hill_climb(fresh)
@@ -334,7 +336,7 @@ class TestHostArrayCache:
     def test_matches_accepts_same_hosts_rejects_others(self):
         rng = np.random.default_rng(0)
         hosts, _, _ = random_cluster(rng, 4, 0, 0)
-        cache = HostArrayCache(hosts)
+        cache = ColumnarClusterState(hosts)
         assert cache.matches(hosts)           # identity fast path
         assert cache.matches(list(hosts))     # same objects, new list
         other, _, _ = random_cluster(rng, 4, 0, 0)
@@ -349,12 +351,12 @@ class TestHostArrayCache:
 
         ctx = SchedulingContext(now=0.0, hosts=hosts,
                                 queued=tuple(columns), placed=())
-        first = policy._cached_host_arrays(ctx)
-        assert policy._cached_host_arrays(ctx) is first
+        first = policy._cluster_state(ctx)
+        assert policy._cluster_state(ctx) is first
         # A different cluster forces a rebuild.
         other, _, _ = random_cluster(rng, 6, 0, 0)
         ctx2 = SchedulingContext(now=0.0, hosts=other, queued=(), placed=())
-        assert policy._cached_host_arrays(ctx2) is not first
+        assert policy._cluster_state(ctx2) is not first
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Equivalence oracles for the columnar score kernel.
 
-Three layers of "the fast path changes nothing":
-
-* ``_score_row(r)`` must be **bit-identical** to ``_score_rows([r])[0]``
-  — the scalar-host-terms row rescorer is the hill climber's hot path
-  and any float drift there silently changes consolidation decisions;
-* a :class:`ScoreMatrixBuilder` backed by the persistent
-  :class:`ColumnarClusterState` must produce exactly the matrix, current
-  costs, and best move of one built from plain per-round host scans;
-* at the top, a whole simulation with ``use_columnar=True`` must emit
-  exactly the result row of the seed kernel (``use_columnar=False``).
+A one-shot :class:`ScoreMatrixBuilder` reading its host arrays from an
+attached, long-lived :class:`ColumnarClusterState` (through a detached
+twin) must produce exactly the matrix, current costs, best move and
+shutdown ranking of one that reads every host afresh — and a long-lived
+matrix bound over the same state must agree with both.  The scalar-row
+fast path and the whole-simulation oracles live in
+``tests/test_score_persistent.py``.
 
 Plus the regression test for the ``reprice_hard_sla`` current-cost fix.
 """
@@ -26,7 +23,7 @@ from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
 from repro.scheduling.score.columnar import ColumnarClusterState
-from repro.scheduling.score.matrix import HostArrayCache
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.workload.job import Job
 
 CLASSES = [FAST, MEDIUM, SLOW]
@@ -88,69 +85,30 @@ def _builder(hosts, vms, now, config, fulf, cache=None):
     )
 
 
-class TestScoreRowEquivalence:
+class TestOneShotEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(state=cluster_state())
-    def test_score_row_bit_identical_to_score_rows(self, state):
+    def test_one_shot_over_attached_state_matches_fresh_read(self, state):
         hosts, vms, now, config, fulf = state
-        b = _builder(hosts, vms, now, config, fulf)
-        for r in range(b.n_rows):
-            single = b._score_row(r)
-            batch = b._score_rows(np.array([r]))[0]
-            # Exact equality, not approx: the two paths must perform the
-            # same float operations cell for cell.
-            assert np.array_equal(single, batch), (r, single, batch)
-        # The full-build view path (rows=None) must equal the indexed path.
-        assert np.array_equal(
-            b._score_rows(None), b._score_rows(np.arange(b.n_rows))
+        shared = ColumnarClusterState(hosts)
+        long_lived = PersistentScoreMatrix(shared, config)
+        long_lived.attach()
+        fresh = _builder(hosts, vms, now, config, fulf)
+        twin = _builder(hosts, vms, now, config, fulf, cache=shared)
+        assert np.array_equal(fresh.scores, twin.scores)
+        assert np.array_equal(fresh.current_costs(), twin.current_costs())
+        assert fresh.best_move() == twin.best_move()
+        assert [fresh.host_row_score(r) for r in range(fresh.n_rows)] == [
+            twin.host_row_score(r) for r in range(twin.n_rows)
+        ]
+        # The twin leaves the shared registry and its listener alone.
+        assert shared.registry_size == 0
+        assert shared.matrix_listener is long_lived
+        # And the long-lived matrix bound to the same round agrees.
+        long_lived.bind_round(vms, now, fulf if config.enable_sla else None)
+        assert long_lived.verify_against_fresh(
+            vms, now, fulf if config.enable_sla else None
         )
-
-    @settings(max_examples=40, deadline=None)
-    @given(state=cluster_state())
-    def test_columnar_builder_matches_plain_builder(self, state):
-        hosts, vms, now, config, fulf = state
-        plain = _builder(hosts, vms, now, config, fulf,
-                         cache=HostArrayCache(hosts))
-        columnar = _builder(hosts, vms, now, config, fulf,
-                            cache=ColumnarClusterState(hosts))
-        assert np.array_equal(plain.scores, columnar.scores)
-        assert np.array_equal(plain.current_costs(), columnar.current_costs())
-        assert np.array_equal(plain.req_ok, columnar.req_ok)
-        assert plain.best_move() == columnar.best_move()
-
-
-class TestPolicyLevelOracle:
-    def test_columnar_simulation_equals_seed_kernel(self):
-        """Whole-run determinism fields must match the seed kernel exactly."""
-        from repro.engine.config import EngineConfig
-        from repro.engine.datacenter import simulate
-        from repro.experiments.common import (
-            DEFAULT_SEED, lambda_config, paper_cluster,
-        )
-        from repro.scheduling.score.policy import ScoreBasedPolicy
-        from repro.units import WEEK
-        from repro.workload.synthetic import (
-            Grid5000WeekGenerator, SyntheticConfig,
-        )
-
-        cfg = SyntheticConfig(horizon_s=WEEK / 28.0)
-        rows = {}
-        for columnar in (False, True):
-            trace = Grid5000WeekGenerator(cfg, seed=DEFAULT_SEED).generate()
-            res = simulate(
-                cluster=paper_cluster(),
-                policy=ScoreBasedPolicy(ScoreConfig.sb(),
-                                        use_columnar=columnar),
-                trace=trace,
-                pm_config=lambda_config(),
-                config=EngineConfig(seed=DEFAULT_SEED),
-            )
-            rows[columnar] = (
-                res.energy_kwh, res.cpu_hours, res.migrations,
-                res.n_completed, res.sim_events, res.satisfaction,
-                res.delay_pct, res.mean_wait_s, res.p95_wait_s,
-            )
-        assert rows[True] == rows[False]
 
 
 class TestRepriceHardSla:

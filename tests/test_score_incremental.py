@@ -1,11 +1,12 @@
 """Property tests for the incremental score-matrix maintenance.
 
-:class:`ScoreMatrixBuilder` keeps three caches across ``apply_move``
-calls — per-column current costs, the score rows themselves, and the
-per-column (min value, argmin row) of the diff.  These tests drive random
-move sequences and assert each cache equals its from-scratch
-recomputation, that :meth:`best_move` is bit-identical to
-``np.argmin(diff_matrix())`` (including tie-breaking), that the whole
+The score matrix keeps three caches across ``apply_move`` calls —
+per-column current costs, the score rows themselves, and the per-column
+(min value, argmin row) of the diff.  These tests drive random move
+sequences on one-shot matrices (:class:`ScoreMatrixBuilder`, whose slot
+``j`` is round column ``j``) and assert each cache equals its
+from-scratch recomputation, that :meth:`best_move` is bit-identical to
+``np.argmin(diff_matrix(b))`` (including tie-breaking), that the whole
 hill climber matches a reference implementation that materializes the
 diff matrix on every step, and that score cells agree with the
 independent :class:`AssignmentEvaluator` oracle.
@@ -65,9 +66,16 @@ def random_state(rng, n_hosts, n_queued, n_placed, sla=False):
     return hosts, columns, fulfills
 
 
+def diff_matrix(b):
+    """scores − current costs, with frozen columns masked to +inf."""
+    diff = b.scores - b._cost[None, :]
+    diff[:, b._frozen] = np.inf
+    return diff
+
+
 def reference_best(builder):
-    """The seed algorithm: argmin over a freshly materialized diff matrix."""
-    diff = builder.diff_matrix()
+    """Algorithm 1 verbatim: argmin over a freshly materialized diff matrix."""
+    diff = diff_matrix(builder)
     flat = int(np.argmin(diff))
     row, col = np.unravel_index(flat, diff.shape)
     return int(row), int(col), float(diff[row, col])
@@ -79,18 +87,19 @@ def assert_caches_consistent(b):
     Frozen columns are excluded from the score check: their cells go
     stale by design (the diff masks them to +inf and nothing reads them).
     """
-    live_cols = ~b.frozen
+    cols = np.arange(b.n_cols)
+    live_cols = ~b._frozen
     if live_cols.any() and b.n_rows:
-        fresh_scores = b._score_rows(np.arange(b.n_rows))
+        fresh_scores = b._score_block(np.arange(b.n_rows), cols)
         np.testing.assert_array_equal(
             b.scores[:, live_cols], fresh_scores[:, live_cols]
         )
     # Current costs.
-    np.testing.assert_array_equal(b._cur_costs, b._compute_current_costs())
+    np.testing.assert_array_equal(b._cost, b._compute_costs(cols))
     # Column minima: value and lowest-row argmin of the diff.
-    diff = b.diff_matrix()
+    diff = diff_matrix(b)
     for j in range(b.n_cols):
-        if b.frozen[j]:
+        if b._frozen[j]:
             assert b._col_min_val[j] == np.inf
         else:
             col = diff[:, j]
@@ -132,10 +141,10 @@ class TestIncrementalCaches:
         # time, arbitrary finite cells otherwise, so maintenance paths that
         # only argmin moves would exercise are not the whole story.
         for _ in range(min(b.n_cols, 6)):
-            live = np.nonzero(~b.frozen)[0]
+            live = np.nonzero(~b._frozen)[0]
             if live.size == 0:
                 break
-            diff = b.diff_matrix()
+            diff = diff_matrix(b)
             if rng.random() < 0.5:
                 row, col, gain = reference_best(b)
                 if not np.isfinite(gain):
@@ -143,12 +152,12 @@ class TestIncrementalCaches:
             else:
                 col = int(live[int(rng.integers(live.size))])
                 finite_rows = np.nonzero(
-                    np.isfinite(diff[:, col]) & (np.arange(b.n_rows) != b.cur[col])
+                    np.isfinite(diff[:, col]) & (np.arange(b.n_rows) != b._cur[col])
                 )[0]
                 if finite_rows.size == 0:
                     continue
                 row = int(finite_rows[int(rng.integers(finite_rows.size))])
-            if b.cur[col] == row:
+            if b._cur[col] == row:
                 continue
             b.apply_move(col, row)
             assert_caches_consistent(b)
@@ -210,7 +219,7 @@ class TestEvaluatorOracle:
         base_score = ev.total_score(baseline)
         assert base_score == pytest.approx(b.n_cols * cfg.queue_cost)
 
-        diff = b.diff_matrix()
+        diff = diff_matrix(b)
         for j in range(b.n_cols):
             for r in range(b.n_rows):
                 if not np.isfinite(diff[r, j]):
@@ -238,10 +247,10 @@ class TestEvaluatorOracle:
         if not b.n_cols:
             return
         # Only meaningful while every current cell is finite.
-        placed = b.cur >= 0
+        placed = b._cur >= 0
         if placed.any() and not np.isfinite(
-            b.scores[b.cur[placed], np.nonzero(placed)[0]]
+            b.scores[b._cur[placed], np.nonzero(placed)[0]]
         ).all():
             return
         ev = AssignmentEvaluator(b)
-        assert ev.total_score(b.cur) == pytest.approx(b.current_costs().sum())
+        assert ev.total_score(b._cur) == pytest.approx(b.current_costs().sum())

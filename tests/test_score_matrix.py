@@ -1,9 +1,12 @@
-"""Tests for the score matrix: vectorized builder vs scalar reference.
+"""Tests for the score matrix: vectorized kernel vs scalar reference.
 
 The scalar functions in :mod:`repro.scheduling.score.penalties` are the
-readable spec; :class:`ScoreMatrixBuilder` is the vectorized production
-path.  The hypothesis test here generates random cluster states and checks
-the two agree cell by cell — any broadcasting bug fails loudly.
+readable spec and the one independent oracle; the persistent score matrix
+(here through its one-shot :class:`ScoreMatrixBuilder`) is the vectorized
+production path.  The hypothesis test here generates random cluster
+states — SLA fulfilments across the soft and hard bands, observed
+per-host reliabilities — and checks the two agree cell by cell, so any
+broadcasting bug fails loudly.
 """
 
 import math
@@ -125,7 +128,7 @@ class TestApplyMove:
         b.apply_move(0, 1)
         assert b.res_cpu[1] == 100.0
         assert b.nvms[1] == 1
-        assert b.frozen[0]
+        assert b._frozen[0]
         assert not b.is_queued[0]
 
     def test_move_from_host_releases_source(self):
@@ -192,20 +195,39 @@ def cluster_state(draw):
 
 class TestVectorizedMatchesScalar:
     @settings(max_examples=60, deadline=None)
-    @given(state=cluster_state(), preset=st.sampled_from(["sb0", "sb1", "sb2", "sb", "full"]))
-    def test_every_cell_matches_reference(self, state, preset):
+    @given(state=cluster_state(), data=st.data())
+    def test_every_cell_matches_reference(self, state, data):
         hosts, vms, now = state
-        config = getattr(ScoreConfig, preset)()
-        fulfills = {vm.vm_id: 1.0 for vm in vms}
-        builder = ScoreMatrixBuilder(
-            hosts, vms, now, config,
-            fulfillments=fulfills if config.enable_sla else None,
-        )
-        for i, host in enumerate(hosts):
-            for j, vm in enumerate(vms):
-                expected = total_score(host, vm, now, config, fulfillment=1.0)
-                got = builder.scores[i, j]
-                if math.isinf(expected):
-                    assert math.isinf(got), (i, j, preset)
-                else:
-                    assert got == pytest.approx(expected, rel=1e-9, abs=1e-9), (i, j, preset)
+        # Fulfilments span no violation (>= 1), soft c_sla (th_sla, 1) and
+        # the hard-SLA infinity (<= th_sla); an observed-reliability
+        # vector overrides the static F_rel in P_fault.
+        fulfills = {
+            vm.vm_id: data.draw(st.floats(min_value=0.0, max_value=1.2))
+            for vm in vms
+        }
+        reliability = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.floats(min_value=0.0, max_value=1.0),
+                     min_size=len(hosts), max_size=len(hosts)),
+        ))
+        # Every preset on every state, so the SLA/fault terms of "full"
+        # see each drawn fulfilment and reliability.
+        for preset in ("sb0", "sb1", "sb2", "sb", "full"):
+            config = getattr(ScoreConfig, preset)()
+            builder = ScoreMatrixBuilder(
+                hosts, vms, now, config,
+                fulfillments=fulfills if config.enable_sla else None,
+                reliability=reliability,
+            )
+            for i, host in enumerate(hosts):
+                for j, vm in enumerate(vms):
+                    expected = total_score(
+                        host, vm, now, config,
+                        fulfillment=fulfills[vm.vm_id],
+                        reliability=None if reliability is None else reliability[i],
+                    )
+                    got = builder.scores[i, j]
+                    if math.isinf(expected):
+                        assert math.isinf(got), (i, j, preset)
+                    else:
+                        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9), (i, j, preset)

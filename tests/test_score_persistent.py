@@ -3,24 +3,27 @@
 The :class:`PersistentScoreMatrix` keeps the score matrix alive between
 scheduling rounds and rescores only dirty rows and changed columns.  That
 is an optimization with no semantic license: every bound round must be
-**bit-identical** to a from-scratch :class:`ScoreMatrixBuilder` over the
-same cluster.  Three layers enforce it here:
+**bit-identical** to a one-shot :class:`ScoreMatrixBuilder` (the same
+kernel bound once) over the same cluster.  Three layers enforce it here:
 
 * a hypothesis driver that interleaves arbitrary world mutations
   (arrivals, completions, requeues, migrations, power flips, quarantine,
   requirement inflation, reliability overrides) between binds, verifies
-  every bind against a fresh build, and asserts the hill climber emits
-  the exact same move sequence from both matrices — including rounds
-  where chosen moves are *rejected* (never applied to the world), which
-  stresses the hypothetical-touched-row restoration path;
-* a whole-simulation oracle: persistent on vs off must produce the same
-  result row, including under operation-level chaos;
+  every bind against a one-shot rebuild, and asserts the hill climber
+  emits the exact same move sequence from both matrices — including
+  rounds where chosen moves are *rejected* (never applied to the world),
+  which stresses the hypothetical-touched-row restoration path;
+* a whole-simulation oracle: under ``REPRO_STRICT_INVARIANTS=raise``
+  every bind of a real simulation is checked against a one-shot rebuild,
+  including under operation-level chaos, and the strict run must emit the
+  plain run's result row;
 * order-determinism: the same set of world mutations applied in
   different orders must yield identical matrices and move sequences
   (the dirty feed is a set; binding sorts it).
 
-Plus the :class:`HostArrayCache` match-memoization regressions and the
-``rescore_stats`` observability contract.
+Plus the columnar state's host-list match memoization, the attach step's
+registration contract (one-shots leak nothing) and the ``rescore_stats``
+observability contract.
 """
 
 import itertools
@@ -33,10 +36,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.host import Host, HostState
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
-from repro.errors import ConfigurationError, StateError
+from repro.errors import StateError
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
 from repro.scheduling.score.columnar import ColumnarClusterState
-from repro.scheduling.score.matrix import HostArrayCache
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.scheduling.score.solver import hill_climb
@@ -193,6 +195,7 @@ class TestEpisodicOracle:
         world = World(hosts)
         cache = ColumnarClusterState(hosts)
         matrix = PersistentScoreMatrix(cache, config)
+        matrix.attach()
 
         now = 0.0
         n_rounds = data.draw(st.integers(min_value=2, max_value=6),
@@ -252,10 +255,10 @@ class TestEpisodicOracle:
 # --------------------------------------------------------------------------
 
 
-def _run_sim(preset, use_persistent, faults=None, scale=28.0):
+def _engine(preset, faults=None, scale=28.0, solver="hill_climb"):
     from repro.cluster.faults import FaultConfig
     from repro.engine.config import EngineConfig
-    from repro.engine.datacenter import simulate
+    from repro.engine.datacenter import DatacenterSimulation
     from repro.experiments.common import (
         DEFAULT_SEED, lambda_config, paper_cluster,
     )
@@ -268,14 +271,17 @@ def _run_sim(preset, use_persistent, faults=None, scale=28.0):
     if faults:
         fault_cfg = FaultConfig(creation_failure_p=0.08, migration_abort_p=0.1,
                                 boot_failure_p=0.1, slow_boot_p=0.2)
-    return simulate(
+    return DatacenterSimulation(
         cluster=paper_cluster(),
-        policy=ScoreBasedPolicy(getattr(ScoreConfig, preset)(),
-                                use_persistent_matrix=use_persistent),
+        policy=ScoreBasedPolicy(getattr(ScoreConfig, preset)(), solver=solver),
         trace=trace,
         pm_config=lambda_config(),
         config=EngineConfig(seed=DEFAULT_SEED, faults=fault_cfg),
     )
+
+
+def _run_sim(preset, faults=None, scale=28.0):
+    return _engine(preset, faults, scale).run()
 
 
 def _determinism_row(res):
@@ -284,20 +290,38 @@ def _determinism_row(res):
             res.mean_wait_s, res.p95_wait_s, res.rejected_actions)
 
 
+def _strict_run(monkeypatch, preset, faults=None):
+    """One run with every bind verified against a one-shot rebuild."""
+    calls = []
+    verify = PersistentScoreMatrix.verify_against_fresh
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return verify(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_STRICT_INVARIANTS", "raise")
+        m.setattr(PersistentScoreMatrix, "verify_against_fresh", counted)
+        res = _run_sim(preset, faults=faults)
+    assert res.invariant_checks > 0
+    assert len(calls) == res.rescore_stats["binds"] > 0
+    return res
+
+
 class TestSimulationOracle:
     @pytest.mark.parametrize("preset", ["sb", "full"])
-    def test_persistent_simulation_equals_fresh_kernel(self, preset):
-        rows = {p: _determinism_row(_run_sim(preset, p))
-                for p in (False, True)}
-        assert rows[True] == rows[False]
+    def test_persistent_simulation_equals_fresh_kernel(self, preset, monkeypatch):
+        strict = _strict_run(monkeypatch, preset)
+        assert _determinism_row(strict) == _determinism_row(_run_sim(preset))
 
-    def test_persistent_bit_identical_under_chaos(self):
-        rows = {p: _determinism_row(_run_sim("sb", p, faults=True))
-                for p in (False, True)}
-        assert rows[True] == rows[False]
+    def test_persistent_bit_identical_under_chaos(self, monkeypatch):
+        strict = _strict_run(monkeypatch, "sb", faults=True)
+        assert _determinism_row(strict) == _determinism_row(
+            _run_sim("sb", faults=True)
+        )
 
     def test_rescore_stats_reported_and_sublinear(self):
-        res = _run_sim("sb", True)
+        res = _run_sim("sb")
         stats = res.rescore_stats
         assert stats["binds"] > 0
         assert stats["full_rebuilds"] == 0
@@ -305,8 +329,8 @@ class TestSimulationOracle:
         # work than the per-round rebuild it replaces.
         assert 0 < stats["cells_rescored"] < stats["cells_total"]
         assert any(k.startswith("dirty_rows_") for k in stats)
-        # The fresh kernel reports no stats.
-        assert _run_sim("sb", False, scale=112.0).rescore_stats == {}
+        # Metaheuristic solvers keep no long-lived matrix: no stats.
+        assert _engine("sb", scale=112.0, solver="sa").run().rescore_stats == {}
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +371,7 @@ class TestOrderDeterminism:
             hosts, vms = _tie_world()
             cache = ColumnarClusterState(hosts)
             matrix = PersistentScoreMatrix(cache, config)
+            matrix.attach()
             running = [v for v in vms if v.state is VmState.RUNNING]
             queued = [v for v in vms if v.state is VmState.QUEUED]
             matrix.bind_round(queued + running, 100.0)
@@ -365,14 +390,14 @@ class TestOrderDeterminism:
 
 
 # --------------------------------------------------------------------------
-# HostArrayCache match memoization (satellite: identity fast-path fix)
+# Host-array match memoization of ColumnarClusterState
 # --------------------------------------------------------------------------
 
 
 class TestHostArrayCacheMemo:
     def test_in_place_growth_defeats_identity_fast_path(self):
         hosts = [make_host(i) for i in range(3)]
-        cache = HostArrayCache(hosts)
+        cache = ColumnarClusterState(hosts)
         assert cache.matches(hosts)
         hosts.append(make_host(3))
         # Same list object, different cluster: must NOT match.
@@ -382,7 +407,7 @@ class TestHostArrayCacheMemo:
 
     def test_invalidate_match_memo_recovers_element_swap(self):
         hosts = [make_host(i) for i in range(3)]
-        cache = HostArrayCache(hosts)
+        cache = ColumnarClusterState(hosts)
         other = list(hosts)
         assert cache.matches(other)  # element-wise pass memoizes `other`
         other[1] = make_host(99)
@@ -393,43 +418,32 @@ class TestHostArrayCacheMemo:
         hosts = [make_host(i) for i in range(3)]
         policy = ScoreBasedPolicy(ScoreConfig.sb0())
         ctx = SimpleNamespace(hosts=hosts)
-        first = policy._cached_host_arrays(ctx)
+        first = policy._cluster_state(ctx)
         # Steady state: the same list object is reused, zero rebuilds.
         for _ in range(5):
-            assert policy._cached_host_arrays(ctx) is first
+            assert policy._cluster_state(ctx) is first
         hosts.append(make_host(3))
-        second = policy._cached_host_arrays(ctx)
+        second = policy._cluster_state(ctx)
         assert second is not first
         assert len(second.cap_cpu) == 4
         # And a persistent matrix bound to the old cache is replaced too.
-        assert policy._cached_host_arrays(ctx) is second
+        assert policy._matrix.state is second
+        assert policy._cluster_state(ctx) is second
 
 
 # --------------------------------------------------------------------------
-# Configuration gating + recovery
+# Matrix choice + recovery
 # --------------------------------------------------------------------------
 
 
 class TestGatingAndRecovery:
-    def test_persistent_requires_columnar_and_hill_climb(self):
-        with pytest.raises(ConfigurationError):
-            ScoreBasedPolicy(ScoreConfig.sb(), use_columnar=False,
-                             use_persistent_matrix=True)
-        with pytest.raises(ConfigurationError):
-            ScoreBasedPolicy(ScoreConfig.sb(), solver="sa",
-                             use_persistent_matrix=True)
-        assert ScoreBasedPolicy(ScoreConfig.sb()).use_persistent_matrix
-        assert not ScoreBasedPolicy(
-            ScoreConfig.sb(), use_columnar=False).use_persistent_matrix
-        assert not ScoreBasedPolicy(
-            ScoreConfig.sb(), solver="sa").use_persistent_matrix
-
     def test_verify_cells_catches_corruption_and_rebuild_recovers(self):
         hosts = [make_host(i) for i in range(4)]
         vms = [make_vm(100 + v) for v in range(3)]
         place(hosts[0], vms[0])
         cache = ColumnarClusterState(hosts)
         matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        matrix.attach()
         columns = [vms[1], vms[2], vms[0]]
         matrix.bind_round(columns, 50.0)
         assert matrix.verify_cells()
@@ -445,3 +459,69 @@ class TestGatingAndRecovery:
         assert matrix.verify_cells()
         assert matrix.verify_against_fresh(columns, 60.0)
         assert matrix.stats()["full_rebuilds"] == 1
+
+    @pytest.mark.parametrize("solver", ["hill_climb", "sa", "tabu"])
+    def test_solver_name_picks_the_matrix(self, solver):
+        """The hill climber rebinds one long-lived matrix; SA and tabu
+        consume their matrix, so each round gets a one-shot."""
+        hosts = [make_host(i) for i in range(3)]
+        vms = [make_vm(100 + v) for v in range(3)]
+        policy = ScoreBasedPolicy(ScoreConfig.sb(), solver=solver)
+        ctx = SimpleNamespace(hosts=hosts, now=0.0)
+        first = policy._builder(ctx, vms, None)
+        second = policy._builder(ctx, vms, None)
+        if solver == "hill_climb":
+            assert first is second is policy._matrix
+            assert policy._state.matrix_listener is policy._matrix
+        else:
+            assert isinstance(first, ScoreMatrixBuilder)
+            assert first is not second
+            assert policy._matrix is None
+            assert policy._state.matrix_listener is None
+        # Either way the policy's state is attached: it sees host changes.
+        assert all(any(s is policy._state.dirty for s in h._sinks)
+                   for h in hosts)
+
+
+# --------------------------------------------------------------------------
+# Registration contract: one-shot matrices leak nothing
+# --------------------------------------------------------------------------
+
+
+class TestNoLeakedRegistrations:
+    def test_one_shots_register_nothing(self):
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(4)]
+        vms = [make_vm(100 + v) for v in range(5)]
+        place(hosts[0], vms[0])
+        config = ScoreConfig.sb()
+        assert all(len(h._sinks) == 0 for h in hosts)
+        shared = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(shared, config)
+        matrix.attach()
+        sinks = [h._sinks for h in hosts]
+        assert all(len(s) == 2 for s in sinks)
+        for i in range(100):
+            one_shot = ScoreMatrixBuilder(
+                hosts, vms, float(i), config,
+                host_cache=shared if i % 2 else None,
+            )
+            hill_climb(one_shot)
+        assert [h._sinks for h in hosts] == sinks
+        assert shared.matrix_listener is matrix
+        assert shared.registry_size == 0
+
+    def test_strict_simulation_leaves_only_the_policy_registrations(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT_INVARIANTS", "raise")
+        engine = _engine("sb", scale=112.0)
+        res = engine.run()
+        policy = engine.policy
+        state, matrix = policy._state, policy._matrix
+        assert res.rescore_stats["binds"] > 0
+        # Every bind built a verification one-shot; none of them stuck.
+        for host in engine.hosts:
+            assert len(host._sinks) == 2
+            assert host._sinks[0] is state.dirty
+            assert host._sinks[1] is matrix._sink
+        assert state.matrix_listener is matrix

@@ -327,6 +327,23 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
+    def test_version_2_snapshot_refused_by_name(self, tmp_path):
+        """A snapshot from before the single score kernel (version 2)
+        pickles classes whose layout changed; it must be refused from its
+        header, never unpickled."""
+        _, path = self._one_snapshot(tmp_path)
+        raw = path.read_bytes()
+        header, _ = raw.split(b"\n", 1)
+        old = header.replace(
+            b'"version": %d' % SNAPSHOT_VERSION, b'"version": 2'
+        )
+        assert old != header
+        # A payload that would blow up if anything tried to unpickle it.
+        path.write_bytes(old + b"\n" + b"not a pickle")
+        with pytest.raises(StateError, match="version 2 does not match") as exc:
+            load_snapshot(path)
+        assert f"version {SNAPSHOT_VERSION!r}" in str(exc.value)
+
     def test_fingerprint_mismatch_names_both_fingerprints(self, tmp_path):
         engine, path = self._one_snapshot(tmp_path)
         ours = config_fingerprint(engine)
