@@ -6,6 +6,8 @@ construction + hill climbing, and the engine's event loop — so a
 performance regression in either is caught at review time.
 """
 
+import itertools
+
 import pytest
 
 from repro.cluster.host import Host, HostState
@@ -15,10 +17,15 @@ from repro.engine.config import EngineConfig
 from repro.engine.datacenter import simulate
 from repro.scheduling.baselines import BackfillingPolicy
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder, hill_climb
+from repro.scheduling.score.columnar import ColumnarClusterState
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.workload.job import Job
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
 from repro.units import DAY
+
+#: The host every timed single-arrival round must choose.
+HOST_OF_ARRIVAL = 2
 
 
 def _state(n_hosts: int, n_vms: int):
@@ -60,6 +67,42 @@ class TestBenchScoreMatrix:
 
         moves = benchmark(solve)
         assert moves  # queued VMs must get placed
+
+    def test_single_arrival_round(self, benchmark):
+        """Bind + climb of one newly arrived VM on a long-lived matrix.
+
+        Most rounds of a paper-datacenter run look like this: one queued
+        arrival, nothing else, placed in one move.  Every timed round must
+        pick the same host — the climb's moves are hypothetical, so the
+        next bind restores the cluster exactly.
+        """
+        hosts = [Host(spec, initial_state=HostState.ON)
+                 for spec in ClusterSpec.paper_datacenter()]
+        ids = itertools.count(1)
+
+        def new_vm(cpu):
+            return Vm(Job(job_id=next(ids), submit_time=0.0, runtime_s=3600.0,
+                          cpu_pct=cpu, mem_mb=1024.0))
+
+        for i, host in enumerate(hosts):  # steady state: 0-3 VMs per host
+            for _ in range(i % 4):
+                vm = new_vm(100.0)
+                vm.state = VmState.RUNNING
+                host.add_vm(vm)
+        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix.attach()
+        chosen = set()
+
+        def one_round():
+            vm = new_vm(200.0)
+            matrix.bind_round([vm], 0.0)
+            moves = hill_climb(matrix)
+            vm.state = VmState.COMPLETED  # retired: the registry recycles its slot
+            chosen.add(tuple((m.host_id, m.from_queue) for m in moves))
+            return moves
+
+        benchmark(one_round)
+        assert chosen == {((HOST_OF_ARRIVAL, True),)}
 
 
 class TestBenchEngine:

@@ -222,26 +222,39 @@ def read_jsonl(path: str) -> List[TraceRecord]:
 
     A process killed mid-``write`` leaves a truncated last line; replay
     must survive that (the decision journal is exactly the thing being
-    recovered after a crash).  Corrupt or malformed lines are skipped
-    with a ``RuntimeWarning`` naming the line number — the same contract
-    as ``SweepJournal.read_entries`` — so a journal written right up to a
-    SIGKILL replays every complete record.
+    recovered after a crash), so a corrupt last non-empty line is skipped
+    with a ``RuntimeWarning`` naming the line number.
+
+    Corruption anywhere *before* the last line is not a torn write: it
+    raises :class:`~repro.errors.StateError` naming the path and line.
+    Dropping the record would lose it silently, and a journal recovered
+    without it would re-execute into a duplicate of a later decision.
     """
     import json
 
+    from repro.errors import StateError
+
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    last = max((i for i, raw in enumerate(lines) if raw.strip()), default=-1)
     records: List[TraceRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                warnings.warn(
-                    f"{path}:{lineno}: skipping corrupt trace record "
-                    f"(torn tail after a crash?)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    for i, raw in enumerate(lines):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            records.append(record_from_dict(json.loads(raw.decode("utf-8"))))
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, ValueError,
+                TypeError):
+            if i != last:
+                raise StateError(
+                    f"{path}:{i + 1}: corrupt record before the last line "
+                    f"(not a torn tail); refusing to drop it"
+                ) from None
+            warnings.warn(
+                f"{path}:{i + 1}: skipping corrupt trace record "
+                f"(torn tail after a crash?)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return records

@@ -26,7 +26,8 @@ Per round, :meth:`bind_round`:
    dirty), rows touched hypothetically by last round's
    :meth:`apply_move` calls, and rows whose observed-reliability override
    changed; restores their dynamic state from the columnar ground truth
-   and rescores them across all live columns;
+   and stamps them, so every column catches up on them the next time it
+   takes part in a round (lazy catch-up, below);
 2. detects **changed columns** among the round's participants by comparing
    stored column attributes against fresh ones (placement changed, queued
    flag flipped, migration-penalty bucket crossed, SLA fulfilment moved,
@@ -64,10 +65,14 @@ value ties by lowest row then lowest column, exactly like
 permutes dirty-row marking order and asserts identical move sequences.
 
 Within a round, :meth:`apply_move` rescores only the <=2 affected host
-rows and maintains a per-column (min value, argmin row) cache of the diff
-(score - current cost), so :meth:`best_move` is O(N).  The cache is per
-column, not per row, because queued VMs are frequently identical: a
-per-row argmin tends to point at the very column each move freezes.
+rows, and only over the round's still-unfrozen columns, and maintains a
+per-column (min value, argmin row) cache of the diff (score - current
+cost), so :meth:`best_move` is O(N).  Frozen columns' cells and costs go
+stale on the touched rows until the next bind restamps those rows; a
+round whose last unfrozen column moves pays nothing beyond the move's
+bookkeeping.  The cache is per column, not per row, because queued VMs
+are frequently identical: a per-row argmin tends to point at the very
+column each move freezes.
 In-round planned operations feed a ``pending`` concurrency cost per host,
 so later moves see earlier ones through P_conc — this is what makes SB2
 stagger simultaneous creations.
@@ -83,6 +88,7 @@ phantom state behind.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
@@ -290,9 +296,9 @@ class PersistentScoreMatrix:
         R = np.asarray(rows, dtype=int)
         C = np.asarray(cols, dtype=int)
         if R.size == 1:
-            # Scalar-host fast path: the hill climber's per-move row
-            # rescores land here; broadcasting overhead dwarfs the math
-            # for one row.  Bit-identical (same elementwise float ops).
+            # Scalar-host fast path (a bind catching up on one dirty
+            # row): broadcasting overhead dwarfs the math for one row.
+            # Bit-identical (same elementwise float ops).
             return self._score_row_slots(int(R[0]), C)[None, :]
         cur = self._cur[C]
         q = self._q[C]
@@ -322,7 +328,7 @@ class PersistentScoreMatrix:
                 2.0 * cm_r,
                 cm_r / 2.0,
             )
-            creation = np.broadcast_to(self.cc[R][:, None], migration.shape)
+            creation = self.cc[R][:, None]
             s += np.where(on, 0.0, np.where(q[None, :], creation, migration))
         if cfg.enable_conc:
             load = (self.conc + self.pending)[R][:, None]
@@ -462,25 +468,27 @@ class PersistentScoreMatrix:
 
     # --------------------------------------------------------------- minima
 
-    def _refresh_minima(self, slots: np.ndarray) -> None:
-        """From-scratch (value, argmin-row) of the diff for these slots."""
-        if not len(slots):
+    def _refresh_minima(
+        self, slots: np.ndarray, block: Optional[np.ndarray] = None
+    ) -> None:
+        """From-scratch (value, argmin-row) of the diff for unfrozen slots.
+
+        ``block`` is ``scores[active rows, slots]`` when the caller has
+        just computed it; otherwise the cells are gathered here.
+        """
+        if not slots.size:
             return
-        live = slots[~self._frozen[slots]]
-        dead = slots[self._frozen[slots]]
-        if dead.size:
-            self._col_min_val[dead] = INF
-            self._col_min_row[dead] = 0
-        if live.size:
-            act = self._active
-            if act.size == 0:
-                self._col_min_val[live] = INF
-                self._col_min_row[live] = 0
-                return
-            sub = self.scores[np.ix_(act, live)] - self._cost[live][None, :]
-            k = np.argmin(sub, axis=0)
-            self._col_min_row[live] = act[k]
-            self._col_min_val[live] = sub[k, np.arange(len(live))]
+        act = self._active
+        if act.size == 0:
+            self._col_min_val[slots] = INF
+            self._col_min_row[slots] = 0
+            return
+        if block is None:
+            block = self.scores[act[:, None], slots]
+        sub = block - self._cost[slots]
+        k = np.argmin(sub, axis=0)
+        self._col_min_row[slots] = act[k]
+        self._col_min_val[slots] = sub[k, np.arange(slots.size)]
 
     # ----------------------------------------------------------------- bind
 
@@ -527,7 +535,7 @@ class PersistentScoreMatrix:
             hs = np.fromiter(sorted(dirty), dtype=int, count=len(dirty))
             self._row_stamp[hs] = t
             avail_new = st.avail[hs]
-            if not np.array_equal(self.avail[hs], avail_new):
+            if (self.avail[hs] != avail_new).any():
                 self.avail[hs] = avail_new
                 self._active = np.nonzero(self.avail)[0]
             self.res_cpu[hs] = st.res_cpu[hs]
@@ -562,7 +570,9 @@ class PersistentScoreMatrix:
         )
         if cfg.enable_sla:
             changed |= self._fulf[slots] != fulf
-        was_frozen = slots[self._frozen[slots]]
+        # Slot-aligned rescan mask: columns frozen last round whose cells
+        # survive (changed ones get their minima from the fresh block).
+        rescan = self._frozen[slots] & ~changed
         self._cur[slots] = cur
         self._q[slots] = q
         self._bucket[slots] = bucket
@@ -573,13 +583,13 @@ class PersistentScoreMatrix:
         if newly.size:
             self._live[newly] = True
             self._live_dirty = True
-        cols_changed = np.sort(slots[changed])
+        cols_changed = slots[changed]
 
         # ---- full rescore: stale/changed columns x active rows ----------
+        block = None
         if cols_changed.size and act.size:
-            self.scores[np.ix_(act, cols_changed)] = self._score_block(
-                act, cols_changed
-            )
+            block = self._score_block(act, cols_changed)
+            self.scores[act[:, None], cols_changed] = block
             self._cells_rescored += act.size * cols_changed.size
 
         # ---- lazy catch-up: participating columns behind on row churn ---
@@ -587,32 +597,33 @@ class PersistentScoreMatrix:
         # stamped later changed since it last participated.  Group columns
         # by stamp (steady state: one group — last round's queue catching
         # up on this round's dirty rows) and rescore rows-behind x group.
-        # Non-participating columns pay nothing until they return.
+        # Non-participating columns pay nothing until they return.  Groups
+        # hold positions into ``slots`` so the masks below stay aligned.
         groups = []
-        lagged = slots[~changed]
-        if lagged.size:
-            stamps = self._col_stamp[lagged]
+        lag_pos = np.nonzero(~changed)[0]
+        if lag_pos.size:
+            stamps = self._col_stamp[slots[lag_pos]]
             for s in np.unique(stamps):
-                grp = lagged[stamps == s]
+                pos = lag_pos[stamps == s]
                 rows = np.nonzero(self._row_stamp > s)[0]
                 if rows.size:
-                    groups.append((s, grp, rows))
-                    self.scores[np.ix_(rows, grp)] = self._score_block(
-                        rows, grp
-                    )
+                    grp = slots[pos]
+                    sub = self._score_block(rows, grp)
+                    self.scores[rows[:, None], grp] = sub
                     self._cells_rescored += rows.size * grp.size
+                    groups.append((s, pos, grp, rows, sub))
 
         # ---- current costs (changed cols + cols homed on changed rows) --
-        parts = [cols_changed]
-        for s, grp, rows in groups:
-            cur_g = self._cur[grp]
-            placed = cur_g >= 0
-            if placed.any():
-                home = np.where(placed, cur_g, 0)
-                parts.append(grp[placed & (self._row_stamp[home] > s)])
-        affected = (
-            np.unique(np.concatenate(parts)) if len(parts) > 1 else cols_changed
-        )
+        affected_mask = changed
+        if groups:
+            affected_mask = changed.copy()
+            for s, pos, grp, rows, _ in groups:
+                cur_g = self._cur[grp]
+                placed = cur_g >= 0
+                if placed.any():
+                    home = np.where(placed, cur_g, 0)
+                    affected_mask[pos[placed & (self._row_stamp[home] > s)]] = True
+        affected = slots[affected_mask]
         if affected.size:
             old = self._cost[affected].copy()
             new = self._compute_costs(affected)
@@ -621,10 +632,12 @@ class PersistentScoreMatrix:
             self._col_min_val[affected] += old - new
             self._cost[affected] = new
 
-        # ---- argmin maintenance: generalized multi-row take/rescan ------
-        rescan_parts = [cols_changed, was_frozen]
-        for s, grp, rows in groups:
-            sub = self.scores[np.ix_(rows, grp)] - self._cost[grp][None, :]
+        # ---- argmin maintenance -----------------------------------------
+        # Changed columns: straight from the block just scored.  Lagged
+        # groups: generalized multi-row take/rescan against the cache.
+        self._refresh_minima(cols_changed, block)
+        for s, pos, grp, rows, sub in groups:
+            sub = sub - self._cost[grp]
             k = np.argmin(sub, axis=0)  # rows ascending: lowest host wins
             w = sub[k, np.arange(grp.size)]
             rw = rows[k]
@@ -634,12 +647,12 @@ class PersistentScoreMatrix:
             take = (
                 (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
             )
-            rescan_parts.append(grp[in_t & ~take])
+            rescan[pos[in_t & ~take]] = True
             if take.any():
                 tk = grp[take]
                 self._col_min_val[tk] = w[take]
                 self._col_min_row[tk] = rw[take]
-        self._refresh_minima(np.unique(np.concatenate(rescan_parts)))
+        self._refresh_minima(slots[rescan])
         self._col_stamp[slots] = t
 
         # ---- round binding ----------------------------------------------
@@ -675,12 +688,12 @@ class PersistentScoreMatrix:
         if self.n_cols == 0 or self.n_rows == 0:
             return None
         vals = self._col_min_val[self._round_slots]
-        best = float(np.min(vals))
-        if not np.isfinite(best):
-            return 0, int(np.argmin(vals)), best
+        best = float(vals.min())
+        if not math.isfinite(best):
+            return 0, int(vals.argmin()), best
         ties = np.nonzero(vals == best)[0]
         rows = self._col_min_row[self._round_slots[ties]]
-        k = int(np.argmin(rows))
+        k = int(rows.argmin())
         return int(rows[k]), int(ties[k]), best
 
     def apply_move(self, col: int, row: int) -> None:
@@ -690,10 +703,12 @@ class PersistentScoreMatrix:
         per round — the engine starts an operation on it immediately),
         adds the planned operation to the destination's pending
         concurrency cost, and rescores the <=2 affected host rows over the
-        round's columns.  It also remembers the touched rows for the next
-        bind and marks a queued->placed column stale (its pricing flipped
-        on every row; the full rescore is deferred to its next
-        participation).
+        round's still-unfrozen columns — the only cells anything reads
+        before the next bind.  It also remembers the touched rows for the
+        next bind (which restamps them, so frozen columns catch up on
+        their next participation) and marks a queued->placed column stale
+        (its pricing flipped on every row; the full rescore is deferred to
+        its next participation).
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -726,73 +741,76 @@ class PersistentScoreMatrix:
 
         touched = [row] if old < 0 else sorted({old, row})
         self._touched.update(touched)
-        rs = self._round_slots
-        for t in touched:
-            self.scores[t, rs] = self._score_block(
-                np.array([t], dtype=int), rs
-            )[0]
-        self._cells_rescored += len(touched) * rs.size
-        self._cells_total += len(touched) * rs.size
-
-        # ---- incremental cache maintenance ------------------------------
         # The moved column is frozen: O(1) invalidation.
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
+
+        # ---- incremental maintenance over the unfrozen columns ----------
+        # Frozen columns are masked out of best_move and nothing else reads
+        # them before the next bind, which restamps every touched row — so
+        # their cells and costs catch up then, on their next participation.
+        rs = self._round_slots
+        ls = rs[~self._frozen[rs]]
+        if not ls.size:
+            return
+        cells = [self._score_row_slots(t, ls) for t in touched]
+        for t, row_cells in zip(touched, cells):
+            self.scores[t, ls] = row_cells
+        self._cells_rescored += len(touched) * ls.size
+        self._cells_total += len(touched) * ls.size
 
         # Current costs change only for columns homed on a touched row
         # (their current cell was just recomputed).  A cost change shifts
         # that column's whole diff uniformly, so the cached min value
         # shifts with it and the argmin row stays put.
-        cur_r = self._cur[rs]
-        homed = cur_r == touched[0]
+        cur_l = self._cur[ls]
+        homed = cur_l == touched[0]
         if len(touched) == 2:
-            homed |= cur_r == touched[1]
-        homed_slots = rs[np.nonzero(homed)[0]]
-        if homed_slots.size:
+            homed |= cur_l == touched[1]
+        if homed.any():
+            homed_slots = ls[homed]
             old_costs = self._cost[homed_slots].copy()
             new_costs = self._compute_costs(homed_slots)
             self._col_min_val[homed_slots] += old_costs - new_costs
             self._cost[homed_slots] = new_costs
 
-        # Score changes are confined to the touched rows.  For each live
-        # column, compare the cached min (v at row r) with the best new
-        # value over the touched rows (w at row rw, lowest row on ties).
-        # Every untouched row still holds a value >= v, so:
+        # Score changes are confined to the touched rows.  For each column,
+        # compare the cached min (v at row r) with the best new value over
+        # the touched rows (w at row rw, lowest row on ties).  Every
+        # untouched row still holds a value >= v, so:
         #   w < v, or w == v at a lower row  ->  (w, rw) is the new min;
         #   cached row untouched, not beaten ->  cache still valid;
         #   cached row touched and got worse ->  full column rescan.
-        lv = ~self._frozen[rs]
-        v = self._col_min_val[rs]
-        r = self._col_min_row[rs]
+        v = self._col_min_val[ls]
+        r = self._col_min_row[ls]
+        cost = self._cost[ls]
         if len(touched) == 1:
             t0 = touched[0]
-            w = self.scores[t0, rs] - self._cost[rs]
+            w = cells[0] - cost
             # With one touched row the general rule collapses to: take on
             # a strict win, or a tie at a row index not above the cached
             # one (covers both the rw<r and the in-T rw==r cases).
-            take = lv & ((w < v) | ((w == v) & (r >= t0)))
-            rescan = lv & (r == t0) & (w > v)
+            take = (w < v) | ((w == v) & (r >= t0))
+            rescan = (r == t0) & (w > v)
             if take.any():
-                t = rs[take]
-                self._col_min_val[t] = w[take]
-                self._col_min_row[t] = t0
+                tk = ls[take]
+                self._col_min_val[tk] = w[take]
+                self._col_min_row[tk] = t0
         else:
-            d0 = self.scores[touched[0], rs] - self._cost[rs]
-            d1 = self.scores[touched[1], rs] - self._cost[rs]
+            d0 = cells[0] - cost
+            d1 = cells[1] - cost
             first = d0 <= d1
             w = np.where(first, d0, d1)
             rw = np.where(first, touched[0], touched[1])
             in_t = (r == touched[0]) | (r == touched[1])
-            take = (
-                (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
-            ) & lv
-            rescan = lv & in_t & ~take
+            take = (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
+            rescan = in_t & ~take
             if take.any():
-                t = rs[take]
-                self._col_min_val[t] = w[take]
-                self._col_min_row[t] = rw[take]
+                tk = ls[take]
+                self._col_min_val[tk] = w[take]
+                self._col_min_row[tk] = rw[take]
         if rescan.any():
-            self._refresh_minima(rs[rescan])
+            self._refresh_minima(ls[rescan])
 
     def host_row_score(self, row: int) -> float:
         """Aggregated row score used for shutdown ranking (§III-C).
@@ -839,8 +857,8 @@ class PersistentScoreMatrix:
         if not np.array_equal(act, fresh._active):
             raise StateError("persistent matrix drift: active row set")
         if act.size and rs.size:
-            mine = self.scores[np.ix_(act, rs)]
-            theirs = fresh.scores[np.ix_(act, frs)]
+            mine = self.scores[act[:, None], rs]
+            theirs = fresh.scores[act[:, None], frs]
             if not np.array_equal(mine, theirs):
                 bad = np.nonzero(mine != theirs)
                 r0, c0 = int(bad[0][0]), int(bad[1][0])
@@ -887,7 +905,7 @@ class PersistentScoreMatrix:
         if not check.size or not rows.size:
             return True
         expect = self._score_block(rows, check)
-        got = self.scores[np.ix_(rows, check)]
+        got = self.scores[rows[:, None], check]
         if not np.array_equal(expect, got):
             bad = np.nonzero(expect != got)
             r0, c0 = int(bad[0][0]), int(bad[1][0])
@@ -912,7 +930,7 @@ class PersistentScoreMatrix:
                 # The cached argmin row of every remaining column is in
                 # the scanned subset (touched-row argmins were filtered),
                 # so the partial scan must reproduce it exactly.
-                sub = self.scores[np.ix_(rows, nf)] - self._cost[nf][None, :]
+                sub = self.scores[rows[:, None], nf] - self._cost[nf]
                 k = np.argmin(sub, axis=0)
                 val = sub[k, np.arange(nf.size)]
                 row = rows[k]
@@ -940,7 +958,12 @@ class PersistentScoreMatrix:
     # ---------------------------------------------------------------- stats
 
     def stats(self) -> Dict[str, float]:
-        """Flat counters for ``SimulationResult.rescore_stats``."""
+        """Flat counters for ``SimulationResult.rescore_stats``.
+
+        ``cells_rescored`` and ``cells_total`` count an :meth:`apply_move`
+        over the round's unfrozen columns only; frozen ones are no longer
+        rescored within the round, nor counted.
+        """
         out: Dict[str, float] = {
             "binds": float(self._binds),
             "cells_rescored": float(self._cells_rescored),

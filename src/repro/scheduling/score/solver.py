@@ -7,8 +7,8 @@ solver repeatedly:
    score the most,
 2. applies it hypothetically through
    :meth:`~repro.scheduling.score.persistent.PersistentScoreMatrix.apply_move`
-   (which freezes the moved column and refreshes the two affected host
-   rows),
+   (which freezes the moved column and rescores the two affected host
+   rows over the round's still-unfrozen columns),
 
 until no negative cell remains or the iteration limit is reached — "a
 suboptimal solution much faster and cheaper than evaluating all possible

@@ -19,16 +19,24 @@ Two properties make it a write-ahead log rather than a plain trace dump:
   records (sheds, resume markers) are appended outside the index so they
   never shift replay alignment.
 
-Recovery truncates the torn tail by rewriting the valid prefix (the
-standard WAL recovery move), then appends as usual.
+Recovery drops a torn tail by rewriting the valid prefix (the standard
+WAL recovery move) atomically — temp file, fsync, rename — so a crash
+during recovery leaves the old file in place, then appends as usual.  A
+corrupt record *before* the last line is not a torn write: recovery
+raises :class:`~repro.errors.StateError` naming the path and line rather
+than drop it, because re-execution would then lose that decision and
+duplicate a later one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+import tempfile
+from pathlib import Path
+from typing import List, Optional, Sequence
 
+from repro.engine.snapshot import _fsync_dir
 from repro.engine.tracing import (
     TraceEventKind,
     TraceRecord,
@@ -45,6 +53,28 @@ __all__ = ["DecisionJournal", "UNINDEXED_KINDS"]
 UNINDEXED_KINDS = frozenset({TraceEventKind.SVC_SHED, TraceEventKind.SVC_RESUME})
 
 
+def _rewrite_atomically(path: str, records: Sequence[TraceRecord]) -> None:
+    """Replace ``path`` with ``records``: temp file, fsync, ``os.replace``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record_to_dict(record)) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    _fsync_dir(Path(directory))
+
+
 class DecisionJournal:
     """Append-only JSONL decision log with index-deduplicated writes.
 
@@ -53,10 +83,12 @@ class DecisionJournal:
     path:
         The journal file.  Opened in append mode; created if missing.
     recover:
-        Read the existing file first (torn-tail tolerant), rewrite the
-        valid prefix, and remember how many *indexed* records it already
-        holds — appends below that index become no-ops.  Fresh journals
-        (``recover=False``) truncate whatever was there.
+        Read the existing file first (a torn last line is dropped, any
+        earlier corruption raises :class:`~repro.errors.StateError`),
+        atomically rewrite the valid prefix, and remember how many
+        *indexed* records it already holds — appends below that index
+        become no-ops.  Fresh journals (``recover=False``) truncate
+        whatever was there.
     """
 
     def __init__(self, path: str, *, recover: bool = False) -> None:
@@ -66,9 +98,7 @@ class DecisionJournal:
             self._preexisting = read_jsonl(self.path)
             # Rewrite the valid prefix: drops a torn last line so the file
             # is clean JSONL again before any append lands behind it.
-            with open(self.path, "w", encoding="utf-8") as fh:
-                for record in self._preexisting:
-                    fh.write(json.dumps(record_to_dict(record)) + "\n")
+            _rewrite_atomically(self.path, self._preexisting)
         self.preexisting_indexed = sum(
             1 for r in self._preexisting if r.kind not in UNINDEXED_KINDS
         )

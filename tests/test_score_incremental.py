@@ -84,8 +84,10 @@ def reference_best(builder):
 def assert_caches_consistent(b):
     """Every incremental cache equals its from-scratch recomputation.
 
-    Frozen columns are excluded from the score check: their cells go
-    stale by design (the diff masks them to +inf and nothing reads them).
+    Frozen columns are excluded from the score and cost checks: their
+    cells and current costs go stale by design (the diff masks them to
+    +inf, nothing reads them within the round, and the next bind catches
+    them up on every touched row).
     """
     cols = np.arange(b.n_cols)
     live_cols = ~b._frozen
@@ -94,8 +96,10 @@ def assert_caches_consistent(b):
         np.testing.assert_array_equal(
             b.scores[:, live_cols], fresh_scores[:, live_cols]
         )
-    # Current costs.
-    np.testing.assert_array_equal(b._cost, b._compute_costs(cols))
+        # Current costs.
+        np.testing.assert_array_equal(
+            b._cost[live_cols], b._compute_costs(cols[live_cols])
+        )
     # Column minima: value and lowest-row argmin of the diff.
     diff = diff_matrix(b)
     for j in range(b.n_cols):
@@ -254,3 +258,63 @@ class TestEvaluatorOracle:
             return
         ev = AssignmentEvaluator(b)
         assert ev.total_score(b._cur) == pytest.approx(b.current_costs().sum())
+
+
+class TestWithinRoundInvariant:
+    """``apply_move`` maintains only the round's unfrozen columns.
+
+    Frozen columns' cells and costs go stale within the round; the next
+    bind must catch every one of them up (the touched rows are restamped)
+    so that a rebound matrix is bit-identical to a fresh one-shot.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_hosts=st.integers(2, 12),
+        n_queued=st.integers(0, 8),
+        n_placed=st.integers(0, 8),
+        cfg_idx=st.integers(0, 2),
+        sla=st.booleans(),
+    )
+    def test_rebind_after_moves_equals_fresh(
+        self, seed, n_hosts, n_queued, n_placed, cfg_idx, sla
+    ):
+        rng = np.random.default_rng(seed)
+        hosts, columns, fulfills = random_state(
+            rng, n_hosts, n_queued, n_placed, sla=sla
+        )
+        cfg = config_for(cfg_idx, sla)
+        b = ScoreMatrixBuilder(hosts, columns, 100.0, cfg, fulfillments=fulfills)
+        for _ in range(min(b.n_cols, 6)):
+            live = np.nonzero(~b._frozen)[0]
+            if live.size == 0:
+                break
+            col = int(live[int(rng.integers(live.size))])
+            finite_rows = np.nonzero(
+                np.isfinite(diff_matrix(b)[:, col])
+                & (np.arange(b.n_rows) != b._cur[col])
+            )[0]
+            if finite_rows.size == 0:
+                continue
+            b.apply_move(col, int(finite_rows[int(rng.integers(finite_rows.size))]))
+        b.bind_round(columns, 100.0, fulfills)
+        assert b.verify_against_fresh(columns, 100.0, fulfills)
+
+    def test_one_column_round_stops_after_the_placement(self):
+        hosts = [
+            Host(HostSpec(host_id=i, node_class=CLASSES[i % 3]),
+                 initial_state=HostState.ON)
+            for i in range(6)
+        ]
+        b = ScoreMatrixBuilder(hosts, [make_vm(1)], 100.0, ScoreConfig.sb())
+        rescored = b.stats()["cells_rescored"]
+        (move,) = hill_climb(b)
+        dest = b.state.host_index[move.host_id]
+        assert move.from_queue
+        # The moved column's cached minimum is invalidated even though no
+        # unfrozen column is left to maintain.
+        assert b.best_move()[2] == np.inf
+        assert b._touched == {dest}
+        # ... and nothing was rescored for the frozen column.
+        assert b.stats()["cells_rescored"] == rescored

@@ -250,6 +250,44 @@ class TestEpisodicOracle:
                     dst.add_vm(vm)
 
 
+class TestFrozenColumnCatchUp:
+    def test_migrated_column_rescans_rows_it_did_not_see_change(self):
+        """A column frozen by an accepted migration returns unchanged.
+
+        Its cached minimum was invalidated by the move, and the rows
+        restamped since then (source and destination) need not hold its
+        new minimum: here the destination empties out, so staying costs
+        more than moving on to a host no bind has restamped.  The rebind
+        must rescan the whole column, not take the minimum over the
+        restamped rows.
+        """
+        hosts = [make_host(i) for i in range(3)]
+        src, dst, other = hosts
+        vm = make_vm(1, cpu=100.0, runtime=36000.0)
+        place(src, vm)
+        leaving = [make_vm(10 + k, cpu=100.0, runtime=36000.0) for k in range(3)]
+        for filler in leaving:
+            place(dst, filler)
+        for k in range(2):
+            place(other, make_vm(20 + k, cpu=150.0, runtime=36000.0))
+        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix.attach()
+
+        matrix.bind_round([vm], 0.0)
+        (move,) = hill_climb(matrix)
+        assert (move.host_id, move.from_queue) == (dst.host_id, False)
+        src.remove_vm(vm.vm_id)  # the migration is accepted ...
+        dst.add_vm(vm)
+        for filler in leaving:  # ... and the destination empties out
+            dst.remove_vm(filler.vm_id)
+            filler.state = VmState.COMPLETED
+
+        matrix.bind_round([vm], 0.0)
+        assert matrix.verify_against_fresh([vm], 0.0)
+        row, _, gain = matrix.best_move()
+        assert (row, gain) == (2, -10.0)
+
+
 # --------------------------------------------------------------------------
 # Layer 2: whole-simulation oracles
 # --------------------------------------------------------------------------

@@ -168,6 +168,62 @@ class TestDecisionJournal:
         with DecisionJournal(path, recover=True) as journal:
             assert journal.preexisting_indexed == 2  # shed not counted
 
+    def _journal_of(self, path, n):
+        with DecisionJournal(path) as journal:
+            for i in range(n):
+                journal.append_indexed(i, self._record(i))
+        with open(path, "rb") as fh:
+            return fh.read().splitlines(keepends=True)
+
+    def test_recover_refuses_corruption_before_the_tail(self, tmp_path):
+        # A corrupt middle record used to be skipped, so recovery rewrote
+        # the file without it and re-execution left [0, 1, 3, 4, 4, 5]:
+        # decision 2 lost, decision 4 duplicated.
+        path = str(tmp_path / "j.jsonl")
+        lines = self._journal_of(path, 6)
+        lines[2] = b'{"time": 2.0, "kind": "no_such_kind"}\n'
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        with pytest.raises(StateError, match=r"j\.jsonl:3: corrupt record"):
+            DecisionJournal(path, recover=True)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"".join(lines)  # nothing rewritten
+
+    def test_recover_drops_a_torn_last_line(self, tmp_path):
+        from repro.engine.tracing import read_jsonl
+
+        path = str(tmp_path / "j.jsonl")
+        lines = self._journal_of(path, 6)
+        lines[5] = lines[5][:9] + b"\n\n"  # torn, then blank lines
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        with pytest.warns(RuntimeWarning, match=":6: skipping corrupt"):
+            journal = DecisionJournal(path, recover=True)
+        with journal:
+            assert journal.preexisting_indexed == 5
+            for i in range(6):  # deterministic re-execution
+                journal.append_indexed(i, self._record(i))
+        assert [r.vm_id for r in read_jsonl(path)] == list(range(6))
+
+    def test_recovery_rewrite_is_atomic(self, tmp_path, monkeypatch):
+        import repro.service.journal as journal_mod
+
+        path = str(tmp_path / "j.jsonl")
+        lines = self._journal_of(path, 3)
+        lines[2] = lines[2][:5]
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+
+        def crash(src, dst):
+            raise OSError("crash during recovery")
+
+        monkeypatch.setattr(journal_mod.os, "replace", crash)
+        with pytest.warns(RuntimeWarning), pytest.raises(OSError):
+            DecisionJournal(path, recover=True)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"".join(lines)  # the old file survives
+        assert os.listdir(tmp_path) == ["j.jsonl"]  # no temp file left
+
 
 # -------------------------------------------------------- the service engine
 

@@ -226,16 +226,22 @@ class TestReadJsonl:
             loaded = read_jsonl(str(path))
         assert len(loaded) == 3
 
-    def test_corrupt_middle_line_skipped(self, tmp_path):
+    def test_corrupt_middle_line_raises(self, tmp_path):
         from repro.engine.tracing import read_jsonl
+        from repro.errors import StateError
 
         path = tmp_path / "trace.jsonl"
         good = '{"time": 1.0, "kind": "placement", "vm_id": null, "host_id": null, "detail": ""}'
         bad = '{"time": 2.0, "kind": "no_such_kind", "vm_id": null, "host_id": null, "detail": ""}'
-        path.write_text(good + "\n" + bad + "\n" + good + "\n")
-        with pytest.warns(RuntimeWarning):
-            loaded = read_jsonl(str(path))
-        assert len(loaded) == 2
+        for middle in (bad.encode(), b'{"time": 2.0, "ki', b"\xff\xfe"):
+            path.write_bytes(b"\n".join([good.encode(), middle, good.encode(), b""]))
+            with pytest.raises(StateError, match=r"trace\.jsonl:2: corrupt record"):
+                read_jsonl(str(path))
+        # A torn last line, even before trailing blank lines, is a crash
+        # artifact rather than corruption.
+        path.write_text(good + "\n" + good + "\n" + '{"time": 2.0, "ki' + "\n\n")
+        with pytest.warns(RuntimeWarning, match=":3: skipping corrupt"):
+            assert len(read_jsonl(str(path))) == 2
 
     def test_record_from_dict_rejects_missing_keys(self):
         from repro.engine.tracing import record_from_dict

@@ -1,0 +1,181 @@
+#!/usr/bin/env python
+"""Interleaved A/B runs of the benchmark of record against a git revision.
+
+Runs ``perfbench/run.py`` alternately on a base revision and on the
+working tree, a pair at a time, and prints every reported metric's median,
+min-max and per-pair delta.  Both sides of a pair use the same
+``--seed`` (pair ``i`` uses ``seed + i``), and the side that runs first
+alternates from pair to pair, so slow drift of a shared machine lands on
+both sides equally.
+
+Usage (from the repository root)::
+
+    python tools/perf_ab.py --base HEAD --workload paper --pairs 5 --seconds 25
+    python tools/perf_ab.py --base HEAD --workload paper --pairs 3 --seconds 25 --trace 1
+
+The base revision is exported with ``git archive`` into
+``.bench_build/perf_ab/<commit>/`` (reused on later invocations): a plain
+file tree is all ``perfbench`` needs, and unlike a worktree it leaves no
+metadata behind in ``.git`` when a run is interrupted.  Uncommitted
+changes take part on the working-tree side only.
+
+Exits 1 when any run exits non-zero, reports ``correct: false`` or prints
+no result; the numbers of a run that failed its own checks are not
+comparable.  ``--json PATH`` also writes every run's raw result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE
+    ).stdout
+
+
+def export_revision(rev: str) -> Path:
+    """The tree of ``rev`` under ``.bench_build/perf_ab/<commit>``."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    dest = ROOT / ".bench_build" / "perf_ab" / commit
+    done = dest / ".exported"
+    if not done.exists():
+        dest.mkdir(parents=True, exist_ok=True)
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(dest, filter="data")
+            else:  # Python without extraction filters (< 3.10.12 / 3.11.4)
+                tar.extractall(dest)
+        done.write_text(commit + "\n")
+    return dest
+
+
+def run_once(tree: Path, args, seed: int) -> Dict:
+    """One ``perfbench/run.py`` invocation in ``tree``; its JSON result."""
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", args.workload,
+        "--seed", str(seed),
+        "--seconds", str(args.seconds),
+        "--trace", str(args.trace),
+    ]
+    proc = subprocess.run(
+        cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = {}
+    if lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = {}
+    result["exit_code"] = proc.returncode
+    result["stderr"] = proc.stderr[-2000:]
+    return result
+
+
+def _problem(label: str, result: Dict) -> str:
+    if result["exit_code"] != 0:
+        return f"{label}: exit code {result['exit_code']}\n{result['stderr']}"
+    if "correct" not in result:
+        return f"{label}: printed no result\n{result['stderr']}"
+    if not result["correct"]:
+        return f"{label}: correct: false\n{result['stderr']}"
+    return ""
+
+
+def summarize(pairs: List[Tuple[Dict, Dict]]) -> List[str]:
+    """One line per metric: base/head median [min-max], median and per-pair delta."""
+    names = list(pairs[0][0]["metrics"])
+    out = [
+        f"{'metric':<20} {'base median [min-max]':>30} "
+        f"{'head median [min-max]':>30} {'delta':>8}  per-pair deltas"
+    ]
+    for name in names:
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        head = [h["metrics"][name]["value"] for _, h in pairs]
+        unit = pairs[0][0]["metrics"][name].get("unit", "")
+
+        def cell(vals: List[float]) -> str:
+            return (
+                f"{statistics.median(vals):.4g} [{min(vals):.4g}-{max(vals):.4g}]"
+                f" {unit}"
+            )
+
+        deltas = [
+            f"{(h / b - 1) * 100:+.1f}%" if b else "n/a" for b, h in zip(base, head)
+        ]
+        mb, mh = statistics.median(base), statistics.median(head)
+        delta = f"{(mh / mb - 1) * 100:+.1f}%" if mb else "n/a"
+        out.append(
+            f"{name:<20} {cell(base):>30} {cell(head):>30} {delta:>8}  "
+            + " ".join(deltas)
+        )
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--json", help="also write every run's raw result here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    try:
+        base_tree = export_revision(args.base)
+    except subprocess.CalledProcessError:
+        parser.error(f"cannot export revision {args.base!r}")
+    pairs: List[Tuple[Dict, Dict]] = []
+    problems: List[str] = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = [("base", base_tree), ("head", ROOT)]
+        if i % 2:
+            order.reverse()
+        got = {}
+        for label, tree in order:
+            got[label] = run_once(tree, args, seed)
+            problem = _problem(f"pair {i} {label} (seed {seed})", got[label])
+            if problem:
+                problems.append(problem)
+        pairs.append((got["base"], got["head"]))
+        print(f"pair {i} (seed {seed}, {order[0][0]} first) done", flush=True)
+
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"base": args.base, "workload": args.workload, "seconds": args.seconds,
+             "trace": args.trace,
+             "pairs": [{"seed": args.seed + i, "base": b, "head": h}
+                       for i, (b, h) in enumerate(pairs)]},
+            indent=1,
+        ))
+    if problems:
+        for problem in problems:
+            print(f"FAILED: {problem}", file=sys.stderr)
+        return 1
+    print(f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, "
+          f"base {args.base}, trace {args.trace}")
+    for line in summarize(pairs):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
