@@ -39,14 +39,9 @@ The 100k-host rung (tens of minutes; committed baseline in
     PYTHONPATH=src python benchmarks/scale.py \
         --sweep 100000x100000,100000x200000
 
-Sweep points take a kernel tag: ``1000x3400:scalar-refresh`` runs the
-scheduler with the engine's per-host scalar refresh loop
-(``batched_refresh=False``) — the A/B twin of the untagged point, which
-must match it bit-identically on every determinism field while the
-untagged point adds the memoized cross-host share solve
-(``share_memo_*`` row fields).  Untagged points run the persistent
-cross-round score matrix with batched refresh.
-``1000x3400:service`` runs the same workload through the live
+Untagged points run the persistent cross-round score matrix; rows carry
+the engine's share-memo counters (``share_memo_*`` fields).  A sweep
+point may carry the ``service`` kernel tag: ``1000x3400:service`` runs the same workload through the live
 control-plane service (:mod:`repro.service`) — every job admitted
 individually through the journaled admit/settle path — and reports
 ``decisions_per_s`` plus wall-clock decision-latency percentiles
@@ -110,11 +105,9 @@ def _scaled_cluster(n_hosts: int):
     )
 
 
-#: Kernel tags a sweep point may carry (``""`` = persistent matrix +
-#: batched engine refresh; ``scalar-refresh`` = same scheduler kernel
-#: with the per-host scalar refresh loop, the batched path's
-#: differential oracle A/B; ``service`` = the live control plane).
-KINDS = ("", "scalar-refresh", "service")
+#: Kernel tags a sweep point may carry (``""`` = persistent matrix in
+#: the batch engine; ``service`` = the live control plane).
+KINDS = ("", "service")
 
 
 def run_point(
@@ -151,7 +144,6 @@ def run_point(
         pm_config=lambda_config(),
         config=EngineConfig(
             seed=seed,
-            batched_refresh=kind != "scalar-refresh",
             checkpoint_dir=checkpoint_dir,
             checkpoint_sim_interval_s=(
                 checkpoint_interval_s if checkpoint_dir else None
@@ -348,7 +340,7 @@ def parse_sweep(spec: str) -> List[Tuple[int, int, str]]:
         except ValueError:
             raise SystemExit(
                 f"bad sweep point {token!r} "
-                "(want HOSTSxJOBS[:scalar-refresh|:service])"
+                "(want HOSTSxJOBS[:service])"
             ) from None
     if not points:
         raise SystemExit("empty sweep")

@@ -42,9 +42,8 @@ class TestRunPoint:
         assert row["rescore_savings_x"] > 1.0
         assert any(k.startswith("dirty_") for k in row["rescore_hist"])
 
-    def test_point_is_deterministic_across_kernels(self):
-        rows = [run_point(20, 120, DEFAULT_SEED, kind)
-                for kind in ("", "", "scalar-refresh")]
+    def test_point_is_deterministic_across_reruns(self):
+        rows = [run_point(20, 120, DEFAULT_SEED, "") for _ in range(2)]
         for other in rows[1:]:
             for fld in DETERMINISM_FIELDS:
                 assert rows[0][fld] == other[fld]
@@ -53,10 +52,10 @@ class TestRunPoint:
 class TestSweepParsing:
     def test_points_and_kind_suffixes(self):
         assert parse_sweep(
-            "1000x3400, 10000x100000:scalar-refresh,1000x3400:service"
+            "1000x3400, 10000x100000,1000x3400:service"
         ) == [
             (1000, 3400, ""),
-            (10000, 100000, "scalar-refresh"),
+            (10000, 100000, ""),
             (1000, 3400, "service"),
         ]
 
@@ -64,16 +63,14 @@ class TestSweepParsing:
         with pytest.raises(SystemExit):
             parse_sweep("1000x3400:turbo")
 
-    @pytest.mark.parametrize("deleted", ["legacy", "fresh"])
+    @pytest.mark.parametrize("deleted", ["legacy", "fresh", "scalar-refresh"])
     def test_deleted_kernel_tags_rejected(self, deleted):
         with pytest.raises(SystemExit):
             parse_sweep(f"1000x3400:{deleted}")
 
     def test_point_key(self):
         assert point_key(1000, 3400, "") == "h1000-j3400"
-        assert point_key(1000, 3400, "scalar-refresh") == (
-            "h1000-j3400-scalar-refresh"
-        )
+        assert point_key(1000, 3400, "service") == "h1000-j3400-service"
 
 
 def _row(hosts=1000, jobs=3400, kind="", norm=20.0, rss=50_000):
@@ -163,8 +160,7 @@ class TestMemoryFlatness:
 
     def test_different_kernels_not_compared(self):
         rep = _report([_row(jobs=3400, rss=50_000),
-                       _row(jobs=10300, kind="scalar-refresh", rss=500_000),
-                       _row(jobs=20600, kind="service", rss=250_000)])
+                       _row(jobs=10300, kind="service", rss=250_000)])
         assert check_memory_flatness(rep, 0.30) == []
 
     def test_matrix_growth_is_not_a_leak(self):

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.spec import HostSpec
 from repro.cluster.vm import Vm, VmState
-from repro.cluster.xen import CreditScheduler
+from repro.cluster.xen import ShareMemo, compute_shares
 from repro.errors import CapacityError, StateError
 from repro.workload.job import Job
 
@@ -106,7 +106,6 @@ class Host:
         self.reservations: Dict[int, tuple] = {}
         #: In-flight operations.
         self.operations: List[Operation] = []
-        self._scheduler = CreditScheduler(spec.cpu_capacity)
         # Incremental occupancy aggregates.  The VM- and reservation-side
         # sums are cached separately (the legacy formula added them in that
         # order) and invalidated on removal/in-place change; see module
@@ -461,7 +460,7 @@ class Host:
 
     # ------------------------------------------------------------ CPU shares
 
-    def recompute_shares(self) -> None:
+    def recompute_shares(self, memo: ShareMemo) -> None:
         """Re-solve the credit scheduler and update every VM's share.
 
         Each RUNNING or MIGRATING-out VM *caps* at its job's declared
@@ -471,6 +470,12 @@ class Host:
         larger slice without pretending it can run faster than dedicated.
         CREATING VMs get no CPU (the creation *operation* does); each
         operation leg demands its configured overhead.
+
+        The domains are positional — running/migrating VMs in residency
+        order, then operation legs — which makes ``(capacity, caps,
+        weights)`` an exact key.  The problem is looked up in ``memo``
+        first and solved with :func:`~repro.cluster.xen.compute_shares`
+        only on a miss; a hit holds the exact floats a solve would produce.
         """
         if not self.is_on:
             for vm in self.vms.values():
@@ -478,54 +483,32 @@ class Host:
             self.cpu_used = 0.0
             return
 
-        guests, caps, weights = self.collect_share_domains()
-        shares = (
-            self._scheduler.allocate_arrays(caps, weights) if caps else ()
-        )
-        self.apply_shares(guests, shares)
-
-    def collect_share_domains(self) -> Tuple[List[Vm], List[float], List[float]]:
-        """The host's share problem as positional ``(guests, caps, weights)``.
-
-        Positional domains — running/migrating VMs in residency order,
-        then operation legs — so the solver needs no per-call key
-        formatting or dict churn on this per-dirty-host-event path.  The
-        batched engine refresh uses ``(capacity, caps, weights)`` as the
-        share-memo fingerprint; the tuple orders above make it exact.
-        """
         guests: List[Vm] = [
             vm
             for vm in self.vms.values()
             if vm.state is VmState.RUNNING or vm.state is VmState.MIGRATING
         ]
-        caps: List[float] = [vm.job.cpu_pct for vm in guests]
-        weights: List[float] = [vm.cpu_req for vm in guests]
-        for op in self.operations:
-            caps.append(op.cpu_overhead)
-            weights.append(op.cpu_overhead)
-        return guests, caps, weights
-
-    def apply_shares(self, guests: List[Vm], shares) -> None:
-        """Scatter a solved share vector back onto this host's VMs.
-
-        ``shares`` is any indexable of floats (solver array or memo
-        tuple) laid out like :meth:`collect_share_domains` — guest shares
-        first, then operation legs.  ``cpu_used`` accumulates in the same
-        sequential order as the historical inline loop, so the float total
-        (and the power draw derived from it) is bit-identical however the
-        shares were obtained.
-        """
-        total = 0.0
-        for i, vm in enumerate(guests):
-            s = float(shares[i])
-            vm.share = s
-            total += s
-        for i in range(len(guests), len(shares)):
-            total += float(shares[i])
+        legs = [op.cpu_overhead for op in self.operations]
+        caps = tuple([vm.job.cpu_pct for vm in guests] + legs)
+        shares: tuple = ()
+        if caps:
+            capacity = self.spec.cpu_capacity
+            key = (capacity, caps, tuple([vm.cpu_req for vm in guests] + legs))
+            shares = memo.get(key)
+            if shares is None:
+                shares = tuple(compute_shares(*key).tolist())
+                memo.put(key, shares)
+        for vm, share in zip(guests, shares):
+            vm.share = share
         # CREATING VMs make no progress.
         for vm in self.vms.values():
             if vm.state is VmState.CREATING:
                 vm.share = 0.0
+        # Sequential float sum (not sum(), which compensates on 3.12+), so
+        # cpu_used and the power draw derived from it stay bit-identical.
+        total = 0.0
+        for share in shares:
+            total += share
         self.cpu_used = total
 
     # ----------------------------------------------------------------- power

@@ -14,20 +14,9 @@ round saturates at least one domain), and each round is vectorized.
 
 Shares are recomputed only when a host's domain set or demand changes —
 between events, shares are constant, so job progress integrates in closed
-form (see DESIGN.md §7).
-
-:func:`compute_shares_batch` solves many hosts' water-filling problems in
-one vectorized pass, **bit-identical** per row to the scalar function.
-The identity is not automatic: numpy's pairwise summation assigns array
-elements to accumulators by position, so summing a zero-padded or masked
-row does *not* in general round like summing the compressed row.  The
-batch solver therefore (a) keeps every elementwise operation in the same
-order as the scalar code (multiply, then divide; subtract, then compare),
-and (b) computes every reduction by first left-compacting each row's
-active lanes (stable argsort preserves their relative order) and then
-grouping rows by exact active count ``k``, summing each ``(g, k)`` block
-with ``np.sum(axis=1)`` — the same pairwise algorithm, over the same
-values in the same positions, as the scalar path's 1-D sums.
+form (see DESIGN.md §7).  The engine re-solves every dirty host once per
+event through :meth:`repro.cluster.host.Host.recompute_shares`: a memo
+lookup, and on a miss one call of :func:`compute_shares`.
 
 :class:`ShareMemo` caches solved share vectors keyed by the exact
 ``(capacity, caps, weights)`` fingerprint.  A hit returns the very floats
@@ -41,7 +30,7 @@ a permuted host's solution would break bit-identity.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +38,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "compute_shares",
-    "compute_shares_batch",
     "CreditScheduler",
     "ShareMemo",
 ]
@@ -161,161 +149,6 @@ def compute_shares(
     return shares
 
 
-def _row_sums_compact(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-row sums of left-compacted rows, bit-identical to 1-D ``np.sum``.
-
-    ``rows[i, :counts[i]]`` holds row *i*'s valid entries; the rest is
-    padding.  Rows are grouped by exact valid count ``k`` and each
-    ``(g, k)`` block reduced with ``np.sum(axis=1)``, which applies the
-    same pairwise-summation algorithm to the same values in the same
-    positions as ``np.sum`` over the compressed 1-D row — the property the
-    batched solver's bit-identity rests on (summing the zero-padded full
-    row instead would change accumulator assignment, hence rounding).
-    """
-    out = np.zeros(rows.shape[0])
-    for k in np.unique(counts):
-        k = int(k)
-        if k == 0:
-            continue
-        sel = np.nonzero(counts == k)[0]
-        out[sel] = rows[sel, :k].sum(axis=1)
-    return out
-
-
-def compute_shares_batch(
-    capacities: Sequence[float],
-    caps_rows: Sequence[Sequence[float]],
-    weights_rows: Optional[Sequence[Optional[Sequence[float]]]] = None,
-) -> List[np.ndarray]:
-    """Solve many hosts' share problems at once — bit-identical per row.
-
-    Parameters
-    ----------
-    capacities:
-        Per-host capacity, one entry per row.
-    caps_rows:
-        Per-host demand ceilings; rows may have different lengths
-        (including zero).
-    weights_rows:
-        Per-host weights (``None``, or a sequence whose entries may be
-        ``None`` to default that row's weights to its caps).
-
-    Returns
-    -------
-    list of numpy.ndarray
-        ``out[i]`` equals ``compute_shares(capacities[i], caps_rows[i],
-        weights_rows[i])`` float for float — the differential tests
-        enforce this exactly.
-
-    Rows that trip a degenerate guard (weight-sum overflow) are delegated
-    to the scalar solver, which is the single source of truth for those
-    paths; everything else runs vectorized across the batch.
-    """
-    B = len(caps_rows)
-    if len(capacities) != B:
-        raise ConfigurationError("capacities must match caps_rows in length")
-    if weights_rows is not None and len(weights_rows) != B:
-        raise ConfigurationError("weights_rows must match caps_rows in length")
-    out: List[Optional[np.ndarray]] = [None] * B
-    if B == 0:
-        return []
-
-    lengths = np.fromiter((len(r) for r in caps_rows), dtype=np.intp, count=B)
-    cap_vec = np.asarray(capacities, dtype=float)
-    if not np.all(np.isfinite(cap_vec)) or not np.all(cap_vec >= 0):
-        raise ConfigurationError("capacity must be finite and >= 0")
-    P = int(lengths.max()) if B else 0
-    caps = np.zeros((B, P))
-    w = np.zeros((B, P))
-    for i, row in enumerate(caps_rows):
-        k = lengths[i]
-        if k:
-            caps[i, :k] = row
-            wr = weights_rows[i] if weights_rows is not None else None
-            if wr is None:
-                w[i, :k] = caps[i, :k]
-            else:
-                if len(wr) != k:
-                    raise ConfigurationError("weights must match caps in length")
-                w[i, :k] = wr
-    if not np.all(caps >= 0) or not np.all(np.isfinite(caps)):
-        raise ConfigurationError("caps must be finite and non-negative")
-    if not np.all(w >= 0) or not np.all(np.isfinite(w)):
-        raise ConfigurationError("weights must be finite and non-negative")
-    # Padding lanes keep w == 0 because their caps are 0.
-    w = np.where((w <= 0) & (caps > 0), _EPS_WEIGHT, w)
-
-    # Uncontended fast path: caps rows are naturally left-compacted, so
-    # the per-row demand total sums exactly like the scalar path's
-    # ``caps_arr.sum()``.
-    with np.errstate(over="ignore"):
-        total_demand = _row_sums_compact(caps, lengths)
-    shares = np.zeros_like(caps)
-    done = total_demand <= cap_vec
-    shares[done] = caps[done]
-
-    rows = np.nonzero(~done)[0]
-    if rows.size:
-        # Weight-sum overflow (possible despite finite weights) is the
-        # one guard the scalar path handles with data-dependent
-        # rescaling; those rows go to the single source of truth.  For
-        # non-negative weights a subset sum never exceeds the full sum,
-        # so a finite first-round sum stays finite in every later round.
-        active0 = caps[rows] > 0
-        with np.errstate(over="ignore"):
-            over = ~np.isfinite(np.where(active0, w[rows], 0.0).sum(axis=1))
-        for i in rows[over]:
-            wr = weights_rows[i] if weights_rows is not None else None
-            out[int(i)] = compute_shares(float(cap_vec[i]), caps_rows[i], wr)
-        rows = rows[~over]
-
-    if rows.size:
-        caps_r = caps[rows]
-        w_r = w[rows]
-        shares_r = np.zeros_like(caps_r)
-        active = caps_r > 0
-        remaining = cap_vec[rows].copy()
-        rounds_left = lengths[rows].copy()
-        live = (remaining > _TOL) & active.any(axis=1) & (rounds_left > 0)
-        while live.any():
-            li = np.nonzero(live)[0]
-            act = active[li]
-            # Left-compact active lanes (stable: original order kept) so
-            # reductions see exactly the scalar path's compressed arrays.
-            order = np.argsort(~act, axis=1, kind="stable")
-            counts = act.sum(axis=1)
-            w_sum = _row_sums_compact(
-                np.take_along_axis(w_r[li], order, axis=1), counts
-            )
-            rem_li = remaining[li]
-            with np.errstate(over="ignore"):
-                proposal = rem_li[:, None] * w_r[li] / w_sum[:, None]
-            room = caps_r[li] - shares_r[li]
-            grant = np.where(act, np.minimum(proposal, room), 0.0)
-            shares_r[li] += grant
-            grant_sum = _row_sums_compact(
-                np.take_along_axis(grant, order, axis=1), counts
-            )
-            rem_new = rem_li - grant_sum
-            remaining[li] = rem_new
-            newly_full = act & ((caps_r[li] - shares_r[li]) <= _TOL)
-            act_new = act & ~newly_full
-            active[li] = act_new
-            rounds_left[li] -= 1
-            live[li] = (
-                newly_full.any(axis=1)
-                & (rem_new > _TOL)
-                & act_new.any(axis=1)
-                & (rounds_left[li] > 0)
-            )
-        shares[rows] = shares_r
-
-    for i in range(B):
-        if out[i] is None:
-            out[i] = shares[i, : lengths[i]].copy()
-    return out  # type: ignore[return-value]
-
-
 class ShareMemo:
     """FIFO-bounded cache of solved share vectors.
 
@@ -373,7 +206,9 @@ class ShareMemo:
 class CreditScheduler:
     """Object wrapper around :func:`compute_shares` with named domains.
 
-    Hosts use this to attach shares to VM ids and overhead operations.
+    :meth:`allocate` serves callers that want shares keyed by domain
+    name; the engine solves positionally through
+    :meth:`repro.cluster.host.Host.recompute_shares` instead.
 
     Examples
     --------
@@ -408,19 +243,5 @@ class CreditScheduler:
                 ) from None
         else:
             w = None
-        shares = self.allocate_arrays(caps, w)
+        shares = compute_shares(self.capacity, caps, w)
         return {n: float(s) for n, s in zip(names, shares)}
-
-    def allocate_arrays(
-        self,
-        caps: Sequence[float],
-        weights: Optional[Sequence[float]] = None,
-    ) -> "np.ndarray":
-        """Positional form of :meth:`allocate` — no keys, no result dict.
-
-        ``shares[i]`` belongs to domain ``i`` of ``caps``.  This is the
-        hot-path entry used by :meth:`repro.cluster.host.Host.recompute_shares`
-        on every dirty-host event; the dict form above remains for callers
-        that want named domains.
-        """
-        return compute_shares(self.capacity, caps, weights)

@@ -143,17 +143,6 @@ class EngineConfig:
     #: exceeded, the run checkpoints (if checkpointing is on) and raises
     #: :class:`~repro.errors.SimulationInterrupted` (preemption-friendly).
     max_wall_clock_s: Optional[float] = None
-    #: Batched engine refresh (the default): each event's dirty-host sweep
-    #: solves all credit-scheduler share problems in one vectorized
-    #: cross-host pass (:func:`repro.cluster.xen.compute_shares_batch`)
-    #: with memoized share solutions, and reschedules completion handles
-    #: through one vectorized eta computation.  ``False`` restores the
-    #: per-host scalar loop.  The two paths are **bit-identical** — the
-    #: differential tests and the scale benchmark's ``:scalar-refresh``
-    #: kernel tag prove it — so this is an operational knob (excluded from
-    #: the snapshot config fingerprint): a run may be checkpointed under
-    #: one mode and resumed under the other.
-    batched_refresh: bool = True
 
     def __post_init__(self) -> None:
         if self.initial_on < 0:

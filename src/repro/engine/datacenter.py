@@ -89,7 +89,7 @@ from repro.cluster.faults import ObservedReliability, OperationFaultModel
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.vm import Vm, VmState, batch_eta
-from repro.cluster.xen import ShareMemo, compute_shares_batch
+from repro.cluster.xen import ShareMemo
 from repro.des.random import RandomStreams
 from repro.des.simulator import Simulator
 from repro.engine.actuators import ActuatorsMixin
@@ -217,16 +217,10 @@ class DatacenterSimulation(ActuatorsMixin):
         self.queue: Dict[int, Vm] = {}
         self._completion_handles: Dict[int, object] = {}
         self._dirty: Set[int] = set()
-        #: Batched refresh mode (config.batched_refresh): one vectorized
-        #: cross-host share solve per event, memoized share solutions, and
-        #: batched completion rescheduling — bit-identical to the scalar
-        #: per-host sweep kept behind ``batched_refresh=False`` as the
-        #: differential oracle.  The memo pickles with the engine, so
-        #: resumed runs keep their cache (results-neutral either way).
-        self._batched_refresh = bool(self.config.batched_refresh)
-        self._share_memo: Optional[ShareMemo] = (
-            ShareMemo() if self._batched_refresh else None
-        )
+        #: Memoized share solutions for the dirty sweep
+        #: (:meth:`Host.recompute_shares`).  It pickles with the engine,
+        #: so resumed runs keep their cache (results-neutral either way).
+        self._share_memo = ShareMemo()
         self._round_pending = False
         self._active_jobs = 0
         self._arrivals_pending = 0
@@ -509,13 +503,6 @@ class DatacenterSimulation(ActuatorsMixin):
             self.config,
             **{name: getattr(config, name) for name in _OPERATIONAL_FIELDS},
         )
-        # batched_refresh is operational (the two refresh paths are
-        # bit-identical), so a snapshot written under one mode may resume
-        # under the other; sync the cached flag and lazily create the
-        # memo when flipping to batched.
-        self._batched_refresh = bool(self.config.batched_refresh)
-        if self._batched_refresh and self._share_memo is None:
-            self._share_memo = ShareMemo()
         old = self._snapshotter
         if old is not None:
             old.flush()
@@ -1382,131 +1369,59 @@ class DatacenterSimulation(ActuatorsMixin):
     def _refresh(self) -> None:
         """Recompute shares/power on dirty hosts; refresh node metrics.
 
-        O(VMs on dirty hosts) per event: the dirty sweep reports each
-        touched host's node-state transition to the metrics collector,
-        and the final :meth:`MetricsCollector.refresh` is an O(1) sample
-        of the delta-maintained totals (no host scan, even when the dirty
-        set is empty).
+        O(VMs on dirty hosts) per event.  The dirty sweep runs four
+        phases over the sorted dirty hosts: bank progress at the old
+        shares, re-solve shares, fold power and node-state deltas into
+        the metrics, then reschedule completions in one eta pass.  Shares
+        only ever change here, so VMs on clean hosts keep accruing at a
+        constant share and need no per-event attention.  The final
+        :meth:`MetricsCollector.refresh` is an O(1) sample of the
+        delta-maintained totals (no host scan, even when the dirty set is
+        empty).
 
-        Two implementations of the sweep exist — the batched default
-        (:meth:`_refresh_dirty_batched`: one cross-host vectorized share
-        solve with memoization, one vectorized eta pass) and the
-        historical per-host scalar loop (:meth:`_refresh_dirty_scalar`,
-        ``batched_refresh=False``).  They are bit-identical by
-        construction and by differential test; the scalar path is the
-        oracle.
+        Phasing is equivalent to a per-host touch/solve/fold/reschedule
+        loop: hosts are independent (a VM resides on exactly one host and
+        a solve touches only that host's VMs), the metrics fold
+        accumulates its floats in sorted host order, and the completion
+        pass cancels and pushes handles in (sorted host, residency)
+        order, so every DES event draws the same sequence number.
+        Neither the fold nor the solve schedules events, which is what
+        makes deferring the completion pass to the end order-neutral.
         """
         now = self.sim.now
         if self._dirty:
-            if self._batched_refresh:
-                self._refresh_dirty_batched(now)
-            else:
-                self._refresh_dirty_scalar(now)
+            hosts = [self.hosts_by_id[hid] for hid in sorted(self._dirty)]
+            for host in hosts:
+                self._touch_host(host)
+            self._solve_shares_batched(hosts)
+            self.metrics.refresh_hosts(now, hosts)
+            self._reschedule_completions_batched(hosts, now)
             self._dirty.clear()
         self.metrics.refresh(now)
         if self._invariants_enabled and now >= self._next_invariant_check:
             self._check_invariants(now)
 
-    def _refresh_dirty_scalar(self, now: float) -> None:
-        """Per-host dirty sweep — the differential oracle path."""
-        metrics = self.metrics
-        for hid in sorted(self._dirty):
-            host = self.hosts_by_id[hid]
-            # Bank progress at the old shares before recomputing: shares
-            # only ever change here, so VMs on clean hosts keep accruing
-            # at a constant share and need no per-event attention.
-            self._touch_host(host)
-            host.recompute_shares()
-            metrics.refresh_power(now, host)
-            metrics.host_changed(host)
-            for vm in host.vms.values():
-                if vm.state is VmState.RUNNING:
-                    self._reschedule_completion(vm)
-                elif vm.state is VmState.MIGRATING:
-                    # Completion is checked at migration end; no event now.
-                    self._cancel_completion(vm)
-        return
-
-    def _refresh_dirty_batched(self, now: float) -> None:
-        """Batched dirty sweep: one share solve, one eta pass.
-
-        Bit-identity with the scalar sweep rests on three facts.  Hosts
-        are independent (a VM resides on exactly one host and the solve
-        touches only that host's VMs), so banking progress for *all*
-        dirty hosts before re-solving *any* equals the scalar
-        touch/solve interleaving.  The metrics fold runs over the same
-        sorted host order, so its order-dependent float accumulation is
-        unchanged.  And the completion pass cancels/pushes handles in
-        the same (sorted host, residency) order the scalar loop does, so
-        every DES event draws the same sequence number.  Neither the
-        metrics fold nor the solve schedules events, which is what makes
-        deferring the completion pass to the end order-neutral.
-        """
-        hosts = [self.hosts_by_id[hid] for hid in sorted(self._dirty)]
-        for host in hosts:
-            self._touch_host(host)
-        self._solve_shares_batched(hosts)
-        self.metrics.refresh_hosts(now, hosts)
-        self._reschedule_completions_batched(hosts, now)
-
     def _solve_shares_batched(self, hosts: List[Host]) -> None:
-        """Solve every dirty host's share problem in one vectorized pass.
+        """Re-solve every dirty host's shares through the share memo.
 
-        Memo hits (and duplicate fingerprints within the batch — the
-        common case on homogeneous fleets) skip the solver entirely;
-        the residual unique problems go through
-        :func:`~repro.cluster.xen.compute_shares_batch` together.
+        Memo hits — duplicate share problems within a sweep included, the
+        common case on homogeneous fleets — skip the solver entirely.
         """
         memo = self._share_memo
-        pend: List[Tuple[Host, List[Vm], tuple]] = []
-        pend_index: Dict[tuple, int] = {}
-        pend_caps: List[List[float]] = []
-        pend_weights: List[List[float]] = []
-        pend_capacity: List[float] = []
         for host in hosts:
-            if not host.is_on:
-                for vm in host.vms.values():
-                    vm.share = 0.0
-                host.cpu_used = 0.0
-                continue
-            guests, caps, weights = host.collect_share_domains()
-            if not caps:
-                host.apply_shares(guests, ())
-                continue
-            key = (host._scheduler.capacity, tuple(caps), tuple(weights))
-            hit = memo.get(key)
-            if hit is not None:
-                host.apply_shares(guests, hit)
-                continue
-            if key not in pend_index:
-                pend_index[key] = len(pend_caps)
-                pend_caps.append(caps)
-                pend_weights.append(weights)
-                pend_capacity.append(key[0])
-            pend.append((host, guests, key))
-        if not pend:
-            return
-        rows = compute_shares_batch(pend_capacity, pend_caps, pend_weights)
-        solved: Dict[tuple, Tuple[float, ...]] = {}
-        for host, guests, key in pend:
-            shares = solved.get(key)
-            if shares is None:
-                row = rows[pend_index[key]]
-                shares = tuple(float(s) for s in row)
-                solved[key] = shares
-                memo.put(key, shares)
-            host.apply_shares(guests, shares)
+            host.recompute_shares(memo)
 
     def _reschedule_completions_batched(
         self, hosts: List[Host], now: float
     ) -> None:
         """Completion handles for a whole dirty sweep in one eta pass.
 
-        Cancels exactly the handles the scalar loop cancels, computes all
-        etas vectorized (:func:`repro.cluster.vm.batch_eta`, elementwise
-        identical to :meth:`Vm.eta`), and pushes the new events through
-        :meth:`Simulator.at_many` in the same order the scalar loop would
-        — consecutive sequence numbers, identical fired-event sequence.
+        Cancels exactly the handles a per-VM :meth:`_reschedule_completion`
+        loop would cancel, computes all etas vectorized
+        (:func:`repro.cluster.vm.batch_eta`, elementwise identical to
+        :meth:`Vm.eta`), and pushes the new events through
+        :meth:`Simulator.at_many` in the same order that loop would —
+        consecutive sequence numbers, identical fired-event sequence.
         """
         vms: List[Vm] = []
         for host in hosts:
@@ -1760,15 +1675,11 @@ class DatacenterSimulation(ActuatorsMixin):
         matrix = getattr(self.policy, "_matrix", None)
         rescore_stats = matrix.stats() if matrix is not None else {}
         memo = self._share_memo
-        share_memo_stats = (
-            {
-                "hits": float(memo.hits),
-                "misses": float(memo.misses),
-                "entries": float(len(memo)),
-            }
-            if memo is not None
-            else {}
-        )
+        share_memo_stats = {
+            "hits": float(memo.hits),
+            "misses": float(memo.misses),
+            "entries": float(len(memo)),
+        }
         snap = self._snapshotter
         return SimulationResult(
             policy=self.policy.name,

@@ -168,30 +168,16 @@ class MetricsCollector:
             self._working += c[1]
             self._reserved += c[2]
 
-    def refresh_power(self, now: float, host: Host) -> None:
-        """Update one host's power draw and the datacenter aggregate."""
-        watts = host.power_watts()
-        prev = self._last_watts[host.host_id]
-        if watts == prev:
-            return
-        self.host_energy[host.host_id].set_power(now, watts)
-        self._last_watts[host.host_id] = watts
-        self._total_watts += watts - prev
-        self.datacenter_power.set_power(now, self._total_watts)
-
     def refresh_hosts(self, now: float, hosts: Sequence[Host]) -> None:
         """Fold a whole dirty sweep's power + node-state deltas at once.
 
-        Equivalent to calling :meth:`refresh_power` then
-        :meth:`host_changed` per host in iteration order — the engine's
-        batched refresh hands the *sorted* dirty hosts here, so the
+        For each host in iteration order: record its power draw if it
+        changed, then its node-state transition (:meth:`host_changed`).
+        The engine hands the *sorted* dirty hosts here, so the
         ``_total_watts`` float accumulation (order-dependent) and the
-        per-change ``datacenter_power`` step updates happen in exactly the
-        scalar sweep's sequence, keeping energy integrals — and the
-        recorded power series under ``record_power_series`` — bit- and
-        point-identical.  (The two per-host updates touch disjoint state,
-        so interleaving them per host vs. phase-by-phase is immaterial;
-        the in-order single loop is simply the cheapest.)
+        per-change ``datacenter_power`` step updates happen in one fixed
+        sequence, keeping energy integrals — and the recorded power
+        series under ``record_power_series`` — deterministic.
         """
         last_watts = self._last_watts
         host_energy = self.host_energy

@@ -84,11 +84,11 @@ class SimulationResult:
     checkpoints_written: int = 0
     checkpoint_bytes: int = 0
     snapshot_restores: int = 0
-    #: Batched-refresh share memo counters (``hits``/``misses``/
-    #: ``entries``; empty when ``batched_refresh=False``).  Operational:
-    #: memo hits return the exact floats a fresh solve would, so the
-    #: counters describe work skipped, never results — and a scalar-mode
-    #: run must stay ``canonical()``-equal to its batched twin.
+    #: Share memo counters (``hits``/``misses``/``entries``).
+    #: Operational: memo hits return the exact floats a fresh solve
+    #: would, so the counters describe work skipped, never results — a
+    #: run with a memo that never hits stays ``canonical()``-equal to a
+    #: default run.
     share_memo_stats: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 

@@ -89,12 +89,16 @@ __all__ = [
 #: how the engine restores it.  Old snapshots then refuse to load with a
 #: clear :class:`StateError` instead of resuming wrong state.
 #: 2: batched engine refresh — the engine pickle gained the share memo
-#:    (``_share_memo``) and the cached ``_batched_refresh`` flag.
+#:    (``_share_memo``) and a cached refresh-mode flag.
 #: 3: one score kernel — the score policy pickles its columnar state as
 #:    ``_state``, whose class layout changed (static host arrays folded
 #:    in, per-host arch/hypervisor string arrays dropped), and lost its
 #:    two kernel-selection attributes.
-SNAPSHOT_VERSION = 3
+#: 4: one share-solve path — the engine pickle lost the refresh-mode
+#:    flag (the share memo is always present), each host lost its
+#:    ``_scheduler`` (shares are solved against ``spec.cpu_capacity``),
+#:    and ``EngineConfig`` lost the refresh-mode field.
+SNAPSHOT_VERSION = 4
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"
@@ -112,10 +116,6 @@ _OPERATIONAL_FIELDS = {
     "checkpoint_wall_interval_s": None,
     "checkpoint_keep": 3,
     "max_wall_clock_s": None,
-    # The batched and scalar refresh paths are bit-identical (the
-    # differential tests prove it), so which one runs is operational:
-    # a snapshot written under either mode resumes under either.
-    "batched_refresh": True,
 }
 
 

@@ -61,6 +61,7 @@ from repro.errors import (
     ConfigurationError,
     ExperimentError,
     SimulationInterrupted,
+    StateError,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -312,6 +313,15 @@ def _apply_worker_fault(task_id: str, attempt: int) -> Optional[FaultSpec]:
 # -------------------------------------------------------------- journal
 
 
+def _journal_record(raw: bytes) -> Optional[dict]:
+    """The JSON object on one journal line, or ``None`` if it holds none."""
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return None
+    return record if isinstance(record, dict) else None
+
+
 class SweepJournal:
     """Append-only JSONL log of sweep attempts, enabling ``--resume``.
 
@@ -346,6 +356,7 @@ class SweepJournal:
     ) -> None:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._repair_torn_tail()
             self._fh = open(self.path, "a", encoding="utf-8")
         entry = {
             "task": task_id,
@@ -357,6 +368,37 @@ class SweepJournal:
         }
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
+
+    def _repair_torn_tail(self) -> None:
+        """End the journal at a record boundary before the first append.
+
+        Appending onto a torn last line would fuse the fragment and the
+        new record into one corrupt line that is no longer the last, which
+        :meth:`read_entries` then refuses.  So a last line that is not a
+        record is cut off (with the reader's "torn write" warning), and a
+        complete last record that only lost its newline gets one.
+        """
+        try:
+            fh = open(self.path, "rb+")
+        except FileNotFoundError:
+            return
+        with fh:
+            data = fh.read()
+            body = data.rstrip()
+            start = body.rfind(b"\n") + 1
+            if _journal_record(body[start:]) is not None:
+                if not data.endswith(b"\n"):
+                    fh.write(b"\n")
+                return
+            if body:
+                line = body.count(b"\n", 0, start) + 1
+                warnings.warn(
+                    f"sweep journal {os.fspath(self.path)}:{line}: cutting "
+                    f"corrupt last line (torn write?) before appending",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            fh.truncate(start)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -371,42 +413,45 @@ class SweepJournal:
 
     @staticmethod
     def read_entries(path: os.PathLike) -> List[dict]:
-        """All parseable records.
+        """All records, tolerating a torn tail; ``[]`` if there is no journal.
 
         A journal whose writer was SIGKILLed mid-``write`` legitimately
-        ends in a torn line; such lines (or any other corruption) are
-        skipped with a warning naming the line number, so ``--resume``
-        keeps working after a crash while the operator still learns the
-        file was damaged.
+        ends in a torn line; a corrupt *last* line is skipped with a
+        warning naming the line number, so ``--resume`` keeps working
+        after a crash while the operator still learns the file was
+        damaged.  Corruption anywhere before the last line is not a torn
+        write: it raises :class:`~repro.errors.StateError` naming
+        ``path:line``, because dropping the record would silently rerun
+        (or forget the failure of) that task.  Only a missing file means
+        "no journal"; any other read error (a directory in its place, a
+        permission problem) propagates rather than rerunning every task.
         """
-        entries: List[dict] = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        warnings.warn(
-                            f"sweep journal {os.fspath(path)}: skipping "
-                            f"corrupt line {lineno} (torn write?)",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    if not isinstance(record, dict):
-                        warnings.warn(
-                            f"sweep journal {os.fspath(path)}: skipping "
-                            f"non-record line {lineno}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    entries.append(record)
-        except OSError:
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
             return []
+        last = max((i for i, raw in enumerate(lines) if raw.strip()), default=-1)
+        entries: List[dict] = []
+        for i, raw in enumerate(lines):
+            raw = raw.strip()
+            if not raw:
+                continue
+            record = _journal_record(raw)
+            if record is not None:
+                entries.append(record)
+                continue
+            if i != last:
+                raise StateError(
+                    f"{os.fspath(path)}:{i + 1}: corrupt sweep journal record "
+                    f"before the last line (not a torn tail); refusing to drop it"
+                )
+            warnings.warn(
+                f"sweep journal {os.fspath(path)}:{i + 1}: skipping corrupt "
+                f"last line (torn write?)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return entries
 
     @classmethod

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import FAST, MEDIUM, SLOW, ClusterSpec, HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import ShareMemo, compute_shares
 from repro.errors import CapacityError, ConfigurationError, StateError
 from repro.workload.job import Job
 
@@ -182,7 +183,7 @@ class TestShares:
         vm = make_vm(1, cpu=150.0)
         vm.state = VmState.RUNNING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == pytest.approx(150.0)
         assert host.cpu_used == pytest.approx(150.0)
 
@@ -191,7 +192,7 @@ class TestShares:
         vm = make_vm(1, cpu=150.0)
         vm.state = VmState.CREATING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == 0.0
 
     def test_operation_overhead_squeezes_guests(self):
@@ -203,7 +204,7 @@ class TestShares:
             host.add_vm(vm)
             vms.append(vm)
         host.begin_operation(Operation(OperationKind.CREATE, 99, 100.0, 0.0, 40.0))
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         # 500% demanded on 400%: proportional squeeze to 80 each.
         for vm in vms:
             assert vm.share == pytest.approx(80.0)
@@ -215,8 +216,36 @@ class TestShares:
         vm.state = VmState.RUNNING
         host.add_vm(vm)
         host.state = HostState.OFF
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert vm.share == 0.0
+
+    def test_memo_keys_on_capacity_and_weights(self):
+        """Problems that differ only in capacity, or only in weights, each
+        get their own memo entry and their own exact solution."""
+        memo = ShareMemo()
+
+        def solve(ncpus, reqs):
+            host = make_host(ncpus=ncpus)
+            vms = []
+            for i, req in enumerate(reqs, 1):
+                vm = make_vm(i, cpu=300.0)
+                vm.state = VmState.RUNNING
+                vm.cpu_req = req
+                host.add_vm(vm)
+                vms.append(vm)
+            host.recompute_shares(memo)
+            return [vm.share for vm in vms]
+
+        base = solve(4, [300.0, 300.0])
+        wider = solve(8, [300.0, 300.0])
+        skewed = solve(4, [300.0, 100.0])
+        assert (memo.misses, memo.hits, len(memo)) == (3, 0, 3)
+        assert base == compute_shares(400.0, [300.0] * 2).tolist()
+        assert wider == compute_shares(800.0, [300.0] * 2).tolist()
+        assert skewed == compute_shares(
+            400.0, [300.0] * 2, [300.0, 100.0]
+        ).tolist()
+        assert len({tuple(base), tuple(wider), tuple(skewed)}) == 3
 
 
 class TestOperations:
@@ -259,7 +288,7 @@ class TestPower:
 
     def test_idle_on_draws_idle(self):
         host = make_host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert host.power_watts() == 230.0
 
     def test_loaded_host_follows_table_i(self):
@@ -267,7 +296,7 @@ class TestPower:
         vm = make_vm(1, cpu=400.0)
         vm.state = VmState.RUNNING
         host.add_vm(vm)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert host.power_watts() == pytest.approx(304.0)
 
 

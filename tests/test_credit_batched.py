@@ -1,23 +1,22 @@
-"""Differential harness for the batched engine refresh (PR 9).
+"""Differential harness for the engine's memoized share refresh.
 
-Three layers of proof that the vectorized credit-share path is exactly
-the scalar path:
+Three layers of proof that skipping work never changes results:
 
-* solver level — :func:`repro.cluster.xen.compute_shares_batch` versus
-  per-row :func:`compute_shares`, bit for bit, over hypothesis-driven
-  random batches (ragged lengths, zero caps/weights, tiny capacities,
-  default and explicit weights);
 * kernel level — :func:`repro.cluster.vm.batch_eta` versus
   :meth:`Vm.eta`, and :meth:`Simulator.at_many` versus per-item
   :meth:`Simulator.at` (same fired order on both heap paths);
-* engine level — whole simulations with ``batched_refresh`` on and off
-  (chaos, quarantine and the power manager included) must produce equal
-  ``SimulationResult.canonical()`` rows and event traces.
+* memo level — :class:`ShareMemo` hits return the exact solution, and a
+  share problem seen twice in one dirty sweep is solved once;
+* engine level — whole simulations with the default share memo and with
+  :class:`NoReuseShareMemo` (every share problem goes through
+  :func:`compute_shares`) must produce equal
+  ``SimulationResult.canonical()`` rows and event traces, chaos,
+  quarantine and the power manager included.
 
-Plus the water-filling fairness properties that hold regardless of the
-execution path (conservation, cap respect, weight monotonicity,
-permutation equivariance) and the degenerate-input hardening added with
-the batch: NaN/inf rejection, weight-sum overflow, empty demand.
+Plus the water-filling fairness properties of :func:`compute_shares`
+(conservation, cap respect, weight monotonicity, permutation
+equivariance) and its degenerate-input hardening: NaN/inf rejection,
+weight-sum overflow, empty demand.
 """
 
 import pickle
@@ -27,14 +26,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.faults import FaultConfig
+from repro.cluster.host import HostState
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.vm import Vm, VmState, batch_eta
-from repro.cluster.xen import (
-    CreditScheduler,
-    ShareMemo,
-    compute_shares,
-    compute_shares_batch,
-)
+from repro.cluster import host as host_module
+from repro.cluster.xen import CreditScheduler, ShareMemo, compute_shares
 from repro.des.simulator import Simulator
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
@@ -77,63 +73,6 @@ def share_problem(draw, max_domains=12):
         )
     )
     return draw(_capacity), caps, weights
-
-
-# ----------------------------------------------- solver-level bit identity
-
-
-class TestBatchedSolverOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(problems=st.lists(share_problem(), min_size=0, max_size=10))
-    def test_batch_equals_scalar_bit_for_bit(self, problems):
-        """The tentpole contract: every row, float for float."""
-        capacities = [p[0] for p in problems]
-        caps_rows = [p[1] for p in problems]
-        weights_rows = [p[2] for p in problems]
-        batch = compute_shares_batch(capacities, caps_rows, weights_rows)
-        assert len(batch) == len(problems)
-        for i, (capacity, caps, weights) in enumerate(problems):
-            scalar = compute_shares(capacity, caps, weights)
-            assert batch[i].shape == scalar.shape
-            # Bitwise, not approximate: eta computations, event times and
-            # every committed baseline ride on these exact floats.
-            assert np.array_equal(batch[i], scalar), (i, capacity, caps, weights)
-
-    def test_all_weights_none_vector(self):
-        out = compute_shares_batch([300.0, 400.0], [[100.0, 300.0], [50.0]])
-        assert out[0].tolist() == compute_shares(300.0, [100.0, 300.0]).tolist()
-        assert out[1].tolist() == [50.0]
-
-    def test_empty_batch(self):
-        assert compute_shares_batch([], []) == []
-
-    def test_ragged_rows_with_empty_row(self):
-        out = compute_shares_batch(
-            [400.0, 100.0, 0.0],
-            [[], [80.0, 80.0], [50.0]],
-        )
-        assert out[0].size == 0
-        assert out[1].tolist() == compute_shares(100.0, [80.0, 80.0]).tolist()
-        assert out[2].tolist() == [0.0]
-
-    def test_length_mismatches_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0], [60.0]])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0]], [[1.0], [2.0]])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, 60.0]], [[1.0]])
-
-    def test_overflow_rows_delegate_to_scalar(self):
-        """Finite weights whose sum overflows use the scalar guard path."""
-        big = [1e308, 1e308]
-        scalar = compute_shares(100.0, big, big)
-        assert scalar.tolist() == [50.0, 50.0]  # still work-conserving
-        batch = compute_shares_batch(
-            [100.0, 300.0], [big, [100.0, 300.0]], [big, None]
-        )
-        assert np.array_equal(batch[0], scalar)
-        assert np.array_equal(batch[1], compute_shares(300.0, [100.0, 300.0]))
 
 
 # --------------------------------------------------------- fairness laws
@@ -189,7 +128,7 @@ class TestWaterFillingProperties:
 
         Only approximately in floating point: the water-filling sums are
         order-dependent, which is exactly why :class:`ShareMemo` keys on
-        the ordered tuple and why the batch solver preserves row order.
+        the ordered tuple.
         """
         perm = np.random.RandomState(seed).permutation(len(caps))
         base = compute_shares(200.0, caps)
@@ -219,8 +158,11 @@ class TestDegenerateInputs:
     def test_capacity_below_tolerance_allocates_nothing(self):
         shares = compute_shares(1e-13, [100.0, 100.0])
         assert shares.tolist() == [0.0, 0.0]
-        batch = compute_shares_batch([1e-13], [[100.0, 100.0]])
-        assert np.array_equal(batch[0], shares)
+
+    def test_weight_sum_overflow_stays_work_conserving(self):
+        """Finite weights whose sum overflows are rescaled, not NaN'd."""
+        big = [1e308, 1e308]
+        assert compute_shares(100.0, big, big).tolist() == [50.0, 50.0]
 
     def test_capacity_smaller_than_epsilon_times_demand(self):
         """Tiny-but-positive capacity terminates and conserves."""
@@ -232,22 +174,16 @@ class TestDegenerateInputs:
     def test_nonfinite_capacity_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(bad, [100.0])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([bad], [[100.0]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_nonfinite_or_negative_caps_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(100.0, [50.0, bad])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, bad]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_nonfinite_or_negative_weights_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             compute_shares(100.0, [50.0, 50.0], weights=[1.0, bad])
-        with pytest.raises(ConfigurationError):
-            compute_shares_batch([100.0], [[50.0, 50.0]], [[1.0, bad]])
 
 
 # ------------------------------------------------------------- ShareMemo
@@ -410,10 +346,29 @@ class TestAtMany:
 _HORIZON_H = 8.0
 
 
-def _engine(*, batched, chaos, pm, seed=37):
+class NoReuseShareMemo(ShareMemo):
+    """A one-entry memo whose lookups always miss.
+
+    Substituted for the engine's ``_share_memo`` it makes every share
+    problem a fresh :func:`compute_shares` solve, so a run with it is an
+    oracle for the memo key: a key that dropped a component would return
+    a wrong entry in the default run only.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(max_entries=1)
+
+    def get(self, key):
+        self.misses += 1
+        return None
+
+
+def _engine(*, chaos, pm, seed=37, evicting=False):
     cfg = SyntheticConfig(horizon_s=_HORIZON_H * HOUR, base_rate_per_hour=28.0)
     trace = Grid5000WeekGenerator(cfg, seed=seed).generate()
-    return DatacenterSimulation(
+    engine = DatacenterSimulation(
         cluster=ClusterSpec.homogeneous(5),
         policy=ScoreBasedPolicy(ScoreConfig.sb()),
         trace=trace,
@@ -422,12 +377,14 @@ def _engine(*, batched, chaos, pm, seed=37):
         ),
         config=EngineConfig(
             seed=seed,
-            batched_refresh=batched,
             faults=FaultConfig.uniform(0.10) if chaos else None,
             chaos_seed=11 if chaos else None,
             trace_events=True,
         ),
     )
+    if evicting:
+        engine._share_memo = NoReuseShareMemo()
+    return engine
 
 
 def _trace_sig(engine):
@@ -438,7 +395,7 @@ def _trace_sig(engine):
 
 
 class TestEngineDifferential:
-    """Batched default vs. scalar oracle over full runs.
+    """Default share memo vs. :class:`NoReuseShareMemo`, over full runs.
 
     Chaos injects failed creations / aborted migrations / quarantines and
     the power manager injects boot/shutdown churn — together they exercise
@@ -449,16 +406,19 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("pm", [False, True], ids=["pm-off", "pm-on"])
     @pytest.mark.parametrize("chaos", [False, True],
                              ids=["chaos-off", "chaos-on"])
-    def test_batched_equals_scalar(self, chaos, pm):
-        batched = _engine(batched=True, chaos=chaos, pm=pm)
-        scalar = _engine(batched=False, chaos=chaos, pm=pm)
-        res_b = batched.run()
-        res_s = scalar.run()
-        assert res_b.canonical() == res_s.canonical()
-        assert _trace_sig(batched) == _trace_sig(scalar)
-        # The memo did real work on the batched side and none on scalar.
-        assert res_b.share_memo_stats["hits"] > 0
-        assert res_s.share_memo_stats == {}
+    def test_evicting_memo_matches(self, chaos, pm):
+        default = _engine(chaos=chaos, pm=pm)
+        evicting = _engine(chaos=chaos, pm=pm, evicting=True)
+        res_d = default.run()
+        res_e = evicting.run()
+        assert res_d.canonical() == res_e.canonical()
+        assert _trace_sig(default) == _trace_sig(evicting)
+        # The default memo skipped most solves; the oracle solved them all.
+        stats_d, stats_e = res_d.share_memo_stats, res_e.share_memo_stats
+        assert stats_d["hits"] > stats_d["misses"]
+        assert stats_e["hits"] == 0
+        assert stats_e["misses"] == stats_d["hits"] + stats_d["misses"]
+        assert stats_e["entries"] == 1
 
     @settings(
         max_examples=4,
@@ -466,15 +426,71 @@ class TestEngineDifferential:
         suppress_health_check=[HealthCheck.data_too_large],
     )
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_batched_equals_scalar_random_workloads(self, seed):
+    def test_evicting_memo_matches_random_workloads(self, seed):
         """Random workload realizations, chaos + pm on (the worst case)."""
-        res_b = _engine(batched=True, chaos=True, pm=True, seed=seed).run()
-        res_s = _engine(batched=False, chaos=True, pm=True, seed=seed).run()
-        assert res_b.canonical() == res_s.canonical()
+        res_d = _engine(chaos=True, pm=True, seed=seed).run()
+        res_e = _engine(chaos=True, pm=True, seed=seed, evicting=True).run()
+        assert res_d.canonical() == res_e.canonical()
 
     def test_memo_stats_are_operational(self):
         """``share_memo_stats`` never enters the canonical contract."""
-        res = _engine(batched=True, chaos=False, pm=False).run()
+        res = _engine(chaos=False, pm=False).run()
         assert res.share_memo_stats["misses"] >= 1
         assert "share_memo_stats" not in res.canonical()
         assert "share_memo_stats" in res.__class__.OPERATIONAL_FIELDS
+
+
+# --------------------------------------- one solve per problem, completions
+
+
+def _load(engine, hosts, per_host=3):
+    """Put ``per_host`` running 200 % VMs on each host and dirty it."""
+    vms = []
+    for i, host in enumerate(hosts):
+        host.state = HostState.ON
+        for j in range(per_host):
+            vm = Vm(Job(job_id=1000 + per_host * i + j, submit_time=0.0,
+                        runtime_s=600.0, cpu_pct=200.0, mem_mb=512.0))
+            vm.state = VmState.RUNNING
+            host.add_vm(vm)
+            vms.append(vm)
+        engine._dirty.add(host.host_id)
+    return vms
+
+
+class TestShareSolveAccounting:
+    def test_duplicate_problem_in_one_sweep_solves_once(self, monkeypatch):
+        """Two dirty hosts with the same unseen share problem: the first
+        misses and solves, the second hits the entry the first put."""
+        engine = _engine(chaos=False, pm=False)
+        memo = engine._share_memo = ShareMemo()
+        hosts = engine.hosts[:2]
+        vms = _load(engine, hosts)
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return compute_shares(*args)
+
+        monkeypatch.setattr(host_module, "compute_shares", counting)
+        engine._refresh()
+        assert (memo.misses, memo.hits, len(memo)) == (1, 1, 1)
+        assert len(solves) == 1
+        # 600 % demanded on 400 %: every guest gets the same squeezed share.
+        expect = compute_shares(400.0, [200.0] * 3)[0]
+        assert [vm.share for vm in vms] == [expect] * 6
+        assert hosts[0].cpu_used == hosts[1].cpu_used
+
+
+class TestCompletionReschedule:
+    def test_early_completion_event_reschedules_at_eta(self):
+        """A completion that fires while work remains is pushed back to
+        the VM's eta at its current share, replacing the old handle."""
+        engine = _engine(chaos=False, pm=False)
+        (vm, *_) = _load(engine, engine.hosts[:1])
+        engine._refresh()
+        first = engine._completion_handles[vm.vm_id]
+        engine._on_completion(vm)
+        second = engine._completion_handles[vm.vm_id]
+        assert first.cancelled and not second.cancelled
+        assert second.time == vm.eta(engine.sim.now) == first.time

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import CreditScheduler, ShareMemo
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
 from repro.errors import CapacityError, StateError
@@ -211,7 +212,9 @@ def legacy_recompute_shares(host):
         weights[f"op:{i}"] = op.cpu_overhead
     out = {}
     if demands:
-        shares = host._scheduler.allocate(demands, weights)
+        shares = CreditScheduler(host.spec.cpu_capacity).allocate(
+            demands, weights
+        )
         for vm in host.vms.values():
             key = f"vm:{vm.vm_id}"
             if key in shares:
@@ -263,7 +266,7 @@ class TestRecomputeSharesIdentity:
             ))
 
         expect_shares, expect_used = legacy_recompute_shares(host)
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         assert host.cpu_used == expect_used
         for vm in host.vms.values():
             if vm.vm_id in expect_shares:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.host import Host, HostState
 from repro.cluster.spec import HostSpec
 from repro.cluster.vm import Vm, VmState
+from repro.cluster.xen import ShareMemo
 from repro.engine.metrics import MetricsCollector
 from repro.engine.results import SimulationResult, results_table
 from repro.workload.job import Job
@@ -100,26 +101,26 @@ class TestMetricsCollector:
 
     def test_power_refresh_accumulates_energy(self):
         host = self._host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         m = MetricsCollector([host])
-        m.refresh_power(0.0, host)
+        m.refresh_hosts(0.0, [host])
         m.close(3600.0)
         # Idle host for one hour: 230 Wh.
         assert m.energy_kwh == pytest.approx(0.230, rel=1e-6)
 
     def test_power_refresh_skips_unchanged(self):
         host = self._host()
-        host.recompute_shares()
+        host.recompute_shares(ShareMemo())
         m = MetricsCollector([host])
-        m.refresh_power(0.0, host)
-        m.refresh_power(1.0, host)  # no change: no new step recorded
+        m.refresh_hosts(0.0, [host])
+        m.refresh_hosts(1.0, [host])  # no change: no new step recorded
         m.close(2.0)
         assert m.energy_kwh > 0.0
 
     def test_off_host_draws_nothing(self):
         host = self._host(state=HostState.OFF)
         m = MetricsCollector([host])
-        m.refresh_power(0.0, host)
+        m.refresh_hosts(0.0, [host])
         m.close(3600.0)
         assert m.energy_kwh == pytest.approx(0.0)
 

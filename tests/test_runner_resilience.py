@@ -9,12 +9,14 @@ to a fault-free serial run, whatever was injected along the way.
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from repro.errors import (
     ConfigurationError,
     ExperimentError,
+    StateError,
     TaskTimeoutError,
 )
 from repro.experiments.common import ExperimentOutput
@@ -310,6 +312,59 @@ class TestJournalAndResume:
         path.write_bytes(raw[:-9])  # cut into the second record
         with pytest.warns(RuntimeWarning, match="torn write"):
             assert SweepJournal.completed_tasks(path) == {"table1": "k1"}
+
+    def test_journal_corrupt_middle_line_raises_naming_line(self, tmp_path):
+        """Only the last line can be torn; earlier corruption is refused."""
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.record("table1", 0, "ok", cache_key="k1")
+            journal.record("table5", 0, "ok", cache_key="k5")
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(first + "not json\n" + second)
+        with pytest.raises(StateError, match=r"j\.jsonl:2: corrupt"):
+            SweepJournal.completed_tasks(path)
+
+    def test_journal_append_after_torn_tail_cuts_the_fragment(self, tmp_path):
+        """The first append after a crash cuts the torn fragment off, so
+        the fragment never becomes a corrupt middle line and every later
+        resume reads the journal cleanly."""
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.record("table1", 0, "ok", cache_key="k1")
+        with open(path, "a") as fh:
+            fh.write('{"task": "table5", "outcome": "ok", "cache')  # torn
+        with pytest.warns(RuntimeWarning, match=r"j\.jsonl:2: .*torn write"):
+            with SweepJournal(path) as journal:
+                journal.record("table5", 1, "ok", cache_key="k5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SweepJournal.completed_tasks(path) == {
+                "table1": "k1", "table5": "k5",
+            }
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_journal_append_after_lost_newline_keeps_the_record(self, tmp_path):
+        """A complete last record that only lost its newline is kept and
+        terminated, not cut."""
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.record("table1", 0, "ok", cache_key="k1")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with SweepJournal(path) as journal:
+                journal.record("table5", 0, "ok", cache_key="k5")
+            assert SweepJournal.completed_tasks(path) == {
+                "table1": "k1", "table5": "k5",
+            }
+
+    def test_journal_missing_is_empty_but_unreadable_raises(self, tmp_path):
+        """No journal means nothing done; an unreadable one is an error,
+        not a license to rerun every task."""
+        assert SweepJournal.read_entries(tmp_path / "absent.jsonl") == []
+        (tmp_path / "dir.jsonl").mkdir()
+        with pytest.raises(IsADirectoryError):
+            SweepJournal.read_entries(tmp_path / "dir.jsonl")
 
 
 class TestIntraTaskRestore:

@@ -41,6 +41,7 @@ from repro.scheduling.score import ScoreConfig
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.units import HOUR
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
+from tests.test_credit_batched import NoReuseShareMemo
 
 SEED = 37
 
@@ -153,43 +154,41 @@ class TestKillResumeBitIdentity:
         assert result.snapshot_restores == 0
 
 
-# ---------------------------------------- batched-refresh differentials
+# ------------------------------------------------ share-memo differentials
 
 
 class TestBatchedRefreshDifferential:
-    """The PR 9 whole-sim oracle: ``batched_refresh`` is invisible.
+    """The engine's batched dirty sweep skips share solves through its
+    memo; skipping must be invisible over entire runs — including runs
+    that are killed and resumed with a populated share memo."""
 
-    The batched credit-share path must be bit-identical to the scalar
-    loop over entire runs — including runs that are killed and resumed
-    with a populated share memo, and runs resumed under the *other*
-    mode (the flag is operational, not part of the snapshot
-    fingerprint).
-    """
-
-    def test_week_scale_batched_equals_scalar(self):
+    def test_week_scale_evicting_memo_matches(self):
         """A full simulated week (diurnal + weekend structure) at a rate
-        sized to keep the pair of runs in tier-1 budget."""
+        sized to keep the pair of runs in tier-1 budget, against a memo
+        that never hits (every share problem solved afresh)."""
         cfg = SyntheticConfig(horizon_s=7 * 24 * HOUR, base_rate_per_hour=4.0)
 
-        def run(batched):
+        def run(evicting):
             engine = DatacenterSimulation(
                 cluster=ClusterSpec.homogeneous(6),
                 policy=ScoreBasedPolicy(ScoreConfig.sb()),
                 trace=Grid5000WeekGenerator(cfg, seed=SEED).generate(),
                 pm_config=PowerManagerConfig(lambda_min=0.40, lambda_max=0.90),
-                config=EngineConfig(seed=SEED, batched_refresh=batched,
-                                    trace_events=True),
+                config=EngineConfig(seed=SEED, trace_events=True),
             )
+            if evicting:
+                engine._share_memo = NoReuseShareMemo()
             return engine, engine.run()
 
-        eng_b, res_b = run(True)
-        eng_s, res_s = run(False)
-        assert res_b.canonical() == res_s.canonical()
-        assert trace_sig(eng_b) == trace_sig(eng_s)
-        # The memo earned its keep across the week on the batched side.
-        stats = res_b.share_memo_stats
+        eng_d, res_d = run(False)
+        eng_e, res_e = run(True)
+        assert res_d.canonical() == res_e.canonical()
+        assert trace_sig(eng_d) == trace_sig(eng_e)
+        # The default memo earned its keep across the week.
+        stats = res_d.share_memo_stats
         assert stats["hits"] > stats["misses"]
-        assert res_s.share_memo_stats == {}
+        assert res_e.share_memo_stats["hits"] == 0
+        assert res_e.share_memo_stats["misses"] == stats["hits"] + stats["misses"]
 
     def test_kill_resume_with_populated_memo(self, tmp_path):
         """Resume mid-run with a warm share memo: still bit-identical."""
@@ -202,35 +201,9 @@ class TestBatchedRefreshDifferential:
         # Skip the t=0 snapshot: the memo must be demonstrably warm.
         for path in snaps[1:]:
             resumed = load_snapshot(path)
-            assert resumed._share_memo is not None
             assert len(resumed._share_memo) > 0
             resumed.adopt_operational(EngineConfig(seed=SEED))
             assert resumed.run().canonical() == ref, path.name
-
-    @pytest.mark.parametrize("first,second", [(True, False), (False, True)],
-                             ids=["batched-then-scalar", "scalar-then-batched"])
-    def test_cross_mode_resume(self, tmp_path, first, second):
-        """A snapshot taken under one mode resumes under the other.
-
-        ``batched_refresh`` is excluded from the config fingerprint
-        precisely because the paths are bit-identical; this is the test
-        that keeps that exclusion honest.
-        """
-        ref = build_engine(None, chaos=True, pm=True,
-                           batched_refresh=second).run().canonical()
-
-        engine = build_engine(tmp_path, chaos=True, pm=True,
-                              batched_refresh=first)
-        engine.run()
-        path = latest_snapshot(engine._snapshotter.directory)
-        mid = list_snapshots(engine._snapshotter.directory)[1]
-        for snap in (mid, path):
-            resumed = load_snapshot(snap)
-            resumed.adopt_operational(
-                EngineConfig(seed=SEED, batched_refresh=second)
-            )
-            assert resumed._batched_refresh is second
-            assert resumed.run().canonical() == ref, snap.name
 
 
 # -------------------------------------------------------- graceful stops
@@ -327,20 +300,24 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    def test_version_2_snapshot_refused_by_name(self, tmp_path):
-        """A snapshot from before the single score kernel (version 2)
-        pickles classes whose layout changed; it must be refused from its
-        header, never unpickled."""
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
+        """A snapshot from before the single score kernel (version 2) or
+        the single share-solve path (version 3) pickles classes whose
+        layout changed; it must be refused from its header, never
+        unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
         old = header.replace(
-            b'"version": %d' % SNAPSHOT_VERSION, b'"version": 2'
+            b'"version": %d' % SNAPSHOT_VERSION, b'"version": %d' % version
         )
         assert old != header
         # A payload that would blow up if anything tried to unpickle it.
         path.write_bytes(old + b"\n" + b"not a pickle")
-        with pytest.raises(StateError, match="version 2 does not match") as exc:
+        with pytest.raises(
+            StateError, match=f"version {version} does not match"
+        ) as exc:
             load_snapshot(path)
         assert f"version {SNAPSHOT_VERSION!r}" in str(exc.value)
 

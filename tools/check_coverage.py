@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Enforce per-file line-coverage floors from a Cobertura ``coverage.xml``.
 
-CI runs the tier-1 suite under ``pytest-cov`` scoped to the batched-refresh
+CI runs the tier-1 suite under ``pytest-cov`` scoped to the engine refresh
 hot modules and then calls this script, which fails the job when any listed
 file drops below its committed floor.  The floors are deliberately part of
 the repository (not CI-config knobs): lowering one is a reviewed change.
