@@ -19,24 +19,42 @@ stores one ``(M, cap)`` cell array plus per-slot column attributes
 (current host, queued flag, migration-penalty bucket, SLA fulfilment,
 current cost, argmin cache).
 
-Per round, :meth:`bind_round`:
+Per round, :meth:`bind_round` runs two phases:
 
-1. collects the **dirty host rows**: the engine dirty sink (every ``Host``
-   mutation, including power transitions and quarantine — the setters mark
-   dirty), rows touched hypothetically by last round's
-   :meth:`apply_move` calls, and rows whose observed-reliability override
-   changed; restores their dynamic state from the columnar ground truth
-   and stamps them, so every column catches up on them the next time it
-   takes part in a round (lazy catch-up, below);
-2. detects **changed columns** among the round's participants by comparing
-   stored column attributes against fresh ones (placement changed, queued
-   flag flipped, migration-penalty bucket crossed, SLA fulfilment moved,
-   slot newly filled/refilled) and rescores exactly those columns across
-   the active rows;
-3. maintains ``active_rows`` incrementally (recomputed only on an
-   availability flip among the dirty rows — the steady state pays no O(M)
-   scan) and keeps the per-column argmin caches valid under the partial
-   rescoring via a generalized multi-row take/rescan rule.
+1. the **row phase** collects the **dirty host rows**: the engine dirty
+   sink (every ``Host`` mutation, including power transitions and
+   quarantine — the setters mark dirty), rows touched hypothetically by
+   last round's :meth:`apply_move` calls, and rows whose
+   observed-reliability override changed; restores their dynamic state
+   from the columnar ground truth and stamps them, so every column
+   catches up on them the next time it takes part in a round (lazy
+   catch-up, below).  It maintains ``active_rows`` incrementally
+   (recomputed only on an availability flip among the dirty rows — the
+   steady state pays no O(M) scan);
+2. the **column phase** detects **changed columns** among the round's
+   participants by comparing stored column attributes against fresh ones
+   (placement changed, queued flag flipped, migration-penalty bucket
+   crossed, SLA fulfilment moved, slot newly filled/refilled), rescores
+   exactly those columns across the active rows, catches the unchanged
+   ones up on the rows stamped since they last took part, and keeps the
+   per-column argmin caches valid under the partial rescoring via a
+   generalized multi-row take/rescan rule.
+
+The column phase has two paths.  A round of exactly one column that
+changed, with some host row active — one arrival, the shape of most rounds (78–89 % of all binds
+across the benchmark's workloads) — takes the **one-column path**
+(:meth:`_bind_one_column`): the column's attributes are compared and
+written back as Python scalars, its cells come from the same
+:meth:`_score_block` over the active rows and are stored with one column
+assignment, its cost from the same rule as :meth:`_compute_costs`, and
+its minimum from one 1-D argmin.  For one column, the general path's
+N-column bookkeeping (change masks, scatters, the lag scan, a 2-D minima
+refresh) costs more than the column's cells.  Every other round — a
+lone *unchanged* column that only needs catch-up included — takes the
+**general path** (:meth:`_bind_columns`).  The general path is also the
+one-column path's reference: :meth:`_bind_general` binds every round
+through it, and both :meth:`verify_against_fresh` and the differential
+tests hold the one-column path to it, bit for bit.
 
 **The bit-identity invariant.**  A cell rescored incrementally is
 bit-for-bit the cell a one-shot bind of the same cluster computes: both
@@ -89,6 +107,7 @@ phantom state behind.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
@@ -501,17 +520,46 @@ class PersistentScoreMatrix:
     ) -> None:
         """Synchronize with ground truth and bind this round's columns.
 
-        O(dirty rows x live columns + changed columns x active rows); the
-        steady state (no host churn, no column churn) pays only the
-        per-column attribute comparison.
+        A row phase, then a column phase.  A round of exactly one column
+        that changed — the shape of most rounds: one arrival — is bound by
+        :meth:`_bind_one_column` in Python scalars; every other round by
+        the general :meth:`_bind_columns`, the reference the one-column
+        path is held to (:meth:`_bind_general`).  O(dirty rows x live
+        columns + changed columns x active rows); the steady state (no
+        host churn, no column churn) pays only the per-column attribute
+        comparison.
         """
-        cfg = self.config
+        self._bind(columns, now, fulfillments, reliability, one_column=True)
+
+    def _bind_general(
+        self,
+        columns: Sequence[Vm],
+        now: float,
+        fulfillments: Optional[Dict[int, float]] = None,
+        reliability: Optional[Sequence[float]] = None,
+    ) -> None:
+        """:meth:`bind_round` with every round on the general column path.
+
+        The reference for the one-column path: :meth:`verify_against_fresh`
+        binds its one-shot twin through it, and the differential tests
+        bind a twin matrix through it.
+        """
+        self._bind(columns, now, fulfillments, reliability, one_column=False)
+
+    def _bind(
+        self,
+        columns: Sequence[Vm],
+        now: float,
+        fulfillments: Optional[Dict[int, float]],
+        reliability: Optional[Sequence[float]],
+        one_column: bool,
+    ) -> None:
         st = self.state
         st.sync()
         self._bind_idx += 1
         t = self._bind_idx
 
-        # ---- dirty host rows --------------------------------------------
+        # ---- row phase: dirty host rows ---------------------------------
         index = st.host_index
         dirty = {index[hid] for hid in self._sink}
         self._sink.clear()
@@ -531,8 +579,9 @@ class PersistentScoreMatrix:
 
         # Ascending host order: the dirty feed is a set, sorting makes
         # every downstream tie-break independent of mutation order.
+        n_dirty = len(dirty)
         if dirty:
-            hs = np.fromiter(sorted(dirty), dtype=int, count=len(dirty))
+            hs = np.fromiter(sorted(dirty), dtype=int, count=n_dirty)
             self._row_stamp[hs] = t
             avail_new = st.avail[hs]
             if (self.avail[hs] != avail_new).any():
@@ -543,40 +592,130 @@ class PersistentScoreMatrix:
             self.nvms[hs] = st.nvms[hs]
             self.conc[hs] = st.conc[hs]
             self.pending[hs] = 0.0
-        else:
-            hs = np.empty(0, dtype=int)
-        act = self._active
 
-        # ---- columns ----------------------------------------------------
+        # ---- column phase -----------------------------------------------
         slots, cur, q, tr = st.prepare_columns(columns, now)
-        if self._cm_distinct.size:
-            bucket = np.searchsorted(self._cm_distinct, tr, side="right")
+        if self.config.enable_sla and fulfillments is None:
+            raise SchedulingError("enable_sla requires a fulfillments map")
+        if one_column and slots.size == 1 and self._bind_one_column(
+            columns[0], slots, cur, q, tr, fulfillments
+        ):
+            n_changed = 1
         else:
-            bucket = np.zeros(len(columns), dtype=int)
-        if cfg.enable_sla:
-            if fulfillments is None:
-                raise SchedulingError("enable_sla requires a fulfillments map")
-            fulf = np.array(
-                [fulfillments.get(vm.vm_id, 1.0) for vm in columns]
-            )
-        else:
-            fulf = np.ones(len(columns))
+            n_changed = self._bind_columns(columns, slots, cur, q, tr, fulfillments)
 
+        # ---- round binding ----------------------------------------------
+        self._round_slots = slots
+        self.columns = list(columns)
+        self.is_queued = q
+        self.n_cols = len(self.columns)
+        self.now = float(now)
+
+        # ---- observability ----------------------------------------------
+        self._binds += 1
+        # Counterfactual: a one-shot rebuild scores every row (available
+        # or not) for every round column.
+        self._cells_total += self.n_rows * slots.size
+        self._row_hist[_log2_bucket(n_dirty)] += 1
+        self._col_hist[_log2_bucket(n_changed)] += 1
+
+    def _bind_one_column(
+        self,
+        vm: Vm,
+        slots: np.ndarray,
+        cur: np.ndarray,
+        q: np.ndarray,
+        tr: np.ndarray,
+        fulfillments: Optional[Dict[int, float]],
+    ) -> bool:
+        """Column phase of a one-column round, in Python scalars.
+
+        Binds the column only if it changed (stale, new, moved, or its
+        queued flag, bucket or fulfilment changed) and some row is
+        active, and returns whether it did; an unchanged column may still
+        lag on dirty rows, which is the general path's catch-up.  Every
+        step is the general path's for one changed column, minus its
+        N-column bookkeeping: the same attribute write-back, the same
+        ``_score_block`` cells over the active rows, the same cost rule,
+        and a 1-D argmin (lowest row on ties) for the minimum, which is
+        recomputed from scratch and so needs no cost shift.
+        """
+        act = self._active
+        if not act.size:
+            return False
+        cfg = self.config
+        slot = int(slots[0])
+        c = int(cur[0])
+        queued = bool(q[0])
+        bucket = bisect_right(self._cm_distinct, float(tr[0]))
+        fulf = fulfillments.get(vm.vm_id, 1.0) if cfg.enable_sla else 1.0
+        if not (
+            self._stale[slot]
+            or self._cur[slot] != c
+            or self._q[slot] != queued
+            or (not queued and self._bucket[slot] != bucket)
+            or (cfg.enable_sla and self._fulf[slot] != fulf)
+        ):
+            return False
+        self._cur[slot] = c
+        self._q[slot] = queued
+        self._bucket[slot] = bucket
+        if cfg.enable_sla:
+            self._fulf[slot] = fulf
+        self._frozen[slot] = False
+        self._stale[slot] = False
+        if not self._live[slot]:
+            self._live[slot] = True
+            self._live_dirty = True
+
+        cells = self._score_block(act, slots)[:, 0]
+        self.scores[act, slot] = cells
+        self._cells_rescored += act.size
+        # After the store: a placed column's cost reads its own cell.
+        cost = cfg.queue_cost if c < 0 else self._compute_costs(slots)[0]
+        self._cost[slot] = cost
+        sub = cells - cost
+        k = int(sub.argmin())
+        self._col_min_row[slot] = act[k]
+        self._col_min_val[slot] = sub[k]
+        self._col_stamp[slot] = self._bind_idx
+        return True
+
+    def _bind_columns(
+        self,
+        columns: Sequence[Vm],
+        slots: np.ndarray,
+        cur: np.ndarray,
+        q: np.ndarray,
+        tr: np.ndarray,
+        fulfillments: Optional[Dict[int, float]],
+    ) -> int:
+        """Column phase of any round: the general N-column path.
+
+        Returns the number of changed columns.  Steps with no work are
+        skipped: fulfilments when SLA is off, the lag scan when every
+        column changed, the rescan when no column needs one.
+        """
+        act = self._active
+        bucket = np.searchsorted(self._cm_distinct, tr, side="right")
         changed = (
             self._stale[slots]
             | (self._cur[slots] != cur)
             | (self._q[slots] != q)
             | (~q & (self._bucket[slots] != bucket))
         )
-        if cfg.enable_sla:
+        if self.config.enable_sla:
+            fulf = np.array(
+                [fulfillments.get(vm.vm_id, 1.0) for vm in columns]
+            )
             changed |= self._fulf[slots] != fulf
+            self._fulf[slots] = fulf
         # Slot-aligned rescan mask: columns frozen last round whose cells
         # survive (changed ones get their minima from the fresh block).
         rescan = self._frozen[slots] & ~changed
         self._cur[slots] = cur
         self._q[slots] = q
         self._bucket[slots] = bucket
-        self._fulf[slots] = fulf
         self._frozen[slots] = False
         self._stale[slots] = False
         newly = slots[~self._live[slots]]
@@ -600,8 +739,8 @@ class PersistentScoreMatrix:
         # Non-participating columns pay nothing until they return.  Groups
         # hold positions into ``slots`` so the masks below stay aligned.
         groups = []
-        lag_pos = np.nonzero(~changed)[0]
-        if lag_pos.size:
+        if cols_changed.size < slots.size:
+            lag_pos = np.nonzero(~changed)[0]
             stamps = self._col_stamp[slots[lag_pos]]
             for s in np.unique(stamps):
                 pos = lag_pos[stamps == s]
@@ -652,23 +791,10 @@ class PersistentScoreMatrix:
                 tk = grp[take]
                 self._col_min_val[tk] = w[take]
                 self._col_min_row[tk] = rw[take]
-        self._refresh_minima(slots[rescan])
-        self._col_stamp[slots] = t
-
-        # ---- round binding ----------------------------------------------
-        self._round_slots = slots
-        self.columns = list(columns)
-        self.is_queued = q.copy()
-        self.n_cols = len(self.columns)
-        self.now = float(now)
-
-        # ---- observability ----------------------------------------------
-        self._binds += 1
-        # Counterfactual: a one-shot rebuild scores every row (available
-        # or not) for every round column.
-        self._cells_total += self.n_rows * slots.size
-        self._row_hist[_log2_bucket(hs.size)] += 1
-        self._col_hist[_log2_bucket(cols_changed.size)] += 1
+        if rescan.any():
+            self._refresh_minima(slots[rescan])
+        self._col_stamp[slots] = self._bind_idx
+        return int(cols_changed.size)
 
     # ------------------------------------------------------------ interface
 
@@ -850,7 +976,7 @@ class PersistentScoreMatrix:
         fresh = PersistentScoreMatrix(
             self.state.detached(len(columns)), self.config
         )
-        fresh.bind_round(columns, now, fulfillments, reliability)
+        fresh._bind_general(columns, now, fulfillments, reliability)
         rs = self._round_slots
         frs = fresh._round_slots
         act = self._active

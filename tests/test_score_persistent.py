@@ -288,6 +288,133 @@ class TestFrozenColumnCatchUp:
         assert (row, gain) == (2, -10.0)
 
 
+#: Per-slot column attributes both bind paths write.
+_SLOT_ATTRS = ("_cur", "_q", "_bucket", "_fulf", "_cost", "_col_min_val",
+               "_col_min_row", "_frozen", "_stale", "_col_stamp", "_live")
+
+
+def _assert_same_matrix(mine, ref):
+    """Exact equality of everything a bind leaves behind."""
+    assert np.array_equal(mine._active, ref._active)
+    act = mine._active
+    assert np.array_equal(mine.scores[act], ref.scores[act])
+    for name in _SLOT_ATTRS:
+        assert np.array_equal(getattr(mine, name), getattr(ref, name)), name
+    assert np.array_equal(mine._round_slots, ref._round_slots)
+    assert np.array_equal(mine.is_queued, ref.is_queued)
+    assert mine.stats() == ref.stats()
+
+
+class TestOneColumnPath:
+    """A one-column round binds exactly as the general path would.
+
+    ``bind_round`` binds a round of one changed column with scalar
+    bookkeeping; a twin matrix over its own state on the same hosts
+    binds every round through the general path (``_bind_general``).
+    Both see the same rounds and the same hill-climb moves, so after
+    every bind and every climb they must agree bit for bit.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("config", [
+        ScoreConfig.sb(), ScoreConfig.full(),
+        ScoreConfig.full(reprice_hard_sla=True),
+    ], ids=["sb", "full", "full-reprice"])
+    def test_one_column_bind_equals_general_path(self, config, data):
+        n_hosts = data.draw(st.integers(min_value=2, max_value=6), label="n_hosts")
+        hosts = [make_host(
+            i,
+            node_class=data.draw(st.sampled_from(CLASSES)),
+            state=data.draw(st.sampled_from(
+                [HostState.ON, HostState.ON, HostState.OFF])),
+            reliability=data.draw(st.floats(min_value=0.5, max_value=1.0)),
+        ) for i in range(n_hosts)]
+        world = World(hosts)
+        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), config)
+        matrix.attach()
+        twin = PersistentScoreMatrix(ColumnarClusterState(hosts), config)
+        twin.attach()
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=3, max_value=10),
+                                 label="n_rounds")):
+            for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+                _mutate(world, data)
+            now += data.draw(st.floats(min_value=1.0, max_value=3600.0))
+
+            shape = data.draw(st.sampled_from(
+                ["arrival", "lone", "lone", "running", "consolidate"]),
+                label="shape")
+            queued, running = world.queued(), world.running()
+            if shape == "arrival" or (shape == "lone" and not queued):
+                vm = make_vm(world.next_vm, cpu=data.draw(
+                    st.sampled_from([50.0, 100.0, 400.0])))
+                world.next_vm += 1
+                world.vms[vm.vm_id] = vm
+                columns = [vm]
+            elif shape == "lone":  # the oldest queued VM, round after round
+                columns = queued[:1]
+            elif shape == "running" and running:
+                columns = [data.draw(st.sampled_from(running))]
+            else:
+                columns = queued + running
+            fulf = None
+            if config.enable_sla:
+                fulf = {vm.vm_id: data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+                        for vm in columns}
+            rel = None
+            if config.enable_fault and data.draw(st.booleans()):
+                rel = [data.draw(st.sampled_from([0.6, 0.9, 1.0]))
+                       for _ in hosts]
+
+            matrix.bind_round(columns, now, fulf, rel)
+            twin._bind_general(columns, now, fulf, rel)
+            _assert_same_matrix(matrix, twin)
+            assert matrix.verify_against_fresh(columns, now, fulf, rel)
+
+            # Skipping the climb leaves the columns unfrozen and unchanged,
+            # so a lone queued column lags on the rows dirtied meanwhile.
+            if not data.draw(st.booleans(), label="climb"):
+                continue
+            moves = hill_climb(matrix)
+            assert moves == hill_climb(twin)
+            _assert_same_matrix(matrix, twin)
+            # Accept a random subset; rejected moves leave touched rows and
+            # frozen columns for the next bind to restore.
+            for move in moves:
+                vm = world.vms[move.vm_id]
+                dst = hosts[world.index[move.host_id]]
+                if not data.draw(st.booleans()) or not dst.is_available:
+                    continue
+                if move.from_queue:
+                    place(dst, vm)
+                elif vm.state is VmState.RUNNING:
+                    world.host_of(vm).remove_vm(vm.vm_id)
+                    dst.add_vm(vm)
+
+    def test_arrival_round_takes_the_one_column_path(self, monkeypatch):
+        """A new column alone in its round is bound by the scalar path."""
+        hosts = [make_host(i) for i in range(3)]
+        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix.attach()
+        general = []
+        real = PersistentScoreMatrix._bind_columns
+
+        def spy(self, *args):
+            general.append(len(args[1]))
+            return real(self, *args)
+
+        monkeypatch.setattr(PersistentScoreMatrix, "_bind_columns", spy)
+        vm = make_vm(1)
+        matrix.bind_round([vm], 0.0)
+        assert general == []
+        # Unchanged next round: the general path catches it up.
+        place(hosts[1], make_vm(2))
+        matrix.bind_round([vm], 10.0)
+        assert general == [1]
+        assert matrix.verify_against_fresh([vm], 10.0)
+
+
 # --------------------------------------------------------------------------
 # Layer 2: whole-simulation oracles
 # --------------------------------------------------------------------------

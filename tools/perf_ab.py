@@ -6,7 +6,10 @@ working tree, a pair at a time, and prints every reported metric's median,
 min-max and per-pair delta.  Both sides of a pair use the same
 ``--seed`` (pair ``i`` uses ``seed + i``), and the side that runs first
 alternates from pair to pair, so slow drift of a shared machine lands on
-both sides equally.
+both sides equally.  Each metric also shows ``wins k/n`` -- the pairs in
+which the working tree beats the base in the ``better`` direction that
+``BENCHMARK.json`` declares (ties count for neither side) -- and the base
+side's interquartile spread, the two numbers a claimed gain is held to.
 
 Usage (from the repository root)::
 
@@ -21,7 +24,8 @@ changes take part on the working-tree side only.
 
 Exits 1 when any run exits non-zero, reports ``correct: false`` or prints
 no result; the numbers of a run that failed its own checks are not
-comparable.  ``--json PATH`` also writes every run's raw result.
+comparable.  ``--json PATH`` also writes every run's raw result and the
+per-metric summary (medians, base interquartile spread, wins).
 """
 
 from __future__ import annotations
@@ -95,17 +99,68 @@ def _problem(label: str, result: Dict) -> str:
     return ""
 
 
-def summarize(pairs: List[Tuple[Dict, Dict]]) -> List[str]:
-    """One line per metric: base/head median [min-max], median and per-pair delta."""
-    names = list(pairs[0][0]["metrics"])
-    out = [
-        f"{'metric':<20} {'base median [min-max]':>30} "
-        f"{'head median [min-max]':>30} {'delta':>8}  per-pair deltas"
-    ]
-    for name in names:
+def metric_directions() -> Dict[str, str]:
+    """``{metric: "lower" | "higher"}``: the better direction of every
+    metric ``BENCHMARK.json`` declares."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {
+        m["name"]: m["better"]
+        for group in ("end_to_end", "per_layer")
+        for m in spec.get(group, [])
+    }
+
+
+def _iqr(vals: List[float]) -> float:
+    if len(vals) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(
+    pairs: List[Tuple[Dict, Dict]], better: Dict[str, str]
+) -> Dict[str, Dict]:
+    """Per metric: both sides' values, medians, the base side's
+    interquartile spread, and the pairs head wins.
+
+    A pair is a win when head beats base in the metric's ``better``
+    direction; ties count for neither side.  ``wins`` is ``None`` for a
+    metric with no declared direction.
+    """
+    rows: Dict[str, Dict] = {}
+    for name, first in pairs[0][0]["metrics"].items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         head = [h["metrics"][name]["value"] for _, h in pairs]
-        unit = pairs[0][0]["metrics"][name].get("unit", "")
+        direction = better.get(name)
+        wins = None
+        if direction == "lower":
+            wins = sum(h < b for b, h in zip(base, head))
+        elif direction == "higher":
+            wins = sum(h > b for b, h in zip(base, head))
+        rows[name] = {
+            "unit": first.get("unit", ""),
+            "better": direction,
+            "base": base,
+            "head": head,
+            "base_median": statistics.median(base),
+            "head_median": statistics.median(head),
+            "base_iqr": _iqr(base),
+            "wins": wins,
+            "pairs": len(pairs),
+        }
+    return rows
+
+
+def format_summary(rows: Dict[str, Dict]) -> List[str]:
+    """One line per metric: medians [min-max], delta, wins, base IQR,
+    per-pair deltas."""
+    out = [
+        f"{'metric':<20} {'base median [min-max]':>30} "
+        f"{'head median [min-max]':>30} {'delta':>8} {'wins':>6} "
+        f"{'base IQR':>10}  per-pair deltas"
+    ]
+    for name, row in rows.items():
+        unit = row["unit"]
 
         def cell(vals: List[float]) -> str:
             return (
@@ -114,13 +169,15 @@ def summarize(pairs: List[Tuple[Dict, Dict]]) -> List[str]:
             )
 
         deltas = [
-            f"{(h / b - 1) * 100:+.1f}%" if b else "n/a" for b, h in zip(base, head)
+            f"{(h / b - 1) * 100:+.1f}%" if b else "n/a"
+            for b, h in zip(row["base"], row["head"])
         ]
-        mb, mh = statistics.median(base), statistics.median(head)
+        mb, mh = row["base_median"], row["head_median"]
         delta = f"{(mh / mb - 1) * 100:+.1f}%" if mb else "n/a"
+        wins = "n/a" if row["wins"] is None else f"{row['wins']}/{row['pairs']}"
         out.append(
-            f"{name:<20} {cell(base):>30} {cell(head):>30} {delta:>8}  "
-            + " ".join(deltas)
+            f"{name:<20} {cell(row['base']):>30} {cell(row['head']):>30} "
+            f"{delta:>8} {wins:>6} {row['base_iqr']:>10.4g}  " + " ".join(deltas)
         )
     return out
 
@@ -158,10 +215,14 @@ def main(argv=None) -> int:
         pairs.append((got["base"], got["head"]))
         print(f"pair {i} (seed {seed}, {order[0][0]} first) done", flush=True)
 
+    rows = {} if problems else summarize(pairs, metric_directions())
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"base": args.base, "workload": args.workload, "seconds": args.seconds,
              "trace": args.trace,
+             "summary": {name: {k: row[k] for k in (
+                 "better", "base_median", "head_median", "base_iqr", "wins", "pairs")}
+                 for name, row in rows.items()},
              "pairs": [{"seed": args.seed + i, "base": b, "head": h}
                        for i, (b, h) in enumerate(pairs)]},
             indent=1,
@@ -172,7 +233,7 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, "
           f"base {args.base}, trace {args.trace}")
-    for line in summarize(pairs):
+    for line in format_summary(rows):
         print(line)
     return 0
 
