@@ -7,12 +7,14 @@ performance regression in either is caught at review time.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
 from repro.cluster.host import Host, HostState
 from repro.cluster.spec import ClusterSpec, HostSpec, MEDIUM
 from repro.cluster.vm import Vm, VmState
+from repro.des.simulator import Simulator
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import simulate
 from repro.scheduling.baselines import BackfillingPolicy
@@ -138,6 +140,63 @@ class TestBenchEngine:
 
         result = benchmark.pedantic(run, rounds=1, iterations=1)
         assert result.n_completed == result.n_jobs
+
+
+#: Events the churn bench schedules up front; half of them are cancelled
+#: and rescheduled, so ~50k heap entries pass through the loop.
+CHURN_EVENTS = 25_000
+
+
+def _order_checksum(tags) -> int:
+    """Polynomial hash of a fired sequence: any reordering changes it."""
+    h = 0
+    for tag in tags:
+        h = (h * 1_000_003 + tag) % (2**61 - 1)
+    return h
+
+
+class TestBenchEventLoop:
+    def test_event_churn(self, benchmark):
+        """Schedule, cancel and reschedule through the DES heap: the
+        engine's completion-handle pattern at kernel level.
+
+        Every even event is cancelled and pushed again later through
+        ``at_many`` in batches of five, as a dirty sweep does.  The timed
+        run must fire exactly ``CHURN_EVENTS`` events in
+        ``(time, priority, seq)`` order.
+        """
+        n = CHURN_EVENTS
+        first = [(i * 7919) % 1000 * 0.5 for i in range(n)]
+        # Reference order from the keys alone: (time, priority, seq).
+        keys = {i: (first[i], i % 3, i) for i in range(n)}
+        seq = n
+        for start in range(0, n, 10):
+            for i in range(start, min(start + 10, n), 2):
+                keys[i] = (keys[i][0] + 0.25, 0, seq)
+                seq += 1
+        expected = sorted(keys, key=keys.__getitem__)
+
+        def churn():
+            sim = Simulator()
+            fired = []
+            record = fired.append
+            handles = [
+                sim.at(first[i], partial(record, i), priority=i % 3)
+                for i in range(n)
+            ]
+            for start in range(0, n, 10):
+                batch = range(start, min(start + 10, n), 2)
+                for i in batch:
+                    handles[i].cancel()
+                sim.at_many([keys[i][0] for i in batch],
+                            [partial(record, i) for i in batch])
+            sim.run()
+            return sim, fired
+
+        sim, fired = benchmark(churn)
+        assert len(fired) == sim.events_processed == n
+        assert sim.pending == 0
+        assert _order_checksum(fired) == _order_checksum(expected)
 
 
 class TestBenchWorkload:

@@ -30,10 +30,11 @@ wattage while stretching the load axis.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from functools import lru_cache
+from operator import ge, sub, truediv
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -80,9 +81,24 @@ class PowerModel:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=256)
+def _table_knots(points: Tuple[Tuple[float, float], ...]) -> Tuple[tuple, ...]:
+    """Validated ``(xs, ys, slopes)`` of a power table; memoized, since
+    every host of a class builds the same table (invalid ones raise)."""
+    if len(points) < 2:
+        raise ConfigurationError("need at least two (cpu, watts) points")
+    xs, ys = (tuple(map(float, column)) for column in zip(*points))
+    if any(map(ge, xs, xs[1:])):
+        raise ConfigurationError("cpu points must be strictly increasing")
+    if any(w < 0 for w in ys):
+        raise ConfigurationError("wattage must be non-negative")
+    return xs, ys, tuple(map(truediv, map(sub, ys[1:], ys), map(sub, xs[1:], xs)))
+
+
 @dataclass(frozen=True)
 class TablePowerModel(PowerModel):
-    """Piecewise-linear interpolation of measured (CPU%, W) points.
+    """Piecewise-linear interpolation of measured (CPU%, W) points, in
+    ``np.interp``'s exact arithmetic over knots precomputed at construction.
 
     Examples
     --------
@@ -98,22 +114,27 @@ class TablePowerModel(PowerModel):
     points: Tuple[Tuple[float, float], ...] = PAPER_TABLE_I
 
     def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise ConfigurationError("need at least two (cpu, watts) points")
-        xs = [p[0] for p in self.points]
-        if xs != sorted(xs) or len(set(xs)) != len(xs):
-            raise ConfigurationError("cpu points must be strictly increasing")
-        if any(w < 0 for _, w in self.points):
-            raise ConfigurationError("wattage must be non-negative")
+        object.__setattr__(self, "_knots", _table_knots(self.points))
+
+    def __reduce__(self):
+        # Snapshots hold one model per host: pickle the points, not knots.
+        return (TablePowerModel, (self.points,))
 
     @property
     def capacity(self) -> float:  # type: ignore[override]
         return self.points[-1][0]
 
     def power(self, cpu_pct: float) -> float:
-        xs = np.array([p[0] for p in self.points])
-        ys = np.array([p[1] for p in self.points])
-        return float(np.interp(cpu_pct, xs, ys))
+        x = float(cpu_pct)
+        xs, ys, slopes = self._knots
+        if x <= xs[0]:
+            return ys[0]
+        if x >= xs[-1]:
+            return ys[-1]
+        j = bisect_right(xs, x) - 1
+        if xs[j] == x:
+            return ys[j]
+        return slopes[j] * (x - xs[j]) + ys[j]
 
     def scaled_to(self, capacity: float) -> "TablePowerModel":
         if capacity <= 0:

@@ -13,14 +13,12 @@ VM actually received; the VM completes when it reaches ``job.work``.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import StateError
 from repro.workload.job import Job
 
-__all__ = ["Vm", "VmState", "batch_eta"]
+__all__ = ["Vm", "VmState"]
 
 
 class VmState(enum.Enum):
@@ -179,29 +177,3 @@ class Vm:
             f"Vm(id={self.vm_id}, {self.state.value}, host={self.host_id}, "
             f"req={self.cpu_req:.0f}%, done={self.work_done / max(self.work_total, 1e-12):.0%})"
         )
-
-
-def batch_eta(vms: Sequence[Vm], now: float) -> np.ndarray:
-    """Vectorized :meth:`Vm.eta` for accruing VMs with a positive share.
-
-    Callers (the engine's batched completion reschedule) pre-filter to
-    RUNNING VMs whose ``share > 0``, so only the anchored branch of
-    :meth:`Vm.eta` applies.  Every elementwise operation mirrors that
-    branch's scalar float arithmetic (subtract, clamp, divide, add), so
-    ``batch_eta(vms, now)[i] == vms[i].eta(now)`` bit for bit — the
-    differential tests assert as much.  Kept next to :meth:`Vm.eta` so the
-    two formulas cannot drift apart silently.
-    """
-    n = len(vms)
-    remaining = np.empty(n)
-    share = np.empty(n)
-    anchor = np.empty(n)
-    for i, vm in enumerate(vms):
-        remaining[i] = vm.work_total - vm.work_done
-        share[i] = vm.share
-        anchor[i] = vm.last_progress_t
-    np.maximum(remaining, 0.0, out=remaining)
-    eta = anchor + remaining / share
-    # remaining <= 0 short-circuits to ``now`` before the division in the
-    # scalar method; the division result for those lanes is discarded.
-    return np.where(remaining <= 0.0, now, eta)

@@ -1,11 +1,13 @@
-"""Event objects for the DES kernel.
+"""Event records for the DES kernel.
 
 An :class:`Event` couples a firing time with a zero-argument callback.
-Events are ordered by ``(time, priority, sequence)`` so that simultaneous
-events fire in a deterministic order: lower ``priority`` first, then
-insertion order.  Determinism of tie-breaking matters — the score-based
-scheduler reacts to *every* system change, so two runs of the same seed
-must observe changes in the same order to produce identical schedules.
+The simulator's heap holds ``(time, priority, seq, event)`` tuples, so
+simultaneous events fire lower ``priority`` first, then in insertion
+order; ``seq`` is unique, so tuple comparison never reaches the event,
+which has no ordering of its own.  Determinism of tie-breaking matters —
+the score-based scheduler reacts to *every* system change, so two runs
+of the same seed must observe changes in the same order to produce
+identical schedules.
 
 Cancellation is handled with a tombstone flag rather than heap surgery
 (:class:`EventHandle.cancel` is O(1); the simulator skips dead events when
@@ -18,25 +20,33 @@ on every ``pending`` query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "EventHandle"]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback, ordered by (time, priority, seq)."""
+    """A scheduled callback; its heap entry carries the order key."""
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Owning simulator while the event sits live in its heap; cleared when
-    #: the event fires or is cancelled, so notifications fire exactly once.
-    owner: Optional[Any] = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "callback", "label", "cancelled", "owner")
+
+    def __init__(self, time: float, callback: Callable[[], None], label: str = "",
+                 owner: Optional[Any] = None) -> None:
+        self.time = time
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        #: Owning simulator while the event sits live in its heap; cleared when
+        #: the event fires or is cancelled, so notifications fire exactly once.
+        self.owner = owner
+
+    # Snapshots pickle every event in the heap: a plain tuple state is
+    # smaller and faster to write than the per-slot dict of the default.
+    def __getstate__(self) -> tuple:
+        return (self.time, self.callback, self.label, self.cancelled, self.owner)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.time, self.callback, self.label, self.cancelled, self.owner = state
 
 
 class EventHandle:
@@ -64,25 +74,19 @@ class EventHandle:
 
     @property
     def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
+        """Whether the event was cancelled before it fired."""
         return self._event.cancelled
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired or was cancelled."""
         event = self._event
-        if event.cancelled:
+        owner = event.owner
+        if owner is None:
             return
         event.cancelled = True
-        owner = event.owner
         event.owner = None
-        if owner is not None:
-            owner._note_cancelled(event)
+        owner._note_cancelled(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.3f}, {self.label!r}, {state})"
-
-
-def make_handle(event: Event) -> EventHandle:
-    """Internal helper used by the simulator to wrap a raw event."""
-    return EventHandle(event)

@@ -14,12 +14,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des.event import Event, EventHandle
 from repro.errors import SimulationError
 
 __all__ = ["Simulator"]
+
+#: A heap entry: ``(time, priority, seq, event)``.  ``seq`` is unique, so
+#: tuple comparison never reaches the event.
+Entry = Tuple[float, int, int, Event]
 
 
 class Simulator:
@@ -46,7 +50,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._heap: List[Event] = []
+        self._heap: List[Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -119,9 +123,11 @@ class Simulator:
 
     def _compact(self) -> None:
         # Order-preserving: (time, priority, seq) is a unique total order,
-        # so heapify of the filtered list pops in the same sequence.
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        # so heapify of the filtered list pops in the same sequence.  In
+        # place, because :meth:`run` holds the list while callbacks cancel.
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
         self._tombstones = 0
 
     # ------------------------------------------------------------- scheduling
@@ -165,15 +171,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            seq=next(self._seq),
-            callback=callback,
-            label=label,
-            owner=self,
-        )
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        event = Event(time, callback, label, self)
+        heapq.heappush(self._heap, (time, int(priority), next(self._seq), event))
         self._live += 1
         return EventHandle(event)
 
@@ -202,7 +202,9 @@ class Simulator:
             raise SimulationError("times and callbacks must match in length")
         if labels is not None and len(labels) != len(times):
             raise SimulationError("labels must match times in length")
-        events: List[Event] = []
+        priority = int(priority)
+        seq = self._seq
+        entries: List[Entry] = []
         for i, time in enumerate(times):
             time = float(time)
             if not math.isfinite(time):
@@ -211,25 +213,19 @@ class Simulator:
                 raise SimulationError(
                     f"cannot schedule at t={time} before current time t={self._now}"
                 )
-            events.append(
-                Event(
-                    time=time,
-                    priority=int(priority),
-                    seq=next(self._seq),
-                    callback=callbacks[i],
-                    label=labels[i] if labels is not None else "",
-                    owner=self,
-                )
+            event = Event(
+                time, callbacks[i], labels[i] if labels is not None else "", self
             )
+            entries.append((time, priority, next(seq), event))
         heap = self._heap
-        if len(events) >= 8 and len(events) * 4 >= len(heap):
-            heap.extend(events)
+        if len(entries) >= 8 and len(entries) * 4 >= len(heap):
+            heap.extend(entries)
             heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(heap, event)
-        self._live += len(events)
-        return [EventHandle(e) for e in events]
+            for entry in entries:
+                heapq.heappush(heap, entry)
+        self._live += len(entries)
+        return [EventHandle(entry[3]) for entry in entries]
 
     # ------------------------------------------------------------------- run
 
@@ -240,7 +236,7 @@ class Simulator:
         empty (cancelled tombstones are discarded silently).
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 self._tombstones -= 1
                 continue
@@ -282,18 +278,21 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         budget = max_events if max_events is not None else float("inf")
+        heap = self._heap
+        heappop = heapq.heappop
         try:
-            while self._heap and budget > 0 and not self._stop_requested:
-                event = self._heap[0]
+            while heap and budget > 0 and not self._stop_requested:
+                entry = heap[0]
+                event = entry[3]
                 if event.cancelled:
-                    heapq.heappop(self._heap)
+                    heappop(heap)
                     self._tombstones -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and entry[0] > until:
                     # The world continues past the horizon: close at it.
                     self._now = float(until)
                     break
-                heapq.heappop(self._heap)
+                heappop(heap)
                 self._live -= 1
                 event.owner = None
                 self._now = event.time

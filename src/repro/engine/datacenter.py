@@ -76,7 +76,6 @@ import os
 import time as _time
 import warnings
 
-import numpy as np
 from array import array
 from collections import deque
 from dataclasses import replace as _replace
@@ -88,7 +87,7 @@ from repro.cluster.failures import FailureProcess
 from repro.cluster.faults import ObservedReliability, OperationFaultModel
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.vm import Vm, VmState, batch_eta
+from repro.cluster.vm import Vm, VmState
 from repro.cluster.xen import ShareMemo
 from repro.des.random import RandomStreams
 from repro.des.simulator import Simulator
@@ -1414,16 +1413,16 @@ class DatacenterSimulation(ActuatorsMixin):
     def _reschedule_completions_batched(
         self, hosts: List[Host], now: float
     ) -> None:
-        """Completion handles for a whole dirty sweep in one eta pass.
+        """Completion handles for a whole dirty sweep in one heap push.
 
         Cancels exactly the handles a per-VM :meth:`_reschedule_completion`
-        loop would cancel, computes all etas vectorized
-        (:func:`repro.cluster.vm.batch_eta`, elementwise identical to
-        :meth:`Vm.eta`), and pushes the new events through
-        :meth:`Simulator.at_many` in the same order that loop would —
-        consecutive sequence numbers, identical fired-event sequence.
+        loop would cancel, takes each eta from :meth:`Vm.eta` clamped to
+        ``now`` as that loop does, and pushes the new events through
+        :meth:`Simulator.at_many` in the same order — consecutive sequence
+        numbers, identical fired-event sequence.
         """
         vms: List[Vm] = []
+        times: List[float] = []
         for host in hosts:
             for vm in host.vms.values():
                 state = vm.state
@@ -1431,14 +1430,14 @@ class DatacenterSimulation(ActuatorsMixin):
                     self._cancel_completion(vm)
                     if vm.share > 0:
                         vms.append(vm)
+                        times.append(max(vm.eta(now), now))
                 elif state is VmState.MIGRATING:
                     # Completion is checked at migration end; no event now.
                     self._cancel_completion(vm)
         if not vms:
             return
-        times = np.maximum(batch_eta(vms, now), now)
         handles = self.sim.at_many(
-            times.tolist(),
+            times,
             [partial(self._on_completion, vm) for vm in vms],
             labels=[f"complete:{vm.vm_id}" for vm in vms],
         )

@@ -10,9 +10,10 @@ and event trace **bit-identical** to the uninterrupted run.
 What a snapshot contains (everything, by construction — the engine is
 pickled as one object, so shared identities survive):
 
-* the DES kernel: virtual clock, event heap with its scheduled callbacks
-  (all ``functools.partial`` of bound methods — picklable), tombstones,
-  the sequence counter;
+* the DES kernel: virtual clock, the event heap as a list of
+  ``(time, priority, seq, event)`` entries whose events hold the
+  scheduled callbacks (all ``functools.partial`` of bound methods —
+  picklable), tombstones, the sequence counter;
 * every :class:`~repro.des.random.RandomStreams` numpy generator state;
 * hosts and VMs with their incremental occupancy aggregates, the
   delta-maintained :class:`~repro.engine.metrics.MetricsCollector`;
@@ -98,7 +99,10 @@ __all__ = [
 #:    flag (the share memo is always present), each host lost its
 #:    ``_scheduler`` (shares are solved against ``spec.cpu_capacity``),
 #:    and ``EngineConfig`` lost the refresh-mode field.
-SNAPSHOT_VERSION = 4
+#: 5: tuple-keyed DES heap — heap entries are ``(time, priority, seq,
+#:    event)`` tuples, and ``Event`` is a slotted record that no longer
+#:    carries ``priority``/``seq``.
+SNAPSHOT_VERSION = 5
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -1,7 +1,8 @@
 """Tests for power models and energy accounting (:mod:`repro.cluster.power`)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.energy import EnergyAccount
 from repro.cluster.power import (
@@ -67,6 +68,67 @@ class TestTablePowerModel:
         """
         model = TablePowerModel()
         assert model.power(4 * 100.0) == model.power(400.0)
+
+
+def _np_interp(model, x):
+    xs = np.array([p[0] for p in model.points])
+    ys = np.array([p[1] for p in model.points])
+    return float(np.interp(x, xs, ys))
+
+
+@st.composite
+def _table_models(draw):
+    """Random strictly increasing knots, rescaled to a random capacity."""
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=500.0),
+                         min_size=1, max_size=8))
+    start = draw(st.floats(min_value=0.0, max_value=100.0))
+    xs = [start]
+    for gap in gaps:
+        xs.append(xs[-1] + gap)
+    ys = draw(st.lists(st.floats(min_value=0.0, max_value=5000.0),
+                       min_size=len(xs), max_size=len(xs)))
+    model = TablePowerModel(points=tuple(zip(xs, ys)))
+    if draw(st.booleans()):
+        model = model.scaled_to(draw(st.floats(min_value=1.0, max_value=1e5)))
+    return model
+
+
+class TestTablePowerDifferential:
+    """The scalar lookup against ``np.interp`` on the same knots, bit for
+    bit: end values outside the range, ``y_j`` on a knot, the slope
+    formula in between."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=_table_models(), data=st.data())
+    def test_matches_np_interp_bitwise(self, model, data):
+        lo, hi = model.points[0][0], model.points[-1][0]
+        xs = [
+            data.draw(st.floats(min_value=lo, max_value=hi)),
+            data.draw(st.integers(min_value=-10, max_value=int(hi) + 10)),
+            data.draw(st.sampled_from([p[0] for p in model.points])),
+            data.draw(st.floats(min_value=-1e6, max_value=lo)),
+            data.draw(st.floats(min_value=hi, max_value=1e9)),
+            float("inf"),
+            float("-inf"),
+        ]
+        for x in xs:
+            got = model.power(x)
+            assert type(got) is float
+            assert got == _np_interp(model, x), (x, model.points)
+
+    def test_knot_of_an_infinite_slope_returns_its_watts(self):
+        # slope_1 overflows to inf; at x == x_1 the formula would give
+        # inf * 0 = nan, and np.interp returns y_1.
+        model = TablePowerModel(
+            points=((0.0, 0.0), (1.0, 0.0), (1.0 + 2.0**-52, 1e308))
+        )
+        assert model.power(1.0) == 0.0 == _np_interp(model, 1.0)
+
+    @given(cpu=st.integers(min_value=-100, max_value=1700),
+           ncpus=st.integers(min_value=1, max_value=16))
+    def test_paper_curve_at_integer_cpu_on_scaled_hosts(self, cpu, ncpus):
+        model = TablePowerModel().scaled_to(100.0 * ncpus)
+        assert model.power(cpu) == _np_interp(model, cpu)
 
 
 class TestLinearPowerModel:

@@ -2,8 +2,9 @@
 
 Three layers of proof that skipping work never changes results:
 
-* kernel level — :func:`repro.cluster.vm.batch_eta` versus
-  :meth:`Vm.eta`, and :meth:`Simulator.at_many` versus per-item
+* kernel level — the completion events the engine's batched reschedule
+  pushes carry :meth:`Vm.eta` clamped to ``now``, in (sorted host,
+  residency) order, and :meth:`Simulator.at_many` versus per-item
   :meth:`Simulator.at` (same fired order on both heap paths);
 * memo level — :class:`ShareMemo` hits return the exact solution, and a
   share problem seen twice in one dirty sweep is solved once;
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster.faults import FaultConfig
 from repro.cluster.host import HostState
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.vm import Vm, VmState, batch_eta
+from repro.cluster.vm import Vm, VmState
 from repro.cluster import host as host_module
 from repro.cluster.xen import CreditScheduler, ShareMemo, compute_shares
 from repro.des.simulator import Simulator
@@ -238,40 +239,86 @@ class TestShareMemo:
         assert clone.get(("k",)) == (4.0,)
 
 
-# ----------------------------------------------------- batched eta kernel
+# ------------------------------------------------ batched completion etas
 
 
-def _running_vm(vm_id, work, done, share, anchor):
+def _running_vm(vm_id, work, done, share, anchor, state=VmState.RUNNING):
     vm = Vm(Job(job_id=vm_id, submit_time=0.0, runtime_s=work / 100.0,
                 cpu_pct=100.0, mem_mb=512.0))
-    vm.state = VmState.RUNNING
+    vm.state = state
     vm.work_done = done
     vm.share = share
     vm.last_progress_t = anchor
     return vm
 
 
+def _pushed_completions(engine):
+    """``vm_id -> (time, seq)`` of every live completion event."""
+    handles = engine._completion_handles
+    by_event = {id(h._event): vm_id for vm_id, h in handles.items()}
+    pushed = {}
+    for time, _, seq, event in engine.sim._heap:
+        if not event.cancelled and id(event) in by_event:
+            pushed[by_event[id(event)]] = (time, seq)
+    assert len(pushed) == len(handles)
+    return pushed
+
+
 class TestBatchEta:
-    @settings(max_examples=100, deadline=None)
+    """The engine path that replaced the vectorized eta kernel: every
+    completion event ``_reschedule_completions_batched`` pushes fires at
+    ``max(vm.eta(now), now)``, and the pushes draw consecutive sequence
+    numbers in (sorted host, residency) order."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_matches_scalar_eta_bitwise(self, data):
         now = data.draw(st.floats(min_value=0.0, max_value=1e6), label="now")
-        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
-        vms = []
-        for i in range(n):
-            work = data.draw(st.floats(min_value=1.0, max_value=1e6))
-            done = data.draw(st.floats(min_value=0.0, max_value=work * 1.5))
-            share = data.draw(st.floats(min_value=1e-6, max_value=400.0))
-            anchor = data.draw(st.floats(min_value=0.0, max_value=now))
-            vms.append(_running_vm(i, work, done, share, anchor))
-        out = batch_eta(vms, now)
-        for i, vm in enumerate(vms):
-            expected = vm.eta(now)
-            assert out[i] == expected, (i, expected, out[i])
+        engine = _engine(chaos=False, pm=False)
+        n_hosts = data.draw(st.integers(min_value=1, max_value=4), label="hosts")
+        hosts = engine.hosts[:n_hosts]
+        expected_order = []
+        vm_id = 1000
+        for host in hosts:
+            host.state = HostState.ON
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                work = data.draw(st.floats(min_value=1.0, max_value=1e6))
+                done = data.draw(st.floats(min_value=0.0, max_value=work * 1.5))
+                share = data.draw(st.one_of(
+                    st.just(0.0), st.floats(min_value=1e-6, max_value=400.0)))
+                anchor = data.draw(st.floats(min_value=0.0, max_value=now))
+                state = data.draw(st.sampled_from(
+                    [VmState.RUNNING] * 3 + [VmState.MIGRATING, VmState.CREATING]))
+                vm = _running_vm(vm_id, work, done, share, anchor, state)
+                vm_id += 1
+                host.add_vm(vm)
+                if state is VmState.RUNNING and share > 0:
+                    expected_order.append(vm)
+        # A first sweep leaves handles behind; the second must cancel and
+        # replace every one of them.
+        engine._reschedule_completions_batched(hosts, now)
+        old = dict(engine._completion_handles)
+        engine._reschedule_completions_batched(hosts, now)
+        assert all(h.cancelled for h in old.values())
+        pushed = _pushed_completions(engine)
+        assert sorted(pushed) == sorted(vm.vm_id for vm in expected_order)
+        seqs = [pushed[vm.vm_id][1] for vm in expected_order]
+        if seqs:
+            assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+        for vm in expected_order:
+            expected = max(vm.eta(now), now)
+            assert pushed[vm.vm_id][0] == expected, (vm.vm_id, expected)
+            assert engine._completion_handles[vm.vm_id].time == expected
 
     def test_finished_vm_maps_to_now(self):
-        vm = _running_vm(0, 100.0, 100.0, 50.0, 3.0)
-        assert batch_eta([vm], 7.5)[0] == 7.5 == vm.eta(7.5)
+        engine = _engine(chaos=False, pm=False)
+        host = engine.hosts[0]
+        host.state = HostState.ON
+        vm = _running_vm(7, 100.0, 100.0, 50.0, 3.0)
+        host.add_vm(vm)
+        engine._reschedule_completions_batched([host], 7.5)
+        assert _pushed_completions(engine)[vm.vm_id][0] == 7.5 == vm.eta(7.5)
 
 
 # --------------------------------------------------------------- at_many

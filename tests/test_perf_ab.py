@@ -64,3 +64,55 @@ def test_directions_come_from_the_benchmark_declaration(perf_ab):
     better = perf_ab.metric_directions()
     assert better["round_p50_ms"] == "lower"
     assert better["share_memo_hit_pct"] == "higher"
+
+
+# ------------------------------------------------------------------ gate
+
+BOUNDS = {"job_ms": 0.24, "hit_pct": 0.24}
+
+
+def _pairs(base_vals, head_vals, name="job_ms"):
+    return [(_run(**{name: b}), _run(**{name: h}))
+            for b, h in zip(base_vals, head_vals)]
+
+
+def _gate(perf_ab, pairs, better=None):
+    rows = perf_ab.summarize(pairs, better or BETTER)
+    return perf_ab.gate_failures(rows, BOUNDS)
+
+
+def test_gate_fails_a_consistent_slowdown_beyond_the_bound(perf_ab):
+    base = [1.0, 1.1, 0.9]
+    failures = _gate(perf_ab, _pairs(base, [v * 1.3 for v in base]))
+    assert len(failures) == 1
+    assert failures[0].startswith("job_ms: median +30.0%")
+
+
+def test_gate_fails_a_drop_of_a_higher_is_better_metric(perf_ab):
+    base = [90.0, 80.0, 85.0]
+    pairs = _pairs(base, [v * 0.7 for v in base], name="hit_pct")
+    assert _gate(perf_ab, pairs) == [
+        "hit_pct: median -30.0% is worse than the 24% bound in all 3 pairs"
+    ]
+
+
+def test_gate_passes_mixed_signs(perf_ab):
+    # The median is 30 % worse, but one pair is faster: not a regression.
+    base = [1.0, 1.0, 1.0]
+    assert _gate(perf_ab, _pairs(base, [1.3, 1.4, 0.9])) == []
+
+
+def test_gate_passes_a_no_op(perf_ab):
+    base = [1.0, 1.1, 0.9]
+    assert _gate(perf_ab, _pairs(base, list(base))) == []
+
+
+def test_gate_passes_a_consistent_slowdown_inside_the_bound(perf_ab):
+    base = [1.0, 1.1, 0.9]
+    assert _gate(perf_ab, _pairs(base, [v * 1.2 for v in base])) == []
+
+
+def test_gate_bounds_come_from_the_benchmark_declaration(perf_ab):
+    bounds = perf_ab.end_to_end_bounds()
+    assert set(bounds) == {"job_ms", "round_p50_ms", "round_p99_ms", "setup_s"}
+    assert all(0 < bound < 1 for bound in bounds.values())

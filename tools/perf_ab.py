@@ -15,6 +15,7 @@ Usage (from the repository root)::
 
     python tools/perf_ab.py --base HEAD --workload paper --pairs 5 --seconds 25
     python tools/perf_ab.py --base HEAD --workload paper --pairs 3 --seconds 25 --trace 1
+    python tools/perf_ab.py --base origin/main --workload paper --pairs 3 --seconds 8 --gate
 
 The base revision is exported with ``git archive`` into
 ``.bench_build/perf_ab/<commit>/`` (reused on later invocations): a plain
@@ -26,6 +27,11 @@ Exits 1 when any run exits non-zero, reports ``correct: false`` or prints
 no result; the numbers of a run that failed its own checks are not
 comparable.  ``--json PATH`` also writes every run's raw result and the
 per-metric summary (medians, base interquartile spread, wins).
+
+``--gate`` turns the comparison into a regression gate: it also exits 1
+when an end-to-end metric's median is worse than the base's by more than
+that metric's ``BENCHMARK.json`` bound *and* the working tree is worse in
+every pair.  One pair of the opposite sign (or a tie) is read as noise.
 """
 
 from __future__ import annotations
@@ -110,6 +116,37 @@ def metric_directions() -> Dict[str, str]:
     }
 
 
+def end_to_end_bounds() -> Dict[str, float]:
+    """``{metric: bound}`` of every end-to-end metric ``BENCHMARK.json``
+    declares: the largest relative regression the gate lets through."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+
+
+def gate_failures(rows: Dict[str, Dict], bounds: Dict[str, float]) -> List[str]:
+    """The end-to-end metrics that regress beyond their bound.
+
+    A metric fails when its median delta is worse than ``bound`` in its
+    ``better`` direction and head is worse than base in every pair.
+    """
+    failures = []
+    for name, bound in bounds.items():
+        row = rows.get(name)
+        if row is None or row["better"] is None or not row["base_median"]:
+            continue
+        sign = 1.0 if row["better"] == "lower" else -1.0
+        delta = row["head_median"] / row["base_median"] - 1.0
+        every_pair_worse = all(
+            sign * (h - b) > 0 for b, h in zip(row["base"], row["head"])
+        )
+        if sign * delta > bound and every_pair_worse:
+            failures.append(
+                f"{name}: median {delta * 100:+.1f}% is worse than the "
+                f"{bound * 100:.0f}% bound in all {row['pairs']} pairs"
+            )
+    return failures
+
+
 def _iqr(vals: List[float]) -> float:
     if len(vals) < 2:
         return 0.0
@@ -191,6 +228,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--json", help="also write every run's raw result here")
+    parser.add_argument(
+        "--gate", action="store_true",
+        help="exit 1 when an end-to-end metric regresses beyond its "
+             "BENCHMARK.json bound in every pair",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -235,6 +277,13 @@ def main(argv=None) -> int:
           f"base {args.base}, trace {args.trace}")
     for line in format_summary(rows):
         print(line)
+    if args.gate:
+        failures = gate_failures(rows, end_to_end_bounds())
+        for failure in failures:
+            print(f"GATE FAILED: {args.workload} {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(f"gate: {args.workload} passes every end-to-end bound")
     return 0
 
 
