@@ -388,8 +388,12 @@ class DatacenterSimulation(ActuatorsMixin):
         it is dropped here and re-derived from the replayable stream
         factory plus the pull cursor on restore.  Everything else — heap
         callbacks (``functools.partial`` of bound methods), RNG states,
-        policy caches, the persistent score matrix — pickles as-is, with
-        shared object identities preserved by the pickle memo.
+        the policy's columnar state and score matrix — pickles with shared
+        object identities preserved by the pickle memo.  Three members
+        leave derived payload out through their own ``__getstate__``: the
+        score matrix its cell array (rebuilt on first access), the slot
+        registry its finished VMs, and the event trace its record objects
+        (pickled as tuples).
         """
         state = self.__dict__.copy()
         state["_job_iter"] = None

@@ -7,8 +7,8 @@ killed mid-flight (crash, OOM, preemption, SIGKILL) resumes from its
 latest snapshot and produces a :class:`~repro.engine.results.SimulationResult`
 and event trace **bit-identical** to the uninterrupted run.
 
-What a snapshot contains (everything, by construction — the engine is
-pickled as one object, so shared identities survive):
+What a snapshot contains (the whole engine, pickled as one object so
+shared identities survive, minus state a restore derives cheaply):
 
 * the DES kernel: virtual clock, the event heap as a list of
   ``(time, priority, seq, event)`` entries whose events hold the
@@ -20,10 +20,19 @@ pickled as one object, so shared identities survive):
 * chaos state: :class:`~repro.cluster.faults.OperationFaultModel` RNGs and
   :class:`~repro.cluster.faults.ObservedReliability` EWMAs, supervisor
   retry/quarantine/orphan bookkeeping;
-* the scheduling policy with its columnar caches and
-  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix`
-  (pickled live, so ``rescore_stats`` resumes exactly — no rebuild marker
-  needed, and no rebuild-induced counter drift);
+* the scheduling policy with its
+  :class:`~repro.scheduling.score.columnar.ColumnarClusterState` and
+  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` —
+  every O(hosts + slots) member (row copies, per-slot column attributes,
+  argmin caches, catch-up stamps, counters), but not the O(hosts x
+  slots) cell array: the first access after a restore rebuilds the cells
+  in one block from those members, and counts nothing, so
+  ``rescore_stats`` resumes exactly;
+* the VM slot registry with finished VMs replaced by a stand-in (they
+  wait there for the next sweep; the stand-in keeps the key order, so
+  the sweep frees the same slots in the same order);
+* the event trace, with its records pickled as plain tuples and rebuilt
+  on load;
 * the streaming-workload cursor (the generator itself is unpicklable;
   the engine records how many jobs were pulled and re-derives the
   iterator from the replayable stream factory on restore).
@@ -39,8 +48,7 @@ directory, flushed, ``fsync``\\ ed, then atomically renamed — a torn write
 can never shadow a good snapshot — and the directory keeps only the last
 K files.  The durable half runs on a background writer thread (at most
 one write in flight), so the simulation itself only pays serialization
-time; at the 10k-host rung that turns a multi-second fsync of a ~340 MB
-payload into sub-second overhead per checkpoint.  A JSON header line precedes the pickle payload carrying the
+time.  A JSON header line precedes the pickle payload carrying the
 format version and a config fingerprint; restoring with a mismatched
 version or fingerprint raises :class:`~repro.errors.StateError` naming
 both sides, never a silent wrong-state resume.
@@ -102,7 +110,11 @@ __all__ = [
 #: 5: tuple-keyed DES heap — heap entries are ``(time, priority, seq,
 #:    event)`` tuples, and ``Event`` is a slotted record that no longer
 #:    carries ``priority``/``seq``.
-SNAPSHOT_VERSION = 5
+#: 6: snapshots carry the world, not the caches — the score matrix is
+#:    pickled without its cell array (rebuilt on first access), the slot
+#:    registry with finished VMs as stand-ins, and the event trace with
+#:    its records as tuples.
+SNAPSHOT_VERSION = 6
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from operator import attrgetter
+from typing import Deque, Dict, List, Optional
 
 __all__ = [
     "TraceEventKind",
@@ -83,6 +85,11 @@ class TraceRecord:
         return "  ".join(bits)
 
 
+#: A record as the plain ``(time, kind, vm_id, host_id, detail)`` tuple
+#: snapshots pickle (a tuple pickles several times faster than a dataclass).
+_as_tuple = attrgetter("time", "kind", "vm_id", "host_id", "detail")
+
+
 class EventTrace:
     """Bounded in-memory event log.
 
@@ -98,8 +105,24 @@ class EventTrace:
 
     def __init__(self, capacity: Optional[int] = 100_000) -> None:
         self.capacity = None if capacity is None else int(capacity)
-        self._records: List[TraceRecord] = []
+        self._records: Deque[TraceRecord] = deque(maxlen=self.capacity)
         self.dropped = 0
+
+    # ------------------------------------------------------------ snapshots
+
+    def __getstate__(self) -> dict:
+        """Pickle the records as plain tuples; :meth:`__setstate__` rebuilds
+        the :class:`TraceRecord` objects."""
+        state = self.__dict__.copy()
+        state["_records"] = list(map(_as_tuple, self._records))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._records = deque(
+            (TraceRecord(*fields) for fields in state["_records"]),
+            maxlen=self.capacity,
+        )
 
     # ---------------------------------------------------------------- write
 
@@ -111,12 +134,11 @@ class EventTrace:
         host_id: Optional[int] = None,
         detail: str = "",
     ) -> None:
-        """Append one record (dropping the oldest beyond capacity)."""
-        self._records.append(TraceRecord(time, kind, vm_id, host_id, detail))
-        if self.capacity is not None and len(self._records) > self.capacity:
-            overflow = len(self._records) - self.capacity
-            del self._records[:overflow]
-            self.dropped += overflow
+        """Append one record (dropping the oldest beyond capacity), O(1)."""
+        records = self._records
+        if len(records) == self.capacity:
+            self.dropped += 1
+        records.append(TraceRecord(time, kind, vm_id, host_id, detail))
 
     # ----------------------------------------------------------------- read
 

@@ -43,8 +43,7 @@ attached one) and leave no sinks or listeners behind.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +56,24 @@ __all__ = ["ColumnarClusterState"]
 #: Sweep the VM registry for retired slots once it exceeds this size and
 #: has doubled since the previous sweep (amortized O(1) per column).
 _MIN_SWEEP = 1024
+
+
+class _RetiredVm:
+    """Stand-in for a finished VM in a pickled slot registry.
+
+    The sweep is the only reader of registry values, and it only asks
+    ``is_active``; a finished VM never becomes active again.  Pickles as a
+    reference to the module-level :data:`_RETIRED`.
+    """
+
+    __slots__ = ()
+    is_active = False
+
+    def __reduce__(self) -> str:
+        return "_RETIRED"
+
+
+_RETIRED = _RetiredVm()
 
 
 class ColumnarClusterState:
@@ -157,10 +174,29 @@ class ColumnarClusterState:
 
         self._reset_registry(capacity)
 
+    def __getstate__(self) -> dict:
+        """Every slot, with finished VMs in the registry as stand-ins.
+
+        Until a sweep frees their slots, the registry keeps finished VMs
+        (and with them their jobs); a snapshot would pickle them all.  The
+        stand-in keeps the key order, so the sweep after a restore frees
+        the same slots in the same order.
+        """
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_vm_of"] = {
+            vm_id: vm if vm.is_active else _RETIRED
+            for vm_id, vm in self._vm_of.items()
+        }
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def _reset_registry(self, capacity: int) -> None:
         """An empty VM slot registry with ``capacity`` slots, no listener."""
         self._slot_of: Dict[int, int] = {}
-        self._vm_of: Dict[int, Vm] = {}
+        self._vm_of: Dict[int, Union[Vm, _RetiredVm]] = {}
         self._free: List[int] = []
         self._n_slots = 0
         n_classes = len(self._class_arch)
@@ -188,7 +224,9 @@ class ColumnarClusterState:
         either is the same operation) but registers nothing: one-shot
         matrices bind to such twins, off the long-lived registry.
         """
-        twin = copy.copy(self)
+        twin = ColumnarClusterState.__new__(ColumnarClusterState)
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
         twin._reset_registry(capacity)
         return twin
 

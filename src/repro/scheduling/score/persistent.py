@@ -142,6 +142,12 @@ class PersistentScoreMatrix:
     rebuilds it only when the cluster changes.  An unattached matrix is
     valid for the round it is bound to — the one-shot
     :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`.
+
+    An engine snapshot pickles the matrix without its cell array
+    (``scores`` is ``None`` after a restore).  The first :meth:`bind_round`,
+    :meth:`verify_cells` or :meth:`host_row_score` rebuilds the cells
+    (:meth:`_rebuild_cells`); every other member, the counters behind
+    ``rescore_stats`` included, is pickled as-is.
     """
 
     def __init__(self, state: ColumnarClusterState, config: ScoreConfig) -> None:
@@ -223,6 +229,40 @@ class PersistentScoreMatrix:
         self._binds = 0
         self._row_hist: Counter = Counter()
         self._col_hist: Counter = Counter()
+
+    # ------------------------------------------------------------ snapshots
+
+    def __getstate__(self) -> dict:
+        """Pickle everything but the ``(M, cap)`` cell array.
+
+        Every other member is O(M + cap), and the cells are derivable from
+        it: :meth:`_rebuild_cells` recomputes them on first access after a
+        restore.  The rebuild cannot run in ``__setstate__`` — the state's
+        ``matrix_listener`` and this matrix's ``state`` form a pickle
+        cycle, so the columnar state may still be empty at that point.
+        """
+        state = self.__dict__.copy()
+        state["scores"] = None
+        return state
+
+    def _rebuild_cells(self) -> None:
+        """Recompute the cell array a snapshot left out.
+
+        One :meth:`_score_block` over the active rows and the live,
+        non-stale slots, from the stored row copies and column attributes.
+        Exact for every cell anything reads before rescoring it: a column
+        reads a cell only after its catch-up has rescored each row stamped
+        since the column last took part, rows touched by hypothetical
+        moves are restamped at the next bind, and stale or dead slots and
+        unavailable rows are never read.  Counts no rescored cells —
+        ``rescore_stats`` resumes exactly as pickled.
+        """
+        self.scores = np.full((self.n_rows, len(self._cur)), INF)
+        live = self._live_cols()
+        cols = live[~self._stale[live]]
+        act = self._active
+        if act.size and cols.size:
+            self.scores[act[:, None], cols] = self._score_block(act, cols)
 
     def attach(self) -> None:
         """Subscribe this matrix and its state to the cluster.
@@ -554,6 +594,8 @@ class PersistentScoreMatrix:
         reliability: Optional[Sequence[float]],
         one_column: bool,
     ) -> None:
+        if self.scores is None:
+            self._rebuild_cells()
         st = self.state
         st.sync()
         self._bind_idx += 1
@@ -948,6 +990,8 @@ class PersistentScoreMatrix:
         """
         if self.n_cols == 0:
             return 0.0
+        if self.scores is None:
+            self._rebuild_cells()
         qc = self.config.queue_cost
         if not self.avail[row]:
             vals = np.full(self.n_cols, qc)
@@ -1020,6 +1064,8 @@ class PersistentScoreMatrix:
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
         """
+        if self.scores is None:
+            self._rebuild_cells()
         live = self._live_cols()
         check = live[~self._stale[live]]
         # Lazily-behind columns (absent from recent rounds) are stale by
@@ -1095,7 +1141,7 @@ class PersistentScoreMatrix:
             "cells_rescored": float(self._cells_rescored),
             "cells_total": float(self._cells_total),
             "full_rebuilds": float(self._full_rebuilds),
-            "capacity": float(self.scores.shape[1]),
+            "capacity": float(len(self._cur)),
             "matrix_nbytes": float(self._peak_matrix_nbytes),
         }
         for bucket, count in sorted(self._row_hist.items()):

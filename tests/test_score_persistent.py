@@ -690,3 +690,75 @@ class TestNoLeakedRegistrations:
             assert host._sinks[0] is state.dirty
             assert host._sinks[1] is matrix._sink
         assert state.matrix_listener is matrix
+
+
+# --------------------------------------------------------------------------
+# Snapshots: the cell array and finished VMs stay out of the pickle
+# --------------------------------------------------------------------------
+
+
+class TestSnapshotPayload:
+    def _bound_matrix(self, n_hosts=240, n_vms=300):
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(n_hosts)]
+        vms = [make_vm(1000 + j, cpu=50.0, mem=256.0) for j in range(n_vms)]
+        for j, vm in enumerate(vms[: n_vms // 2]):
+            place(hosts[j % n_hosts], vm)
+        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix.attach()
+        matrix.bind_round(vms, 60.0)
+        return matrix, vms
+
+    def test_pickled_attached_matrix_is_smaller_than_its_cells(self):
+        import pickle
+
+        matrix, _ = self._bound_matrix()
+        blob = pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < matrix.scores.nbytes
+        restored = pickle.loads(blob)
+        assert restored.scores is None
+        assert restored.stats() == matrix.stats()
+        assert restored.verify_cells()  # first access rebuilds the cells
+        assert restored.stats() == matrix.stats()
+        act = matrix._active
+        live = np.nonzero(matrix._live & ~matrix._stale)[0]
+        assert live.size == 300
+        assert np.array_equal(
+            restored.scores[act[:, None], live], matrix.scores[act[:, None], live]
+        )
+
+    def test_finished_vms_pickle_as_stand_ins_in_key_order(self):
+        import pickle
+
+        from repro.scheduling.score.columnar import _RETIRED
+
+        matrix, vms = self._bound_matrix(n_hosts=6, n_vms=8)
+        for vm in vms[::3]:
+            vm.state = VmState.COMPLETED
+        state = matrix.state
+        restored = pickle.loads(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        assert list(restored._vm_of) == list(state._vm_of)
+        for vm in vms:
+            got = restored._vm_of[vm.vm_id]
+            if vm.is_active:
+                assert got.vm_id == vm.vm_id and got is not _RETIRED
+            else:
+                assert got is _RETIRED and not got.is_active
+        assert restored._slot_of == state._slot_of
+
+    def test_one_shot_twins_skip_the_pickle_hook(self, monkeypatch):
+        """``detached()`` copies the host side directly: a one-shot per
+        round must not pay for building a registry payload."""
+        hosts = [make_host(i) for i in range(3)]
+        vms = [make_vm(100 + v) for v in range(4)]
+        shared = ColumnarClusterState(hosts)
+
+        def refuse(self):
+            raise AssertionError("detached() ran the pickle hook")
+
+        monkeypatch.setattr(ColumnarClusterState, "__getstate__", refuse)
+        one_shot = ScoreMatrixBuilder(
+            hosts, vms, 0.0, ScoreConfig.sb(), host_cache=shared
+        )
+        assert one_shot.state is not shared
+        assert one_shot.state.res_cpu is shared.res_cpu
+        assert shared.registry_size == 0

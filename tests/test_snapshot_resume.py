@@ -17,8 +17,16 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    assume,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from repro.cluster.faults import FaultConfig
 from repro.cluster.spec import ClusterSpec
@@ -37,7 +45,7 @@ from repro.engine.snapshot import (
 )
 from repro.errors import SimulationInterrupted, StateError
 from repro.scheduling.power_manager import PowerManagerConfig
-from repro.scheduling.score import ScoreConfig
+from repro.scheduling.score import ScoreConfig, columnar
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.units import HOUR
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
@@ -300,12 +308,13 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
-        single share-solve path (version 3) or the tuple-keyed event heap
-        (version 4) pickles classes whose layout changed; it must be
-        refused from its header, never unpickled."""
+        single share-solve path (version 3), the tuple-keyed event heap
+        (version 4) or the cache-free payload (version 5) pickles classes
+        whose layout changed; it must be refused from its header, never
+        unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
@@ -409,6 +418,77 @@ class TestPickleRoundTrip:
         twice = pickle.loads(blob1)
         assert pickle.dumps(twice, protocol=pickle.HIGHEST_PROTOCOL) == blob1
         assert twice.run().canonical() == _Ref.canonical()
+
+
+# ------------------------------------- derived state left out of the pickle
+
+
+class TestDerivedStateLeavesThePickle:
+    """A snapshot carries the score matrix without its cells, the slot
+    registry without its finished VMs and the event trace as tuples; a
+    restore must rebuild exactly what anything reads."""
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.data_too_large],
+    )
+    @given(kill_after=st.integers(min_value=1, max_value=500))
+    # A touched row, and both current and lagging cells on the others.
+    @example(kill_after=118)
+    def test_rebuilt_cells_equal_the_original(self, kill_after):
+        engine = build_engine(None, chaos=True, pm=True)
+        engine.start()
+        engine.sim.run(max_events=kill_after)
+        orig = engine.policy._matrix
+        assume(orig is not None and orig._binds > 0)
+        blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+        matrix = pickle.loads(blob).policy._matrix
+        assert matrix.scores is None
+        assert matrix.verify_cells()  # first access: rebuilds the cells
+        assert matrix.stats() == orig.stats()
+        assert matrix.scores.shape == orig.scores.shape
+        # A cell is current when its row is not hypothetically touched
+        # and has not changed since its column last took part.
+        slots = np.nonzero(orig._live & ~orig._stale)[0]
+        rows = np.setdiff1d(orig._active, sorted(orig._touched))
+        current = (
+            orig._row_stamp[rows][:, None] <= orig._col_stamp[slots][None, :]
+        )
+        mine = matrix.scores[rows[:, None], slots]
+        theirs = orig.scores[rows[:, None], slots]
+        assert np.array_equal(mine[current], theirs[current])
+
+    def test_resumed_streaming_run_sweeps_the_same_slots(
+        self, tmp_path, monkeypatch
+    ):
+        """Retired VMs pickle as stand-ins; with sweeps forced every few
+        slots, a resumed run frees and reuses exactly the slots the
+        uninterrupted run does."""
+        monkeypatch.setattr(columnar, "_MIN_SWEEP", 8)
+
+        def registry(engine):
+            state = engine.policy._state
+            return dict(state._slot_of), list(state._free), state._n_slots
+
+        ref_engine = build_engine(tmp_path, streaming=True, chaos=True,
+                                  trace_events=True)
+        ref = ref_engine.run().canonical()
+        ref_registry = registry(ref_engine)
+        snaps = list_snapshots(ref_engine._snapshotter.directory)
+        assert len(snaps) >= 3
+        stand_ins = 0
+        for path in snaps:
+            resumed = load_snapshot(path)
+            stand_ins += sum(
+                vm is columnar._RETIRED
+                for vm in resumed.policy._state._vm_of.values()
+            )
+            resumed.adopt_operational(EngineConfig(seed=SEED))
+            assert resumed.run().canonical() == ref, path.name
+            assert registry(resumed) == ref_registry, path.name
+            assert trace_sig(resumed) == trace_sig(ref_engine), path.name
+        assert stand_ins > 0
 
 
 # ---------------------------------------------------- real process kills

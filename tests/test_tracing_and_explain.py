@@ -177,6 +177,53 @@ class TestTraceDurability:
             n = log.write_jsonl(str(path))
         assert n == 2
 
+    def test_full_bounded_trace_keeps_the_newest_and_counts_drops(self):
+        capacity, k = 50, 17
+        log = EventTrace(capacity=capacity)
+        for i in range(capacity + k):
+            log.emit(float(i), TraceEventKind.PLACEMENT, vm_id=i)
+        assert [r.vm_id for r in log.records] == list(range(k, capacity + k))
+        assert log.dropped == k
+        assert log.counts()["dropped_records"] == k
+
+    def test_full_bounded_emit_is_constant_time(self):
+        """Dropping the oldest record must not move the retained ones: an
+        emit into a full 100k trace costs what one into a small one does."""
+        import time
+
+        def per_emit(capacity):
+            log = EventTrace(capacity=capacity)
+            for i in range(capacity):
+                log.emit(float(i), TraceEventKind.PLACEMENT)
+            n = 2000
+            start = time.perf_counter()
+            for i in range(n):
+                log.emit(float(i), TraceEventKind.PLACEMENT)
+            return (time.perf_counter() - start) / n
+
+        small = min(per_emit(100) for _ in range(3))
+        full = min(per_emit(100_000) for _ in range(3))
+        assert full < 5 * small
+
+    @pytest.mark.parametrize("capacity", [None, 5, 40])
+    def test_pickle_round_trip(self, capacity):
+        import pickle
+
+        log = EventTrace(capacity=capacity)
+        for i in range(12):
+            log.emit(float(i), TraceEventKind.PLACEMENT, vm_id=i,
+                     host_id=i % 3, detail=f"d{i}")
+        back = pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
+        assert back.records == log.records
+        assert back.capacity == log.capacity
+        assert back.dropped == log.dropped == max(0, 12 - (capacity or 12))
+        assert back.counts() == log.counts()
+        # The restored trace keeps its bound and drop accounting going.
+        for log_ in (log, back):
+            log_.emit(99.0, TraceEventKind.COMPLETION, vm_id=99)
+        assert back.records == log.records
+        assert back.dropped == log.dropped
+
     def test_write_jsonl_silent_without_drops(self, tmp_path):
         import warnings
 
