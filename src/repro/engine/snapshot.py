@@ -69,13 +69,13 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 from dataclasses import replace as _replace
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.durable import atomic_write
 from repro.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -220,22 +220,9 @@ def _persist(
     """The durable half: temp file + fsync + atomic rename + retention."""
     directory.mkdir(parents=True, exist_ok=True)
     final = _snapshot_path(directory, index)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(directory)
+    atomic_write(
+        final, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", payload
+    )
     if keep is not None:
         for stale in list_snapshots(directory)[:-keep]:
             try:
@@ -243,19 +230,6 @@ def _persist(
             except OSError:  # pragma: no cover - retention is best-effort
                 pass
     return final
-
-
-def _fsync_dir(directory: Path) -> None:
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-    finally:
-        os.close(dir_fd)
 
 
 def list_snapshots(directory: os.PathLike) -> List[Path]:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
+from repro.durable import read_records
+
 __all__ = [
     "TraceEventKind",
     "TraceRecord",
@@ -240,43 +242,7 @@ def record_from_dict(payload: Dict[str, object]) -> TraceRecord:
 
 
 def read_jsonl(path: str) -> List[TraceRecord]:
-    """Load a trace/journal file, tolerating a torn tail.
-
-    A process killed mid-``write`` leaves a truncated last line; replay
-    must survive that (the decision journal is exactly the thing being
-    recovered after a crash), so a corrupt last non-empty line is skipped
-    with a ``RuntimeWarning`` naming the line number.
-
-    Corruption anywhere *before* the last line is not a torn write: it
-    raises :class:`~repro.errors.StateError` naming the path and line.
-    Dropping the record would lose it silently, and a journal recovered
-    without it would re-execute into a duplicate of a later decision.
-    """
-    import json
-
-    from repro.errors import StateError
-
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    last = max((i for i, raw in enumerate(lines) if raw.strip()), default=-1)
-    records: List[TraceRecord] = []
-    for i, raw in enumerate(lines):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            records.append(record_from_dict(json.loads(raw.decode("utf-8"))))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError):
-            if i != last:
-                raise StateError(
-                    f"{path}:{i + 1}: corrupt record before the last line "
-                    f"(not a torn tail); refusing to drop it"
-                ) from None
-            warnings.warn(
-                f"{path}:{i + 1}: skipping corrupt trace record "
-                f"(torn tail after a crash?)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return records
+    """Load a trace/journal file, tolerating a torn tail (the rule of
+    :mod:`repro.durable`: a torn last line is skipped with a
+    ``RuntimeWarning``, any other corruption raises ``StateError``)."""
+    return read_records(path, record_from_dict)[0]

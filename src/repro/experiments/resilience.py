@@ -49,7 +49,6 @@ import shutil
 import signal
 import threading
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -57,11 +56,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.durable import read_records, recover_tail
 from repro.errors import (
     ConfigurationError,
     ExperimentError,
     SimulationInterrupted,
-    StateError,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -313,15 +312,6 @@ def _apply_worker_fault(task_id: str, attempt: int) -> Optional[FaultSpec]:
 # -------------------------------------------------------------- journal
 
 
-def _journal_record(raw: bytes) -> Optional[dict]:
-    """The JSON object on one journal line, or ``None`` if it holds none."""
-    try:
-        record = json.loads(raw.decode("utf-8"))
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError
-        return None
-    return record if isinstance(record, dict) else None
-
-
 class SweepJournal:
     """Append-only JSONL log of sweep attempts, enabling ``--resume``.
 
@@ -356,7 +346,12 @@ class SweepJournal:
     ) -> None:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._repair_torn_tail()
+            try:
+                # End the file at a record boundary, or refuse a corrupt
+                # one, before the first append lands behind it.
+                recover_tail(self.path, dict)
+            except FileNotFoundError:
+                pass
             self._fh = open(self.path, "a", encoding="utf-8")
         entry = {
             "task": task_id,
@@ -369,39 +364,10 @@ class SweepJournal:
         self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def _repair_torn_tail(self) -> None:
-        """End the journal at a record boundary before the first append.
-
-        Appending onto a torn last line would fuse the fragment and the
-        new record into one corrupt line that is no longer the last, which
-        :meth:`read_entries` then refuses.  So a last line that is not a
-        record is cut off (with the reader's "torn write" warning), and a
-        complete last record that only lost its newline gets one.
-        """
-        try:
-            fh = open(self.path, "rb+")
-        except FileNotFoundError:
-            return
-        with fh:
-            data = fh.read()
-            body = data.rstrip()
-            start = body.rfind(b"\n") + 1
-            if _journal_record(body[start:]) is not None:
-                if not data.endswith(b"\n"):
-                    fh.write(b"\n")
-                return
-            if body:
-                line = body.count(b"\n", 0, start) + 1
-                warnings.warn(
-                    f"sweep journal {os.fspath(self.path)}:{line}: cutting "
-                    f"corrupt last line (torn write?) before appending",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            fh.truncate(start)
-
     def close(self) -> None:
         if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
 
@@ -415,44 +381,15 @@ class SweepJournal:
     def read_entries(path: os.PathLike) -> List[dict]:
         """All records, tolerating a torn tail; ``[]`` if there is no journal.
 
-        A journal whose writer was SIGKILLed mid-``write`` legitimately
-        ends in a torn line; a corrupt *last* line is skipped with a
-        warning naming the line number, so ``--resume`` keeps working
-        after a crash while the operator still learns the file was
-        damaged.  Corruption anywhere before the last line is not a torn
-        write: it raises :class:`~repro.errors.StateError` naming
-        ``path:line``, because dropping the record would silently rerun
-        (or forget the failure of) that task.  Only a missing file means
-        "no journal"; any other read error (a directory in its place, a
-        permission problem) propagates rather than rerunning every task.
+        Corruption other than a torn last line raises ``StateError`` (see
+        :mod:`repro.durable`) rather than silently rerun that task.  Only
+        a missing file means "no journal"; any other read error
+        propagates rather than rerunning every task.
         """
         try:
-            with open(path, "rb") as fh:
-                lines = fh.read().splitlines()
+            return read_records(path, dict)[0]
         except FileNotFoundError:
             return []
-        last = max((i for i, raw in enumerate(lines) if raw.strip()), default=-1)
-        entries: List[dict] = []
-        for i, raw in enumerate(lines):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = _journal_record(raw)
-            if record is not None:
-                entries.append(record)
-                continue
-            if i != last:
-                raise StateError(
-                    f"{os.fspath(path)}:{i + 1}: corrupt sweep journal record "
-                    f"before the last line (not a torn tail); refusing to drop it"
-                )
-            warnings.warn(
-                f"sweep journal {os.fspath(path)}:{i + 1}: skipping corrupt "
-                f"last line (torn write?)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return entries
 
     @classmethod
     def completed_tasks(cls, path: os.PathLike) -> Dict[str, str]:

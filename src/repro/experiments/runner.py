@@ -19,10 +19,11 @@ ways:
   version fingerprint folds in the package version and
   :data:`RESULT_VERSION`, so bumping either invalidates every stale entry;
   identical re-runs are served from disk without simulating.  Writes are
-  atomic (temp file + rename) so a killed sweep never leaves a torn entry,
-  they happen *as each task completes* (a failure elsewhere in the sweep
-  never throws away a finished result), and a corrupt or truncated entry
-  found mid-sweep is quarantined (renamed aside) and recomputed.
+  atomic (temp file + fsync + rename) so a killed sweep never leaves a
+  torn entry, they happen *as each task completes* (a failure elsewhere
+  in the sweep never throws away a finished result), and a corrupt or
+  truncated entry found mid-sweep is quarantined (renamed aside) and
+  recomputed.
 
 * **Fault tolerance** — execution is delegated to
   :mod:`repro.experiments.resilience`: per-task retries with
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 import hashlib
 
+from repro.durable import atomic_write
 from repro.errors import ConfigurationError, SimulationInterrupted
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.resilience import (
@@ -155,16 +156,10 @@ def _quarantine(path: Path) -> None:
 
 def _cache_store(path: Path, output: ExperimentOutput) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(output, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        atomic_write(path, pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL))
     except OSError:  # pragma: no cover - cache is best-effort
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        pass
 
 
 def run_experiments(

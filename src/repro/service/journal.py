@@ -19,28 +19,25 @@ Two properties make it a write-ahead log rather than a plain trace dump:
   records (sheds, resume markers) are appended outside the index so they
   never shift replay alignment.
 
-Recovery drops a torn tail by rewriting the valid prefix (the standard
-WAL recovery move) atomically — temp file, fsync, rename — so a crash
-during recovery leaves the old file in place, then appends as usual.  A
-corrupt record *before* the last line is not a torn write: recovery
-raises :class:`~repro.errors.StateError` naming the path and line rather
-than drop it, because re-execution would then lose that decision and
-duplicate a later one.
+Recovery truncates, it does not rewrite (:func:`repro.durable.recover_tail`):
+a torn tail is cut off, and a crash during recovery leaves a file that
+recovers the same way.  A corrupt record before the last line raises
+:class:`~repro.errors.StateError` naming the path and line and changes
+nothing: re-execution would otherwise lose that decision and duplicate
+a later one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.engine.snapshot import _fsync_dir
+from repro.durable import recover_tail
 from repro.engine.tracing import (
     TraceEventKind,
     TraceRecord,
-    read_jsonl,
+    record_from_dict,
     record_to_dict,
 )
 
@@ -53,28 +50,6 @@ __all__ = ["DecisionJournal", "UNINDEXED_KINDS"]
 UNINDEXED_KINDS = frozenset({TraceEventKind.SVC_SHED, TraceEventKind.SVC_RESUME})
 
 
-def _rewrite_atomically(path: str, records: Sequence[TraceRecord]) -> None:
-    """Replace ``path`` with ``records``: temp file, fsync, ``os.replace``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_dict(record)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(Path(directory))
-
-
 class DecisionJournal:
     """Append-only JSONL decision log with index-deduplicated writes.
 
@@ -85,7 +60,7 @@ class DecisionJournal:
     recover:
         Read the existing file first (a torn last line is dropped, any
         earlier corruption raises :class:`~repro.errors.StateError`),
-        atomically rewrite the valid prefix, and remember how many
+        truncate it to the valid prefix, and remember how many
         *indexed* records it already holds — appends below that index
         become no-ops.  Fresh journals (``recover=False``) truncate
         whatever was there.
@@ -95,10 +70,7 @@ class DecisionJournal:
         self.path = str(path)
         self._preexisting: List[TraceRecord] = []
         if recover and os.path.exists(self.path):
-            self._preexisting = read_jsonl(self.path)
-            # Rewrite the valid prefix: drops a torn last line so the file
-            # is clean JSONL again before any append lands behind it.
-            _rewrite_atomically(self.path, self._preexisting)
+            self._preexisting = recover_tail(self.path, record_from_dict)
         self.preexisting_indexed = sum(
             1 for r in self._preexisting if r.kind not in UNINDEXED_KINDS
         )

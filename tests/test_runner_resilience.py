@@ -324,6 +324,30 @@ class TestJournalAndResume:
         with pytest.raises(StateError, match=r"j\.jsonl:2: corrupt"):
             SweepJournal.completed_tasks(path)
 
+    def test_journal_first_append_refuses_mid_file_corruption(self, tmp_path):
+        """The first append refuses a journal damaged before its last line
+        instead of appending behind the damage."""
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.record("table1", 0, "ok", cache_key="k1")
+            journal.record("table5", 0, "ok", cache_key="k5")
+        second = path.read_text().splitlines(keepends=True)[1]
+        path.write_text("not json\n" + second)
+        with SweepJournal(path) as journal:
+            with pytest.raises(StateError, match=r"j\.jsonl:1: corrupt"):
+                journal.record("table4", 0, "ok", cache_key="k4")
+        assert path.read_text() == "not json\n" + second
+
+    def test_journal_close_fsyncs(self, tmp_path, monkeypatch):
+        import repro.experiments.resilience as resilience
+
+        journal = SweepJournal(tmp_path / "j.jsonl")
+        journal.record("table1", 0, "ok", cache_key="k1")
+        synced = []
+        monkeypatch.setattr(resilience.os, "fsync", synced.append)
+        journal.close()
+        assert len(synced) == 1
+
     def test_journal_append_after_torn_tail_cuts_the_fragment(self, tmp_path):
         """The first append after a crash cuts the torn fragment off, so
         the fragment never becomes a corrupt middle line and every later

@@ -205,8 +205,8 @@ class TestDecisionJournal:
                 journal.append_indexed(i, self._record(i))
         assert [r.vm_id for r in read_jsonl(path)] == list(range(6))
 
-    def test_recovery_rewrite_is_atomic(self, tmp_path, monkeypatch):
-        import repro.service.journal as journal_mod
+    def test_recovery_crash_leaves_a_recoverable_file(self, tmp_path, monkeypatch):
+        import repro.durable as durable_mod
 
         path = str(tmp_path / "j.jsonl")
         lines = self._journal_of(path, 3)
@@ -214,15 +214,22 @@ class TestDecisionJournal:
         with open(path, "wb") as fh:
             fh.writelines(lines)
 
-        def crash(src, dst):
+        def crash(fd, length):
             raise OSError("crash during recovery")
 
-        monkeypatch.setattr(journal_mod.os, "replace", crash)
-        with pytest.warns(RuntimeWarning), pytest.raises(OSError):
-            DecisionJournal(path, recover=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(durable_mod.os, "ftruncate", crash)
+            with pytest.warns(RuntimeWarning), pytest.raises(OSError):
+                DecisionJournal(path, recover=True)
         with open(path, "rb") as fh:
-            assert fh.read() == b"".join(lines)  # the old file survives
-        assert os.listdir(tmp_path) == ["j.jsonl"]  # no temp file left
+            assert fh.read() == b"".join(lines)  # nothing changed
+        assert os.listdir(tmp_path) == ["j.jsonl"]  # no stray file
+        with pytest.warns(RuntimeWarning):
+            journal = DecisionJournal(path, recover=True)
+        with journal:
+            assert [r.vm_id for r in journal.preexisting] == [0, 1]
+        with open(path, "rb") as fh:
+            assert fh.read() == b"".join(lines[:2])  # exactly the valid prefix
 
 
 # -------------------------------------------------------- the service engine
