@@ -29,7 +29,7 @@ so chaos-disabled runs stay bit-identical to pre-chaos baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -289,12 +289,28 @@ class ObservedReliability:
         self._scores: Dict[int, float] = dict(priors or {})
         #: Total outcomes recorded (diagnostics).
         self.events = 0
+        #: Hosts whose score moved since the last :meth:`drain_moved`.
+        self._moved: Set[int] = set()
 
     def _update(self, host_id: int, target: float, weight: float) -> None:
         a = min(self.alpha * weight, 1.0)
         current = self._scores.get(host_id, 1.0)
-        self._scores[host_id] = (1.0 - a) * current + a * target
+        score = (1.0 - a) * current + a * target
+        self._scores[host_id] = score
+        if score != current:
+            self._moved.add(host_id)
         self.events += 1
+
+    def drain_moved(self) -> Set[int]:
+        """Host ids whose score moved since the previous call.
+
+        One consumer drains it: the score policy, which keeps its
+        per-host reliability vector current from it instead of reading
+        every host's score each round.
+        """
+        moved = self._moved
+        self._moved = set()
+        return moved
 
     def record_success(self, host_id: int) -> None:
         """An operation on ``host_id`` completed cleanly."""

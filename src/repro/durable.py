@@ -14,7 +14,9 @@ digit of a time, say) goes undetected.  Framing each record with a
 sequence number and a crc32 would close that gap; it is a format change.
 
 Whole files (engine snapshots, result-cache entries) go through
-:func:`atomic_write`, so a reader sees the old file or the new one.
+:func:`atomic_write`, so a reader sees the old file or the new one.  A
+log started afresh is truncated in place and its directory entry made
+durable with :func:`fsync_dir`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, List, Tuple, TypeVar
 
 from repro.errors import StateError
 
-__all__ = ["atomic_write", "read_records", "recover_tail"]
+__all__ = ["atomic_write", "fsync_dir", "read_records", "recover_tail"]
 
 T = TypeVar("T")
 
@@ -137,6 +139,12 @@ def atomic_write(path: os.PathLike, *chunks: bytes) -> None:
         except OSError:
             pass
         raise
+    fsync_dir(path)
+
+
+def fsync_dir(path: os.PathLike) -> None:
+    """Make the directory entry of ``path`` (a creation or rename) durable."""
+    directory = os.path.dirname(os.path.abspath(path))
     try:
         dir_fd = os.open(directory, os.O_RDONLY)
         try:

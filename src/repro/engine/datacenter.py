@@ -42,11 +42,13 @@ into O(VMs on dirty hosts).
 
 The steady-state path is O(dirty hosts) end-to-end: ``self.vms`` is the
 *historical* registry (a week-long trace ends with thousands of dead
-entries), so every recurring consumer — :meth:`_context`, the SLA checks,
-the checkpoint tick — walks ``self._live`` instead, an insertion-ordered
-dict holding only VMs that still need attention (queued or placed, in
-arrival order, so policies see exactly the sequences the historical
-full-dict filter produced).  Node metrics are delta-maintained from the
+entries), so every recurring consumer — :meth:`_context`, the checkpoint
+tick — walks ``self._live`` instead, an insertion-ordered dict holding
+only VMs that still need attention (queued or placed, in arrival order,
+so policies see exactly the sequences the historical full-dict filter
+produced).  The SLA checks walk no VM set at all: the monitor's
+fulfilment index is re-assessed from the same dirty-host sweep, and a
+check reads only its violators.  Node metrics are delta-maintained from the
 same dirty-host sweep (see :mod:`repro.engine.metrics`); only checkpoint
 snapshots and the end-of-run result builder may touch everything — see
 ``docs/architecture.md`` for the invariant.
@@ -208,8 +210,8 @@ class DatacenterSimulation(ActuatorsMixin):
 
         self.vms: Dict[int, Vm] = {}
         #: Live set: VMs still queued or placed, in arrival order.  The
-        #: steady-state scans (context building, SLA checks, checkpoint
-        #: tick) iterate this instead of the ever-growing ``self.vms``.
+        #: steady-state scans (context building, checkpoint tick) iterate
+        #: this instead of the ever-growing ``self.vms``.
         self._live: Dict[int, Vm] = {}
         #: FIFO of waiting VMs, keyed by vm_id (insertion-ordered dict so
         #: :meth:`queue_remove` is O(1) instead of a list scan).
@@ -302,7 +304,7 @@ class DatacenterSimulation(ActuatorsMixin):
             # The score policy reads learned per-host reliabilities from
             # here instead of the static spec F_rel (ScoreConfig flag
             # use_observed_reliability gates the substitution).
-            self.policy.reliability_source = self.observed.score
+            self.policy.reliability_source = self.observed
         #: Consecutive creation failures per VM (drives capped backoff).
         self._vm_attempts: Dict[int, int] = {}
         #: Pending re-queue events of parked (backing-off) VMs.
@@ -389,11 +391,12 @@ class DatacenterSimulation(ActuatorsMixin):
         factory plus the pull cursor on restore.  Everything else — heap
         callbacks (``functools.partial`` of bound methods), RNG states,
         the policy's columnar state and score matrix — pickles with shared
-        object identities preserved by the pickle memo.  Three members
+        object identities preserved by the pickle memo.  Four members
         leave derived payload out through their own ``__getstate__``: the
         score matrix its cell array (rebuilt on first access), the slot
-        registry its finished VMs, and the event trace its record objects
-        (pickled as tuples).
+        registry its finished VMs, the event trace its record objects
+        (pickled as tuples), and the SLA monitor its fulfilment index
+        (rebuilt here).
         """
         state = self.__dict__.copy()
         state["_job_iter"] = None
@@ -407,6 +410,9 @@ class DatacenterSimulation(ActuatorsMixin):
                 if next(it, None) is None:
                     break
             self._job_iter = it
+        if self.sla_monitor is not None:
+            # The fulfilment index is derived state: one scan rebuilds it.
+            self.sla_monitor.rebuild(self._live.values(), self.sim.now)
 
     def request_graceful_stop(self) -> None:
         """Ask the run to checkpoint and stop at the next event boundary.
@@ -752,6 +758,7 @@ class DatacenterSimulation(ActuatorsMixin):
             queued=tuple(self.queue.values()),
             placed_fn=self._placed_iter,
             node_counts=self._node_counts,
+            sla=self.sla_monitor,
         )
         if self.power_manager.reads_context_vms:
             # Controllers that inspect the VM views run post-action; the
@@ -779,21 +786,8 @@ class DatacenterSimulation(ActuatorsMixin):
 
     def _round(self) -> None:
         self._round_pending = False
-
         if self.sla_monitor is not None:
-            running = [vm for vm in self._live.values() if vm.is_placed]
-            violated = self.sla_monitor.check(
-                running, self.sim.now, on_inflate=self._note_inflation
-            )
-            for vm in violated:
-                self.metrics.counters.incr("sla_inflations")
-                self.emit(
-                    TraceEventKind.SLA_INFLATION,
-                    vm_id=vm.vm_id,
-                    host_id=vm.host_id,
-                    detail=f"cpu_req={vm.cpu_req:.0f}%",
-                )
-
+            self._sla_check()
         ctx = self._context()
         for action in self.policy.decide(ctx):
             self.apply_action(action)
@@ -829,6 +823,8 @@ class DatacenterSimulation(ActuatorsMixin):
             return
         self.queue[vm.vm_id] = vm
         self._live[vm.vm_id] = vm
+        if self.sla_monitor is not None:
+            self.sla_monitor.admit(vm)
         self.emit(TraceEventKind.JOB_ARRIVAL, vm_id=vm.vm_id)
         self.trigger_round()
 
@@ -894,6 +890,9 @@ class DatacenterSimulation(ActuatorsMixin):
             self._refresh()
             self.trigger_round()
         else:
+            if self.sla_monitor is not None:
+                # Banking progress re-anchors eta, which may move its last bit.
+                self.sla_monitor.assess((vm,), self.sim.now)
             self._reschedule_completion(vm)
 
     def _on_boot_done(self, host: Host) -> None:
@@ -928,6 +927,8 @@ class DatacenterSimulation(ActuatorsMixin):
         vm.host_id = None
         vm.share = 0.0
         vm.last_progress_t = self.sim.now
+        if self.sla_monitor is not None:
+            self.sla_monitor.discard(vm)
         self.metrics.counters.incr("failed_creations")
         self.emit(
             TraceEventKind.CREATION_FAILED, vm_id=vm.vm_id, host_id=host.host_id
@@ -1156,6 +1157,8 @@ class DatacenterSimulation(ActuatorsMixin):
             vm.share = 0.0
             vm.last_progress_t = self.sim.now
             self.queue[vm.vm_id] = vm
+            if self.sla_monitor is not None:
+                self.sla_monitor.discard(vm)
 
         host.evacuate()
         host.state = HostState.FAILED
@@ -1186,6 +1189,9 @@ class DatacenterSimulation(ActuatorsMixin):
         # Snapshots record absolute work done, so every integral must be
         # current here — the one remaining global touch point.
         self._touch_all()
+        if self.sla_monitor is not None:
+            # Banking progress re-anchors eta, which may move its last bit.
+            self.sla_monitor.assess(self._live.values(), self.sim.now)
         hosts_snapshotting = set()
         for vm in self._live.values():
             if vm.state in (VmState.RUNNING, VmState.MIGRATING):
@@ -1227,23 +1233,44 @@ class DatacenterSimulation(ActuatorsMixin):
     def _sla_tick(self) -> None:
         if self._active_jobs == 0 and self._arrivals_pending == 0:
             return
-        # Fulfilment projections are stale-proof (eta anchors at the last
-        # touch), so no global advancement is needed here.
-        running = [vm for vm in self._live.values() if vm.is_placed]
-        violated = self.sla_monitor.check(
-            running, self.sim.now, on_inflate=self._note_inflation
-        )
-        if violated:
-            for vm in violated:
-                self.metrics.counters.incr("sla_inflations")
-                self.emit(
-                    TraceEventKind.SLA_INFLATION,
-                    vm_id=vm.vm_id,
-                    host_id=vm.host_id,
-                    detail=f"cpu_req={vm.cpu_req:.0f}%",
-                )
+        if self._sla_check():
             self.trigger_round()
         self.sim.schedule(self.config.sla_check_interval_s, self._sla_tick, label="sla")
+
+    def _sla_check(self) -> bool:
+        """Inflate the SLA violators; whether any VM was inflated.
+
+        Reads the monitor's violator set, which the dirty-host sweep keeps
+        current, so the cost follows the violators, not the placed VMs.
+        Under strict invariants the index is first checked against a full
+        fulfilment scan of the placed VMs.
+        """
+        now = self.sim.now
+        monitor = self.sla_monitor
+        if self._invariants_enabled:
+            try:
+                monitor.verify(self._placed_iter(), now)
+            except StateError as exc:
+                if self.config.invariant_mode != "resync":
+                    raise
+                warnings.warn(
+                    f"t={now:.0f}s: SLA index drift resynced: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                monitor.rebuild(self._live.values(), now)
+                self.metrics.counters.incr("invariant_resyncs")
+                self._invariant_resyncs += 1
+        violated = monitor.check(now, on_inflate=self._note_inflation)
+        for vm in violated:
+            self.metrics.counters.incr("sla_inflations")
+            self.emit(
+                TraceEventKind.SLA_INFLATION,
+                vm_id=vm.vm_id,
+                host_id=vm.host_id,
+                detail=f"cpu_req={vm.cpu_req:.0f}%",
+            )
+        return bool(violated)
 
     # -------------------------------------------------------------- helpers
 
@@ -1305,6 +1332,8 @@ class DatacenterSimulation(ActuatorsMixin):
         vm.job.finish_time = self.sim.now
         host.remove_vm(vm.vm_id)
         self._live.pop(vm.vm_id, None)
+        if self.sla_monitor is not None:
+            self.sla_monitor.discard(vm)
         self._cancel_completion(vm)
         self.checkpoints.forget(vm.vm_id)
         self.metrics.counters.incr("completions")
@@ -1375,9 +1404,11 @@ class DatacenterSimulation(ActuatorsMixin):
         O(VMs on dirty hosts) per event.  The dirty sweep runs four
         phases over the sorted dirty hosts: bank progress at the old
         shares, re-solve shares, fold power and node-state deltas into
-        the metrics, then reschedule completions in one eta pass.  Shares
-        only ever change here, so VMs on clean hosts keep accruing at a
-        constant share and need no per-event attention.  The final
+        the metrics, then reschedule completions in one eta pass.  With
+        SLA enforcement on, a fifth phase re-assesses the swept VMs in the
+        monitor's fulfilment index.  Shares only ever change here, so VMs
+        on clean hosts keep accruing at a constant share and need no
+        per-event attention.  The final
         :meth:`MetricsCollector.refresh` is an O(1) sample of the
         delta-maintained totals (no host scan, even when the dirty set is
         empty).
@@ -1399,6 +1430,10 @@ class DatacenterSimulation(ActuatorsMixin):
             self._solve_shares_batched(hosts)
             self.metrics.refresh_hosts(now, hosts)
             self._reschedule_completions_batched(hosts, now)
+            monitor = self.sla_monitor
+            if monitor is not None:
+                for host in hosts:
+                    monitor.assess(host.vms.values(), now)
             self._dirty.clear()
         self.metrics.refresh(now)
         if self._invariants_enabled and now >= self._next_invariant_check:

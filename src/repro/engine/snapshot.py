@@ -114,7 +114,11 @@ __all__ = [
 #:    pickled without its cell array (rebuilt on first access), the slot
 #:    registry with finished VMs as stand-ins, and the event trace with
 #:    its records as tuples.
-SNAPSHOT_VERSION = 6
+#: 7: O(dirty) SLA assessment — the SLA monitor pickles its violation
+#:    count as an int instead of a list of ``SlaViolation`` records (a
+#:    class that no longer exists), and leaves its fulfilment index out
+#:    (rebuilt on restore).
+SNAPSHOT_VERSION = 7
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
 from repro.scheduling.actions import Action
+from repro.sla.monitor import SlaMonitor
 
 __all__ = ["SchedulingContext", "SchedulingPolicy"]
 
@@ -49,9 +50,18 @@ class SchedulingContext:
         every-round measurement is O(dirty hosts) instead of a scan over
         the whole machine inventory; hand-built contexts leave it
         ``None`` and the power manager falls back to scanning ``hosts``.
+    sla:
+        The SLA fulfilment index (:class:`~repro.sla.monitor.SlaMonitor`)
+        SLA-aware policies read per-VM fulfilment and violations from.
+        The engine passes its monitor, which it keeps current at
+        O(dirty hosts); a context built without one (a
+        :class:`~repro.service.core.PlacementCore` snapshot, a test)
+        builds its own by one scan of ``placed`` on first read.
     """
 
-    __slots__ = ("now", "hosts", "queued", "node_counts", "_placed", "_placed_fn")
+    __slots__ = (
+        "now", "hosts", "queued", "node_counts", "_placed", "_placed_fn", "_sla",
+    )
 
     def __init__(
         self,
@@ -62,11 +72,13 @@ class SchedulingContext:
         *,
         placed_fn: Optional[Callable[[], Sequence[Vm]]] = None,
         node_counts: Optional[Callable[[], Tuple[int, int]]] = None,
+        sla: Optional[SlaMonitor] = None,
     ) -> None:
         self.now = now
         self.hosts = hosts
         self.queued = queued
         self.node_counts = node_counts
+        self._sla = sla
         self._placed_fn = placed_fn
         if placed is None and placed_fn is None:
             placed = ()
@@ -80,6 +92,15 @@ class SchedulingContext:
         if self._placed is None:
             self._placed = tuple(self._placed_fn())
         return self._placed
+
+    @property
+    def sla(self) -> SlaMonitor:
+        """The SLA fulfilment index, built from ``placed`` if none was given."""
+        if self._sla is None:
+            monitor = SlaMonitor()
+            monitor.rebuild(self.placed, self.now)
+            self._sla = monitor
+        return self._sla
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         placed = len(self._placed) if self._placed is not None else "lazy"

@@ -567,7 +567,9 @@ class PersistentScoreMatrix:
         path is held to (:meth:`_bind_general`).  O(dirty rows x live
         columns + changed columns x active rows); the steady state (no
         host churn, no column churn) pays only the per-column attribute
-        comparison.
+        comparison.  A ``reliability`` vector that is the very array the
+        previous bind received is taken as unchanged without comparing it;
+        callers pass a new array when a value moves.
         """
         self._bind(columns, now, fulfillments, reliability, one_column=True)
 
@@ -608,10 +610,12 @@ class PersistentScoreMatrix:
         dirty |= self._touched
         self._touched = set()
         if reliability is not None:
-            rel = np.asarray(reliability, dtype=float)
-            changed = np.nonzero(rel != self._rel)[0]
-            dirty.update(int(i) for i in changed)
-            self._rel = rel
+            # The same array as last bind means no reliability moved.
+            if reliability is not self._rel:
+                rel = np.asarray(reliability, dtype=float)
+                changed = np.nonzero(rel != self._rel)[0]
+                dirty.update(int(i) for i in changed)
+                self._rel = rel
             self._rel_overridden = True
         elif self._rel_overridden:
             changed = np.nonzero(st.rel != self._rel)[0]

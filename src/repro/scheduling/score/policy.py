@@ -7,7 +7,8 @@ interface.  Each scheduling round it:
 1. collects the matrix columns — queued VMs, plus running VMs when
    migration is enabled (VMs with operations in flight are pinned and
    excluded, per §III-A-3);
-2. computes SLA fulfilments when dynamic enforcement is on;
+2. reads SLA fulfilments from the round's fulfilment index
+   (``SchedulingContext.sla``) when dynamic enforcement is on;
 3. binds the matrix, runs Algorithm 1 (or the SA/tabu solver), and
    converts the chosen moves into
    :class:`~repro.scheduling.actions.Place` / :class:`~repro.scheduling.actions.Migrate`
@@ -29,8 +30,11 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.cluster.faults import ObservedReliability
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
 from repro.errors import StateError
@@ -41,7 +45,6 @@ from repro.scheduling.score.config import ScoreConfig
 from repro.scheduling.score.matrix import ScoreMatrixBuilder
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.solver import anytime_hill_climb, hill_climb
-from repro.sla.monitor import fulfillment
 
 __all__ = ["ScoreBasedPolicy"]
 
@@ -94,10 +97,13 @@ class ScoreBasedPolicy(SchedulingPolicy):
         ).lower()
         self.name = name if name is not None else self._derive_name()
         self._next_consolidation = 0.0
-        #: host_id -> learned reliability, wired up by the engine when
+        #: Learned per-host reliabilities, wired up by the engine when
         #: ``EngineConfig.observed_reliability`` is on; consulted only when
         #: the config sets ``use_observed_reliability``.
-        self.reliability_source: Optional[Callable[[int], float]] = None
+        self.reliability_source: Optional[ObservedReliability] = None
+        #: (source, hosts, host_id -> row, vector) behind
+        #: :meth:`_reliability_vector`.
+        self._rel_cache: Optional[tuple] = None
         #: Anytime-mode hook, wired up by the control-plane service
         #: (:class:`repro.service.anytime.RoundBudgetController`): when
         #: set, each round's hill climb runs under the budget/deadline the
@@ -133,7 +139,14 @@ class ScoreBasedPolicy(SchedulingPolicy):
     def _reliability_vector(
         self, ctx: SchedulingContext
     ) -> Optional[Sequence[float]]:
-        """Learned per-host reliabilities for P_fault, or None (static F_rel)."""
+        """Learned per-host reliabilities for P_fault, or None (static F_rel).
+
+        The vector is built once per (source, host list) and then updated
+        from the hosts whose score moved since the last round.  When none
+        did, the same array is returned, which the persistent matrix takes
+        as "no reliability row changed" without comparing it; a change
+        yields a new array.
+        """
         if (
             not self.config.enable_fault
             or not self.config.use_observed_reliability
@@ -141,7 +154,22 @@ class ScoreBasedPolicy(SchedulingPolicy):
         ):
             return None
         source = self.reliability_source
-        return [source(h.host_id) for h in ctx.hosts]
+        hosts = ctx.hosts
+        cache = self._rel_cache
+        if cache is None or cache[0] is not source or cache[1] is not hosts:
+            source.drain_moved()
+            row_of = {h.host_id: i for i, h in enumerate(hosts)}
+            vec = np.array([source.score(h.host_id) for h in hosts], dtype=float)
+            self._rel_cache = (source, hosts, row_of, vec)
+            return vec
+        _, _, row_of, vec = cache
+        moved = [hid for hid in source.drain_moved() if hid in row_of]
+        if moved:
+            vec = vec.copy()
+            for hid in moved:
+                vec[row_of[hid]] = source.score(hid)
+            self._rel_cache = (source, hosts, row_of, vec)
+        return vec
 
     def _derive_name(self) -> str:
         cfg = self.config
@@ -228,11 +256,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
         if ctx.now >= self._next_consolidation:
             return True
         if self.config.enable_sla:
-            return any(
-                fulfillment(vm, ctx.now) < 1.0
-                for vm in ctx.placed
-                if vm.state is VmState.RUNNING
-            )
+            return ctx.sla.running_violation(ctx.now)
         return False
 
     def decide(self, ctx: SchedulingContext) -> List[Action]:
@@ -244,7 +268,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
             return []
         fulfills: Optional[Dict[int, float]] = None
         if self.config.enable_sla:
-            fulfills = {vm.vm_id: fulfillment(vm, ctx.now) for vm in columns}
+            fulfills = ctx.sla.fulfillments(columns, ctx.now)
         builder = self._builder(ctx, columns, fulfills)
         if self.solver == "hill_climb":
             controller = self.budget_controller
@@ -286,7 +310,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
             )
         fulfills: Optional[Dict[int, float]] = None
         if self.config.enable_sla:
-            fulfills = {vm.vm_id: fulfillment(vm, ctx.now) for vm in columns}
+            fulfills = ctx.sla.fulfillments(columns, ctx.now)
         builder = self._builder(ctx, columns, fulfills)
         row_of = builder.state.host_index
         return sorted(

@@ -89,7 +89,9 @@ class PlacementCore:
 
         The clock-free entry point: callers hand in host and VM state and
         a nominal ``now`` (only SLA/consolidation terms read it) and get
-        actions back — no simulator, no event loop.  Used by tests and
+        actions back — no simulator, no event loop.  An SLA-aware policy
+        reads fulfilment from the context's index, which the context
+        builds by one scan of ``placed``.  Used by tests and
         what-if tooling; the live path goes through
         :class:`~repro.service.engine.ServiceEngine` so decisions are
         actuated and journaled.

@@ -33,7 +33,7 @@ import json
 import os
 from typing import List
 
-from repro.durable import recover_tail
+from repro.durable import fsync_dir, recover_tail
 from repro.engine.tracing import (
     TraceEventKind,
     TraceRecord,
@@ -56,14 +56,15 @@ class DecisionJournal:
     Parameters
     ----------
     path:
-        The journal file.  Opened in append mode; created if missing.
+        The journal file; created if missing.
     recover:
-        Read the existing file first (a torn last line is dropped, any
-        earlier corruption raises :class:`~repro.errors.StateError`),
-        truncate it to the valid prefix, and remember how many
-        *indexed* records it already holds — appends below that index
-        become no-ops.  Fresh journals (``recover=False``) truncate
-        whatever was there.
+        Continue the file: read it first (a torn last line is dropped,
+        any earlier corruption raises :class:`~repro.errors.StateError`),
+        truncate it to the valid prefix, remember how many *indexed*
+        records it already holds — appends below that index become
+        no-ops — and append after them.  Without it the journal starts
+        a new stream: whatever the file held is truncated away, so a
+        journal only ever holds one run's records.
     """
 
     def __init__(self, path: str, *, recover: bool = False) -> None:
@@ -74,7 +75,9 @@ class DecisionJournal:
         self.preexisting_indexed = sum(
             1 for r in self._preexisting if r.kind not in UNINDEXED_KINDS
         )
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "a" if recover else "w", encoding="utf-8")
+        if not recover:
+            fsync_dir(self.path)
         #: Appends actually written (excludes index-deduplicated skips).
         self.written = 0
         #: Appends skipped because the file already held that index.

@@ -142,6 +142,34 @@ class TestDecisionJournal:
 
         assert len(read_jsonl(path)) == 4
 
+    def test_fresh_journal_starts_empty(self, tmp_path):
+        """Without ``recover`` a journal starts a new stream: a stale line
+        from an earlier run is truncated away, not appended behind."""
+        path = str(tmp_path / "j.jsonl")
+        with DecisionJournal(path) as journal:
+            journal.append_indexed(0, self._record(7))
+        with DecisionJournal(path) as journal:
+            assert journal.preexisting_indexed == 0
+            assert journal.append_indexed(0, self._record(0))
+        from repro.engine.tracing import read_jsonl
+
+        records = read_jsonl(path)
+        assert [r.vm_id for r in records] == [0]
+
+    def test_second_fresh_serve_replays(self, tmp_path):
+        """Two serves into one journal path without resuming: the second
+        run's journal alone is on disk, and it replays to its result."""
+        path = str(tmp_path / "j.jsonl")
+        for n_jobs in (30, 20):
+            engine = make_engine()
+            svc = ServiceEngine(engine, PlacementCore(engine.policy),
+                                DecisionJournal(path))
+            live, _ = serve_synthetic(svc, synthetic_jobs(n_jobs),
+                                      ServiceConfig())
+        report = replay_journal(path, make_engine)
+        assert report.ok, report.mismatches
+        assert canonical_diff(live, report.result) == {}
+
     def test_recover_truncates_torn_tail(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with DecisionJournal(path) as journal:

@@ -111,30 +111,37 @@ class TestSlaMonitor:
         vm.share = 40.0  # heavily squeezed
         return vm
 
+    @staticmethod
+    def _watching(vm, now, **kwargs):
+        """A monitor whose fulfilment index holds ``vm``."""
+        monitor = SlaMonitor(**kwargs)
+        monitor.rebuild([vm], now)
+        return monitor
+
     def test_violation_recorded_and_inflated(self):
         vm = self._running_squeezed()
-        monitor = SlaMonitor(inflation_factor=1.5)
+        monitor = self._watching(vm, 100.0, inflation_factor=1.5)
         before = vm.cpu_req
-        flagged = monitor.check([vm], now=100.0)
+        flagged = monitor.check(now=100.0)
         assert flagged == [vm]
         assert vm.cpu_req == pytest.approx(before * 1.5)
         assert monitor.violation_count == 1
 
     def test_cooldown_prevents_compounding(self):
         vm = self._running_squeezed()
-        monitor = SlaMonitor(cooldown_s=600.0)
-        monitor.check([vm], now=100.0)
+        monitor = self._watching(vm, 100.0, cooldown_s=600.0)
+        monitor.check(now=100.0)
         req_after_first = vm.cpu_req
-        monitor.check([vm], now=200.0)  # within cooldown
+        monitor.check(now=200.0)  # within cooldown
         assert vm.cpu_req == req_after_first
-        monitor.check([vm], now=800.0)  # past cooldown
+        monitor.check(now=800.0)  # past cooldown
         assert vm.cpu_req > req_after_first
 
     def test_enforce_false_only_observes(self):
         vm = self._running_squeezed()
-        monitor = SlaMonitor()
+        monitor = self._watching(vm, 100.0)
         before = vm.cpu_req
-        flagged = monitor.check([vm], now=100.0, enforce=False)
+        flagged = monitor.check(now=100.0, enforce=False)
         assert flagged == []
         assert vm.cpu_req == before
         assert monitor.violation_count == 1
@@ -143,8 +150,8 @@ class TestSlaMonitor:
         vm = make_vm()
         vm.state = VmState.RUNNING
         vm.share = vm.cpu_req
-        monitor = SlaMonitor()
-        assert monitor.check([vm], now=10.0) == []
+        monitor = self._watching(vm, 10.0)
+        assert monitor.check(now=10.0) == []
         assert monitor.violation_count == 0
 
     def test_inflation_capped(self):
