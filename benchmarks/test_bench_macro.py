@@ -86,14 +86,24 @@ class TestRegressionGate:
         assert len(failures) == 1 and "schema" in failures[0]
 
     def test_cli_gate_round_trip(self, tmp_path):
-        """End to end at a tiny scale: write a baseline, re-check it."""
+        """End to end at a tiny scale: write a baseline, re-check it.
+
+        Two few-millisecond runs are too short to compare on wall clock,
+        so the pass case gates against a copy of the baseline made
+        impossibly slow: it still checks every determinism field
+        exactly, while only the poisoned copy can trip the timing gate.
+        """
         baseline = tmp_path / "base.json"
         out = tmp_path / "new.json"
         argv = ["--scale", "0.01", "--policies", "BF",
                 "--out", str(baseline)]
         assert main(argv) == 0
+        slow = json.loads(baseline.read_text())
+        slow["results"]["BF"]["normalized"] *= 1e6
+        slow_path = tmp_path / "slow.json"
+        slow_path.write_text(json.dumps(slow))
         assert main(argv[:-1] + [str(out), "--check-against",
-                                 str(baseline)]) == 0
+                                 str(slow_path)]) == 0
         report = json.loads(out.read_text())
         assert report["schema"] == SCHEMA
         # A poisoned baseline (impossibly fast) must trip the gate.

@@ -272,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         """
         p.add_argument("--journal", type=str, required=True, metavar="FILE",
                        help="decision journal (JSONL; written by serve, "
-                            "read by replay). serve without --resume "
-                            "truncates an existing file and starts a new "
-                            "stream; --resume continues it")
+                            "read by replay). serve creates missing parent "
+                            "directories; without --resume it truncates an "
+                            "existing file and starts a new stream, "
+                            "--resume continues it")
         p.add_argument("--policy", choices=POLICIES, default="sb")
         p.add_argument("--solver", choices=SOLVERS, default="hill_climb")
         p.add_argument("--hosts", type=int, default=100)

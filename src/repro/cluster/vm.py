@@ -60,6 +60,7 @@ class Vm:
         "creations",
         "migrations",
         "sla_inflations",
+        "arrival_seq",
     )
 
     def __init__(self, job: Job, vm_id: Optional[int] = None) -> None:
@@ -88,6 +89,9 @@ class Vm:
         self.creations = 0
         self.migrations = 0
         self.sla_inflations = 0
+        #: Position in the engine's arrival order (set at arrival): the
+        #: result fold averages jobs in this order.
+        self.arrival_seq = 0
 
     # ------------------------------------------------------------- progress
 

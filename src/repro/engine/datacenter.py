@@ -53,26 +53,28 @@ same dirty-host sweep (see :mod:`repro.engine.metrics`); only checkpoint
 snapshots and the end-of-run result builder may touch everything — see
 ``docs/architecture.md`` for the invariant.
 
-**Streaming workloads.**  ``trace`` may be a
-:class:`~repro.workload.stream.JobStream` instead of a materialized
-:class:`~repro.workload.trace.Trace`.  In that mode arrivals are
-*chained* — each arrival event pulls the next job from the stream and
-schedules it before processing its own — so at most one future arrival
-is ever held in memory, and retired VMs (completed or failed for good)
-are pruned from the registry with their result statistics compacted
-into flat arrays.  A 10⁶-job sweep then holds O(live VMs) of state
-instead of O(total jobs).  Chained arrivals carry priority ``-1``:
-pre-scheduled arrivals occupy the smallest event sequence numbers and
-therefore sort *first* among same-time default-priority events, and the
-explicit priority reproduces exactly that ordering, so a streamed run
-is event-for-event identical to the same workload materialized (the
-one exception: when jobs outlive the drain horizon, the streaming
-mode's horizon-guard event fires — ``sim_events`` counts one extra
-event, and both modes then report the never-arrived jobs as pending).
+**Workload feed.**  ``trace`` may be a materialized
+:class:`~repro.workload.trace.Trace` or a lazily produced
+:class:`~repro.workload.stream.JobStream`; the engine treats both as one
+iterable of submit-ordered jobs.  Arrivals are *chained* — each arrival
+event pulls the next job and schedules it before processing its own — so
+at most one future arrival sits in the event heap.  Arrivals carry
+priority ``-1``, so they fire ahead of every same-time engine event, in
+workload order.  When the workload runs dry a horizon-guard event at
+``last submit + drain_grace_s`` bounds the run (the last job finishing
+stops it earlier, and then the guard never fires).  Every retired VM
+(completed, or failed for good) compacts its result statistics into flat
+arrays, and the result fold reads those plus the live set.  The one
+difference between the two input kinds: a stream also prunes retired VMs
+from the registry, so a 10⁶-job sweep holds O(live VMs) of state instead
+of O(total jobs), while a trace keeps them for the readers of
+``self.vms`` after the run (``job_records``, economics accounting,
+federation).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time as _time
@@ -82,7 +84,7 @@ from array import array
 from collections import deque
 from dataclasses import replace as _replace
 from functools import partial
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.failures import FailureProcess
@@ -102,7 +104,6 @@ from repro.errors import ConfigurationError, SimulationInterrupted, StateError
 from repro.scheduling.base import SchedulingContext, SchedulingPolicy
 from repro.scheduling.power_manager import PowerManager, PowerManagerConfig
 from repro.sla.monitor import SlaMonitor
-from repro.sla.satisfaction import aggregate
 from repro.workload.job import Job, JobState
 from repro.workload.stream import JobStream
 from repro.workload.trace import Trace
@@ -150,13 +151,13 @@ class DatacenterSimulation(ActuatorsMixin):
     trace:
         Workload — a materialized :class:`Trace` or a lazily produced
         :class:`~repro.workload.stream.JobStream` (see the module
-        docstring for the streaming-mode memory contract); consumed
-        fresh (caller should pass ``trace.fresh()`` when reusing a
-        workload across runs — :func:`simulate` does).  ``None`` selects
-        *live mode*: no arrivals are pre-scheduled and the horizon is
-        open-ended — an external driver (the :mod:`repro.service` control
-        plane) feeds jobs in through :meth:`inject_job` and steps the
-        clock itself.
+        docstring for the workload feed and the stream's memory
+        contract); consumed fresh (caller should pass ``trace.fresh()``
+        when reusing a workload across runs — :func:`simulate` does).
+        ``None`` selects *live mode*: no arrivals are armed and the
+        horizon is open-ended — an external driver (the
+        :mod:`repro.service` control plane) feeds jobs in through
+        :meth:`inject_job` and steps the clock itself.
     pm_config:
         λmin/λmax thresholds of the power manager.
     config:
@@ -239,23 +240,23 @@ class DatacenterSimulation(ActuatorsMixin):
             )
         )
 
-        # ---- streaming-mode state ----------------------------------------
-        #: Iterator behind a JobStream workload (None for Trace runs).
+        # ---- workload feed -----------------------------------------------
+        #: Iterator over the workload (None before start and in live mode).
         self._job_iter: Optional[Iterator[Job]] = None
-        #: Jobs pulled from the stream so far — the snapshot cursor.  The
-        #: generator itself cannot be pickled; restore re-invokes the
-        #: replayable factory and skips this many jobs (streams are
-        #: deterministic, so the skipped prefix is the consumed prefix).
+        #: Jobs pulled from the workload so far — the snapshot cursor.  A
+        #: stream's generator cannot be pickled; restore re-iterates the
+        #: workload and skips this many jobs (workloads are replayable,
+        #: so the skipped prefix is the consumed prefix).
         self._stream_pulled = 0
-        #: The one job pulled from the stream whose arrival event has not
-        #: fired yet (counted as pending in the result on horizon overrun).
+        #: The one pulled job whose arrival event has not fired yet
+        #: (counted as pending if the result is built before it fires).
         self._pending_arrival: Optional[Job] = None
-        #: Compact per-retired-job statistics (vm id, satisfaction, delay,
-        #: wait) — four scalars per job instead of Job/Vm objects, appended
-        #: in retirement order and re-sorted into arrival order by the
-        #: result builder so every aggregate folds in the same order as a
-        #: materialized run.
-        self._ret_ids = array("q")
+        #: Jobs arrived so far; each arrival's index is its ``arrival_seq``.
+        self._n_arrived = 0
+        #: Compact per-retired-job statistics (arrival index, satisfaction,
+        #: delay, wait) — four scalars per job, appended in retirement
+        #: order and re-sorted into arrival order by the result fold.
+        self._ret_seq = array("q")
         self._ret_sat = array("d")
         self._ret_delay = array("d")
         self._ret_wait = array("d")
@@ -331,7 +332,6 @@ class DatacenterSimulation(ActuatorsMixin):
 
         self._result: Optional[SimulationResult] = None
         self._started = False
-        self._horizon = 0.0
 
         #: Strict-invariant guard rails: checked opportunistically inside
         #: :meth:`_refresh` (no extra simulator events — ``sim_events``
@@ -386,11 +386,11 @@ class DatacenterSimulation(ActuatorsMixin):
     def __getstate__(self) -> dict:
         """Snapshots pickle the engine as one identity-preserving graph.
 
-        The only unpicklable member is the streaming workload's generator;
-        it is dropped here and re-derived from the replayable stream
-        factory plus the pull cursor on restore.  Everything else — heap
-        callbacks (``functools.partial`` of bound methods), RNG states,
-        the policy's columnar state and score matrix — pickles with shared
+        The workload iterator is dropped here (a stream's generator
+        cannot be pickled) and re-derived from the workload plus the pull
+        cursor on restore.  Everything else — heap callbacks
+        (``functools.partial`` of bound methods), RNG states, the
+        policy's columnar state and score matrix — pickles with shared
         object identities preserved by the pickle memo.  Four members
         leave derived payload out through their own ``__getstate__``: the
         score matrix its cell array (rebuilt on first access), the slot
@@ -404,7 +404,7 @@ class DatacenterSimulation(ActuatorsMixin):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self._streaming and self._stream_pulled:
+        if self._stream_pulled:
             it = iter(self.trace)
             for _ in range(self._stream_pulled):
                 if next(it, None) is None:
@@ -555,21 +555,18 @@ class DatacenterSimulation(ActuatorsMixin):
 
     # ------------------------------------------------------------------ run
 
-    def start(self) -> float:
-        """Arm the simulation: arrivals, ticks, failures, first round.
+    def start(self) -> None:
+        """Arm the simulation: first arrival, ticks, failures, first round.
 
-        Returns the drain horizon.  :meth:`run` calls this once; tests
-        that need to drive the event loop manually call it themselves and
-        then use ``self.sim.run(until=...)`` directly.
+        Idempotent.  :meth:`run` calls this once; tests and the service
+        layer, which drive the event loop themselves, call it and then
+        use ``self.sim.run(until=...)`` directly.  Live mode
+        (``trace=None``) arms no arrival: jobs come in through
+        :meth:`inject_job`, and the caller owns the clock.
         """
         if self._started:
-            return self._horizon
-        if self.trace is None:
-            # Live mode: arrivals come from inject_job, so the horizon is
-            # open-ended and the run() drain guard never applies — the
-            # service layer steps the clock with sim.run(until=...).
-            last_arrival = math.inf
-        elif self._streaming:
+            return
+        if self.trace is not None:
             it = iter(self.trace)
             first = next(it, None)
             if first is None:
@@ -577,22 +574,6 @@ class DatacenterSimulation(ActuatorsMixin):
             self._job_iter = it
             self._stream_pulled = 1
             self._schedule_arrival(first)
-            # The drain horizon is unknown until the stream runs dry;
-            # _stream_exhausted installs the horizon guard then.
-            last_arrival = math.inf
-        else:
-            if len(self.trace) == 0:
-                raise ConfigurationError("cannot simulate an empty trace")
-            last_arrival = 0.0
-            for job in self.trace:
-                self._arrivals_pending += 1
-                self._active_jobs += 1
-                last_arrival = max(last_arrival, job.submit_time)
-                self.sim.at(
-                    job.submit_time,
-                    partial(self._on_job_arrival, job),
-                    label=f"arrival:{job.job_id}",
-                )
 
         if self.checkpoints.enabled:
             self.sim.schedule(
@@ -607,18 +588,15 @@ class DatacenterSimulation(ActuatorsMixin):
 
         self.trigger_round()
         self._started = True
-        self._horizon = last_arrival + self.config.drain_grace_s
-        return self._horizon
 
-    # ------------------------------------------------- streaming arrivals
+    # ---------------------------------------------------------- arrivals
 
     def _schedule_arrival(self, job: Job) -> None:
-        """Schedule one streamed job's arrival event (chained mode).
+        """Schedule one workload job's arrival event (chained).
 
-        Priority ``-1``: pre-scheduled arrivals hold the smallest event
-        sequence numbers, so among same-time default-priority events they
-        always fire first; the explicit priority reproduces that order
-        for arrivals scheduled mid-run.
+        Priority ``-1``: among same-time events the arrival fires first,
+        whenever it was scheduled, so same-time jobs arrive in workload
+        order ahead of the rounds and completions they cause.
         """
         self._arrivals_pending += 1
         self._active_jobs += 1
@@ -635,8 +613,8 @@ class DatacenterSimulation(ActuatorsMixin):
 
         The service layer's analogue of a trace arrival: the control
         plane assigns ``job.submit_time`` (>= the current clock — the DES
-        kernel rejects the past) and the arrival fires with the streaming
-        convention's priority ``-1``, so same-time admissions process in
+        kernel rejects the past) and the arrival fires with a workload
+        arrival's priority ``-1``, so same-time admissions process in
         admission order ahead of every same-time engine event.  That
         ordering is what makes a journal replay reproduce the live run's
         event sequence exactly.
@@ -665,17 +643,17 @@ class DatacenterSimulation(ActuatorsMixin):
         self._on_job_arrival(job)
 
     def _stream_exhausted(self, last_submit: float) -> None:
-        """Install the drain-horizon guard once the stream runs dry.
+        """Install the drain-horizon guard once the workload runs dry.
 
-        Mirrors the materialized mode's ``sim.run(until=horizon)``: every
-        event *at* the horizon still fires (the guard's huge priority
-        sorts it last at its timestamp), then the run stops with the
-        clock at the horizon.  In the common full-drain case the last
-        completion stops the loop first and the guard never fires.
+        The horizon is ``last_submit + drain_grace_s``.  Every event *at*
+        the horizon still fires (the guard's huge priority sorts it last
+        at its timestamp), then the run stops with the clock at the
+        horizon.  In the common full-drain case the last completion stops
+        the loop first and the guard never fires.
         """
-        self._horizon = last_submit + self.config.drain_grace_s
+        horizon = last_submit + self.config.drain_grace_s
         self.sim.at(
-            max(self._horizon, self.sim.now),
+            max(horizon, self.sim.now),
             self.sim.stop,
             priority=1 << 30,
             label="horizon",
@@ -685,8 +663,8 @@ class DatacenterSimulation(ActuatorsMixin):
         """Execute the whole workload and return the result row.
 
         Works identically on a fresh engine and on one restored from a
-        snapshot: :meth:`start` is idempotent (the armed state — pending
-        arrivals, ticks, the horizon guard — lives in the pickled heap),
+        snapshot: :meth:`start` is idempotent (the armed state — the next
+        arrival, ticks, the horizon guard — lives in the pickled heap),
         so a resumed run simply drains the remaining events.
         """
         if self._result is not None:
@@ -696,10 +674,10 @@ class DatacenterSimulation(ActuatorsMixin):
             # A fresh budget per attempt (not pickled): a resumed run gets
             # its own full slice, which is what preemption schedulers do.
             self._wall_deadline = _time.monotonic() + self.config.max_wall_clock_s
-        horizon = self.start()
-        # Streaming mode has no horizon until the stream is exhausted;
-        # the guard event installed by _stream_exhausted stops the loop.
-        self.sim.run(until=None if math.isinf(horizon) else horizon)
+        self.start()
+        # The last job finishing or the horizon guard that
+        # _stream_exhausted installs stops the loop.
+        self.sim.run()
 
         if self._snapshotter is not None:
             # The last periodic snapshot may still be on the background
@@ -802,6 +780,8 @@ class DatacenterSimulation(ActuatorsMixin):
     def _on_job_arrival(self, job) -> None:
         self._arrivals_pending -= 1
         vm = Vm(job)
+        vm.arrival_seq = self._n_arrived
+        self._n_arrived += 1
         vm.last_progress_t = self.sim.now
         self.vms[vm.vm_id] = vm
         # Requirement feasibility is spec-only, so checking the distinct
@@ -1348,18 +1328,16 @@ class DatacenterSimulation(ActuatorsMixin):
         self._job_finished()
 
     def _retire_vm(self, vm: Vm) -> None:
-        """Streaming mode: compact a finished VM into flat statistics.
+        """Compact a finished VM into flat result statistics.
 
-        Records the four scalars the result builder needs (id for
-        arrival-order re-sorting, satisfaction, delay, wait) and prunes
-        the registry, so memory tracks the live set instead of the total
-        job count.  Trace runs keep the full registry (``job_records``
-        and the tests rely on it) — this is a no-op there.
+        Records the four scalars the result fold needs (arrival index,
+        satisfaction, delay, wait).  A stream
+        also prunes the registry, so memory tracks the live set instead
+        of the total job count; a trace (and live mode) keeps it for the
+        readers of ``self.vms`` after the run.
         """
-        if not self._streaming:
-            return
         job = vm.job
-        self._ret_ids.append(vm.vm_id)
+        self._ret_seq.append(vm.arrival_seq)
         self._ret_sat.append(job.satisfaction())
         self._ret_delay.append(job.delay_pct())
         self._ret_wait.append(
@@ -1371,9 +1349,9 @@ class DatacenterSimulation(ActuatorsMixin):
             self._ret_completed += 1
         elif job.state is JobState.FAILED:
             self._ret_failed += 1
-        self.vms.pop(vm.vm_id, None)
+        if self._streaming:
+            self.vms.pop(vm.vm_id, None)
         self._vm_attempts.pop(vm.vm_id, None)
-        self.checkpoints.forget(vm.vm_id)
 
     def _job_finished(self) -> None:
         self._active_jobs -= 1
@@ -1568,26 +1546,27 @@ class DatacenterSimulation(ActuatorsMixin):
 
     # --------------------------------------------------------------- result
 
-    def _streaming_job_stats(self) -> Tuple[float, float, float, float, int, int, int]:
-        """Fold the compacted per-job statistics into the result scalars.
+    def _job_stats(self) -> Tuple[float, float, float, float, int, int, int]:
+        """Fold the per-job statistics into the result scalars.
 
-        Bit-identical to the materialized path: retired rows are re-sorted
-        by vm id (= arrival order = the registry's insertion order in a
-        Trace run), live VMs follow interleaved by the same sort, and the
-        never-arrived remainder (pending arrival first, then the drained
-        stream, pulled one job at a time) appends in stream order — so
-        ``np.mean``/``np.percentile`` see the exact sequences a
-        materialized run feeds them.
+        Every arrived VM is either retired (its four scalars in the
+        ``_ret_*`` arrays) or still in ``self._live``.  Both parts are
+        re-sorted by arrival index and the never-arrived remainder
+        (pending arrival first, then the rest of the workload) appends
+        in workload order, so ``np.mean`` folds the jobs in the order
+        they arrived, whatever their ids.
         """
         import numpy as _np
 
-        live = list(self.vms.values())
+        live = list(self._live.values())
         n_live = len(live)
-        ids = _np.concatenate(
+        seq = _np.concatenate(
             [
-                _np.asarray(self._ret_ids, dtype=_np.int64),
+                _np.asarray(self._ret_seq, dtype=_np.int64),
                 _np.fromiter(
-                    (vm.vm_id for vm in live), dtype=_np.int64, count=n_live
+                    (vm.arrival_seq for vm in live),
+                    dtype=_np.int64,
+                    count=n_live,
                 ),
             ]
         )
@@ -1626,26 +1605,18 @@ class DatacenterSimulation(ActuatorsMixin):
                 ),
             ]
         )
-        order = _np.argsort(ids, kind="stable")
+        order = _np.argsort(seq)
         sats, delays, waits = sats[order], delays[order], waits[order]
-        n_jobs = int(ids.size)
-        n_completed = self._ret_completed
-        n_failed = self._ret_failed + sum(
-            1 for vm in live if vm.job.state is JobState.FAILED
-        )
+        n_jobs = int(seq.size)
 
-        # Horizon overrun: jobs whose arrival never fired still count as
-        # pending rows, exactly like a materialized run's trace leftovers.
+        # Jobs whose arrival never fired (a caller stepped the clock
+        # itself and finalized before the last arrival) still count as
+        # pending rows.
         tail_sat: List[float] = []
         tail_delay: List[float] = []
+        tail_jobs: Iterator[Job] = self._job_iter or iter(())
         if self._pending_arrival is not None:
-            tail_jobs: Iterator[Job] = iter([self._pending_arrival])
-            if self._job_iter is not None:
-                import itertools
-
-                tail_jobs = itertools.chain(tail_jobs, self._job_iter)
-        else:
-            tail_jobs = self._job_iter or iter(())
+            tail_jobs = itertools.chain([self._pending_arrival], tail_jobs)
         for job in tail_jobs:
             tail_sat.append(job.satisfaction())
             tail_delay.append(job.delay_pct())
@@ -1662,45 +1633,21 @@ class DatacenterSimulation(ActuatorsMixin):
             p95_wait = float(_np.percentile(finite_waits, 95))
         else:
             mean_wait = p95_wait = 0.0
-        return sat, delay, mean_wait, p95_wait, n_jobs, n_completed, n_failed
+        return (
+            sat, delay, mean_wait, p95_wait, n_jobs,
+            self._ret_completed, self._ret_failed,
+        )
 
     def _build_result(self, wall_start: float) -> SimulationResult:
-        if self._streaming:
-            (
-                sat,
-                delay,
-                mean_wait,
-                p95_wait,
-                n_jobs,
-                n_completed,
-                n_failed,
-            ) = self._streaming_job_stats()
-        else:
-            jobs = [vm.job for vm in self.vms.values()]
-            # Jobs whose arrival event never fired (horizon overrun) count
-            # too.  Keyed on job_id (not vm_id): a Vm constructed with a
-            # non-default vm_id would otherwise duplicate or drop its
-            # job's row here.  Live mode (trace=None) has no never-arrived
-            # remainder — every job the service admitted got an event.
-            if self.trace is not None:
-                seen = {vm.job.job_id for vm in self.vms.values()}
-                jobs.extend(j for j in self.trace if j.job_id not in seen)
-            sat, delay = aggregate(jobs)
-            waits = [
-                j.start_time - j.submit_time
-                for j in jobs
-                if j.start_time is not None
-            ]
-            if waits:
-                import numpy as _np
-
-                mean_wait = float(_np.mean(waits))
-                p95_wait = float(_np.percentile(waits, 95))
-            else:
-                mean_wait = p95_wait = 0.0
-            n_jobs = len(jobs)
-            n_completed = sum(1 for j in jobs if j.state is JobState.COMPLETED)
-            n_failed = sum(1 for j in jobs if j.state is JobState.FAILED)
+        (
+            sat,
+            delay,
+            mean_wait,
+            p95_wait,
+            n_jobs,
+            n_completed,
+            n_failed,
+        ) = self._job_stats()
         counters = self.metrics.counters
         reject_reasons = {
             key[len("rejected."):]: count

@@ -118,7 +118,13 @@ __all__ = [
 #:    count as an int instead of a list of ``SlaViolation`` records (a
 #:    class that no longer exists), and leaves its fulfilment index out
 #:    (rebuilt on restore).
-SNAPSHOT_VERSION = 7
+#: 8: one workload feed — a trace's arrivals are chained like a stream's
+#:    (one arrival in the heap, the rest behind the pull cursor) and every
+#:    retired VM is compacted into the ``_ret_*`` arrays the one result
+#:    fold reads; a version-7 trace snapshot holds every arrival in its
+#:    heap and empty arrays, so its retired jobs would drop out of the
+#:    result.
+SNAPSHOT_VERSION = 8
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -42,16 +42,14 @@ class Move:
     from_queue: bool
 
 
-def hill_climb(builder: PersistentScoreMatrix, *, max_moves: int | None = None) -> List[Move]:
-    """Run Algorithm 1 on a prepared matrix builder.
+def hill_climb(builder: PersistentScoreMatrix) -> List[Move]:
+    """Run Algorithm 1 on a prepared matrix builder: the unbudgeted climb.
 
     Parameters
     ----------
     builder:
         A matrix bound to this round (one-shot or long-lived); mutated in
-        place.
-    max_moves:
-        Iteration limit; defaults to the config's ``max_moves`` or
+        place.  The iteration limit is the config's ``max_moves`` or
         ``max(16, #columns)``.
 
     Returns
@@ -60,34 +58,7 @@ def hill_climb(builder: PersistentScoreMatrix, *, max_moves: int | None = None) 
         Moves in application order (placements typically surface first —
         their queue-cost normalization makes them the most negative cells).
     """
-    cfg = builder.config
-    if builder.n_cols == 0 or builder.n_rows == 0:
-        return []
-    limit = max_moves if max_moves is not None else (
-        cfg.max_moves if cfg.max_moves is not None else max(16, builder.n_cols)
-    )
-
-    moves: List[Move] = []
-    for _ in range(limit):
-        # O(N) lookup on the matrix's incrementally maintained per-column
-        # argmin cache — no (M×N) diff materialization per move.
-        best = builder.best_move()
-        if best is None:
-            break
-        row, col, gain = best
-        if not np.isfinite(gain) or gain >= -cfg.epsilon:
-            break
-        vm = builder.columns[col]
-        moves.append(
-            Move(
-                vm_id=vm.vm_id,
-                host_id=builder.hosts[row].host_id,
-                gain=gain,
-                from_queue=bool(builder.is_queued[col]),
-            )
-        )
-        builder.apply_move(col, row)
-    return moves
+    return anytime_hill_climb(builder).moves
 
 
 @dataclass(frozen=True)
@@ -118,23 +89,24 @@ def anytime_hill_climb(
 ) -> AnytimeResult:
     """Algorithm 1 under a latency budget: best answer found so far.
 
-    The climb visits moves in the exact order :func:`hill_climb` does
-    (most-negative cell first, ties broken lowest row then lowest
-    column), so truncation is well-defined: the first iteration always
-    yields the globally best single move, and every prefix of the full
-    climb is itself a feasible schedule — each committed move passed the
-    same capacity checks the full climb applies.
+    The one implementation of the climb; :func:`hill_climb` is its
+    unbudgeted form.  Moves come most-negative cell first (ties broken
+    lowest row then lowest column), so truncation is well-defined: the
+    first iteration always yields the globally best single move, and
+    every prefix of the full climb is itself a feasible schedule — each
+    committed move passed the same capacity checks the full climb
+    applies.
 
     Parameters
     ----------
     builder:
         A matrix bound to this round (one-shot or long-lived); mutated in
-        place exactly as by :func:`hill_climb`.
+        place.
     budget:
         Maximum iterations (committed moves).  The *deterministic* unit:
         equal budgets on equal matrix state give equal decisions across
-        runs and hosts.  ``None`` or ``math.inf`` means unbounded — the
-        result is then bit-identical to :func:`hill_climb`.
+        runs and hosts.  ``None`` or ``math.inf`` means unbounded (what
+        :func:`hill_climb` runs).
     deadline_s / clock:
         Wall-clock cutoff for live serving, checked at iteration
         boundaries against ``clock()`` (default
@@ -146,7 +118,8 @@ def anytime_hill_climb(
     -------
     AnytimeResult
         Moves in application order plus the ``budget_exhausted`` flag
-        (True when improving cells remained at cutoff).
+        (True when a budget or deadline cut the climb with improving
+        cells left).
     """
     cfg = builder.config
     if builder.n_cols == 0 or builder.n_rows == 0:
@@ -154,7 +127,8 @@ def anytime_hill_climb(
     limit = (
         cfg.max_moves if cfg.max_moves is not None else max(16, builder.n_cols)
     )
-    if budget is not None and not math.isinf(budget):
+    budgeted = budget is not None and not math.isinf(budget)
+    if budgeted:
         limit = min(limit, int(budget))
     if deadline_s is not None and clock is None:
         import time as _time
@@ -162,25 +136,16 @@ def anytime_hill_climb(
         clock = _time.monotonic
 
     moves: List[Move] = []
-    exhausted = False
+    cut = False
     while True:
         if len(moves) >= limit:
-            # Cut off — but only "exhausted" if an improving cell remains.
-            best = builder.best_move()
-            exhausted = bool(
-                best is not None
-                and np.isfinite(best[2])
-                and best[2] < -cfg.epsilon
-            )
+            cut = budgeted
             break
         if deadline_s is not None and clock() >= deadline_s:
-            best = builder.best_move()
-            exhausted = bool(
-                best is not None
-                and np.isfinite(best[2])
-                and best[2] < -cfg.epsilon
-            )
+            cut = True
             break
+        # O(N) lookup on the matrix's incrementally maintained per-column
+        # argmin cache — no (M×N) diff materialization per move.
         best = builder.best_move()
         if best is None:
             break
@@ -197,6 +162,16 @@ def anytime_hill_climb(
             )
         )
         builder.apply_move(col, row)
+    exhausted = False
+    if cut:
+        # A budget or deadline stopped the climb: "exhausted" only if an
+        # improving cell remains.  Unbudgeted climbs never probe.
+        best = builder.best_move()
+        exhausted = bool(
+            best is not None
+            and np.isfinite(best[2])
+            and best[2] < -cfg.epsilon
+        )
     return AnytimeResult(
         moves=moves, budget_exhausted=exhausted, iterations=len(moves)
     )

@@ -56,7 +56,8 @@ class DecisionJournal:
     Parameters
     ----------
     path:
-        The journal file; created if missing.
+        The journal file; created, with any missing parent
+        directories, if missing.
     recover:
         Continue the file: read it first (a torn last line is dropped,
         any earlier corruption raises :class:`~repro.errors.StateError`),
@@ -75,6 +76,7 @@ class DecisionJournal:
         self.preexisting_indexed = sum(
             1 for r in self._preexisting if r.kind not in UNINDEXED_KINDS
         )
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         self._fh = open(self.path, "a" if recover else "w", encoding="utf-8")
         if not recover:
             fsync_dir(self.path)

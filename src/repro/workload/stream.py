@@ -6,8 +6,9 @@ A :class:`JobStream` is the streaming counterpart of
 jobs are produced one at a time from a factory-made iterator, so a
 million-job sweep holds O(live VMs) of workload state instead of O(total
 jobs).  The engine (:class:`~repro.engine.datacenter.DatacenterSimulation`)
-accepts either form; with a stream it chains arrival events (each arrival
-schedules the next) instead of pre-scheduling the whole trace.
+accepts either form and feeds both the same way, chaining arrival events
+(each arrival schedules the next); with a stream it also prunes retired
+VMs from its registry.
 
 Contract, enforced on the fly while iterating:
 

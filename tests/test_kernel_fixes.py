@@ -188,8 +188,9 @@ class TestBuildResultJobKeying:
         assert result.n_completed == 3
 
         # Re-key one VM under a non-default vm_id: the job row count must
-        # not change.  (The old code keyed `seen` on vm_id but filtered
-        # the trace by job_id, double-counting this job.)
+        # not change.  (A fold that keyed arrived jobs on vm_id but the
+        # never-arrived remainder on job_id double-counted this job; the
+        # one fold reads the retired-job arrays, not the registry.)
         jid = next(iter(engine.vms))
         vm = engine.vms.pop(jid)
         revm = Vm(vm.job, vm_id=jid + 10_000)

@@ -62,8 +62,10 @@ class TestPlacement:
     def test_iteration_limit_respected(self):
         hosts = [make_host(i) for i in range(3)]
         vms = [make_vm(i) for i in range(1, 9)]
-        moves = hill_climb(build(hosts, vms), max_moves=2)
-        assert len(moves) <= 2
+        moves = hill_climb(
+            build(hosts, vms, config=ScoreConfig.sb(max_moves=2))
+        )
+        assert len(moves) == 2
 
 
 class TestMigration:

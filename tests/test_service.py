@@ -156,6 +156,31 @@ class TestDecisionJournal:
         records = read_jsonl(path)
         assert [r.vm_id for r in records] == [0]
 
+    def test_fresh_journal_creates_missing_parent_directories(self, tmp_path):
+        path = str(tmp_path / "missing" / "deeper" / "j.jsonl")
+        with DecisionJournal(path) as journal:
+            assert journal.append_indexed(0, self._record(0))
+        from repro.engine.tracing import read_jsonl
+
+        assert [r.vm_id for r in read_jsonl(path)] == [0]
+
+    def test_serve_journal_into_missing_directory(self, tmp_path):
+        """``serve --journal DIR/j.jsonl`` with no DIR yet writes the
+        journal there instead of dying with a FileNotFoundError."""
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--journal", os.path.join("out", "run", "j.jsonl"),
+             "--hosts", "6", "--seed", "11", "--synthetic-hours", "0.5",
+             "--synthetic-rate", "20"],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run" / "j.jsonl").stat().st_size > 0
+
     def test_second_fresh_serve_replays(self, tmp_path):
         """Two serves into one journal path without resuming: the second
         run's journal alone is on disk, and it replays to its result."""
