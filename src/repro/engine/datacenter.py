@@ -241,13 +241,11 @@ class DatacenterSimulation(ActuatorsMixin):
         )
 
         # ---- workload feed -----------------------------------------------
-        #: Iterator over the workload (None before start and in live mode).
+        #: Iterator over the workload (None before start and in live mode):
+        #: a trace's list iterator or a stream's
+        #: :class:`~repro.workload.stream.FeedCursor`.  Both pickle their
+        #: position, so a snapshot resumes the feed where it stopped.
         self._job_iter: Optional[Iterator[Job]] = None
-        #: Jobs pulled from the workload so far — the snapshot cursor.  A
-        #: stream's generator cannot be pickled; restore re-iterates the
-        #: workload and skips this many jobs (workloads are replayable,
-        #: so the skipped prefix is the consumed prefix).
-        self._stream_pulled = 0
         #: The one pulled job whose arrival event has not fired yet
         #: (counted as pending if the result is built before it fires).
         self._pending_arrival: Optional[Job] = None
@@ -383,33 +381,22 @@ class DatacenterSimulation(ActuatorsMixin):
 
     # ------------------------------------------------- checkpoint/restore
 
-    def __getstate__(self) -> dict:
-        """Snapshots pickle the engine as one identity-preserving graph.
-
-        The workload iterator is dropped here (a stream's generator
-        cannot be pickled) and re-derived from the workload plus the pull
-        cursor on restore.  Everything else — heap callbacks
-        (``functools.partial`` of bound methods), RNG states, the
-        policy's columnar state and score matrix — pickles with shared
-        object identities preserved by the pickle memo.  Four members
-        leave derived payload out through their own ``__getstate__``: the
-        score matrix its cell array (rebuilt on first access), the slot
-        registry its finished VMs, the event trace its record objects
-        (pickled as tuples), and the SLA monitor its fulfilment index
-        (rebuilt here).
-        """
-        state = self.__dict__.copy()
-        state["_job_iter"] = None
-        return state
-
     def __setstate__(self, state: dict) -> None:
+        """Restore an engine unpickled from a snapshot.
+
+        Snapshots pickle the engine as one identity-preserving graph:
+        heap callbacks (``functools.partial`` of bound methods), RNG
+        states, the policy's columnar state and score matrix, and the
+        workload iterator — a trace's list iterator, or a stream's
+        :class:`~repro.workload.stream.FeedCursor`, which resumes by
+        itself (see :mod:`repro.workload.stream` for when that is O(1)
+        and when it replays).  Four members leave derived payload out
+        through their own ``__getstate__``: the score matrix its cell
+        array (rebuilt on first access), the slot registry its finished
+        VMs, the event trace its record objects (pickled as tuples), and
+        the SLA monitor its fulfilment index, rebuilt here.
+        """
         self.__dict__.update(state)
-        if self._stream_pulled:
-            it = iter(self.trace)
-            for _ in range(self._stream_pulled):
-                if next(it, None) is None:
-                    break
-            self._job_iter = it
         if self.sla_monitor is not None:
             # The fulfilment index is derived state: one scan rebuilds it.
             self.sla_monitor.rebuild(self._live.values(), self.sim.now)
@@ -572,7 +559,6 @@ class DatacenterSimulation(ActuatorsMixin):
             if first is None:
                 raise ConfigurationError("cannot simulate an empty trace")
             self._job_iter = it
-            self._stream_pulled = 1
             self._schedule_arrival(first)
 
         if self.checkpoints.enabled:
@@ -635,7 +621,6 @@ class DatacenterSimulation(ActuatorsMixin):
         # tie-broken by the -1 priority ahead of everything else).
         nxt = next(self._job_iter, None)
         if nxt is not None:
-            self._stream_pulled += 1
             self._schedule_arrival(nxt)
         else:
             self._pending_arrival = None

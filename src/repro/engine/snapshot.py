@@ -33,9 +33,11 @@ shared identities survive, minus state a restore derives cheaply):
   the sweep frees the same slots in the same order);
 * the event trace, with its records pickled as plain tuples and rebuilt
   on load;
-* the streaming-workload cursor (the generator itself is unpicklable;
-  the engine records how many jobs were pulled and re-derives the
-  iterator from the replayable stream factory on restore).
+* the workload iterator: a trace's list iterator, or a stream's
+  :class:`~repro.workload.stream.FeedCursor`.  The cursor pickles its
+  feed's position when the feed can (the synthetic generator, the
+  SWF/GWF readers) and resumes in O(1); over an opaque generator it
+  pickles the factory and pull count and replays that prefix on load.
 
 Snapshots are only taken at **inter-event boundaries** (the simulator's
 ``post_event`` hook): inside an event callback the enclosing frame may
@@ -124,7 +126,12 @@ __all__ = [
 #:    fold reads; a version-7 trace snapshot holds every arrival in its
 #:    heap and empty arrays, so its retired jobs would drop out of the
 #:    result.
-SNAPSHOT_VERSION = 8
+#: 9: feeds resume in O(1) — the workload iterator pickles with the engine
+#:    (a trace's list iterator, or a stream's ``FeedCursor`` carrying the
+#:    feed's own position), the engine lost its ``_stream_pulled`` count,
+#:    and the synthetic generator lost its cached named streams; a
+#:    version-8 stream snapshot has no iterator to resume.
+SNAPSHOT_VERSION = 9
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -10,6 +10,7 @@ deadline-sensitive in HPC practice, so they get the tighter factors).
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -19,6 +20,12 @@ from repro.workload.job import Job
 from repro.workload.trace import Trace
 
 __all__ = ["DeadlinePolicy", "assign_deadlines"]
+
+
+@functools.lru_cache(maxsize=4096)
+def _user_typology(user: str) -> float:
+    """A user's stable position in ``[0, 1)``: crc32 of the tag."""
+    return (zlib.crc32(user.encode("utf-8")) % 1000) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -40,18 +47,20 @@ class DeadlinePolicy:
 
     def factor(self, job: Job) -> float:
         """Deadline factor for ``job``: user base + typology adjustment."""
+        return self.factor_for(job.user, job.runtime_s)
+
+    def factor_for(self, user: str, runtime_s: float) -> float:
+        """Deadline factor of a job by ``user`` that runs ``runtime_s``."""
         span = self.hi - self.lo
-        # User typology: stable hash into [0, 1).
-        u = (zlib.crc32(job.user.encode("utf-8")) % 1000) / 1000.0
-        base = self.lo + u * span
+        base = self.lo + _user_typology(user) * span
         # Job typology: long jobs (> 4 h) get +10% of the span of slack,
         # short jobs (< 15 min) get -10%; interpolate in between.
-        if job.runtime_s >= 4 * HOUR:
+        if runtime_s >= 4 * HOUR:
             adj = 0.1 * span
-        elif job.runtime_s <= 0.25 * HOUR:
+        elif runtime_s <= 0.25 * HOUR:
             adj = -0.1 * span
         else:
-            frac = (job.runtime_s - 0.25 * HOUR) / (3.75 * HOUR)
+            frac = (runtime_s - 0.25 * HOUR) / (3.75 * HOUR)
             adj = (0.2 * frac - 0.1) * span
         return clamp(base + adj, self.lo, self.hi)
 

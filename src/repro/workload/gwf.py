@@ -25,72 +25,54 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Iterator, TextIO, Union
+from typing import List, Optional, TextIO, Union
 
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.units import CPU_PCT_PER_CORE
 from repro.workload.job import Job
-from repro.workload.stream import JobStream
+from repro.workload.stream import JobStream, LogReader
 from repro.workload.trace import Trace
 
-__all__ = ["iter_gwf", "read_gwf", "stream_gwf"]
+__all__ = ["GwfReader", "iter_gwf", "read_gwf", "stream_gwf"]
 
 _MIN_FIELDS = 7
 
 
-def iter_gwf(
-    source: Union[str, Path, TextIO],
-    *,
-    default_mem_mb: float = 512.0,
-    deadline_factor: float = 1.5,
-    max_jobs: int | None = None,
-) -> Iterator[Job]:
-    """Lazily parse a GWF file, yielding jobs one line at a time."""
-    if isinstance(source, (str, Path)):
-        handle: TextIO = open(source, "r", encoding="utf-8")
-        owned = True
-    else:
-        handle, owned = source, False
+class GwfReader(LogReader):
+    """Lazy GWF parser: one job per line, O(1) memory, resumable by path."""
 
-    yielded = 0
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith(";"):
-                continue
-            fields = line.split()
-            if len(fields) < _MIN_FIELDS:
-                raise TraceFormatError(
-                    f"GWF line {lineno}: expected >= {_MIN_FIELDS} fields, "
-                    f"got {len(fields)}"
-                )
-            try:
-                job_id = int(float(fields[0]))
-                submit = float(fields[1])
-                run = float(fields[3])
-                nprocs = int(float(fields[4]))
-                mem_kb = float(fields[6])
-            except ValueError as exc:
-                raise TraceFormatError(f"GWF line {lineno}: {exc}") from exc
+    comments = ("#", ";")
 
-            if run <= 0 or nprocs <= 0:
-                continue
-            user = f"u{fields[11]}" if len(fields) > 11 else "u0"
-            yield Job(
-                job_id=job_id,
-                submit_time=submit,
-                runtime_s=run,
-                cpu_pct=nprocs * CPU_PCT_PER_CORE,
-                mem_mb=mem_kb / 1024.0 if mem_kb > 0 else default_mem_mb,
-                deadline_factor=deadline_factor,
-                user=user,
+    def parse(self, fields: List[str], lineno: int) -> Optional[Job]:
+        if len(fields) < _MIN_FIELDS:
+            raise TraceFormatError(
+                f"GWF line {lineno}: expected >= {_MIN_FIELDS} fields, "
+                f"got {len(fields)}"
             )
-            yielded += 1
-            if max_jobs is not None and yielded >= max_jobs:
-                break
-    finally:
-        if owned:
-            handle.close()
+        try:
+            job_id = int(float(fields[0]))
+            submit = float(fields[1])
+            run = float(fields[3])
+            nprocs = int(float(fields[4]))
+            mem_kb = float(fields[6])
+        except ValueError as exc:
+            raise TraceFormatError(f"GWF line {lineno}: {exc}") from exc
+
+        if run <= 0 or nprocs <= 0:
+            return None
+        return Job(
+            job_id=job_id,
+            submit_time=submit,
+            runtime_s=run,
+            cpu_pct=nprocs * CPU_PCT_PER_CORE,
+            mem_mb=mem_kb / 1024.0 if mem_kb > 0 else self.default_mem_mb,
+            deadline_factor=self.deadline_factor,
+            user=f"u{fields[11]}" if len(fields) > 11 else "u0",
+        )
+
+
+#: Lazily parse a GWF file, one job per line (a :class:`GwfReader`).
+iter_gwf = GwfReader
 
 
 def read_gwf(

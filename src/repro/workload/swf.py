@@ -25,99 +25,62 @@ quality).
 from __future__ import annotations
 
 import functools
-import io
 from pathlib import Path
-from typing import Iterator, TextIO, Tuple, Union
+from typing import List, Optional, TextIO, Union
 
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.units import CPU_PCT_PER_CORE
 from repro.workload.job import Job
-from repro.workload.stream import JobStream
+from repro.workload.stream import JobStream, LogReader
 from repro.workload.trace import Trace
 
-__all__ = ["iter_swf", "read_swf", "stream_swf", "write_swf"]
+__all__ = ["SwfReader", "iter_swf", "read_swf", "stream_swf", "write_swf"]
 
 _N_FIELDS = 18
 
 
-def _open(source: Union[str, Path, TextIO]) -> Tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+class SwfReader(LogReader):
+    """Lazy SWF parser: one job per line, O(1) memory, resumable by path."""
 
+    comments = (";",)
 
-def iter_swf(
-    source: Union[str, Path, TextIO],
-    *,
-    default_mem_mb: float = 512.0,
-    deadline_factor: float = 1.5,
-    max_jobs: int | None = None,
-) -> Iterator[Job]:
-    """Lazily parse an SWF file, yielding jobs one line at a time.
-
-    The generator behind :func:`read_swf` and :func:`stream_swf`: a
-    million-line archive log is parsed in O(1) memory — nothing is
-    accumulated besides the line being decoded.
-
-    Parameters
-    ----------
-    source:
-        Path or open text handle.
-    default_mem_mb:
-        Memory requirement for jobs whose memory field is unknown.
-    deadline_factor:
-        SLA factor assigned uniformly (re-assign with
-        :func:`repro.workload.deadlines.assign_deadlines` for the paper's
-        per-typology factors).
-    max_jobs:
-        Stop after this many parsed jobs (useful for tests).
-    """
-    handle, owned = _open(source)
-    yielded = 0
-    try:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";"):
-                continue
-            fields = line.split()
-            if len(fields) < _N_FIELDS:
-                raise TraceFormatError(
-                    f"SWF line {lineno}: expected {_N_FIELDS} fields, got {len(fields)}"
-                )
-            try:
-                job_id = int(fields[0])
-                submit = float(fields[1])
-                run = float(fields[3])
-                procs = int(fields[4])
-                mem_kb = float(fields[6])
-                req_procs = int(fields[7])
-                req_time = float(fields[8])
-            except ValueError as exc:
-                raise TraceFormatError(f"SWF line {lineno}: {exc}") from exc
-
-            if run <= 0:
-                run = req_time
-            if procs <= 0:
-                procs = req_procs
-            if run <= 0 or procs <= 0:
-                continue
-
-            mem_mb = (mem_kb * procs / 1024.0) if mem_kb > 0 else default_mem_mb
-            yield Job(
-                job_id=job_id,
-                submit_time=submit,
-                runtime_s=run,
-                cpu_pct=procs * CPU_PCT_PER_CORE,
-                mem_mb=mem_mb,
-                deadline_factor=deadline_factor,
-                user=f"u{fields[11]}",
+    def parse(self, fields: List[str], lineno: int) -> Optional[Job]:
+        if len(fields) < _N_FIELDS:
+            raise TraceFormatError(
+                f"SWF line {lineno}: expected {_N_FIELDS} fields, got {len(fields)}"
             )
-            yielded += 1
-            if max_jobs is not None and yielded >= max_jobs:
-                break
-    finally:
-        if owned:
-            handle.close()
+        try:
+            job_id = int(fields[0])
+            submit = float(fields[1])
+            run = float(fields[3])
+            procs = int(fields[4])
+            mem_kb = float(fields[6])
+            req_procs = int(fields[7])
+            req_time = float(fields[8])
+        except ValueError as exc:
+            raise TraceFormatError(f"SWF line {lineno}: {exc}") from exc
+
+        if run <= 0:
+            run = req_time
+        if procs <= 0:
+            procs = req_procs
+        if run <= 0 or procs <= 0:
+            return None
+
+        mem_mb = (mem_kb * procs / 1024.0) if mem_kb > 0 else self.default_mem_mb
+        return Job(
+            job_id=job_id,
+            submit_time=submit,
+            runtime_s=run,
+            cpu_pct=procs * CPU_PCT_PER_CORE,
+            mem_mb=mem_mb,
+            deadline_factor=self.deadline_factor,
+            user=f"u{fields[11]}",
+        )
+
+
+#: Lazily parse an SWF file, one job per line (a :class:`SwfReader`).
+iter_swf = SwfReader
 
 
 def read_swf(
@@ -129,9 +92,9 @@ def read_swf(
 ) -> Trace:
     """Parse an SWF file (or file-like object) into a :class:`Trace`.
 
-    Materializes :func:`iter_swf` (see there for the field mapping and
-    parameters); use :func:`stream_swf` when the log is too large to
-    hold as Job objects.
+    Materializes :func:`iter_swf` (parameters as for
+    :class:`~repro.workload.stream.LogReader`); use :func:`stream_swf`
+    when the log is too large to hold as Job objects.
     """
     return Trace(
         list(

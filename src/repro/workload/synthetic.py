@@ -25,9 +25,9 @@ entire evaluation) meaningful.
 from __future__ import annotations
 
 import math
-
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from repro.errors import ConfigurationError
 from repro.units import DAY, HOUR, WEEK
 from repro.workload.deadlines import DeadlinePolicy
 from repro.workload.job import Job
-from repro.workload.stream import JobStream
+from repro.workload.stream import JobStream, ResumableJobs
 from repro.workload.trace import Trace
 
-__all__ = ["SyntheticConfig", "Grid5000WeekGenerator"]
+__all__ = ["SyntheticConfig", "SyntheticJobs", "Grid5000WeekGenerator"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,131 @@ class SyntheticConfig:
             )
 
 
+def _rate_function(cfg: SyntheticConfig) -> Callable[[float], float]:
+    """``cfg``'s arrival-rate profile, constants bound once.
+
+    See :meth:`Grid5000WeekGenerator.rate_at` for the shape.
+    """
+    base = cfg.base_rate_per_hour
+    night = cfg.night_fraction
+    weekend = cfg.weekend_fraction
+    plateau = cfg.diurnal_shape == "plateau"
+
+    def rate_at(t: float) -> float:
+        day = int(t // DAY) % 7
+        hour_of_day = (t % DAY) / HOUR
+        if plateau:
+            if 10.0 <= hour_of_day < 20.0:
+                diurnal = 1.0
+            elif 7.0 <= hour_of_day < 10.0:
+                diurnal = (hour_of_day - 7.0) / 3.0
+            elif 20.0 <= hour_of_day < 23.0:
+                diurnal = 1.0 - (hour_of_day - 20.0) / 3.0
+            else:
+                diurnal = 0.0
+        else:
+            # Raised cosine: peak 1.0 at 15:00, trough at 03:00.
+            diurnal = 0.5 * (1.0 + np.cos(2 * np.pi * (hour_of_day - 15.0) / 24.0))
+        level = night + (1.0 - night) * diurnal
+        if day >= 5:  # Saturday=5, Sunday=6
+            level *= weekend
+        return base * level
+
+    return rate_at
+
+
+class SyntheticJobs(ResumableJobs):
+    """The synthetic workload as a resumable iterator of jobs.
+
+    Arrivals are a non-homogeneous Poisson process simulated by thinning
+    (candidates at the peak rate, each kept with probability
+    ``rate_at(t) / peak``); each kept arrival draws its width, runtime,
+    memory and user, in that order, from a second stream.  The two
+    streams are the root seed's ``"workload.arrivals"`` and
+    ``"workload.attrs"``, so the attribute draws never shift the arrival
+    sequence.  Deadline factors are a pure function of user and runtime
+    (:meth:`~repro.workload.deadlines.DeadlinePolicy.factor_for`).
+
+    The whole state is the two numpy generators, the clock ``t`` and the
+    next job id; everything else derives from the config, so a pickle
+    taken mid-stream resumes in O(1).
+    """
+
+    def __init__(self, config: SyntheticConfig, seed: int) -> None:
+        streams = RandomStreams(seed=seed)
+        self.__setstate__(
+            {
+                "config": config,
+                "_arrivals": streams.get("workload.arrivals"),
+                "_attrs": streams.get("workload.attrs"),
+                "_t": 0.0,
+                "_job_id": config.first_job_id,
+            }
+        )
+
+    def __getstate__(self) -> dict:
+        return {
+            key: self.__dict__[key]
+            for key in ("config", "_arrivals", "_attrs", "_t", "_job_id")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        cfg = self.config
+        self._rate_at = _rate_function(cfg)
+        self._base = cfg.base_rate_per_hour
+        self._gap = 1.0 / (cfg.base_rate_per_hour / HOUR)  # mean at peak rate
+        self._horizon = cfg.horizon_s
+        self._widths = [w for w, _ in cfg.width_pmf]
+        # Inverse-CDF width draw: numpy's ``choice(p=...)`` builds this
+        # exact table and bisects one ``random()`` draw into it.
+        cdf = np.cumsum([p for _, p in cfg.width_pmf])
+        self._cdf = (cdf / cdf[-1]).tolist()
+        # lognormal(mean=mu, sigma=s) is exp(mu + s * standard_normal()).
+        self._runtime_mu = float(np.log(cfg.runtime_median_s))
+        self._runtime_lo = float(cfg.runtime_min_s)
+        self._runtime_hi = float(cfg.runtime_max_s)
+        self._mem_mu = float(np.log(cfg.mem_per_core_mb))
+        self._users = [f"u{u}" for u in range(cfg.n_users + 1)]
+        self._factor = DeadlinePolicy(cfg.deadline_lo, cfg.deadline_hi).factor_for
+
+    def __next__(self) -> Job:
+        cfg = self.config
+        arrivals = self._arrivals
+        t = self._t
+        while True:
+            t += arrivals.exponential(self._gap)
+            if t >= self._horizon:
+                self._t = t
+                raise StopIteration
+            if arrivals.random() < self._rate_at(t) / self._base:
+                break
+        self._t = t
+
+        rng = self._attrs
+        cores = self._widths[bisect_right(self._cdf, rng.random())]
+        runtime = math.exp(self._runtime_mu + cfg.runtime_sigma * rng.standard_normal())
+        runtime = min(max(runtime, self._runtime_lo), self._runtime_hi)
+        mem_mb = math.exp(self._mem_mu + cfg.mem_sigma * rng.standard_normal()) * cores
+        # Zipf over a finite user population: rejection on the support.
+        while True:
+            u = rng.zipf(cfg.user_zipf_a)
+            if u <= cfg.n_users:
+                break
+        user = self._users[u]
+        job_id = self._job_id
+        self._job_id = job_id + 1
+        return Job(
+            job_id=job_id,
+            submit_time=t,
+            runtime_s=runtime,
+            cpu_pct=cores * 100.0,
+            mem_mb=mem_mb,
+            deadline_factor=self._factor(user, runtime),
+            user=user,
+        )
+
+
 class Grid5000WeekGenerator:
     """Generates a deterministic synthetic week of Grid5000-like load.
 
@@ -125,10 +250,9 @@ class Grid5000WeekGenerator:
 
     def __init__(self, config: SyntheticConfig | None = None, seed: int = 20071001) -> None:
         self.config = config or SyntheticConfig()
-        self._streams = RandomStreams(seed=seed)
-        self._deadlines = DeadlinePolicy(self.config.deadline_lo, self.config.deadline_hi)
-
-    # -------------------------------------------------------------- arrivals
+        self.seed = int(seed)
+        # Fail at construction, not at the first job, on a bad deadline range.
+        DeadlinePolicy(self.config.deadline_lo, self.config.deadline_hi)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate (jobs/hour) at time ``t``.
@@ -139,129 +263,23 @@ class Grid5000WeekGenerator:
         grid's daytime load is a long plateau, not a narrow spike.
         Saturday and Sunday are scaled by ``weekend_fraction``.
         """
-        cfg = self.config
-        day = int(t // DAY) % 7
-        hour_of_day = (t % DAY) / HOUR
-        if cfg.diurnal_shape == "plateau":
-            if 10.0 <= hour_of_day < 20.0:
-                diurnal = 1.0
-            elif 7.0 <= hour_of_day < 10.0:
-                diurnal = (hour_of_day - 7.0) / 3.0
-            elif 20.0 <= hour_of_day < 23.0:
-                diurnal = 1.0 - (hour_of_day - 20.0) / 3.0
-            else:
-                diurnal = 0.0
-        else:
-            # Raised cosine: peak 1.0 at 15:00, trough at 03:00.
-            diurnal = 0.5 * (1.0 + np.cos(2 * np.pi * (hour_of_day - 15.0) / 24.0))
-        level = cfg.night_fraction + (1.0 - cfg.night_fraction) * diurnal
-        if day >= 5:  # Saturday=5, Sunday=6
-            level *= cfg.weekend_fraction
-        return cfg.base_rate_per_hour * level
+        return _rate_function(self.config)(t)
 
-    def _arrival_times(self) -> List[float]:
-        """Non-homogeneous Poisson arrivals by thinning."""
-        cfg = self.config
-        rng = self._streams.get("workload.arrivals")
-        lam_max = cfg.base_rate_per_hour / HOUR  # peak rate per second
-        times: List[float] = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / lam_max))
-            if t >= cfg.horizon_s:
-                break
-            if rng.random() < self.rate_at(t) / cfg.base_rate_per_hour:
-                times.append(t)
-        return times
+    def iter_jobs(self) -> SyntheticJobs:
+        """The workload one job at a time, never holding a job list.
 
-    # ------------------------------------------------------------ attributes
-
-    def _runtime(self, rng: np.random.Generator) -> float:
-        cfg = self.config
-        mu = np.log(cfg.runtime_median_s)
-        r = float(rng.lognormal(mean=mu, sigma=cfg.runtime_sigma))
-        return float(min(max(r, cfg.runtime_min_s), cfg.runtime_max_s))
-
-    def _width(self, rng: np.random.Generator) -> int:
-        widths = [w for w, _ in self.config.width_pmf]
-        probs = [p for _, p in self.config.width_pmf]
-        return int(rng.choice(widths, p=probs))
-
-    def _memory(self, rng: np.random.Generator, cores: int) -> float:
-        cfg = self.config
-        per_core = float(
-            rng.lognormal(mean=np.log(cfg.mem_per_core_mb), sigma=cfg.mem_sigma)
-        )
-        return per_core * cores
-
-    def _user(self, rng: np.random.Generator) -> str:
-        cfg = self.config
-        # Zipf over a finite user population: rejection on the support.
-        while True:
-            u = int(rng.zipf(cfg.user_zipf_a))
-            if u <= cfg.n_users:
-                return f"u{u}"
-
-    # -------------------------------------------------------------- generate
+        Each call starts a pristine :class:`SyntheticJobs` from the root
+        seed, so the feed replays identically however often it is
+        invoked (which makes this a valid
+        :class:`~repro.workload.stream.JobStream` factory), and the
+        iterator pickles its position, so a stream snapshot taken
+        mid-feed resumes without replaying the consumed prefix.
+        """
+        return SyntheticJobs(self.config, self.seed)
 
     def generate(self) -> Trace:
-        """Produce the full trace (deterministic for a given seed/config)."""
-        cfg = self.config
-        rng = self._streams.get("workload.attrs")
-        jobs: List[Job] = []
-        job_id = cfg.first_job_id
-        for t in self._arrival_times():
-            cores = self._width(rng)
-            job = Job(
-                job_id=job_id,
-                submit_time=t,
-                runtime_s=self._runtime(rng),
-                cpu_pct=cores * 100.0,
-                mem_mb=self._memory(rng, cores),
-                user=self._user(rng),
-            )
-            jobs.append(self._deadlines.apply(job))
-            job_id += 1
-        return Trace(jobs)
-
-    # --------------------------------------------------------------- stream
-
-    def iter_jobs(self) -> Iterator[Job]:
-        """Yield the workload one job at a time, never holding a job list.
-
-        Bit-identical to :meth:`generate` on a freshly constructed
-        generator: arrivals and attributes draw from *separate* named
-        streams ("workload.arrivals" / "workload.attrs"), so interleaving
-        the draws per job preserves both sequences exactly, and deadline
-        factors are a pure per-job function (crc32 of the user tag).
-        Each call derives a pristine stream family from the root seed, so
-        the iterator replays deterministically however often it is
-        invoked — which is what makes it a valid
-        :class:`~repro.workload.stream.JobStream` factory.
-        """
-        cfg = self.config
-        streams = RandomStreams(seed=self._streams.seed)
-        arrivals = streams.get("workload.arrivals")
-        rng = streams.get("workload.attrs")
-        lam_max = cfg.base_rate_per_hour / HOUR
-        job_id = cfg.first_job_id
-        t = 0.0
-        while True:
-            t += float(arrivals.exponential(1.0 / lam_max))
-            if t >= cfg.horizon_s:
-                return
-            if arrivals.random() < self.rate_at(t) / cfg.base_rate_per_hour:
-                cores = self._width(rng)
-                job = Job(
-                    job_id=job_id,
-                    submit_time=t,
-                    runtime_s=self._runtime(rng),
-                    cpu_pct=cores * 100.0,
-                    mem_mb=self._memory(rng, cores),
-                    user=self._user(rng),
-                )
-                yield self._deadlines.apply(job)
-                job_id += 1
+        """The full trace; every call returns the same jobs."""
+        return Trace(list(self.iter_jobs()))
 
     def stream(self) -> JobStream:
         """The workload as a re-playable streaming feed (O(1) memory)."""

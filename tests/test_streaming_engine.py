@@ -11,6 +11,7 @@ ones compact to four scalars each.
 
 import dataclasses
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -150,10 +151,11 @@ class TestFoldInputContract:
         live = [vm.arrival_seq for vm in sim._live.values()]
         assert retired and live
         assert sorted(retired + live) == list(range(sim._n_arrived))
-        arrived = [
-            job.job_id
-            for job in itertools.islice(workload, sim._stream_pulled)
-        ]
+        if kind == "trace":
+            pulled = len(workload) - operator.length_hint(sim._job_iter)
+        else:
+            pulled = sim._job_iter.pulled
+        arrived = [job.job_id for job in itertools.islice(workload, pulled)]
         if sim._pending_arrival is not None:
             arrived.remove(sim._pending_arrival.job_id)
         assert sim._n_arrived == len(arrived)

@@ -63,6 +63,11 @@ class TestStreamingParsers:
     def test_iter_swf_max_jobs(self, swf_file):
         assert sum(1 for _ in iter_swf(swf_file, max_jobs=7)) == 7
 
+    def test_max_jobs_caps_the_parse(self, swf_file):
+        every = [job_key(j) for j in read_swf(swf_file)]
+        assert [job_key(j) for j in iter_swf(swf_file, max_jobs=3)] == every[:3]
+        assert list(iter_swf(swf_file, max_jobs=0)) == []
+
     def test_stream_swf_replays_identically(self, swf_file):
         stream = stream_swf(swf_file)
         first = [job_key(j) for j in stream]
