@@ -57,21 +57,22 @@ class EngineConfig:
         Maximum retained trace records (FIFO-dropped beyond); ``None``
         retains everything (service-mode journaling).
     strict_invariants:
-        Run the incremental-state oracles
-        (:meth:`~repro.cluster.host.Host.verify_aggregates` on every host
-        and :meth:`~repro.engine.metrics.MetricsCollector.verify_against_scan`)
-        on a simulated-time cadence during the run, so silent drift in the
-        O(dirty) incremental state is caught long before it corrupts
-        published rows.  Checks piggyback on regular engine events (no
-        extra simulator events are scheduled), so enabling them leaves
-        every result row — including ``sim_events`` — bit-identical.
-        The ``REPRO_STRICT_INVARIANTS`` environment variable (``raise`` or
-        ``resync``) force-enables this for a whole test run.
+        Run the incremental-state oracles during the run, so silent drift
+        in the O(dirty) incremental state is caught long before it
+        corrupts published rows: host aggregates, metrics totals and the
+        policy's own state (columnar state, matrix cells) every
+        ``invariant_interval_s``, the SLA index at every SLA check, and
+        every score-matrix bind.  Checks piggyback on regular engine
+        events (no extra simulator events are scheduled), so enabling
+        them leaves every result row — including ``sim_events`` —
+        bit-identical.  The ``REPRO_STRICT_INVARIANTS`` environment
+        variable (``raise`` or ``resync``) is the same switch, for a
+        whole test run.
     invariant_mode:
         Response to a detected drift: ``"raise"`` aborts the run with
         :class:`~repro.errors.StateError`; ``"resync"`` rebuilds the
-        drifted aggregate from scratch, emits a RuntimeWarning, and
-        counts the event in ``SimulationResult.invariant_resyncs``.
+        drifted state from scratch, emits a RuntimeWarning, and counts
+        the event in ``SimulationResult.invariant_resyncs``.
     invariant_interval_s:
         Minimum simulated time between two invariant sweeps.
     """

@@ -84,7 +84,9 @@ from array import array
 from collections import deque
 from dataclasses import replace as _replace
 from functools import partial
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.failures import FailureProcess
@@ -331,13 +333,14 @@ class DatacenterSimulation(ActuatorsMixin):
         self._result: Optional[SimulationResult] = None
         self._started = False
 
-        #: Strict-invariant guard rails: checked opportunistically inside
-        #: :meth:`_refresh` (no extra simulator events — ``sim_events``
-        #: and every row stay bit-identical with the mode enabled).
+        #: Strict-invariant guard rails: every oracle runs through
+        #: :meth:`_guard`, from regular events only (no extra simulator
+        #: events — ``sim_events`` and every row stay bit-identical with
+        #: the mode enabled).  Resyncs are counted in
+        #: ``metrics.counters["invariant_resyncs"]``.
         self._invariants_enabled = self.config.strict_invariants
         self._next_invariant_check = 0.0
         self._invariant_checks = 0
-        self._invariant_resyncs = 0
 
         # ---- engine-level checkpoint/restore -----------------------------
         # Env vars mirror REPRO_STRICT_INVARIANTS: they thread a checkpoint
@@ -358,26 +361,8 @@ class DatacenterSimulation(ActuatorsMixin):
         #: events) and the optional wall-clock deadline of this attempt.
         self._graceful_stop = False
         self._wall_deadline: Optional[float] = None
-        self._snapshotter = None
-        if self.config.checkpoint_dir is not None:
-            from repro.engine.snapshot import (
-                EngineSnapshotter,
-                config_fingerprint,
-            )
-
-            fingerprint = config_fingerprint(self)
-            # Per-run subdirectory keyed by the config fingerprint: many
-            # simulations (e.g. one experiment's whole sweep) can share a
-            # parent checkpoint_dir, and restore resolves its own lineage.
-            self._snapshotter = EngineSnapshotter(
-                os.path.join(self.config.checkpoint_dir, fingerprint),
-                fingerprint=fingerprint,
-                sim_interval_s=self.config.checkpoint_sim_interval_s,
-                wall_interval_s=self.config.checkpoint_wall_interval_s,
-                keep=self.config.checkpoint_keep,
-            )
-        if self._snapshotter is not None or self.config.max_wall_clock_s is not None:
-            self.sim.post_event = self._post_event
+        self._snapshotter = self._build_snapshotter()
+        self._arm_post_event()
 
     # ------------------------------------------------- checkpoint/restore
 
@@ -489,11 +474,7 @@ class DatacenterSimulation(ActuatorsMixin):
         the snapshotter accordingly while preserving its counters and
         index lineage, and re-derives the post-event hook.
         """
-        from repro.engine.snapshot import (
-            _OPERATIONAL_FIELDS,
-            EngineSnapshotter,
-            config_fingerprint,
-        )
+        from repro.engine.snapshot import _OPERATIONAL_FIELDS
 
         self.config = _replace(
             self.config,
@@ -502,18 +483,8 @@ class DatacenterSimulation(ActuatorsMixin):
         old = self._snapshotter
         if old is not None:
             old.flush()
-        self._snapshotter = None
-        if self.config.checkpoint_dir is not None:
-            fingerprint = (
-                old.fingerprint if old is not None else config_fingerprint(self)
-            )
-            snap = EngineSnapshotter(
-                os.path.join(self.config.checkpoint_dir, fingerprint),
-                fingerprint=fingerprint,
-                sim_interval_s=self.config.checkpoint_sim_interval_s,
-                wall_interval_s=self.config.checkpoint_wall_interval_s,
-                keep=self.config.checkpoint_keep,
-            )
+        snap = self._build_snapshotter(old.fingerprint if old is not None else None)
+        if snap is not None:
             if old is not None:
                 # Continue the lineage: indices keep ascending so the new
                 # snapshot never collides with (or re-counts) an old one,
@@ -532,9 +503,37 @@ class DatacenterSimulation(ActuatorsMixin):
                 # snapshot is due one whole interval from *now*.
                 while snap._next_sim_due <= self.sim.now:
                     snap._next_sim_due += snap.sim_interval_s
-            self._snapshotter = snap
+        self._snapshotter = snap
         self._graceful_stop = False
         self._wall_deadline = None
+        self._arm_post_event()
+
+    def _build_snapshotter(
+        self, fingerprint: Optional[str] = None
+    ) -> Optional["EngineSnapshotter"]:
+        """The snapshotter ``self.config`` asks for; None without a checkpoint_dir.
+
+        Snapshots go to a per-run subdirectory ``checkpoint_dir/<fingerprint>``,
+        so many simulations (one experiment's whole sweep) can share one
+        checkpoint_dir and a restore resolves its own lineage.  The
+        fingerprint is derived from this engine unless given.
+        """
+        if self.config.checkpoint_dir is None:
+            return None
+        from repro.engine.snapshot import EngineSnapshotter, config_fingerprint
+
+        if fingerprint is None:
+            fingerprint = config_fingerprint(self)
+        return EngineSnapshotter(
+            os.path.join(self.config.checkpoint_dir, fingerprint),
+            fingerprint=fingerprint,
+            sim_interval_s=self.config.checkpoint_sim_interval_s,
+            wall_interval_s=self.config.checkpoint_wall_interval_s,
+            keep=self.config.checkpoint_keep,
+        )
+
+    def _arm_post_event(self) -> None:
+        """Install the post-event hook iff snapshots or a wall budget need it."""
         if self._snapshotter is not None or self.config.max_wall_clock_s is not None:
             self.sim.post_event = self._post_event
         else:
@@ -663,7 +662,21 @@ class DatacenterSimulation(ActuatorsMixin):
         # The last job finishing or the horizon guard that
         # _stream_exhausted installs stops the loop.
         self.sim.run()
+        return self.finalize(wall_start)
 
+    def finalize(self, wall_start: Optional[float] = None) -> SimulationResult:
+        """Close the run and build the result: the one post-loop sequence.
+
+        :meth:`run` ends here, and so does live mode, where the service
+        layer drove the clock itself (``sim.run(until=...)`` per admission
+        batch, then its drain).  Snapshot flush, final metric touch, final
+        strict sweep, metrics close, result build.  Idempotent, like
+        :meth:`run`.
+        """
+        if self._result is not None:
+            return self._result
+        if wall_start is None:
+            wall_start = _time.perf_counter()
         if self._snapshotter is not None:
             # The last periodic snapshot may still be on the background
             # writer; make it durable before publishing the result.
@@ -671,28 +684,6 @@ class DatacenterSimulation(ActuatorsMixin):
         self._touch_all()
         if self._invariants_enabled:
             # Final sweep: the published row must come from verified state.
-            self._check_invariants(self.sim.now)
-        self.metrics.close(self.sim.now)
-        self._result = self._build_result(wall_start)
-        return self._result
-
-    def finalize(self, wall_start: Optional[float] = None) -> SimulationResult:
-        """Close the run and build the result without owning the loop.
-
-        Live mode's ending: the service layer drove the clock itself
-        (``sim.run(until=...)`` per admission batch, then its drain), so
-        this performs exactly the post-loop sequence of :meth:`run` —
-        snapshot flush, final metric touch/close, result build.
-        Idempotent, like :meth:`run`.
-        """
-        if self._result is not None:
-            return self._result
-        if wall_start is None:
-            wall_start = _time.perf_counter()
-        if self._snapshotter is not None:
-            self._snapshotter.flush()
-        self._touch_all()
-        if self._invariants_enabled:
             self._check_invariants(self.sim.now)
         self.metrics.close(self.sim.now)
         self._result = self._build_result(wall_start)
@@ -722,6 +713,7 @@ class DatacenterSimulation(ActuatorsMixin):
             placed_fn=self._placed_iter,
             node_counts=self._node_counts,
             sla=self.sla_monitor,
+            guard=self._guard if self._invariants_enabled else None,
         )
         if self.power_manager.reads_context_vms:
             # Controllers that inspect the VM views run post-action; the
@@ -1213,19 +1205,11 @@ class DatacenterSimulation(ActuatorsMixin):
         now = self.sim.now
         monitor = self.sla_monitor
         if self._invariants_enabled:
-            try:
-                monitor.verify(self._placed_iter(), now)
-            except StateError as exc:
-                if self.config.invariant_mode != "resync":
-                    raise
-                warnings.warn(
-                    f"t={now:.0f}s: SLA index drift resynced: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                monitor.rebuild(self._live.values(), now)
-                self.metrics.counters.incr("invariant_resyncs")
-                self._invariant_resyncs += 1
+            self._guard(
+                "SLA index",
+                partial(monitor.verify, self._placed_iter(), now),
+                partial(monitor.rebuild, self._live.values(), now),
+            )
         violated = monitor.check(now, on_inflate=self._note_inflation)
         for vm in violated:
             self.metrics.counters.incr("sla_inflations")
@@ -1450,84 +1434,55 @@ class DatacenterSimulation(ActuatorsMixin):
     def _check_invariants(self, now: float) -> None:
         """Strict-invariant sweep: run the incremental-state oracles.
 
-        Verifies every host's occupancy aggregates and the metrics
-        collector's delta-maintained totals against from-scratch
-        recomputation.  ``raise`` mode propagates
-        :class:`~repro.errors.StateError`; ``resync`` mode rebuilds the
-        drifted state, warns, and counts the event (surfaced as
-        ``SimulationResult.invariant_resyncs``).  Called from inside
-        regular events, so enabling the mode schedules nothing and every
-        row stays bit-identical.
+        One list of ``(label, verify, repair)`` oracles, each run through
+        :meth:`_guard`: every host's occupancy aggregates, the metrics
+        collector's delta-maintained totals, then whatever the policy
+        keeps (:meth:`SchedulingPolicy.invariant_checks`).  Called from
+        inside regular events, so enabling the mode schedules nothing and
+        every row stays bit-identical.
         """
         self._next_invariant_check = now + self.config.invariant_interval_s
         self._invariant_checks += 1
-        resync = self.config.invariant_mode == "resync"
-        for host in self.hosts:
-            try:
-                host.verify_aggregates()
-            except StateError as exc:
-                if not resync:
-                    raise
-                warnings.warn(
-                    f"t={now:.0f}s: host aggregate drift resynced: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                host.resync_aggregates()
-                self.metrics.host_changed(host)
-                self.metrics.counters.incr("invariant_resyncs")
-                self._invariant_resyncs += 1
+        metrics = self.metrics
+        oracles = [
+            ("host aggregate", h.verify_aggregates, partial(self._resync_host, h))
+            for h in self.hosts
+        ]
+        oracles.append(
+            ("metrics aggregate", metrics.verify_against_scan, metrics.resync_from_scan)
+        )
+        oracles.extend(self.policy.invariant_checks(self.hosts))
+        for label, verify, repair in oracles:
+            self._guard(label, verify, repair)
+
+    def _resync_host(self, host: Host) -> None:
+        host.resync_aggregates()
+        self.metrics.host_changed(host)
+
+    def _guard(
+        self, label: str, verify: Callable[[], object], repair: Callable[[], object]
+    ) -> None:
+        """Run one strict-invariant oracle: the engine's one drift handler.
+
+        ``verify`` raises :class:`~repro.errors.StateError` on drift.  In
+        ``raise`` mode that aborts the run with a StateError naming
+        ``label``; in ``resync`` mode it warns, calls ``repair`` (which
+        rebuilds the state from ground truth) and counts one
+        ``invariant_resyncs``.  The periodic sweep, the SLA check and the
+        policy's bind (through ``SchedulingContext.guard``) call it.
+        """
         try:
-            self.metrics.verify_against_scan()
-        except AssertionError as exc:
-            if not resync:
-                raise StateError(
-                    f"metrics aggregates drifted from full scan: {exc}"
-                ) from exc
+            verify()
+        except StateError as exc:
+            if self.config.invariant_mode != "resync":
+                raise StateError(f"{label} drift: {exc}") from exc
             warnings.warn(
-                f"t={now:.0f}s: metrics aggregate drift resynced: {exc}",
+                f"t={self.sim.now:.0f}s: {label} drift resynced: {exc}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            self.metrics.resync_from_scan()
+            repair()
             self.metrics.counters.incr("invariant_resyncs")
-            self._invariant_resyncs += 1
-        # The score policy's persistent columnar kernel, when present, is
-        # the third piece of incremental state worth an oracle.
-        cache = getattr(self.policy, "_state", None)
-        if cache is not None and cache.matches(self.hosts):
-            try:
-                cache.verify_against_hosts()
-            except StateError as exc:
-                if not resync:
-                    raise
-                warnings.warn(
-                    f"t={now:.0f}s: columnar state drift resynced: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                cache.resync()
-                self.metrics.counters.incr("invariant_resyncs")
-                self._invariant_resyncs += 1
-        # The persistent score matrix, when the policy keeps one, carries
-        # incrementally maintained cells/costs/argmin caches worth the
-        # same treatment: recompute them from its stored attribute arrays.
-        matrix = getattr(self.policy, "_matrix", None)
-        if matrix is not None and getattr(matrix, "state", None) is cache:
-            try:
-                matrix.verify_cells()
-            except StateError as exc:
-                if not resync:
-                    raise
-                warnings.warn(
-                    f"t={now:.0f}s: persistent matrix drift, full rebuild "
-                    f"forced: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                matrix.force_full_rebuild()
-                self.metrics.counters.incr("invariant_resyncs")
-                self._invariant_resyncs += 1
 
     # --------------------------------------------------------------- result
 
@@ -1676,7 +1631,7 @@ class DatacenterSimulation(ActuatorsMixin):
             horizon_s=self.sim.now,
             wall_clock_s=_time.perf_counter() - wall_start,
             invariant_checks=self._invariant_checks,
-            invariant_resyncs=self._invariant_resyncs,
+            invariant_resyncs=counters["invariant_resyncs"],
             failed_creations=counters["failed_creations"],
             aborted_migrations=counters["aborted_migrations"],
             boot_failures=counters["boot_failures"],

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster.energy import EnergyAccount
 from repro.cluster.host import Host
 from repro.des.monitor import CounterSet, TimeWeightedValue
+from repro.errors import StateError
 from repro.units import CPU_PCT_PER_CORE, HOUR
 
 __all__ = ["MetricsCollector"]
@@ -134,7 +135,8 @@ class MetricsCollector:
         Exact comparison for the integer counts; the reserved-CPU float is
         compared exactly too — callers feeding requirement values with
         long binary fractions should expect (and test for) ULP-level
-        drift instead.  Raises AssertionError on mismatch, else True.
+        drift instead.  Raises :class:`~repro.errors.StateError` naming
+        the drifted total (online, working or reserved), else returns True.
         """
         working = 0
         online = 0
@@ -145,9 +147,13 @@ class MetricsCollector:
                 if h.is_working or h.operations:
                     working += 1
                 reserved += h.cpu_reserved()
-        assert online == self._online, (online, self._online)
-        assert working == self._working, (working, self._working)
-        assert reserved == self._reserved, (reserved, self._reserved)
+        for name, kept, scanned in (
+            ("online", self._online, online),
+            ("working", self._working, working),
+            ("reserved", self._reserved, reserved),
+        ):
+            if kept != scanned:
+                raise StateError(f"{name} total {kept!r} != scan {scanned!r}")
         return True
 
     def resync_from_scan(self) -> None:

@@ -21,6 +21,13 @@ from repro.sla.monitor import SlaMonitor
 
 __all__ = ["SchedulingContext", "SchedulingPolicy"]
 
+#: A strict-invariant oracle: ``(label, verify, repair)``.  ``verify``
+#: raises :class:`~repro.errors.StateError` on drift; ``repair`` rebuilds
+#: the state from ground truth.
+Oracle = Tuple[str, Callable[[], object], Callable[[], object]]
+#: The engine's handler that runs one oracle: ``guard(label, verify, repair)``.
+Guard = Callable[[str, Callable[[], object], Callable[[], object]], None]
+
 
 class SchedulingContext:
     """Read-only view handed to policies each scheduling round.
@@ -57,10 +64,18 @@ class SchedulingContext:
         O(dirty hosts); a context built without one (a
         :class:`~repro.service.core.PlacementCore` snapshot, a test)
         builds its own by one scan of ``placed`` on first read.
+    guard:
+        The engine's strict-invariant handler, ``guard(label, verify,
+        repair)``, or ``None``.  The engine passes it when strict
+        invariants are on, and a policy runs the oracles of state it
+        changes during a round (the score policy: every matrix bind)
+        through it, so drift raises or is repaired and counted like any
+        other.  Hand-built contexts have no guard, so nothing is verified.
     """
 
     __slots__ = (
-        "now", "hosts", "queued", "node_counts", "_placed", "_placed_fn", "_sla",
+        "now", "hosts", "queued", "node_counts", "guard", "_placed",
+        "_placed_fn", "_sla",
     )
 
     def __init__(
@@ -73,11 +88,13 @@ class SchedulingContext:
         placed_fn: Optional[Callable[[], Sequence[Vm]]] = None,
         node_counts: Optional[Callable[[], Tuple[int, int]]] = None,
         sla: Optional[SlaMonitor] = None,
+        guard: Optional[Guard] = None,
     ) -> None:
         self.now = now
         self.hosts = hosts
         self.queued = queued
         self.node_counts = node_counts
+        self.guard = guard
         self._sla = sla
         self._placed_fn = placed_fn
         if placed is None and placed_fn is None:
@@ -155,6 +172,14 @@ class SchedulingPolicy:
             candidates,
             key=lambda h: (-h.spec.creation_s, -h.host_id),
         )
+
+    def invariant_checks(self, hosts: Sequence[Host]) -> Sequence[Oracle]:
+        """Oracles over the policy's own incremental state for ``hosts``.
+
+        The engine's periodic strict sweep runs each through its guard.
+        The default keeps no such state.
+        """
+        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

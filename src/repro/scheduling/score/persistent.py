@@ -60,7 +60,7 @@ tests hold the one-column path to it, bit for bit.
 bit-for-bit the cell a one-shot bind of the same cluster computes: both
 come from the same elementwise float expressions gathered over row/column
 subsets.  The ``verify_against_fresh`` oracle (run on every bind under
-``REPRO_STRICT_INVARIANTS``) checks exactly that.  Two representation
+the engine's strict invariants) checks exactly that.  Two representation
 choices make the incremental form possible:
 
 * the migration penalty ``T_r < C_m ? 2 C_m : C_m/2`` is factorized

@@ -28,8 +28,7 @@ down before fast ones.
 
 from __future__ import annotations
 
-import os
-import warnings
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,9 +36,8 @@ import numpy as np
 from repro.cluster.faults import ObservedReliability
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
-from repro.errors import StateError
 from repro.scheduling.actions import Action, Migrate, Place
-from repro.scheduling.base import SchedulingContext, SchedulingPolicy
+from repro.scheduling.base import Oracle, SchedulingContext, SchedulingPolicy
 from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
 from repro.scheduling.score.matrix import ScoreMatrixBuilder
@@ -89,12 +87,6 @@ class ScoreBasedPolicy(SchedulingPolicy):
         #: it.  Built on first use, rebuilt only for a new cluster.
         self._state: Optional[ColumnarClusterState] = None
         self._matrix: Optional[PersistentScoreMatrix] = None
-        #: Strict-mode self-check: every bind is verified against a
-        #: one-shot rebuild (same env convention as the engine's invariant
-        #: sweeps).
-        self._verify_mode = os.environ.get(
-            "REPRO_STRICT_INVARIANTS", ""
-        ).lower()
         self.name = name if name is not None else self._derive_name()
         self._next_consolidation = 0.0
         #: Learned per-host reliabilities, wired up by the engine when
@@ -195,10 +187,10 @@ class ScoreBasedPolicy(SchedulingPolicy):
 
         The hill climber's matrix survives across rounds and rescores only
         dirty rows/changed columns.  SA and tabu mutate their matrix
-        destructively and get a one-shot per round.  Under
-        ``REPRO_STRICT_INVARIANTS`` every bind of the long-lived matrix is
-        verified against a one-shot rebuild (``raise`` mode propagates the
-        drift, ``resync`` forces a full rebuild).
+        destructively and get a one-shot per round.  When the context
+        carries a guard (the engine's strict invariants), every bind of the
+        long-lived matrix is verified against a one-shot rebuild through
+        it; the repair forces a full rebuild and binds again.
         """
         state = self._cluster_state(ctx)
         reliability = self._reliability_vector(ctx)
@@ -213,24 +205,34 @@ class ScoreBasedPolicy(SchedulingPolicy):
                 reliability=reliability,
             )
         matrix = self._matrix
-        matrix.bind_round(columns, ctx.now, fulfills, reliability)
-        if self._verify_mode in ("raise", "resync"):
-            try:
-                matrix.verify_against_fresh(
-                    columns, ctx.now, fulfills, reliability
-                )
-            except StateError as exc:
-                if self._verify_mode == "raise":
-                    raise
-                warnings.warn(
-                    f"t={ctx.now:.0f}s: persistent matrix drift, full "
-                    f"rebuild forced: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        args = (columns, ctx.now, fulfills, reliability)
+        matrix.bind_round(*args)
+        if ctx.guard is not None:
+
+            def rebind() -> None:
                 matrix.force_full_rebuild()
-                matrix.bind_round(columns, ctx.now, fulfills, reliability)
+                matrix.bind_round(*args)
+
+            ctx.guard(
+                "persistent matrix bind",
+                partial(matrix.verify_against_fresh, *args),
+                rebind,
+            )
         return matrix
+
+    def invariant_checks(self, hosts: Sequence[Host]) -> List[Oracle]:
+        """The columnar state and the long-lived matrix's cells, if they serve ``hosts``."""
+        state, matrix = self._state, self._matrix
+        if state is None or not state.matches(hosts):
+            return []
+        checks: List[Oracle] = [
+            ("columnar state", state.verify_against_hosts, state.resync)
+        ]
+        if matrix is not None:
+            checks.append(
+                ("persistent matrix cells", matrix.verify_cells, matrix.force_full_rebuild)
+            )
+        return checks
 
     # -------------------------------------------------------------- deciding
 

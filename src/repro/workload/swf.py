@@ -18,8 +18,7 @@ reproduction and map it onto :class:`~repro.workload.job.Job`:
 ====  =======================  =====================================
 
 Unknown values are ``-1`` per the SWF spec; jobs without a usable runtime
-or processor count are skipped (and counted, so callers can assert on data
-quality).
+or processor count are skipped silently (not counted).
 """
 
 from __future__ import annotations

@@ -199,3 +199,131 @@ class TestChaosDeterminismGuard:
         ):
             assert getattr(a, field) == getattr(b, field), field
         assert a.reject_reasons == b.reject_reasons
+
+
+# --------------------------------------------------------------------------
+# One guard, six oracles
+# --------------------------------------------------------------------------
+
+
+def _score_engine(mode: str = "raise") -> DatacenterSimulation:
+    """SB-full on the small cluster: host, metrics, columnar, matrix and
+    SLA state all exist.  Periodic sweeps only at t=0 and at the end,
+    unless a test re-arms one."""
+    from repro.scheduling.score import ScoreConfig
+    from repro.scheduling.score.policy import ScoreBasedPolicy
+
+    trace = Grid5000WeekGenerator(
+        SyntheticConfig(
+            horizon_s=6 * 3600.0, base_rate_per_hour=20.0, night_fraction=1.0
+        ),
+        seed=7,
+    ).generate()
+    return DatacenterSimulation(
+        ClusterSpec.homogeneous(16), ScoreBasedPolicy(ScoreConfig.full()),
+        trace.fresh(),
+        config=EngineConfig(
+            seed=3, strict_invariants=True, invariant_mode=mode,
+            invariant_interval_s=1e9,
+        ),
+    )
+
+
+def _corrupt_host(engine):
+    _desync_host(engine)
+    engine._next_invariant_check = 0.0
+
+
+def _corrupt_metrics(engine):
+    engine.metrics._reserved += 13.0
+    engine._next_invariant_check = 0.0
+
+
+def _corrupt_columnar(engine):
+    # An unavailable host's row: no score reads it, so only the columnar
+    # oracle can see the drift.
+    state = engine.policy._state
+    state.sync()
+    row = next(i for i, h in enumerate(engine.hosts) if not h.is_available)
+    state.res_cpu[row] += 5.0
+    engine._next_invariant_check = 0.0
+
+
+def _corrupt_matrix(engine):
+    engine.policy._matrix.scores += 1.0
+
+
+def _corrupt_cells(engine):
+    _corrupt_matrix(engine)
+    engine._next_invariant_check = 0.0
+
+
+def _corrupt_sla(engine):
+    # A phantom VM in the fulfilment index: only the full scan sees it.
+    engine.sla_monitor._fixed[-1] = 1.0
+
+
+#: (guard label, corruption).  Each corruption is seen first by its own
+#: oracle: the four sweep oracles at the next refresh, the SLA index at
+#: the next SLA check, the bind-time matrix at the next bind.
+DRIFTS = [
+    ("host aggregate", _corrupt_host),
+    ("metrics aggregate", _corrupt_metrics),
+    ("columnar state", _corrupt_columnar),
+    ("persistent matrix cells", _corrupt_cells),
+    ("SLA index", _corrupt_sla),
+    ("persistent matrix bind", _corrupt_matrix),
+]
+
+
+class TestOneGuard:
+    @pytest.mark.parametrize("mode", ["raise", "resync"])
+    @pytest.mark.parametrize(
+        "label,corrupt", DRIFTS, ids=[label for label, _ in DRIFTS]
+    )
+    def test_drift_is_caught_by_its_oracle(self, label, corrupt, mode):
+        engine = _score_engine(mode)
+        engine.start()
+        engine.sim.run(until=3 * 3600.0)
+        corrupt(engine)
+        if mode == "raise":
+            with pytest.raises(StateError, match=f"^{label} drift"):
+                engine.run()
+            return
+        with pytest.warns(RuntimeWarning, match=f"{label} drift resynced"):
+            result = engine.run()
+        assert result.invariant_resyncs == 1
+        assert engine.metrics.counters["invariant_resyncs"] == 1
+        assert result.n_completed + result.n_failed == result.n_jobs
+
+    def test_config_switch_verifies_every_bind(self, monkeypatch):
+        """``strict_invariants=True`` alone, no environment variable."""
+        from repro.scheduling.score.persistent import PersistentScoreMatrix
+
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+        calls = []
+        verify = PersistentScoreMatrix.verify_against_fresh
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return verify(self, *args, **kwargs)
+
+        monkeypatch.setattr(PersistentScoreMatrix, "verify_against_fresh", counted)
+        result = _score_engine().run()
+        assert len(calls) == result.rescore_stats["binds"] > 0
+
+    def test_no_guard_without_strict_mode(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+        engine = _engine(EngineConfig(seed=3))
+        assert engine._context().guard is None
+
+    @pytest.mark.parametrize("total", ["online", "working", "reserved"])
+    def test_metrics_oracle_raises_naming_the_total(self, total):
+        """A StateError, not an ``assert`` that ``python -O`` strips."""
+        engine = _engine(EngineConfig(seed=3))
+        engine.start()
+        engine.sim.run(until=1800.0)
+        assert engine.metrics.verify_against_scan()
+        setattr(engine.metrics, f"_{total}", getattr(engine.metrics, f"_{total}") + 1)
+        with pytest.raises(StateError, match=f"^{total} total"):
+            engine.metrics.verify_against_scan()

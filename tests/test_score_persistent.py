@@ -632,7 +632,7 @@ class TestGatingAndRecovery:
         hosts = [make_host(i) for i in range(3)]
         vms = [make_vm(100 + v) for v in range(3)]
         policy = ScoreBasedPolicy(ScoreConfig.sb(), solver=solver)
-        ctx = SimpleNamespace(hosts=hosts, now=0.0)
+        ctx = SimpleNamespace(hosts=hosts, now=0.0, guard=None)
         first = policy._builder(ctx, vms, None)
         second = policy._builder(ctx, vms, None)
         if solver == "hill_climb":
