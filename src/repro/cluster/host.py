@@ -90,9 +90,9 @@ class Host:
 
     def __init__(self, spec: HostSpec, *, initial_state: HostState = HostState.OFF) -> None:
         self.spec = spec
-        #: Dirty sinks: sets of host ids that observers (the persistent
-        #: columnar scheduler state, see
-        #: :class:`repro.scheduling.score.columnar.ColumnarClusterState`)
+        #: Dirty sinks: sets of host ids that observers (the long-lived
+        #: score matrix, see
+        #: :class:`repro.scheduling.score.persistent.PersistentScoreMatrix`)
         #: register via :meth:`add_dirty_sink`.  Every mutation that can
         #: change a scheduler-visible quantity marks this host's id into
         #: each sink, so observers can refresh O(dirty) instead of O(hosts).

@@ -60,7 +60,7 @@ class EngineConfig:
         Run the incremental-state oracles during the run, so silent drift
         in the O(dirty) incremental state is caught long before it
         corrupts published rows: host aggregates, metrics totals and the
-        policy's own state (columnar state, matrix cells) every
+        policy's own state (the score matrix's cells) every
         ``invariant_interval_s``, the SLA index at every SLA check, and
         every score-matrix bind.  Checks piggyback on regular engine
         events (no extra simulator events are scheduled), so enabling

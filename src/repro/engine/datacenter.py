@@ -1597,8 +1597,6 @@ class DatacenterSimulation(ActuatorsMixin):
         mean_recovery_s = (
             self._recovery_total_s / self._recoveries if self._recoveries else 0.0
         )
-        matrix = getattr(self.policy, "_matrix", None)
-        rescore_stats = matrix.stats() if matrix is not None else {}
         memo = self._share_memo
         share_memo_stats = {
             "hits": float(memo.hits),
@@ -1639,7 +1637,7 @@ class DatacenterSimulation(ActuatorsMixin):
             lost_cpu_s=self._lost_work_pct_s / 100.0,
             mean_recovery_s=mean_recovery_s,
             reject_reasons=reject_reasons,
-            rescore_stats=rescore_stats,
+            rescore_stats=self.policy.rescore_stats(),
             share_memo_stats=share_memo_stats,
             checkpoints_written=snap.written if snap is not None else 0,
             checkpoint_bytes=snap.bytes_written if snap is not None else 0,

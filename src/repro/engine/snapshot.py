@@ -21,8 +21,8 @@ shared identities survive, minus state a restore derives cheaply):
   :class:`~repro.cluster.faults.ObservedReliability` EWMAs, supervisor
   retry/quarantine/orphan bookkeeping;
 * the scheduling policy with its
-  :class:`~repro.scheduling.score.columnar.ColumnarClusterState` and
-  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` —
+  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` and
+  the matrix's :class:`~repro.scheduling.score.columnar.ColumnarClusterState` —
   every O(hosts + slots) member (row copies, per-slot column attributes,
   argmin caches, catch-up stamps, counters), but not the O(hosts x
   slots) cell array: the first access after a restore rebuilds the cells
@@ -131,7 +131,12 @@ __all__ = [
 #:    feed's own position), the engine lost its ``_stream_pulled`` count,
 #:    and the synthetic generator lost its cached named streams; a
 #:    version-8 stream snapshot has no iterator to resume.
-SNAPSHOT_VERSION = 9
+#: 10: one host mirror — the columnar state lost its dynamic host arrays
+#:    and dirty set (the score matrix reads its rows from the hosts), and
+#:    the score policy lost its ``_state`` (the long-lived matrix holds
+#:    it); a version-9 snapshot would restore a second, unsubscribed
+#:    mirror.
+SNAPSHOT_VERSION = 10
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -12,7 +12,7 @@ before applying it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
@@ -180,6 +180,13 @@ class SchedulingPolicy:
         The default keeps no such state.
         """
         return ()
+
+    def rescore_stats(self) -> Dict[str, float]:
+        """Score-matrix counters for ``SimulationResult.rescore_stats``.
+
+        The default keeps no score matrix and reports none.
+        """
+        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -1,25 +1,15 @@
 """Persistent columnar cluster state for the score kernel.
 
-:class:`ColumnarClusterState` holds every host- and VM-side array the
-score matrix reads, so matrix construction never walks Python objects:
+:class:`ColumnarClusterState` holds the static host arrays and the VM
+slot registry the score matrix reads, so a bind never re-reads host
+specs or static VM attributes:
 
 * **Static host arrays** (``cap_cpu``, ``cap_mem``, ``cc``, ``cm``,
   ``rel``, ``host_index``) are built once per host population; host
-  specs never change during a run.  :meth:`matches` guards reuse.
-
-* **Dynamic host columns** (``res_cpu``, ``res_mem``, ``nvms``, ``conc``,
-  ``avail``) live in persistent numpy arrays that are *patched* from a
-  dirty-host set instead of re-listed from Host objects.  After
-  :meth:`attach`, the state holds a dirty sink on every host
-  (:meth:`Host.add_dirty_sink`); every host mutation — residency,
-  reservations, operations, lifecycle state, quarantine, aggregate
-  resyncs — marks the host id, and :meth:`sync` refreshes exactly those
-  rows.  The refreshed values come from the ``Host`` reads
-  ``cpu_reserved()``, ``mem_reserved()``, ``n_vms``,
-  ``concurrency_cost`` and ``is_available and not quarantined``, so a
-  synced array is bit-identical to a from-scratch read — the
-  :meth:`verify_against_hosts` oracle checks exactly that, and the
-  engine's strict-invariant mode calls it every verification event.
+  specs never change during a run.  :meth:`matches` guards reuse.  The
+  dynamic host quantities (reservations, VM count, concurrency cost,
+  availability) are not mirrored here: the score matrix keeps its own
+  row copies and reads its dirty rows straight from the hosts.
 
 * **Static per-VM attributes** (``cpu_req``/``mem_req`` as last seen,
   ``fault_tolerance``, and the P_req feasibility row) live in a slot
@@ -36,9 +26,10 @@ classes for the paper's datacenter) and the per-round ``(M, N)`` matrix is
 a numpy gather of per-class string equality and ``req <= cap + 1e-9``
 tests.
 
-A state registers nothing on its hosts until :meth:`attach`: one-shot
-matrices build unattached states (or :meth:`detached` twins of an
-attached one) and leave no sinks or listeners behind.
+A state registers nothing on its hosts; its one observer is the
+long-lived score matrix it serves (``matrix_listener``).  One-shot
+matrices build their own states, or :meth:`detached` twins of a
+long-lived one.
 """
 
 from __future__ import annotations
@@ -49,7 +40,7 @@ import numpy as np
 
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
-from repro.errors import SchedulingError, StateError
+from repro.errors import SchedulingError
 
 __all__ = ["ColumnarClusterState"]
 
@@ -77,14 +68,11 @@ _RETIRED = _RetiredVm()
 
 
 class ColumnarClusterState:
-    """Persistent host *and* VM arrays behind the score matrix.
+    """Static host arrays and the VM slot registry behind the score matrix.
 
-    Build one per (policy, host population) — `ScoreBasedPolicy` does this
-    on first use, attaches it (:meth:`attach`), and reuses it for the whole
-    simulation.  Not thread-safe; observes hosts through the dirty-sink
-    protocol, so any host mutation that bypasses the instrumented ``Host``
-    mutators would go unseen (the engine has no such path;
-    :meth:`verify_against_hosts` exists to catch one if it ever appears).
+    Build one per (policy, host population) — ``ScoreBasedPolicy`` does
+    this on first use for its long-lived matrix and reuses it for the
+    whole simulation.  Not thread-safe.
 
     ``capacity`` is the initial VM slot count; the registry doubles when
     it runs out.
@@ -99,12 +87,6 @@ class ColumnarClusterState:
         "cm",
         "rel",
         "_last_match",
-        "dirty",
-        "res_cpu",
-        "res_mem",
-        "nvms",
-        "conc",
-        "avail",
         "class_of_host",
         "_class_arch",
         "_class_hyp",
@@ -162,16 +144,6 @@ class ColumnarClusterState:
         self._class_cap_cpu = ccpu
         self._class_cap_mem = cmem
 
-        # ---- dynamic host arrays ----------------------------------------
-        self.dirty: set = set()
-        self.res_cpu = np.empty(n, dtype=float)
-        self.res_mem = np.empty(n, dtype=float)
-        self.nvms = np.empty(n, dtype=float)
-        self.conc = np.empty(n, dtype=float)
-        self.avail = np.empty(n, dtype=bool)
-        for i, h in enumerate(self.hosts):
-            self._refresh_host(i, h)
-
         self._reset_registry(capacity)
 
     def __getstate__(self) -> dict:
@@ -211,19 +183,10 @@ class ColumnarClusterState:
         #: tracks the slot space exactly.
         self.matrix_listener = None
 
-    def attach(self) -> None:
-        """Subscribe to every host's mutations (idempotent); until then
-        :meth:`sync` sees no changes and the arrays keep the first read."""
-        for h in self.hosts:
-            h.add_dirty_sink(self.dirty)
-
     def detached(self, capacity: int) -> "ColumnarClusterState":
-        """A twin sharing this state's host side over a new, empty registry.
-
-        The twin shares the host arrays *and* the dirty set (syncing
-        either is the same operation) but registers nothing: one-shot
-        matrices bind to such twins, off the long-lived registry.
-        """
+        """A twin sharing this state's static host arrays over a new, empty
+        registry with no listener: a one-shot matrix binds to it, off the
+        long-lived registry."""
         twin = ColumnarClusterState.__new__(ColumnarClusterState)
         for name in self.__slots__:
             setattr(twin, name, getattr(self, name))
@@ -258,66 +221,6 @@ class ColumnarClusterState:
         cannot detect that.
         """
         self._last_match = None
-
-    # ------------------------------------------------------------- host side
-
-    def _refresh_host(self, i: int, h: Host) -> None:
-        self.res_cpu[i] = h.cpu_reserved()
-        self.res_mem[i] = h.mem_reserved()
-        self.nvms[i] = h.n_vms
-        self.conc[i] = h.concurrency_cost
-        self.avail[i] = h.is_available and not h.quarantined
-
-    def sync(self) -> None:
-        """Patch the dynamic host arrays from the dirty set (O(dirty))."""
-        dirty = self.dirty
-        if not dirty:
-            return
-        index = self.host_index
-        hosts = self.hosts
-        for hid in dirty:
-            i = index[hid]
-            self._refresh_host(i, hosts[i])
-        dirty.clear()
-
-    def verify_against_hosts(self) -> bool:
-        """Oracle: every dynamic array entry equals a fresh Host read.
-
-        ``sync()`` first, then exact comparison; raises
-        :class:`~repro.errors.StateError` on any mismatch.  Used by the
-        engine's strict-invariant mode and the property tests.
-        """
-        self.sync()
-        for i, h in enumerate(self.hosts):
-            expected = (
-                h.cpu_reserved(),
-                h.mem_reserved(),
-                float(h.n_vms),
-                h.concurrency_cost,
-                h.is_available and not h.quarantined,
-            )
-            got = (
-                self.res_cpu[i],
-                self.res_mem[i],
-                self.nvms[i],
-                self.conc[i],
-                bool(self.avail[i]),
-            )
-            for label, e, g in zip(
-                ("res_cpu", "res_mem", "nvms", "conc", "avail"), expected, got
-            ):
-                if e != g:
-                    raise StateError(
-                        f"columnar state drift on host {h.host_id}: "
-                        f"{label} cached {g!r} != fresh {e!r}"
-                    )
-        return True
-
-    def resync(self) -> None:
-        """Full refresh of the dynamic host arrays (recovery path)."""
-        for i, h in enumerate(self.hosts):
-            self._refresh_host(i, h)
-        self.dirty.clear()
 
     # --------------------------------------------------------------- vm side
 

@@ -4,11 +4,11 @@
 :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` bound to
 exactly one round, for whatever wants a matrix of its own for one
 decision: the SA/tabu solvers (they consume it), tests and
-micro-benchmarks.  Its columns go into an unattached
-:class:`~repro.scheduling.score.columnar.ColumnarClusterState` registry
+micro-benchmarks.  Its columns go into a
+:class:`~repro.scheduling.score.columnar.ColumnarClusterState` of its own,
 sized to the round, so slot ``j`` is column ``j`` and ``scores[i, j]`` is
-host ``i``'s score for column ``j``.  Building one registers nothing on
-the hosts or on a shared state.
+host ``i``'s score for column ``j``; its rows are read from the hosts.
+Building one registers nothing on the hosts.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class ScoreMatrixBuilder(PersistentScoreMatrix):
     fulfillments:
         Optional vm_id → SLA fulfilment map (required when
         ``config.enable_sla``).
-    host_cache:
-        Optional :class:`ColumnarClusterState` for these hosts — its host
-        arrays are reused (synced, not re-read from the hosts) through a
-        :meth:`~ColumnarClusterState.detached` twin.
     reliability:
         Optional per-host reliability vector (host order) overriding the
         static spec ``F_rel`` in P_fault — the observed-reliability hook.
@@ -58,12 +54,7 @@ class ScoreMatrixBuilder(PersistentScoreMatrix):
         now: float,
         config: ScoreConfig,
         fulfillments: Optional[Dict[int, float]] = None,
-        host_cache: Optional[ColumnarClusterState] = None,
         reliability: Optional[Sequence[float]] = None,
     ) -> None:
-        if host_cache is not None and host_cache.matches(hosts):
-            state = host_cache.detached(len(columns))
-        else:
-            state = ColumnarClusterState(hosts, capacity=len(columns))
-        super().__init__(state, config)
+        super().__init__(ColumnarClusterState(hosts, capacity=len(columns)), config)
         self.bind_round(columns, now, fulfillments, reliability)

@@ -21,16 +21,16 @@ current cost, argmin cache).
 
 Per round, :meth:`bind_round` runs two phases:
 
-1. the **row phase** collects the **dirty host rows**: the engine dirty
-   sink (every ``Host`` mutation, including power transitions and
-   quarantine — the setters mark dirty), rows touched hypothetically by
-   last round's :meth:`apply_move` calls, and rows whose
-   observed-reliability override changed; restores their dynamic state
-   from the columnar ground truth and stamps them, so every column
-   catches up on them the next time it takes part in a round (lazy
-   catch-up, below).  It maintains ``active_rows`` incrementally
-   (recomputed only on an availability flip among the dirty rows — the
-   steady state pays no O(M) scan);
+1. the **row phase** collects the **dirty host rows**: the matrix's dirty
+   sink on every host (every ``Host`` mutation, including power
+   transitions and quarantine — the setters mark dirty), rows touched
+   hypothetically by last round's :meth:`apply_move` calls, and rows
+   whose observed-reliability override changed; re-reads their dynamic
+   state from the hosts (:meth:`_read_rows`, the one reader of host
+   state) and stamps them, so every column catches up on them the next
+   time it takes part in a round (lazy catch-up, below).  It maintains
+   ``active_rows`` incrementally (recomputed only on an availability flip
+   among the dirty rows — the steady state pays no O(M) scan);
 2. the **column phase** detects **changed columns** among the round's
    participants by comparing stored column attributes against fresh ones
    (placement changed, queued flag flipped, migration-penalty bucket
@@ -109,7 +109,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,9 +138,9 @@ class PersistentScoreMatrix:
 
     A long-lived matrix must be attached (:meth:`attach`) so it sees host
     mutations and slot lifecycle events between binds;
-    ``ScoreBasedPolicy`` keeps one per (policy, columnar state) and
-    rebuilds it only when the cluster changes.  An unattached matrix is
-    valid for the round it is bound to — the one-shot
+    ``ScoreBasedPolicy`` keeps one per cluster and rebuilds it only when
+    the cluster changes.  An unattached matrix is valid for the round it
+    is bound to — the one-shot
     :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`.
 
     An engine snapshot pickles the matrix without its cell array
@@ -170,12 +170,12 @@ class PersistentScoreMatrix:
         self._rel_overridden = False
 
         # ---- persistent dynamic host rows (hypothetical-capable copies) -
-        state.sync()
-        self.avail = state.avail.copy()
-        self.res_cpu = state.res_cpu.copy()
-        self.res_mem = state.res_mem.copy()
-        self.nvms = state.nvms.copy()
-        self.conc = state.conc.copy()
+        self.avail = np.zeros(m, dtype=bool)
+        self.res_cpu = np.empty(m)
+        self.res_mem = np.empty(m)
+        self.nvms = np.empty(m)
+        self.conc = np.empty(m)
+        self._read_rows(range(m))
         self.pending = np.zeros(m)
         self._active = np.nonzero(self.avail)[0]
 
@@ -265,15 +265,14 @@ class PersistentScoreMatrix:
             self.scores[act[:, None], cols] = self._score_block(act, cols)
 
     def attach(self) -> None:
-        """Subscribe this matrix and its state to the cluster.
+        """Subscribe this matrix to the cluster.
 
-        Registers the state's and the matrix's dirty sinks on every host
-        and makes the matrix the state's slot-lifecycle listener — the one
-        step that turns a one-round matrix into a cross-round one.  A
-        state has one listener at a time; attaching a second matrix to the
-        same state replaces the first.
+        Registers the matrix's dirty sink on every host and makes the
+        matrix its state's slot-lifecycle listener — the one step that
+        turns a one-round matrix into a cross-round one.  A state has one
+        listener at a time; attaching a second matrix to the same state
+        replaces the first.
         """
-        self.state.attach()
         for h in self.hosts:
             h.add_dirty_sink(self._sink)
         self.state.matrix_listener = self
@@ -329,6 +328,29 @@ class PersistentScoreMatrix:
             new = np.full(new_cap, fill, dtype=arr.dtype)
             new[:old] = arr
             setattr(self, name, new)
+
+    def _read_rows(self, rows: Iterable[int]) -> bool:
+        """Re-read the row copies of ``rows`` from their hosts.
+
+        The one reader of dynamic host state: reserved CPU and memory, VM
+        count, concurrency cost and availability (on and not
+        quarantined).  Returns whether any row's availability flipped.
+        """
+        hosts = self.hosts
+        avail = self.avail
+        res_cpu, res_mem, nvms, conc = self.res_cpu, self.res_mem, self.nvms, self.conc
+        flipped = False
+        for r in rows:
+            h = hosts[r]
+            res_cpu[r] = h.cpu_reserved()
+            res_mem[r] = h.mem_reserved()
+            nvms[r] = h.n_vms
+            conc[r] = h.concurrency_cost
+            up = h.is_available and not h.quarantined
+            if avail.item(r) != up:  # a numpy bool scalar compares ~20x slower
+                avail[r] = up
+                flipped = True
+        return flipped
 
     def _live_cols(self) -> np.ndarray:
         if self._live_dirty:
@@ -599,7 +621,6 @@ class PersistentScoreMatrix:
         if self.scores is None:
             self._rebuild_cells()
         st = self.state
-        st.sync()
         self._bind_idx += 1
         t = self._bind_idx
 
@@ -627,17 +648,12 @@ class PersistentScoreMatrix:
         # every downstream tie-break independent of mutation order.
         n_dirty = len(dirty)
         if dirty:
-            hs = np.fromiter(sorted(dirty), dtype=int, count=n_dirty)
+            rows = sorted(dirty)
+            hs = np.fromiter(rows, dtype=int, count=n_dirty)
             self._row_stamp[hs] = t
-            avail_new = st.avail[hs]
-            if (self.avail[hs] != avail_new).any():
-                self.avail[hs] = avail_new
-                self._active = np.nonzero(self.avail)[0]
-            self.res_cpu[hs] = st.res_cpu[hs]
-            self.res_mem[hs] = st.res_mem[hs]
-            self.nvms[hs] = st.nvms[hs]
-            self.conc[hs] = st.conc[hs]
             self.pending[hs] = 0.0
+            if self._read_rows(rows):
+                self._active = np.nonzero(self.avail)[0]
 
         # ---- column phase -----------------------------------------------
         slots, cur, q, tr = st.prepare_columns(columns, now)
@@ -1016,15 +1032,28 @@ class PersistentScoreMatrix:
         """Oracle: compare against a one-shot bind of the same round.
 
         Valid right after :meth:`bind_round` with the same arguments (the
-        bound state is then real, not hypothetical).  Compares cells on
-        active rows, current costs, and the argmin caches for every round
-        column; raises :class:`~repro.errors.StateError` on any mismatch.
-        The one-shot registers nothing on the hosts or the state.
+        bound state is then real, not hypothetical).  The one-shot shares
+        only the static host arrays and reads every row from the hosts,
+        so this compares the matrix with the hosts themselves: every row
+        copy, the active row set, cells on active rows, current costs,
+        and the argmin caches for every round column; raises
+        :class:`~repro.errors.StateError` on any mismatch.  The one-shot
+        registers nothing on the hosts or the state.
         """
-        fresh = PersistentScoreMatrix(
-            self.state.detached(len(columns)), self.config
-        )
+        fresh = PersistentScoreMatrix(self.state.detached(len(columns)), self.config)
         fresh._bind_general(columns, now, fulfillments, reliability)
+
+        def same(label: str, mine_a: np.ndarray, fresh_a: np.ndarray) -> None:
+            if not np.array_equal(mine_a, fresh_a):
+                j = int(np.nonzero(mine_a != fresh_a)[0][0])
+                raise StateError(
+                    f"persistent matrix drift: {label}[{j}] "
+                    f"{mine_a[j]!r} != fresh {fresh_a[j]!r}"
+                )
+
+        # Row copies first: a drifted copy is the root cause of cell drift.
+        for name in ("res_cpu", "res_mem", "nvms", "conc", "avail"):
+            same(name, getattr(self, name), getattr(fresh, name))
         rs = self._round_slots
         frs = fresh._round_slots
         act = self._active
@@ -1041,16 +1070,8 @@ class PersistentScoreMatrix:
                     f"(host {int(act[r0])}, col {c0}) "
                     f"{mine[r0, c0]!r} != fresh {theirs[r0, c0]!r}"
                 )
-        for label, mine_a, fresh_a in (
-            ("cost", self._cost[rs], fresh._cost[frs]),
-            ("min_val", self._col_min_val[rs], fresh._col_min_val[frs]),
-        ):
-            if not np.array_equal(mine_a, fresh_a):
-                j = int(np.nonzero(mine_a != fresh_a)[0][0])
-                raise StateError(
-                    f"persistent matrix drift: {label}[{j}] "
-                    f"{mine_a[j]!r} != fresh {fresh_a[j]!r}"
-                )
+        same("cost", self._cost[rs], fresh._cost[frs])
+        same("min_val", self._col_min_val[rs], fresh._col_min_val[frs])
         finite = np.isfinite(self._col_min_val[rs])
         if not np.array_equal(
             self._col_min_row[rs][finite], fresh._col_min_row[frs][finite]

@@ -16,9 +16,11 @@ interface.  Each scheduling round it:
 
 The hill climber runs on one long-lived
 :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` per
-cluster, rebound every round.  SA and tabu consume their matrix
-destructively, so they get a one-shot
-:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder` per round.
+cluster, rebound every round; it is the only scheduler state the policy
+keeps across rounds.  SA and tabu consume their matrix destructively, so
+they get a one-shot
+:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`, over a
+columnar state of its own, per round.
 
 It also overrides the shutdown ranking hook: idle hosts are ordered by
 their aggregated matrix-row score ("those nodes with a higher score are
@@ -82,10 +84,9 @@ class ScoreBasedPolicy(SchedulingPolicy):
             from repro.errors import ConfigurationError
 
             raise ConfigurationError(f"unknown solver {solver!r}")
-        #: The attached columnar state for the current cluster, and — for
-        #: the hill climber — the attached long-lived score matrix over
-        #: it.  Built on first use, rebuilt only for a new cluster.
-        self._state: Optional[ColumnarClusterState] = None
+        #: The hill climber's attached long-lived score matrix for the
+        #: current cluster.  Built on first use, rebuilt only for a new
+        #: cluster.
         self._matrix: Optional[PersistentScoreMatrix] = None
         self.name = name if name is not None else self._derive_name()
         self._next_consolidation = 0.0
@@ -107,26 +108,21 @@ class ScoreBasedPolicy(SchedulingPolicy):
         #: property).
         self.budget_controller: Optional["RoundBudget"] = None
 
-    def _cluster_state(self, ctx: SchedulingContext) -> ColumnarClusterState:
-        """The attached columnar state for ``ctx.hosts`` (rebuilt on a new cluster).
+    def _long_lived_matrix(self, ctx: SchedulingContext) -> PersistentScoreMatrix:
+        """The attached matrix for ``ctx.hosts`` (rebuilt on a new cluster).
 
         Policies may be reused across simulations with different clusters;
         :meth:`ColumnarClusterState.matches` catches that (identity fast
         path on the engine's stable host list, element-wise identity
-        otherwise).  A new state comes with a new long-lived matrix when
-        the solver is the hill climber; the attach step subscribes both to
-        the cluster.
+        otherwise).  The attach step subscribes a new matrix to the
+        cluster.
         """
-        state = self._state
-        if state is None or not state.matches(ctx.hosts):
-            state = ColumnarClusterState(ctx.hosts)
-            self._state = state
-            if self.solver == "hill_climb":
-                self._matrix = PersistentScoreMatrix(state, self.config)
-                self._matrix.attach()
-            else:
-                state.attach()
-        return state
+        matrix = self._matrix
+        if matrix is None or not matrix.state.matches(ctx.hosts):
+            matrix = PersistentScoreMatrix(ColumnarClusterState(ctx.hosts), self.config)
+            matrix.attach()
+            self._matrix = matrix
+        return matrix
 
     def _reliability_vector(
         self, ctx: SchedulingContext
@@ -192,7 +188,6 @@ class ScoreBasedPolicy(SchedulingPolicy):
         long-lived matrix is verified against a one-shot rebuild through
         it; the repair forces a full rebuild and binds again.
         """
-        state = self._cluster_state(ctx)
         reliability = self._reliability_vector(ctx)
         if self.solver != "hill_climb":
             return ScoreMatrixBuilder(
@@ -201,10 +196,9 @@ class ScoreBasedPolicy(SchedulingPolicy):
                 now=ctx.now,
                 config=self.config,
                 fulfillments=fulfills,
-                host_cache=state,
                 reliability=reliability,
             )
-        matrix = self._matrix
+        matrix = self._long_lived_matrix(ctx)
         args = (columns, ctx.now, fulfills, reliability)
         matrix.bind_round(*args)
         if ctx.guard is not None:
@@ -221,18 +215,15 @@ class ScoreBasedPolicy(SchedulingPolicy):
         return matrix
 
     def invariant_checks(self, hosts: Sequence[Host]) -> List[Oracle]:
-        """The columnar state and the long-lived matrix's cells, if they serve ``hosts``."""
-        state, matrix = self._state, self._matrix
-        if state is None or not state.matches(hosts):
+        """The long-lived matrix's cells, if it serves ``hosts``."""
+        matrix = self._matrix
+        if matrix is None or not matrix.state.matches(hosts):
             return []
-        checks: List[Oracle] = [
-            ("columnar state", state.verify_against_hosts, state.resync)
-        ]
-        if matrix is not None:
-            checks.append(
-                ("persistent matrix cells", matrix.verify_cells, matrix.force_full_rebuild)
-            )
-        return checks
+        return [("persistent matrix cells", matrix.verify_cells, matrix.force_full_rebuild)]
+
+    def rescore_stats(self) -> Dict[str, float]:
+        """The long-lived matrix's counters; none for SA and tabu."""
+        return self._matrix.stats() if self._matrix is not None else {}
 
     # -------------------------------------------------------------- deciding
 

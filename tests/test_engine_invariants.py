@@ -68,7 +68,10 @@ class TestConfig:
 
 
 class TestSemanticsFree:
-    def test_rows_bit_identical_with_checks_enabled(self):
+    def test_rows_bit_identical_with_checks_enabled(self, monkeypatch):
+        # The baseline must run unchecked even when the environment turns
+        # strict mode on for the whole suite.
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
         baseline = _engine(EngineConfig(seed=3)).run()
         strict = _engine(
             EngineConfig(
@@ -202,13 +205,13 @@ class TestChaosDeterminismGuard:
 
 
 # --------------------------------------------------------------------------
-# One guard, six oracles
+# One guard, five oracles
 # --------------------------------------------------------------------------
 
 
 def _score_engine(mode: str = "raise") -> DatacenterSimulation:
-    """SB-full on the small cluster: host, metrics, columnar, matrix and
-    SLA state all exist.  Periodic sweeps only at t=0 and at the end,
+    """SB-full on the small cluster: host, metrics, matrix and SLA state
+    all exist.  Periodic sweeps only at t=0 and at the end,
     unless a test re-arms one."""
     from repro.scheduling.score import ScoreConfig
     from repro.scheduling.score.policy import ScoreBasedPolicy
@@ -239,14 +242,16 @@ def _corrupt_metrics(engine):
     engine._next_invariant_check = 0.0
 
 
-def _corrupt_columnar(engine):
-    # An unavailable host's row: no score reads it, so only the columnar
-    # oracle can see the drift.
-    state = engine.policy._state
-    state.sync()
-    row = next(i for i, h in enumerate(engine.hosts) if not h.is_available)
-    state.res_cpu[row] += 5.0
-    engine._next_invariant_check = 0.0
+def _corrupt_row_copy(engine):
+    # The matrix's own copy of a clean, active host: no dirty mark will
+    # re-read it, so only the bind oracle's comparison with the hosts
+    # can see the drift.
+    matrix = engine.policy._matrix
+    row = next(
+        i for i in matrix._active
+        if engine.hosts[i].host_id not in matrix._sink and i not in matrix._touched
+    )
+    matrix.res_cpu[row] += 5.0
 
 
 def _corrupt_matrix(engine):
@@ -263,23 +268,23 @@ def _corrupt_sla(engine):
     engine.sla_monitor._fixed[-1] = 1.0
 
 
-#: (guard label, corruption).  Each corruption is seen first by its own
-#: oracle: the four sweep oracles at the next refresh, the SLA index at
-#: the next SLA check, the bind-time matrix at the next bind.
+#: (test id, guard label, corruption).  Each corruption is seen first by
+#: its own oracle: the three sweep oracles at the next refresh, the SLA
+#: index at the next SLA check, the bind-time matrix at the next bind.
 DRIFTS = [
-    ("host aggregate", _corrupt_host),
-    ("metrics aggregate", _corrupt_metrics),
-    ("columnar state", _corrupt_columnar),
-    ("persistent matrix cells", _corrupt_cells),
-    ("SLA index", _corrupt_sla),
-    ("persistent matrix bind", _corrupt_matrix),
+    ("host aggregate", "host aggregate", _corrupt_host),
+    ("metrics aggregate", "metrics aggregate", _corrupt_metrics),
+    ("persistent matrix cells", "persistent matrix cells", _corrupt_cells),
+    ("SLA index", "SLA index", _corrupt_sla),
+    ("persistent matrix bind", "persistent matrix bind", _corrupt_matrix),
+    ("matrix row copy", "persistent matrix bind", _corrupt_row_copy),
 ]
 
 
 class TestOneGuard:
     @pytest.mark.parametrize("mode", ["raise", "resync"])
     @pytest.mark.parametrize(
-        "label,corrupt", DRIFTS, ids=[label for label, _ in DRIFTS]
+        "label,corrupt", [d[1:] for d in DRIFTS], ids=[d[0] for d in DRIFTS]
     )
     def test_drift_is_caught_by_its_oracle(self, label, corrupt, mode):
         engine = _score_engine(mode)

@@ -9,8 +9,8 @@ Three layers of incremental bookkeeping replaced from-scratch scans:
   (replacing the f-string-keyed dict round trip);
 * :class:`MetricsCollector`'s delta-maintained node-state totals, fed by
   per-host transitions from the engine's dirty sweep;
-* the score matrix's reusable host arrays (a
-  :class:`ColumnarClusterState` passed as ``host_cache``).
+* the long-lived score matrix's row copies of the hosts, patched from
+  its dirty sink instead of re-read each round.
 
 Each one claims *bit-identity* with the historical computation, so every
 test here compares exactly (``==`` / ``assert_array_equal``), never
@@ -39,6 +39,7 @@ from repro.scheduling.score import (
     hill_climb,
 )
 from repro.scheduling.score.columnar import ColumnarClusterState
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.workload.job import Job
 
 CLASSES = [FAST, MEDIUM, SLOW]
@@ -312,7 +313,7 @@ class TestHostArrayCache:
         n_placed=st.integers(0, 6),
         sla=st.booleans(),
     )
-    def test_builder_with_cache_is_bit_identical(
+    def test_long_lived_matrix_is_bit_identical_to_a_one_shot(
         self, seed, n_hosts, n_queued, n_placed, sla
     ):
         rng = np.random.default_rng(seed)
@@ -322,14 +323,16 @@ class TestHostArrayCache:
         cfg = ScoreConfig.full() if sla else ScoreConfig.sb()
         fresh = ScoreMatrixBuilder(hosts, columns, 100.0, cfg,
                                    fulfillments=fulfills)
-        cached = ScoreMatrixBuilder(hosts, columns, 100.0, cfg,
-                                    fulfillments=fulfills,
-                                    host_cache=ColumnarClusterState(hosts))
-        np.testing.assert_array_equal(fresh.scores, cached.scores)
+        cached = PersistentScoreMatrix(ColumnarClusterState(hosts), cfg)
+        cached.attach()
+        cached.bind_round(columns, 100.0, fulfills)
+        np.testing.assert_array_equal(
+            fresh.scores, cached.scores[:, cached._round_slots]
+        )
         np.testing.assert_array_equal(fresh.current_costs(),
                                       cached.current_costs())
         # The solver sees identical matrices, so identical move sequences
-        # (apply_move mutates builder-internal state only).
+        # (apply_move mutates matrix-internal state only).
         moves_fresh = hill_climb(fresh)
         moves_cached = hill_climb(cached)
         assert [(m.vm_id, m.host_id, m.gain) for m in moves_fresh] == [
@@ -354,12 +357,12 @@ class TestHostArrayCache:
 
         ctx = SchedulingContext(now=0.0, hosts=hosts,
                                 queued=tuple(columns), placed=())
-        first = policy._cluster_state(ctx)
-        assert policy._cluster_state(ctx) is first
+        first = policy._long_lived_matrix(ctx)
+        assert policy._long_lived_matrix(ctx) is first
         # A different cluster forces a rebuild.
         other, _, _ = random_cluster(rng, 6, 0, 0)
         ctx2 = SchedulingContext(now=0.0, hosts=other, queued=(), placed=())
-        assert policy._cluster_state(ctx2) is not first
+        assert policy._long_lived_matrix(ctx2) is not first
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Equivalence oracles for the columnar score kernel.
 
-A one-shot :class:`ScoreMatrixBuilder` reading its host arrays from an
-attached, long-lived :class:`ColumnarClusterState` (through a detached
+A one-shot matrix over a :meth:`~ColumnarClusterState.detached` twin of
+an attached, long-lived :class:`ColumnarClusterState` (the bind oracle's
 twin) must produce exactly the matrix, current costs, best move and
-shutdown ranking of one that reads every host afresh — and a long-lived
-matrix bound over the same state must agree with both.  The scalar-row
+shutdown ranking of a :class:`ScoreMatrixBuilder` over a state of its
+own — and a long-lived matrix bound over the shared state must agree
+with both.  The scalar-row
 fast path and the whole-simulation oracles live in
 ``tests/test_score_persistent.py``.
 
@@ -77,11 +78,10 @@ def cluster_state(draw):
     return hosts, vms, now, config, fulf
 
 
-def _builder(hosts, vms, now, config, fulf, cache=None):
+def _builder(hosts, vms, now, config, fulf):
     return ScoreMatrixBuilder(
         hosts, vms, now, config,
         fulfillments=fulf if config.enable_sla else None,
-        host_cache=cache,
     )
 
 
@@ -90,11 +90,13 @@ class TestOneShotEquivalence:
     @given(state=cluster_state())
     def test_one_shot_over_attached_state_matches_fresh_read(self, state):
         hosts, vms, now, config, fulf = state
+        fulf = fulf if config.enable_sla else None
         shared = ColumnarClusterState(hosts)
         long_lived = PersistentScoreMatrix(shared, config)
         long_lived.attach()
         fresh = _builder(hosts, vms, now, config, fulf)
-        twin = _builder(hosts, vms, now, config, fulf, cache=shared)
+        twin = PersistentScoreMatrix(shared.detached(len(vms)), config)
+        twin._bind_general(vms, now, fulf)
         assert np.array_equal(fresh.scores, twin.scores)
         assert np.array_equal(fresh.current_costs(), twin.current_costs())
         assert fresh.best_move() == twin.best_move()
@@ -105,10 +107,13 @@ class TestOneShotEquivalence:
         assert shared.registry_size == 0
         assert shared.matrix_listener is long_lived
         # And the long-lived matrix bound to the same round agrees.
-        long_lived.bind_round(vms, now, fulf if config.enable_sla else None)
-        assert long_lived.verify_against_fresh(
-            vms, now, fulf if config.enable_sla else None
-        )
+        long_lived.bind_round(vms, now, fulf)
+        assert np.array_equal(fresh.current_costs(), long_lived.current_costs())
+        assert fresh.best_move() == long_lived.best_move()
+        assert [fresh.host_row_score(r) for r in range(fresh.n_rows)] == [
+            long_lived.host_row_score(r) for r in range(long_lived.n_rows)
+        ]
+        assert long_lived.verify_against_fresh(vms, now, fulf)
 
 
 class TestRepriceHardSla:

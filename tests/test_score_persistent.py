@@ -22,8 +22,8 @@ kernel bound once) over the same cluster.  Three layers enforce it here:
   (the dirty feed is a set; binding sorts it).
 
 Plus the columnar state's host-list match memoization, the attach step's
-registration contract (one-shots leak nothing) and the ``rescore_stats``
-observability contract.
+registration contract (one sink per host, the long-lived matrix's;
+one-shots leak nothing) and the ``rescore_stats`` observability contract.
 """
 
 import itertools
@@ -226,7 +226,7 @@ class TestEpisodicOracle:
 
             fresh = ScoreMatrixBuilder(
                 hosts=hosts, columns=columns, now=now, config=config,
-                fulfillments=fulf, host_cache=cache, reliability=rel,
+                fulfillments=fulf, reliability=rel,
             )
             persistent_moves = hill_climb(matrix)
             fresh_moves = hill_climb(fresh)
@@ -583,17 +583,16 @@ class TestHostArrayCacheMemo:
         hosts = [make_host(i) for i in range(3)]
         policy = ScoreBasedPolicy(ScoreConfig.sb0())
         ctx = SimpleNamespace(hosts=hosts)
-        first = policy._cluster_state(ctx)
+        first = policy._long_lived_matrix(ctx)
         # Steady state: the same list object is reused, zero rebuilds.
         for _ in range(5):
-            assert policy._cluster_state(ctx) is first
+            assert policy._long_lived_matrix(ctx) is first
         hosts.append(make_host(3))
-        second = policy._cluster_state(ctx)
-        assert second is not first
-        assert len(second.cap_cpu) == 4
-        # And a persistent matrix bound to the old cache is replaced too.
-        assert policy._matrix.state is second
-        assert policy._cluster_state(ctx) is second
+        second = policy._long_lived_matrix(ctx)
+        assert second is not first and second.state is not first.state
+        assert len(second.state.cap_cpu) == 4
+        assert policy._matrix is second
+        assert policy._long_lived_matrix(ctx) is second
 
 
 # --------------------------------------------------------------------------
@@ -637,15 +636,18 @@ class TestGatingAndRecovery:
         second = policy._builder(ctx, vms, None)
         if solver == "hill_climb":
             assert first is second is policy._matrix
-            assert policy._state.matrix_listener is policy._matrix
+            assert first.state.matrix_listener is first
+            # Attached: the matrix's sink is the one sink on every host.
+            assert all(len(h._sinks) == 1 and h._sinks[0] is first._sink
+                       for h in hosts)
         else:
             assert isinstance(first, ScoreMatrixBuilder)
             assert first is not second
+            # Each round builds its own state and keeps none.
+            assert first.state is not second.state
+            assert first.state.matrix_listener is None
             assert policy._matrix is None
-            assert policy._state.matrix_listener is None
-        # Either way the policy's state is attached: it sees host changes.
-        assert all(any(s is policy._state.dirty for s in h._sinks)
-                   for h in hosts)
+            assert all(h._sinks == () for h in hosts)
 
 
 # --------------------------------------------------------------------------
@@ -664,12 +666,14 @@ class TestNoLeakedRegistrations:
         matrix = PersistentScoreMatrix(shared, config)
         matrix.attach()
         sinks = [h._sinks for h in hosts]
-        assert all(len(s) == 2 for s in sinks)
+        assert all(len(s) == 1 and s[0] is matrix._sink for s in sinks)
         for i in range(100):
-            one_shot = ScoreMatrixBuilder(
-                hosts, vms, float(i), config,
-                host_cache=shared if i % 2 else None,
-            )
+            if i % 2:
+                # The bind oracle's twin: the shared static arrays.
+                one_shot = PersistentScoreMatrix(shared.detached(len(vms)), config)
+                one_shot._bind_general(vms, float(i))
+            else:
+                one_shot = ScoreMatrixBuilder(hosts, vms, float(i), config)
             hill_climb(one_shot)
         assert [h._sinks for h in hosts] == sinks
         assert shared.matrix_listener is matrix
@@ -681,15 +685,13 @@ class TestNoLeakedRegistrations:
         monkeypatch.setenv("REPRO_STRICT_INVARIANTS", "raise")
         engine = _engine("sb", scale=112.0)
         res = engine.run()
-        policy = engine.policy
-        state, matrix = policy._state, policy._matrix
+        matrix = engine.policy._matrix
         assert res.rescore_stats["binds"] > 0
         # Every bind built a verification one-shot; none of them stuck.
         for host in engine.hosts:
-            assert len(host._sinks) == 2
-            assert host._sinks[0] is state.dirty
-            assert host._sinks[1] is matrix._sink
-        assert state.matrix_listener is matrix
+            assert len(host._sinks) == 1
+            assert host._sinks[0] is matrix._sink
+        assert matrix.state.matrix_listener is matrix
 
 
 # --------------------------------------------------------------------------
@@ -746,19 +748,23 @@ class TestSnapshotPayload:
         assert restored._slot_of == state._slot_of
 
     def test_one_shot_twins_skip_the_pickle_hook(self, monkeypatch):
-        """``detached()`` copies the host side directly: a one-shot per
-        round must not pay for building a registry payload."""
+        """``detached()`` shares the static host arrays directly: the bind
+        oracle's twin, built every bind, must not pay for building a
+        registry payload."""
         hosts = [make_host(i) for i in range(3)]
         vms = [make_vm(100 + v) for v in range(4)]
         shared = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(shared, ScoreConfig.sb())
+        matrix.attach()
+        matrix.bind_round(vms, 0.0)
 
         def refuse(self):
             raise AssertionError("detached() ran the pickle hook")
 
         monkeypatch.setattr(ColumnarClusterState, "__getstate__", refuse)
-        one_shot = ScoreMatrixBuilder(
-            hosts, vms, 0.0, ScoreConfig.sb(), host_cache=shared
-        )
-        assert one_shot.state is not shared
-        assert one_shot.state.res_cpu is shared.res_cpu
-        assert shared.registry_size == 0
+        assert matrix.verify_against_fresh(vms, 0.0)
+        twin = shared.detached(len(vms))
+        assert twin is not shared
+        assert twin.cap_cpu is shared.cap_cpu
+        assert twin.class_of_host is shared.class_of_host
+        assert twin.registry_size == 0 and twin.matrix_listener is None

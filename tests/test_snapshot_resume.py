@@ -308,15 +308,16 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
         (version 4), the cache-free payload (version 5), the SLA
-        violation counter (version 6), the one workload feed (version 7)
-        or the pickled feed cursor (version 8) pickles classes whose
-        layout changed or state the engine now reads differently; it must
-        be refused from its header, never unpickled."""
+        violation counter (version 6), the one workload feed (version 7),
+        the pickled feed cursor (version 8) or the one host mirror
+        (version 9) pickles classes whose layout changed or state the
+        engine now reads differently; it must be refused from its header,
+        never unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
@@ -470,7 +471,7 @@ class TestDerivedStateLeavesThePickle:
         monkeypatch.setattr(columnar, "_MIN_SWEEP", 8)
 
         def registry(engine):
-            state = engine.policy._state
+            state = engine.policy._matrix.state
             return dict(state._slot_of), list(state._free), state._n_slots
 
         ref_engine = build_engine(tmp_path, streaming=True, chaos=True,
@@ -484,7 +485,7 @@ class TestDerivedStateLeavesThePickle:
             resumed = load_snapshot(path)
             stand_ins += sum(
                 vm is columnar._RETIRED
-                for vm in resumed.policy._state._vm_of.values()
+                for vm in resumed.policy._matrix.state._vm_of.values()
             )
             resumed.adopt_operational(EngineConfig(seed=SEED))
             assert resumed.run().canonical() == ref, path.name
