@@ -19,7 +19,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.datacenter import simulate
 from repro.scheduling.baselines import BackfillingPolicy
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder, hill_climb
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.workload.job import Job
@@ -91,7 +90,7 @@ class TestBenchScoreMatrix:
                 vm = new_vm(100.0)
                 vm.state = VmState.RUNNING
                 host.add_vm(vm)
-        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
         chosen = set()
 

@@ -57,6 +57,14 @@ class HostState(enum.Enum):
     FAILED = "failed"
 
 
+# Members as module globals: ``HostState.ON`` resolves through the Enum
+# metaclass on every read (~110 ns on CPython 3.11), and the predicates
+# below are read thousands of times per episode.
+_ON = HostState.ON
+_BOOTING = HostState.BOOTING
+_AVAILABLE = (HostState.ON, HostState.BOOTING)
+
+
 class OperationKind(enum.Enum):
     """Kinds of in-flight virtualization operations on a host."""
 
@@ -177,12 +185,12 @@ class Host:
     @property
     def is_on(self) -> bool:
         """Whether guests can run (state == ON)."""
-        return self._state is HostState.ON
+        return self._state is _ON
 
     @property
     def is_available(self) -> bool:
         """Whether the scheduler may target this host (on or booting)."""
-        return self._state in (HostState.ON, HostState.BOOTING)
+        return self._state in _AVAILABLE
 
     @property
     def is_working(self) -> bool:
@@ -515,9 +523,9 @@ class Host:
 
     def power_watts(self) -> float:
         """Instantaneous draw given state and CPU usage."""
-        if self._state is HostState.ON:
+        if self._state is _ON:
             return self.spec.power_model.power(self.cpu_used)
-        if self._state is HostState.BOOTING:
+        if self._state is _BOOTING:
             return self.spec.boot_watts
         return 0.0  # OFF or FAILED
 

@@ -371,15 +371,15 @@ class DatacenterSimulation(ActuatorsMixin):
 
         Snapshots pickle the engine as one identity-preserving graph:
         heap callbacks (``functools.partial`` of bound methods), RNG
-        states, the policy's columnar state and score matrix, and the
-        workload iterator — a trace's list iterator, or a stream's
+        states, the policy's score matrix, and the workload iterator — a
+        trace's list iterator, or a stream's
         :class:`~repro.workload.stream.FeedCursor`, which resumes by
         itself (see :mod:`repro.workload.stream` for when that is O(1)
-        and when it replays).  Four members leave derived payload out
+        and when it replays).  Three members leave derived payload out
         through their own ``__getstate__``: the score matrix its cell
-        array (rebuilt on first access), the slot registry its finished
-        VMs, the event trace its record objects (pickled as tuples), and
-        the SLA monitor its fulfilment index, rebuilt here.
+        array (rebuilt by its ``__setstate__``) and its slot registry's
+        finished VMs, the event trace its record objects (pickled as
+        tuples), and the SLA monitor its fulfilment index, rebuilt here.
         """
         self.__dict__.update(state)
         if self.sla_monitor is not None:

@@ -21,16 +21,15 @@ shared identities survive, minus state a restore derives cheaply):
   :class:`~repro.cluster.faults.ObservedReliability` EWMAs, supervisor
   retry/quarantine/orphan bookkeeping;
 * the scheduling policy with its
-  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` and
-  the matrix's :class:`~repro.scheduling.score.columnar.ColumnarClusterState` —
-  every O(hosts + slots) member (row copies, per-slot column attributes,
-  argmin caches, catch-up stamps, counters), but not the O(hosts x
-  slots) cell array: the first access after a restore rebuilds the cells
-  in one block from those members, and counts nothing, so
+  :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` —
+  every O(hosts + slots) member (static host arrays, row copies, per-slot
+  VM and column attributes, argmin caches, catch-up stamps, counters),
+  but not the O(hosts x slots) cell array: the matrix's restore rebuilds
+  the cells in one block from those members, and counts nothing, so
   ``rescore_stats`` resumes exactly;
-* the VM slot registry with finished VMs replaced by a stand-in (they
-  wait there for the next sweep; the stand-in keeps the key order, so
-  the sweep frees the same slots in the same order);
+* the matrix's VM slot registry with finished VMs replaced by a stand-in
+  (they wait there for the next sweep; the stand-in keeps the key order,
+  so the sweep frees the same slots in the same order);
 * the event trace, with its records pickled as plain tuples and rebuilt
   on load;
 * the workload iterator: a trace's list iterator, or a stream's
@@ -136,7 +135,11 @@ __all__ = [
 #:    the score policy lost its ``_state`` (the long-lived matrix holds
 #:    it); a version-9 snapshot would restore a second, unsubscribed
 #:    mirror.
-SNAPSHOT_VERSION = 10
+#: 11: one score-matrix object — the columnar state is gone: the score
+#:    matrix holds the static host arrays and the VM slot registry itself
+#:    and rebuilds its cells on unpickling; a version-10 snapshot pickles
+#:    a class that no longer exists.
+SNAPSHOT_VERSION = 11
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

@@ -11,11 +11,10 @@ pass then repeatedly applies the most beneficial move until no negative
 * :mod:`repro.scheduling.score.penalties` — scalar reference
   implementations of each penalty (the readable spec, property-tested
   against the vectorized matrix);
-* :mod:`repro.scheduling.score.columnar` — :class:`ColumnarClusterState`,
-  the host and VM arrays the matrix reads;
 * :mod:`repro.scheduling.score.persistent` — :class:`PersistentScoreMatrix`,
   the one score kernel: the vectorized numpy matrix with incremental row
-  updates, rebindable across rounds;
+  updates, rebindable across rounds, owning its static host arrays and
+  its VM slot space;
 * :mod:`repro.scheduling.score.matrix` — :class:`ScoreMatrixBuilder`, a
   one-shot matrix bound to a single round;
 * :mod:`repro.scheduling.score.solver` — :func:`hill_climb`, Algorithm 1;

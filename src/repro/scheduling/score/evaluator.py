@@ -30,6 +30,13 @@ INF = np.inf
 class AssignmentEvaluator:
     """Scores arbitrary assignments against a frozen cluster snapshot.
 
+    A second formula for the score on purpose: the matrix prices one move
+    against the cluster as it is, while this prices a whole assignment
+    with every column's own load left out of its host's occupancy, so it
+    cannot reuse the matrix's cells.  ``tests/test_score_incremental.py``
+    holds the matrix's incremental updates to it as an independent
+    oracle.
+
     Parameters
     ----------
     builder:
@@ -43,7 +50,6 @@ class AssignmentEvaluator:
         rs = builder._round_slots
         if builder._frozen[rs].any():
             raise SchedulingError("evaluator needs an unmutated builder")
-        st = builder.state
         self.config = builder.config
         self.n_rows = builder.n_rows
         self.n_cols = builder.n_cols
@@ -55,10 +61,10 @@ class AssignmentEvaluator:
         self.cm = builder.cm.copy()
         self.rel = builder._rel.copy()
         self.conc = builder.conc.copy()
-        self.req_ok = st.feasibility(rs)
-        self.vcpu = st.v_cpu[rs]
-        self.vmem = st.v_mem[rs]
-        self.ftol = st.v_ftol[rs]
+        self.req_ok = builder.v_feas[rs].T[builder.class_of_host]
+        self.vcpu = builder.v_cpu[rs]
+        self.vmem = builder.v_mem[rs]
+        self.ftol = builder.v_ftol[rs]
         # The migration predicate T_r < C_m in the matrix's bucket space.
         self.cm_rank = builder._cm_rank
         self.bucket = builder._bucket[rs]

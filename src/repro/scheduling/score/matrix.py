@@ -4,11 +4,10 @@
 :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` bound to
 exactly one round, for whatever wants a matrix of its own for one
 decision: the SA/tabu solvers (they consume it), tests and
-micro-benchmarks.  Its columns go into a
-:class:`~repro.scheduling.score.columnar.ColumnarClusterState` of its own,
-sized to the round, so slot ``j`` is column ``j`` and ``scores[i, j]`` is
-host ``i``'s score for column ``j``; its rows are read from the hosts.
-Building one registers nothing on the hosts.
+micro-benchmarks.  Its slot space is sized to the round, so slot ``j``
+is column ``j`` and ``scores[i, j]`` is host ``i``'s score for column
+``j``; its rows are read from the hosts.  Building one registers nothing
+on the hosts.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.cluster.host import Host
 from repro.cluster.vm import Vm
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 
@@ -56,5 +54,5 @@ class ScoreMatrixBuilder(PersistentScoreMatrix):
         fulfillments: Optional[Dict[int, float]] = None,
         reliability: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(ColumnarClusterState(hosts, capacity=len(columns)), config)
+        super().__init__(hosts, config, capacity=len(columns))
         self.bind_round(columns, now, fulfillments, reliability)

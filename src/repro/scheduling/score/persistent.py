@@ -13,11 +13,33 @@ hold it to.
 The policy keeps one matrix per cluster and rebinds it every round
 instead of rebuilding O(online x N) cells; a one-shot
 :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder` is the same
-class bound once.  A matrix column *is* a VM slot of its
-:class:`~repro.scheduling.score.columnar.ColumnarClusterState`; the matrix
-stores one ``(M, cap)`` cell array plus per-slot column attributes
-(current host, queued flag, migration-penalty bucket, SLA fulfilment,
-current cost, argmin cache).
+class bound once.  The matrix owns everything it reads:
+
+* **Static host arrays** (``cap_cpu``, ``cap_mem``, ``cc``, ``cm``, the
+  spec reliabilities, ``host_index``), built once per host population —
+  host specs never change during a run; :meth:`matches` guards reuse.
+  The P_req matrix is factorized through **host classes**: hosts sharing
+  ``(arch, hypervisor, cpu_capacity, mem_mb)`` are interchangeable for
+  feasibility, so each VM slot stores one boolean per class (3 classes
+  for the paper's datacenter) and a cell's P_req is a gather of the
+  per-class string equality and ``req <= cap + 1e-9`` tests.
+* **Row copies** of the dynamic host state (reserved cpu/mem, VM count,
+  concurrency cost, availability), re-read from the hosts for dirty rows
+  only (:meth:`_read_rows`, the one reader of host state) and changed
+  hypothetically by :meth:`apply_move`.
+* **One slot space.**  A matrix column *is* a VM slot.  Each slot holds
+  the VM's static attributes (``cpu_req``/``mem_req`` as last seen,
+  ``fault_tolerance``, the per-class P_req row), one cell per host in
+  the ``(M, cap)`` cell array, and its column state (current host, queued
+  flag, migration-penalty bucket, SLA fulfilment, current cost, argmin
+  cache).  A slot is filled once per VM lifetime, and refilled only when
+  dynamic SLA enforcement inflates the requirement in place; filling
+  resets its column state and marks it stale, so its first
+  participation rescores it in full.  Finished VMs are swept out lazily
+  (once the registry passes ``_MIN_SWEEP`` entries and has doubled since
+  the previous sweep) and their slots recycled through a free list, so
+  the footprint tracks the *live* VM population, not the cumulative job
+  count.  Every per-slot array doubles together when the slots run out.
 
 Per round, :meth:`bind_round` runs two phases:
 
@@ -26,11 +48,11 @@ Per round, :meth:`bind_round` runs two phases:
    transitions and quarantine — the setters mark dirty), rows touched
    hypothetically by last round's :meth:`apply_move` calls, and rows
    whose observed-reliability override changed; re-reads their dynamic
-   state from the hosts (:meth:`_read_rows`, the one reader of host
-   state) and stamps them, so every column catches up on them the next
-   time it takes part in a round (lazy catch-up, below).  It maintains
-   ``active_rows`` incrementally (recomputed only on an availability flip
-   among the dirty rows — the steady state pays no O(M) scan);
+   state from the hosts and stamps them, so every column catches up on
+   them the next time it takes part in a round (lazy catch-up, below).
+   It maintains ``active_rows`` incrementally (recomputed only on an
+   availability flip among the dirty rows — the steady state pays no
+   O(M) scan);
 2. the **column phase** detects **changed columns** among the round's
    participants by comparing stored column attributes against fresh ones
    (placement changed, queued flag flipped, migration-penalty bucket
@@ -109,64 +131,117 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.vm import Vm
+from repro.cluster.host import Host
+from repro.cluster.vm import Vm, VmState
 from repro.errors import SchedulingError, StateError
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
 
 __all__ = ["PersistentScoreMatrix"]
 
 INF = np.inf
 
+#: Sweep the VM registry for retired slots once it exceeds this size and
+#: has doubled since the previous sweep (amortized O(1) per column).
+_MIN_SWEEP = 1024
 
 def _log2_bucket(n: int) -> int:
     """Histogram bucket for a per-bind dirty count (0, 1, 2, 4, 8, ...)."""
     return 0 if n <= 0 else 1 << (int(n).bit_length() - 1)
 
 
+class _RetiredVm:
+    """Stand-in for a finished VM in a pickled slot registry.
+
+    The sweep is the only reader of registry values, and it only asks
+    ``is_active``; a finished VM never becomes active again.  Pickles as a
+    reference to the module-level :data:`_RETIRED`.
+    """
+
+    __slots__ = ()
+    is_active = False
+
+    def __reduce__(self) -> str:
+        return "_RETIRED"
+
+
+_RETIRED = _RetiredVm()
+
+
 class PersistentScoreMatrix:
     """Score matrix state, bindable to one scheduling round after another.
 
     The solvers and the shutdown ranking consume ``config``, ``hosts``,
-    ``columns``, ``n_rows``/``n_cols``, ``is_queued`` (round order),
-    :meth:`best_move`, :meth:`apply_move`, :meth:`current_costs` and
-    :meth:`host_row_score`.
+    ``host_index``, ``columns``, ``n_rows``/``n_cols``, ``is_queued``
+    (round order), :meth:`best_move`, :meth:`apply_move`,
+    :meth:`current_costs` and :meth:`host_row_score`.
 
-    A long-lived matrix must be attached (:meth:`attach`) so it sees host
-    mutations and slot lifecycle events between binds;
-    ``ScoreBasedPolicy`` keeps one per cluster and rebuilds it only when
-    the cluster changes.  An unattached matrix is valid for the round it
-    is bound to — the one-shot
-    :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`.
+    ``capacity`` is the initial slot count; the slots double when they run
+    out.  A long-lived matrix must be attached (:meth:`attach`) so it sees
+    host mutations between binds; ``ScoreBasedPolicy`` keeps one per
+    cluster and rebuilds it only when the cluster changes.  An unattached
+    matrix is valid for the round it is bound to — the one-shot
+    :class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`.  Not
+    thread-safe.
 
-    An engine snapshot pickles the matrix without its cell array
-    (``scores`` is ``None`` after a restore).  The first :meth:`bind_round`,
-    :meth:`verify_cells` or :meth:`host_row_score` rebuilds the cells
-    (:meth:`_rebuild_cells`); every other member, the counters behind
-    ``rescore_stats`` included, is pickled as-is.
+    An engine snapshot pickles the matrix without its cell array, and the
+    restore rebuilds the cells (:meth:`_rebuild_cells`); every other
+    member, the counters behind ``rescore_stats`` included, is pickled
+    as-is.
     """
 
-    def __init__(self, state: ColumnarClusterState, config: ScoreConfig) -> None:
-        self.state = state
+    def __init__(
+        self, hosts: Sequence[Host], config: ScoreConfig, capacity: int = 64
+    ) -> None:
         self.config = config
-        self.hosts = state.hosts
-        self.n_rows = len(state.hosts)
-        m = self.n_rows
-
-        # ---- static host-side arrays (shared with the columnar state) ---
-        self.cap_cpu = state.cap_cpu
-        self.cap_mem = state.cap_mem
-        self.cc = state.cc
-        self.cm = state.cm
+        # ---- static host arrays -----------------------------------------
+        self.hosts = list(hosts)
+        self.n_rows = len(self.hosts)
+        #: Last *sequence object* that passed :meth:`matches` — the engine
+        #: hands the same list every round, so after one element-wise
+        #: check all later calls are an O(1) identity test (at 10k hosts
+        #: the per-round O(M) scan was ~half the simulation).
+        self._last_match: object = hosts
+        self.host_index = {h.host_id: i for i, h in enumerate(self.hosts)}
+        specs = [h.spec for h in self.hosts]
+        self.cap_cpu = np.array([s.cpu_capacity for s in specs])
+        self.cap_mem = np.array([s.mem_mb for s in specs])
+        self.cc = np.array([s.creation_s for s in specs])
+        self.cm = np.array([s.migration_s for s in specs])
+        self._spec_rel = np.array([s.reliability for s in specs])
         #: Sorted distinct migration costs and each host's rank therein:
         #: ``tr < cm[r]``  <=>  ``cm_rank[r] >= searchsorted(D, tr, 'right')``.
-        self._cm_distinct = np.unique(state.cm)
-        self._cm_rank = np.searchsorted(self._cm_distinct, state.cm)
-        self._rel = state.rel
+        self._cm_distinct = np.unique(self.cm)
+        self._cm_rank = np.searchsorted(self._cm_distinct, self.cm)
+
+        # ---- host classes (P_req factorization) -------------------------
+        keys: Dict[tuple, int] = {}
+        self.class_of_host = np.empty(self.n_rows, dtype=int)
+        self._class_arch: List[str] = []
+        self._class_hyp: List[str] = []
+        self._class_cap_cpu: List[float] = []
+        self._class_cap_mem: List[float] = []
+        for i, s in enumerate(specs):
+            key = (s.arch, s.hypervisor, s.cpu_capacity, s.mem_mb)
+            cls = keys.get(key)
+            if cls is None:
+                cls = keys[key] = len(keys)
+                self._class_arch.append(s.arch)
+                self._class_hyp.append(s.hypervisor)
+                self._class_cap_cpu.append(float(s.cpu_capacity))
+                self._class_cap_mem.append(float(s.mem_mb))
+            self.class_of_host[i] = cls
+
+        self._init_dynamic(capacity)
+
+    def _init_dynamic(self, capacity: int) -> None:
+        """Everything but the config and the static host arrays: rows read
+        from the hosts, ``capacity`` empty slots, no round bound."""
+        m = self.n_rows
+        self._rel = self._spec_rel
         self._rel_overridden = False
 
         # ---- persistent dynamic host rows (hypothetical-capable copies) -
@@ -195,23 +270,16 @@ class PersistentScoreMatrix:
         self._bind_idx = 0
         self._row_stamp = np.zeros(m, dtype=np.int64)
 
-        # ---- per-slot column state --------------------------------------
-        cap = len(state.v_cpu)
-        self.scores = np.full((m, cap), INF)
+        # ---- slot space -------------------------------------------------
+        self._slot_of: Dict[int, int] = {}
+        self._vm_of: Dict[int, Union[Vm, _RetiredVm]] = {}
+        self._free: List[int] = []
+        self._n_slots = 0
+        self._next_sweep = _MIN_SWEEP
+        self.scores = np.full((m, capacity), INF)
         self._peak_matrix_nbytes = self.scores.nbytes
-        self._cur = np.full(cap, -1, dtype=int)
-        self._q = np.zeros(cap, dtype=bool)
-        self._bucket = np.zeros(cap, dtype=int)
-        self._fulf = np.ones(cap)
-        self._cost = np.full(cap, config.queue_cost)
-        self._col_min_val = np.full(cap, INF)
-        self._col_min_row = np.zeros(cap, dtype=int)
-        self._frozen = np.zeros(cap, dtype=bool)
-        # Slots filled before this matrix attached start stale: their
-        # first participation forces a full column rescore.
-        self._stale = np.ones(cap, dtype=bool)
-        self._col_stamp = np.zeros(cap, dtype=np.int64)
-        self._live = np.zeros(cap, dtype=bool)
+        for name, unused, width in self._slot_arrays():
+            setattr(self, name, np.full((capacity,) + width, unused))
         self._live_list = np.empty(0, dtype=int)
         self._live_dirty = False
 
@@ -230,20 +298,92 @@ class PersistentScoreMatrix:
         self._row_hist: Counter = Counter()
         self._col_hist: Counter = Counter()
 
+    def _slot_arrays(self) -> Tuple[Tuple[str, object, Tuple[int, ...]], ...]:
+        """Every per-slot array but the cells: (name, unused-slot value,
+        shape past the slot axis).
+
+        An unused slot is stale and not live, so its first participation
+        rescores it in full and nothing reads it before.
+        """
+        return (
+            ("v_cpu", 0.0, ()),
+            ("v_mem", 0.0, ()),
+            ("v_ftol", 0.0, ()),
+            ("v_feas", False, (len(self._class_arch),)),
+            ("_cur", -1, ()),
+            ("_q", False, ()),
+            ("_bucket", 0, ()),
+            ("_fulf", 1.0, ()),
+            ("_cost", self.config.queue_cost, ()),
+            ("_col_min_val", INF, ()),
+            ("_col_min_row", 0, ()),
+            ("_frozen", False, ()),
+            ("_stale", True, ()),
+            ("_col_stamp", 0, ()),
+            ("_live", False, ()),
+        )
+
+    def _twin(self, capacity: int) -> "PersistentScoreMatrix":
+        """A fresh, unattached matrix sharing this one's static host arrays,
+        with ``capacity`` empty slots: a one-shot bind off this matrix's
+        slot space.  ``_init_dynamic`` replaces every member the
+        constructor does not build from the hosts alone."""
+        twin = PersistentScoreMatrix.__new__(PersistentScoreMatrix)
+        twin.__dict__.update(self.__dict__)
+        twin._init_dynamic(capacity)
+        return twin
+
+    def matches(self, hosts: Sequence[Host]) -> bool:
+        """Whether this matrix was built from exactly these host objects.
+
+        The identity fast path is guarded by a length check: a host list
+        *mutated in place* (append/remove) keeps its identity, and
+        accepting it would hand out arrays for a different cluster.  A
+        same-length in-place element swap cannot be seen from here — code
+        that does that must call :meth:`invalidate_match_memo` (the
+        element-wise check then re-validates or rejects the list).
+        """
+        n = self.n_rows
+        if (hosts is self.hosts or hosts is self._last_match) and len(hosts) == n:
+            return True
+        if len(hosts) != n:
+            return False
+        if all(a is b for a, b in zip(hosts, self.hosts)):
+            self._last_match = hosts
+            return True
+        return False
+
+    def invalidate_match_memo(self) -> None:
+        """Drop the memoized sequence; the next :meth:`matches` re-checks.
+
+        For callers that mutate a previously matched host list in place
+        (same object, same length, different elements) — identity alone
+        cannot detect that.
+        """
+        self._last_match = None
+
     # ------------------------------------------------------------ snapshots
 
     def __getstate__(self) -> dict:
         """Pickle everything but the ``(M, cap)`` cell array.
 
         Every other member is O(M + cap), and the cells are derivable from
-        it: :meth:`_rebuild_cells` recomputes them on first access after a
-        restore.  The rebuild cannot run in ``__setstate__`` — the state's
-        ``matrix_listener`` and this matrix's ``state`` form a pickle
-        cycle, so the columnar state may still be empty at that point.
+        it: :meth:`__setstate__` recomputes them.  Until a sweep frees
+        their slots, the registry keeps finished VMs (and with them their
+        jobs); they pickle as a stand-in, which keeps the key order, so
+        the sweep after a restore frees the same slots in the same order.
         """
         state = self.__dict__.copy()
         state["scores"] = None
+        state["_vm_of"] = {
+            vm_id: vm if vm.is_active else _RETIRED
+            for vm_id, vm in self._vm_of.items()
+        }
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_cells()
 
     def _rebuild_cells(self) -> None:
         """Recompute the cell array a snapshot left out.
@@ -267,20 +407,47 @@ class PersistentScoreMatrix:
     def attach(self) -> None:
         """Subscribe this matrix to the cluster.
 
-        Registers the matrix's dirty sink on every host and makes the
-        matrix its state's slot-lifecycle listener — the one step that
-        turns a one-round matrix into a cross-round one.  A state has one
-        listener at a time; attaching a second matrix to the same state
-        replaces the first.
+        Registers the matrix's dirty sink on every host — the one step
+        that turns a one-round matrix into a cross-round one.
         """
         for h in self.hosts:
             h.add_dirty_sink(self._sink)
-        self.state.matrix_listener = self
 
-    # -------------------------------------------------- slot registry hooks
+    # ------------------------------------------------------------ slot space
 
-    def on_slot_filled(self, slot: int) -> None:
-        """A columnar slot was (re)filled: cells are garbage until rescored."""
+    def _grow(self) -> None:
+        """Double the slot space: the cells and every per-slot array."""
+        old = len(self._cur)
+        cap = 2 * old or 64
+        grown = np.full((self.n_rows, cap), INF)
+        # Both buffers are alive during the copy; peak process RSS sees
+        # old+new, so the footprint reported to the memory gate must too.
+        self._peak_matrix_nbytes = max(
+            self._peak_matrix_nbytes, self.scores.nbytes + grown.nbytes
+        )
+        grown[:, :old] = self.scores
+        self.scores = grown
+        for name, unused, width in self._slot_arrays():
+            arr = getattr(self, name)
+            new = np.full((cap,) + width, unused, dtype=arr.dtype)
+            new[:old] = arr
+            setattr(self, name, new)
+
+    def _fill_slot(self, slot: int, vm: Vm) -> None:
+        """(Re)fill ``slot`` with ``vm``'s static attributes and reset its
+        column state: its cells are garbage until rescored."""
+        job = vm.job
+        self.v_cpu[slot] = vm.cpu_req
+        self.v_mem[slot] = vm.mem_req
+        self.v_ftol[slot] = job.fault_tolerance
+        feas = self.v_feas[slot]
+        for c in range(len(self._class_arch)):
+            feas[c] = (
+                self._class_arch[c] == job.arch
+                and self._class_hyp[c] == job.hypervisor
+                and vm.cpu_req <= self._class_cap_cpu[c] + 1e-9
+                and vm.mem_req <= self._class_cap_mem[c] + 1e-9
+            )
         self._stale[slot] = True
         if self._live[slot]:
             self._live[slot] = False
@@ -292,42 +459,62 @@ class PersistentScoreMatrix:
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
 
-    def on_slots_freed(self, slots: Sequence[int]) -> None:
-        """Retired VM slots swept out of the registry: drop their columns."""
-        for slot in slots:
+    def _ensure_slot(self, vm: Vm) -> int:
+        slot = self._slot_of.get(vm.vm_id)
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+            else:
+                slot = self._n_slots
+                if slot == len(self._cur):
+                    self._grow()
+                self._n_slots += 1
+            self._slot_of[vm.vm_id] = slot
+            self._vm_of[vm.vm_id] = vm
+            self._fill_slot(slot, vm)
+        elif self.v_cpu[slot] != vm.cpu_req or self.v_mem[slot] != vm.mem_req:
+            # Dynamic SLA enforcement inflated the requirement in place.
+            self._fill_slot(slot, vm)
+        return slot
+
+    def _maybe_sweep(self) -> None:
+        """Free the slots of finished VMs and drop their columns."""
+        if len(self._slot_of) < self._next_sweep:
+            return
+        retired = [vm_id for vm_id, vm in self._vm_of.items() if not vm.is_active]
+        for vm_id in retired:
+            slot = self._slot_of.pop(vm_id)
+            del self._vm_of[vm_id]
+            self._free.append(slot)
             if self._live[slot]:
                 self._live[slot] = False
                 self._live_dirty = True
             self._stale[slot] = True
+        self._next_sweep = max(_MIN_SWEEP, 2 * len(self._slot_of))
 
-    def on_grow(self, new_cap: int) -> None:
-        """The slot registry doubled: grow the column dimension to match."""
-        old = self.scores.shape[1]
-        grown = np.full((self.n_rows, new_cap), INF)
-        # Both buffers are alive during the copy; peak process RSS sees
-        # old+new, so the footprint reported to the memory gate must too.
-        self._peak_matrix_nbytes = max(
-            self._peak_matrix_nbytes, self.scores.nbytes + grown.nbytes
-        )
-        grown[:, :old] = self.scores
-        self.scores = grown
-        for name, fill in (
-            ("_cur", -1),
-            ("_q", False),
-            ("_bucket", 0),
-            ("_fulf", 1.0),
-            ("_cost", self.config.queue_cost),
-            ("_col_min_val", INF),
-            ("_col_min_row", 0),
-            ("_frozen", False),
-            ("_stale", True),
-            ("_col_stamp", 0),
-            ("_live", False),
-        ):
-            arr = getattr(self, name)
-            new = np.full(new_cap, fill, dtype=arr.dtype)
-            new[:old] = arr
-            setattr(self, name, new)
+    def _prepare_columns(self, columns: Sequence[Vm], now: float) -> tuple:
+        """Single per-column pass: ``(slots, cur, is_queued, tr)``.
+
+        Raises :class:`~repro.errors.SchedulingError` on in-operation
+        columns (they are pinned, §III-A-3).
+        """
+        self._maybe_sweep()
+        n = len(columns)
+        slots = np.empty(n, dtype=int)
+        cur = np.empty(n, dtype=int)
+        is_queued = np.empty(n, dtype=bool)
+        tr = np.empty(n, dtype=float)
+        index = self.host_index
+        for j, vm in enumerate(columns):
+            if vm.in_operation:
+                raise SchedulingError(
+                    f"vm {vm.vm_id} has an operation in flight and cannot be a column"
+                )
+            slots[j] = self._ensure_slot(vm)
+            cur[j] = index.get(vm.host_id, -1) if vm.is_placed else -1
+            is_queued[j] = vm.state is VmState.QUEUED
+            tr[j] = vm.remaining_user_time(now)
+        return slots, cur, is_queued, tr
 
     def _read_rows(self, rows: Iterable[int]) -> bool:
         """Re-read the row copies of ``rows`` from their hosts.
@@ -373,7 +560,6 @@ class PersistentScoreMatrix:
         Unavailable rows score +inf.
         """
         cfg = self.config
-        st = self.state
         R = np.asarray(rows, dtype=int)
         C = np.asarray(cols, dtype=int)
         if R.size == 1:
@@ -383,8 +569,8 @@ class PersistentScoreMatrix:
             return self._score_row_slots(int(R[0]), C)[None, :]
         cur = self._cur[C]
         q = self._q[C]
-        vcpu = st.v_cpu[C]
-        vmem = st.v_mem[C]
+        vcpu = self.v_cpu[C]
+        vmem = self.v_mem[C]
 
         on = cur[None, :] == R[:, None]
         add_cpu = np.where(on, 0.0, vcpu[None, :])
@@ -398,7 +584,7 @@ class PersistentScoreMatrix:
             self.res_mem[R] / self.cap_mem[R],
         )[:, None]
 
-        req_ok = st.v_feas[C].T[st.class_of_host[R]]
+        req_ok = self.v_feas[C].T[self.class_of_host[R]]
         feasible = req_ok & self.avail[R][:, None] & (occ_after <= 1.0 + 1e-9)
 
         s = np.zeros((len(R), len(C)))
@@ -424,7 +610,7 @@ class PersistentScoreMatrix:
             s += np.where(viol, cfg.c_sla, 0.0)
             s = np.where(hard, INF, s)
         if cfg.enable_fault:
-            s += ((1.0 - self._rel[R])[:, None] - st.v_ftol[C][None, :]) * cfg.c_fail
+            s += ((1.0 - self._rel[R])[:, None] - self.v_ftol[C][None, :]) * cfg.c_fail
 
         return np.where(feasible, s, INF)
 
@@ -437,11 +623,10 @@ class PersistentScoreMatrix:
         to the batch path (asserted by the equivalence tests).
         """
         cfg = self.config
-        st = self.state
         cur = self._cur[C]
         q = self._q[C]
-        vcpu = st.v_cpu[C]
-        vmem = st.v_mem[C]
+        vcpu = self.v_cpu[C]
+        vmem = self.v_mem[C]
 
         on = cur == r
         add_cpu = np.where(on, 0.0, vcpu)
@@ -455,7 +640,7 @@ class PersistentScoreMatrix:
             self.res_mem[r] / self.cap_mem[r],
         )
 
-        req_ok = st.v_feas[C, st.class_of_host[r]]
+        req_ok = self.v_feas[C, self.class_of_host[r]]
         feasible = req_ok & self.avail[r] & (occ_after <= 1.0 + 1e-9)
 
         s = np.zeros(len(C))
@@ -477,7 +662,7 @@ class PersistentScoreMatrix:
             s += np.where(viol, cfg.c_sla, 0.0)
             s = np.where(hard, INF, s)
         if cfg.enable_fault:
-            s += ((1.0 - self._rel[r]) - st.v_ftol[C]) * cfg.c_fail
+            s += ((1.0 - self._rel[r]) - self.v_ftol[C]) * cfg.c_fail
 
         return np.where(feasible, s, INF)
 
@@ -497,8 +682,7 @@ class PersistentScoreMatrix:
         fulfilment were above ``th_sla``.
         """
         cfg = self.config
-        st = self.state
-        if not self.avail[r] or not st.v_feas[slot, st.class_of_host[r]]:
+        if not self.avail[r] or not self.v_feas[slot, self.class_of_host[r]]:
             return None
         occ_now = max(
             self.res_cpu[r] / self.cap_cpu[r], self.res_mem[r] / self.cap_mem[r]
@@ -512,7 +696,7 @@ class PersistentScoreMatrix:
         if cfg.enable_sla and self._fulf[slot] < 1.0:
             s += cfg.c_sla
         if cfg.enable_fault:
-            s += ((1.0 - self._rel[r]) - st.v_ftol[slot]) * cfg.c_fail
+            s += ((1.0 - self._rel[r]) - self.v_ftol[slot]) * cfg.c_fail
         return float(s)
 
     def _compute_costs(self, slots: np.ndarray) -> np.ndarray:
@@ -618,14 +802,11 @@ class PersistentScoreMatrix:
         reliability: Optional[Sequence[float]],
         one_column: bool,
     ) -> None:
-        if self.scores is None:
-            self._rebuild_cells()
-        st = self.state
         self._bind_idx += 1
         t = self._bind_idx
 
         # ---- row phase: dirty host rows ---------------------------------
-        index = st.host_index
+        index = self.host_index
         dirty = {index[hid] for hid in self._sink}
         self._sink.clear()
         dirty |= self._touched
@@ -639,9 +820,9 @@ class PersistentScoreMatrix:
                 self._rel = rel
             self._rel_overridden = True
         elif self._rel_overridden:
-            changed = np.nonzero(st.rel != self._rel)[0]
+            changed = np.nonzero(self._spec_rel != self._rel)[0]
             dirty.update(int(i) for i in changed)
-            self._rel = st.rel
+            self._rel = self._spec_rel
             self._rel_overridden = False
 
         # Ascending host order: the dirty feed is a set, sorting makes
@@ -656,7 +837,7 @@ class PersistentScoreMatrix:
                 self._active = np.nonzero(self.avail)[0]
 
         # ---- column phase -----------------------------------------------
-        slots, cur, q, tr = st.prepare_columns(columns, now)
+        slots, cur, q, tr = self._prepare_columns(columns, now)
         if self.config.enable_sla and fulfillments is None:
             raise SchedulingError("enable_sla requires a fulfillments map")
         if one_column and slots.size == 1 and self._bind_one_column(
@@ -906,9 +1087,8 @@ class PersistentScoreMatrix:
         old = int(self._cur[slot])
         if old == row:
             raise SchedulingError("move must change the host")
-        st = self.state
-        vcpu = st.v_cpu[slot]
-        vmem = st.v_mem[slot]
+        vcpu = self.v_cpu[slot]
+        vmem = self.v_mem[slot]
 
         if old >= 0:
             self.res_cpu[old] -= vcpu
@@ -1010,8 +1190,6 @@ class PersistentScoreMatrix:
         """
         if self.n_cols == 0:
             return 0.0
-        if self.scores is None:
-            self._rebuild_cells()
         qc = self.config.queue_cost
         if not self.avail[row]:
             vals = np.full(self.n_cols, qc)
@@ -1038,9 +1216,9 @@ class PersistentScoreMatrix:
         copy, the active row set, cells on active rows, current costs,
         and the argmin caches for every round column; raises
         :class:`~repro.errors.StateError` on any mismatch.  The one-shot
-        registers nothing on the hosts or the state.
+        (:meth:`_twin`) registers nothing on the hosts.
         """
-        fresh = PersistentScoreMatrix(self.state.detached(len(columns)), self.config)
+        fresh = self._twin(len(columns))
         fresh._bind_general(columns, now, fulfillments, reliability)
 
         def same(label: str, mine_a: np.ndarray, fresh_a: np.ndarray) -> None:
@@ -1089,8 +1267,6 @@ class PersistentScoreMatrix:
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
         """
-        if self.scores is None:
-            self._rebuild_cells()
         live = self._live_cols()
         check = live[~self._stale[live]]
         # Lazily-behind columns (absent from recent rounds) are stale by

@@ -19,8 +19,7 @@ The hill climber runs on one long-lived
 cluster, rebound every round; it is the only scheduler state the policy
 keeps across rounds.  SA and tabu consume their matrix destructively, so
 they get a one-shot
-:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder`, over a
-columnar state of its own, per round.
+:class:`~repro.scheduling.score.matrix.ScoreMatrixBuilder` per round.
 
 It also overrides the shutdown ranking hook: idle hosts are ordered by
 their aggregated matrix-row score ("those nodes with a higher score are
@@ -40,7 +39,6 @@ from repro.cluster.host import Host
 from repro.cluster.vm import Vm, VmState
 from repro.scheduling.actions import Action, Migrate, Place
 from repro.scheduling.base import Oracle, SchedulingContext, SchedulingPolicy
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.config import ScoreConfig
 from repro.scheduling.score.matrix import ScoreMatrixBuilder
 from repro.scheduling.score.persistent import PersistentScoreMatrix
@@ -112,14 +110,14 @@ class ScoreBasedPolicy(SchedulingPolicy):
         """The attached matrix for ``ctx.hosts`` (rebuilt on a new cluster).
 
         Policies may be reused across simulations with different clusters;
-        :meth:`ColumnarClusterState.matches` catches that (identity fast
+        :meth:`PersistentScoreMatrix.matches` catches that (identity fast
         path on the engine's stable host list, element-wise identity
         otherwise).  The attach step subscribes a new matrix to the
         cluster.
         """
         matrix = self._matrix
-        if matrix is None or not matrix.state.matches(ctx.hosts):
-            matrix = PersistentScoreMatrix(ColumnarClusterState(ctx.hosts), self.config)
+        if matrix is None or not matrix.matches(ctx.hosts):
+            matrix = PersistentScoreMatrix(ctx.hosts, self.config)
             matrix.attach()
             self._matrix = matrix
         return matrix
@@ -217,7 +215,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
     def invariant_checks(self, hosts: Sequence[Host]) -> List[Oracle]:
         """The long-lived matrix's cells, if it serves ``hosts``."""
         matrix = self._matrix
-        if matrix is None or not matrix.state.matches(hosts):
+        if matrix is None or not matrix.matches(hosts):
             return []
         return [("persistent matrix cells", matrix.verify_cells, matrix.force_full_rebuild)]
 
@@ -305,7 +303,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
         if self.config.enable_sla:
             fulfills = ctx.sla.fulfillments(columns, ctx.now)
         builder = self._builder(ctx, columns, fulfills)
-        row_of = builder.state.host_index
+        row_of = builder.host_index
         return sorted(
             candidates,
             key=lambda h: (-builder.host_row_score(row_of[h.host_id]), -h.host_id),

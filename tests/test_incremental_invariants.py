@@ -38,7 +38,6 @@ from repro.scheduling.score import (
     ScoreBasedPolicy,
     hill_climb,
 )
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.workload.job import Job
 
@@ -275,7 +274,7 @@ class TestRecomputeSharesIdentity:
 
 
 # --------------------------------------------------------------------------
-# Host-array cache (ColumnarClusterState): cached host arrays change nothing.
+# Host-array cache (the long-lived matrix): cached host arrays change nothing.
 # --------------------------------------------------------------------------
 
 def random_cluster(rng, n_hosts, n_queued, n_placed, sla=False):
@@ -323,7 +322,7 @@ class TestHostArrayCache:
         cfg = ScoreConfig.full() if sla else ScoreConfig.sb()
         fresh = ScoreMatrixBuilder(hosts, columns, 100.0, cfg,
                                    fulfillments=fulfills)
-        cached = PersistentScoreMatrix(ColumnarClusterState(hosts), cfg)
+        cached = PersistentScoreMatrix(hosts, cfg)
         cached.attach()
         cached.bind_round(columns, 100.0, fulfills)
         np.testing.assert_array_equal(
@@ -342,7 +341,7 @@ class TestHostArrayCache:
     def test_matches_accepts_same_hosts_rejects_others(self):
         rng = np.random.default_rng(0)
         hosts, _, _ = random_cluster(rng, 4, 0, 0)
-        cache = ColumnarClusterState(hosts)
+        cache = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         assert cache.matches(hosts)           # identity fast path
         assert cache.matches(list(hosts))     # same objects, new list
         other, _, _ = random_cluster(rng, 4, 0, 0)

@@ -1,11 +1,11 @@
 """Equivalence oracles for the columnar score kernel.
 
-A one-shot matrix over a :meth:`~ColumnarClusterState.detached` twin of
-an attached, long-lived :class:`ColumnarClusterState` (the bind oracle's
-twin) must produce exactly the matrix, current costs, best move and
-shutdown ranking of a :class:`ScoreMatrixBuilder` over a state of its
-own — and a long-lived matrix bound over the shared state must agree
-with both.  The scalar-row
+A one-shot :meth:`~PersistentScoreMatrix._twin` of an attached,
+long-lived :class:`PersistentScoreMatrix` (the bind oracle's twin, which
+shares the static host arrays) must produce exactly the matrix, current
+costs, best move and shutdown ranking of a :class:`ScoreMatrixBuilder`
+that builds its own — and the long-lived matrix bound to the same round
+must agree with both.  The scalar-row
 fast path and the whole-simulation oracles live in
 ``tests/test_score_persistent.py``.
 
@@ -23,7 +23,6 @@ from repro.cluster.host import Host, HostState
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
-from repro.scheduling.score.columnar import ColumnarClusterState
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.workload.job import Job
 
@@ -91,11 +90,10 @@ class TestOneShotEquivalence:
     def test_one_shot_over_attached_state_matches_fresh_read(self, state):
         hosts, vms, now, config, fulf = state
         fulf = fulf if config.enable_sla else None
-        shared = ColumnarClusterState(hosts)
-        long_lived = PersistentScoreMatrix(shared, config)
+        long_lived = PersistentScoreMatrix(hosts, config)
         long_lived.attach()
         fresh = _builder(hosts, vms, now, config, fulf)
-        twin = PersistentScoreMatrix(shared.detached(len(vms)), config)
+        twin = long_lived._twin(len(vms))
         twin._bind_general(vms, now, fulf)
         assert np.array_equal(fresh.scores, twin.scores)
         assert np.array_equal(fresh.current_costs(), twin.current_costs())
@@ -103,9 +101,8 @@ class TestOneShotEquivalence:
         assert [fresh.host_row_score(r) for r in range(fresh.n_rows)] == [
             twin.host_row_score(r) for r in range(twin.n_rows)
         ]
-        # The twin leaves the shared registry and its listener alone.
-        assert shared.registry_size == 0
-        assert shared.matrix_listener is long_lived
+        # The twin leaves the long-lived matrix's slots alone.
+        assert long_lived._slot_of == {} and long_lived._n_slots == 0
         # And the long-lived matrix bound to the same round agrees.
         long_lived.bind_round(vms, now, fulf)
         assert np.array_equal(fresh.current_costs(), long_lived.current_costs())

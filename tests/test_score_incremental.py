@@ -310,7 +310,7 @@ class TestWithinRoundInvariant:
         b = ScoreMatrixBuilder(hosts, [make_vm(1)], 100.0, ScoreConfig.sb())
         rescored = b.stats()["cells_rescored"]
         (move,) = hill_climb(b)
-        dest = b.state.host_index[move.host_id]
+        dest = b.host_index[move.host_id]
         assert move.from_queue
         # The moved column's cached minimum is invalidated even though no
         # unfrozen column is left to maintain.

@@ -21,13 +21,14 @@ kernel bound once) over the same cluster.  Three layers enforce it here:
   different orders must yield identical matrices and move sequences
   (the dirty feed is a set; binding sorts it).
 
-Plus the columnar state's host-list match memoization, the attach step's
+Plus the matrix's host-list match memoization, the attach step's
 registration contract (one sink per host, the long-lived matrix's;
 one-shots leak nothing) and the ``rescore_stats`` observability contract.
 """
 
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,8 +38,7 @@ from repro.cluster.host import Host, HostState
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
 from repro.errors import StateError
-from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
-from repro.scheduling.score.columnar import ColumnarClusterState
+from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder, persistent
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.scheduling.score.solver import hill_climb
@@ -162,8 +162,7 @@ class TestScalarRowPath:
         place(hosts[0], vms[0])
         config = getattr(ScoreConfig, data.draw(
             st.sampled_from(["sb0", "sb2", "sb", "full"])))()
-        cache = ColumnarClusterState(hosts)
-        matrix = PersistentScoreMatrix(cache, config)
+        matrix = PersistentScoreMatrix(hosts, config)
         fulf = ({vm.vm_id: data.draw(st.floats(min_value=0.0, max_value=1.2))
                  for vm in vms} if config.enable_sla else None)
         matrix.bind_round(vms, 500.0, fulf)
@@ -178,6 +177,14 @@ class TestEpisodicOracle:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_persistent_equals_fresh_under_arbitrary_interleavings(self, data):
+        # Few starting slots and an early sweep: episodes grow the slot
+        # space, sweep finished VMs out and refill their slots.
+        capacity = data.draw(st.sampled_from([1, 2, 64]), label="capacity")
+        min_sweep = data.draw(st.sampled_from([1, 2, 4]), label="min_sweep")
+        with mock.patch.object(persistent, "_MIN_SWEEP", min_sweep):
+            self._episode(data, capacity)
+
+    def _episode(self, data, capacity):
         n_hosts = data.draw(st.integers(min_value=2, max_value=6),
                             label="n_hosts")
         hosts = []
@@ -193,8 +200,7 @@ class TestEpisodicOracle:
                            label="preset")
         config = getattr(ScoreConfig, preset)()
         world = World(hosts)
-        cache = ColumnarClusterState(hosts)
-        matrix = PersistentScoreMatrix(cache, config)
+        matrix = PersistentScoreMatrix(hosts, config, capacity)
         matrix.attach()
 
         now = 0.0
@@ -249,6 +255,51 @@ class TestEpisodicOracle:
                     world.host_of(vm).remove_vm(vm.vm_id)
                     dst.add_vm(vm)
 
+    def test_long_episode_grows_sweeps_and_refills_slots(self, monkeypatch):
+        """Many VM lifetimes through one matrix that starts with one slot:
+        the slot space grows, sweeps and recycles slots, and every bind
+        still equals a one-shot."""
+        monkeypatch.setattr(persistent, "_MIN_SWEEP", 4)
+        rng = np.random.default_rng(7)
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(4)]
+        world = World(hosts)
+        config = ScoreConfig.sb()
+        matrix = PersistentScoreMatrix(hosts, config, capacity=1)
+        matrix.attach()
+        owner = {}  # slot -> the VM that last held it
+        refills = 0
+        for rnd in range(80):
+            for _ in range(int(rng.integers(0, 3))):
+                vm = make_vm(world.next_vm, cpu=float(rng.choice([50.0, 100.0])))
+                world.next_vm += 1
+                world.vms[vm.vm_id] = vm
+            for vm in world.running():
+                if rng.random() < 0.3:
+                    world.host_of(vm).remove_vm(vm.vm_id)
+                    vm.state = VmState.COMPLETED
+                    del world.vms[vm.vm_id]
+            columns = world.queued() + world.running()
+            now = 60.0 * rnd
+            matrix.bind_round(columns, now)
+            for vm in columns:
+                slot = matrix._slot_of[vm.vm_id]
+                refills += owner.get(slot, vm.vm_id) != vm.vm_id
+                owner[slot] = vm.vm_id
+            assert matrix.verify_against_fresh(columns, now)
+            assert matrix.verify_cells()
+            fresh = ScoreMatrixBuilder(hosts, columns, now, config)
+            moves = hill_climb(matrix)
+            assert moves == hill_climb(fresh)
+            for move in moves:
+                vm = world.vms[move.vm_id]
+                dst = hosts[world.index[move.host_id]]
+                if move.from_queue:
+                    place(dst, vm)
+                else:
+                    world.host_of(vm).remove_vm(vm.vm_id)
+                    dst.add_vm(vm)
+        assert len(matrix._cur) > 1 and refills > 0
+
 
 class TestFrozenColumnCatchUp:
     def test_migrated_column_rescans_rows_it_did_not_see_change(self):
@@ -270,7 +321,7 @@ class TestFrozenColumnCatchUp:
             place(dst, filler)
         for k in range(2):
             place(other, make_vm(20 + k, cpu=150.0, runtime=36000.0))
-        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
 
         matrix.bind_round([vm], 0.0)
@@ -331,9 +382,9 @@ class TestOneColumnPath:
             reliability=data.draw(st.floats(min_value=0.5, max_value=1.0)),
         ) for i in range(n_hosts)]
         world = World(hosts)
-        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), config)
+        matrix = PersistentScoreMatrix(hosts, config)
         matrix.attach()
-        twin = PersistentScoreMatrix(ColumnarClusterState(hosts), config)
+        twin = PersistentScoreMatrix(hosts, config)
         twin.attach()
         now = 0.0
         for _ in range(data.draw(st.integers(min_value=3, max_value=10),
@@ -395,7 +446,7 @@ class TestOneColumnPath:
     def test_arrival_round_takes_the_one_column_path(self, monkeypatch):
         """A new column alone in its round is bound by the scalar path."""
         hosts = [make_host(i) for i in range(3)]
-        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
         general = []
         real = PersistentScoreMatrix._bind_columns
@@ -534,8 +585,7 @@ class TestOrderDeterminism:
         outcomes = []
         for order in itertools.permutations(range(len(mutations))):
             hosts, vms = _tie_world()
-            cache = ColumnarClusterState(hosts)
-            matrix = PersistentScoreMatrix(cache, config)
+            matrix = PersistentScoreMatrix(hosts, config)
             matrix.attach()
             running = [v for v in vms if v.state is VmState.RUNNING]
             queued = [v for v in vms if v.state is VmState.QUEUED]
@@ -555,29 +605,29 @@ class TestOrderDeterminism:
 
 
 # --------------------------------------------------------------------------
-# Host-array match memoization of ColumnarClusterState
+# Host-list match memoization
 # --------------------------------------------------------------------------
 
 
 class TestHostArrayCacheMemo:
     def test_in_place_growth_defeats_identity_fast_path(self):
         hosts = [make_host(i) for i in range(3)]
-        cache = ColumnarClusterState(hosts)
-        assert cache.matches(hosts)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb0())
+        assert matrix.matches(hosts)
         hosts.append(make_host(3))
         # Same list object, different cluster: must NOT match.
-        assert not cache.matches(hosts)
+        assert not matrix.matches(hosts)
         hosts.pop()
-        assert cache.matches(hosts)
+        assert matrix.matches(hosts)
 
     def test_invalidate_match_memo_recovers_element_swap(self):
         hosts = [make_host(i) for i in range(3)]
-        cache = ColumnarClusterState(hosts)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb0())
         other = list(hosts)
-        assert cache.matches(other)  # element-wise pass memoizes `other`
+        assert matrix.matches(other)  # element-wise pass memoizes `other`
         other[1] = make_host(99)
-        cache.invalidate_match_memo()
-        assert not cache.matches(other)
+        matrix.invalidate_match_memo()
+        assert not matrix.matches(other)
 
     def test_policy_rebuilds_cache_only_on_cluster_change(self):
         hosts = [make_host(i) for i in range(3)]
@@ -589,8 +639,8 @@ class TestHostArrayCacheMemo:
             assert policy._long_lived_matrix(ctx) is first
         hosts.append(make_host(3))
         second = policy._long_lived_matrix(ctx)
-        assert second is not first and second.state is not first.state
-        assert len(second.state.cap_cpu) == 4
+        assert second is not first and second.cap_cpu is not first.cap_cpu
+        assert len(second.cap_cpu) == 4
         assert policy._matrix is second
         assert policy._long_lived_matrix(ctx) is second
 
@@ -605,8 +655,7 @@ class TestGatingAndRecovery:
         hosts = [make_host(i) for i in range(4)]
         vms = [make_vm(100 + v) for v in range(3)]
         place(hosts[0], vms[0])
-        cache = ColumnarClusterState(hosts)
-        matrix = PersistentScoreMatrix(cache, ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
         columns = [vms[1], vms[2], vms[0]]
         matrix.bind_round(columns, 50.0)
@@ -636,16 +685,14 @@ class TestGatingAndRecovery:
         second = policy._builder(ctx, vms, None)
         if solver == "hill_climb":
             assert first is second is policy._matrix
-            assert first.state.matrix_listener is first
             # Attached: the matrix's sink is the one sink on every host.
             assert all(len(h._sinks) == 1 and h._sinks[0] is first._sink
                        for h in hosts)
         else:
             assert isinstance(first, ScoreMatrixBuilder)
             assert first is not second
-            # Each round builds its own state and keeps none.
-            assert first.state is not second.state
-            assert first.state.matrix_listener is None
+            # Each round builds its own matrix and keeps none.
+            assert first.cap_cpu is not second.cap_cpu
             assert policy._matrix is None
             assert all(h._sinks == () for h in hosts)
 
@@ -662,22 +709,21 @@ class TestNoLeakedRegistrations:
         place(hosts[0], vms[0])
         config = ScoreConfig.sb()
         assert all(len(h._sinks) == 0 for h in hosts)
-        shared = ColumnarClusterState(hosts)
-        matrix = PersistentScoreMatrix(shared, config)
+        matrix = PersistentScoreMatrix(hosts, config)
         matrix.attach()
         sinks = [h._sinks for h in hosts]
         assert all(len(s) == 1 and s[0] is matrix._sink for s in sinks)
         for i in range(100):
             if i % 2:
                 # The bind oracle's twin: the shared static arrays.
-                one_shot = PersistentScoreMatrix(shared.detached(len(vms)), config)
+                one_shot = matrix._twin(len(vms))
                 one_shot._bind_general(vms, float(i))
             else:
                 one_shot = ScoreMatrixBuilder(hosts, vms, float(i), config)
             hill_climb(one_shot)
         assert [h._sinks for h in hosts] == sinks
-        assert shared.matrix_listener is matrix
-        assert shared.registry_size == 0
+        # The twins filled their own slots, none of the matrix's.
+        assert matrix._slot_of == {} and matrix._n_slots == 0
 
     def test_strict_simulation_leaves_only_the_policy_registrations(
         self, monkeypatch
@@ -691,7 +737,6 @@ class TestNoLeakedRegistrations:
         for host in engine.hosts:
             assert len(host._sinks) == 1
             assert host._sinks[0] is matrix._sink
-        assert matrix.state.matrix_listener is matrix
 
 
 # --------------------------------------------------------------------------
@@ -705,7 +750,7 @@ class TestSnapshotPayload:
         vms = [make_vm(1000 + j, cpu=50.0, mem=256.0) for j in range(n_vms)]
         for j, vm in enumerate(vms[: n_vms // 2]):
             place(hosts[j % n_hosts], vm)
-        matrix = PersistentScoreMatrix(ColumnarClusterState(hosts), ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
         matrix.bind_round(vms, 60.0)
         return matrix, vms
@@ -717,10 +762,10 @@ class TestSnapshotPayload:
         blob = pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(blob) < matrix.scores.nbytes
         restored = pickle.loads(blob)
-        assert restored.scores is None
+        # The restore rebuilt the cells, counting nothing.
+        assert restored.scores is not None
         assert restored.stats() == matrix.stats()
-        assert restored.verify_cells()  # first access rebuilds the cells
-        assert restored.stats() == matrix.stats()
+        assert restored.verify_cells()
         act = matrix._active
         live = np.nonzero(matrix._live & ~matrix._stale)[0]
         assert live.size == 300
@@ -731,40 +776,41 @@ class TestSnapshotPayload:
     def test_finished_vms_pickle_as_stand_ins_in_key_order(self):
         import pickle
 
-        from repro.scheduling.score.columnar import _RETIRED
+        from repro.scheduling.score.persistent import _RETIRED
 
         matrix, vms = self._bound_matrix(n_hosts=6, n_vms=8)
         for vm in vms[::3]:
             vm.state = VmState.COMPLETED
-        state = matrix.state
-        restored = pickle.loads(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-        assert list(restored._vm_of) == list(state._vm_of)
+        restored = pickle.loads(pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL))
+        assert list(restored._vm_of) == list(matrix._vm_of)
         for vm in vms:
             got = restored._vm_of[vm.vm_id]
             if vm.is_active:
                 assert got.vm_id == vm.vm_id and got is not _RETIRED
             else:
                 assert got is _RETIRED and not got.is_active
-        assert restored._slot_of == state._slot_of
+        assert restored._slot_of == matrix._slot_of
 
     def test_one_shot_twins_skip_the_pickle_hook(self, monkeypatch):
-        """``detached()`` shares the static host arrays directly: the bind
+        """``_twin()`` shares the static host arrays directly: the bind
         oracle's twin, built every bind, must not pay for building a
-        registry payload."""
+        snapshot payload."""
         hosts = [make_host(i) for i in range(3)]
         vms = [make_vm(100 + v) for v in range(4)]
-        shared = ColumnarClusterState(hosts)
-        matrix = PersistentScoreMatrix(shared, ScoreConfig.sb())
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
         matrix.bind_round(vms, 0.0)
 
         def refuse(self):
-            raise AssertionError("detached() ran the pickle hook")
+            raise AssertionError("_twin() ran the pickle hook")
 
-        monkeypatch.setattr(ColumnarClusterState, "__getstate__", refuse)
+        monkeypatch.setattr(PersistentScoreMatrix, "__getstate__", refuse)
         assert matrix.verify_against_fresh(vms, 0.0)
-        twin = shared.detached(len(vms))
-        assert twin is not shared
-        assert twin.cap_cpu is shared.cap_cpu
-        assert twin.class_of_host is shared.class_of_host
-        assert twin.registry_size == 0 and twin.matrix_listener is None
+        twin = matrix._twin(len(vms))
+        assert twin is not matrix
+        assert twin.cap_cpu is matrix.cap_cpu
+        assert twin.class_of_host is matrix.class_of_host
+        assert twin._slot_of == {} and len(twin._cur) == len(vms)
+        # Unattached: the matrix's sink is still the only one.
+        assert all(len(h._sinks) == 1 and h._sinks[0] is matrix._sink
+                   for h in hosts)

@@ -45,7 +45,7 @@ from repro.engine.snapshot import (
 )
 from repro.errors import SimulationInterrupted, StateError
 from repro.scheduling.power_manager import PowerManagerConfig
-from repro.scheduling.score import ScoreConfig, columnar
+from repro.scheduling.score import ScoreConfig, persistent
 from repro.scheduling.score.policy import ScoreBasedPolicy
 from repro.units import HOUR
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
@@ -308,16 +308,17 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
         (version 4), the cache-free payload (version 5), the SLA
         violation counter (version 6), the one workload feed (version 7),
-        the pickled feed cursor (version 8) or the one host mirror
-        (version 9) pickles classes whose layout changed or state the
-        engine now reads differently; it must be refused from its header,
-        never unpickled."""
+        the pickled feed cursor (version 8), the one host mirror
+        (version 9) or the one score-matrix object (version 10) pickles
+        classes whose layout changed or state the engine now reads
+        differently; it must be refused from its header, never
+        unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
@@ -447,8 +448,9 @@ class TestDerivedStateLeavesThePickle:
         assume(orig is not None and orig._binds > 0)
         blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
         matrix = pickle.loads(blob).policy._matrix
-        assert matrix.scores is None
-        assert matrix.verify_cells()  # first access: rebuilds the cells
+        # The restore rebuilt the cells.
+        assert matrix.scores is not None
+        assert matrix.verify_cells()
         assert matrix.stats() == orig.stats()
         assert matrix.scores.shape == orig.scores.shape
         # A cell is current when its row is not hypothetically touched
@@ -468,11 +470,11 @@ class TestDerivedStateLeavesThePickle:
         """Retired VMs pickle as stand-ins; with sweeps forced every few
         slots, a resumed run frees and reuses exactly the slots the
         uninterrupted run does."""
-        monkeypatch.setattr(columnar, "_MIN_SWEEP", 8)
+        monkeypatch.setattr(persistent, "_MIN_SWEEP", 8)
 
         def registry(engine):
-            state = engine.policy._matrix.state
-            return dict(state._slot_of), list(state._free), state._n_slots
+            matrix = engine.policy._matrix
+            return dict(matrix._slot_of), list(matrix._free), matrix._n_slots
 
         ref_engine = build_engine(tmp_path, streaming=True, chaos=True,
                                   trace_events=True)
@@ -484,8 +486,8 @@ class TestDerivedStateLeavesThePickle:
         for path in snaps:
             resumed = load_snapshot(path)
             stand_ins += sum(
-                vm is columnar._RETIRED
-                for vm in resumed.policy._matrix.state._vm_of.values()
+                vm is persistent._RETIRED
+                for vm in resumed.policy._matrix._vm_of.values()
             )
             resumed.adopt_operational(EngineConfig(seed=SEED))
             assert resumed.run().canonical() == ref, path.name
