@@ -4,8 +4,10 @@
 row is implicit: queued VMs carry ``queue_cost`` as their "current" cost,
 so any feasible placement is a (large) improvement.  Every cell is one
 evaluation of ``Score(h, vm) = P_req + P_res + P_virt + P_conc + P_pwr +
-P_SLA + P_fault`` in :meth:`~PersistentScoreMatrix._score_block`, and
-every status quo cost comes from the same cells plus
+P_SLA + P_fault`` in :meth:`~PersistentScoreMatrix._score_cells`, the
+general formula, or for a queued VM in
+:meth:`~PersistentScoreMatrix._score_queued`, its bit-identical shortcut
+(below); every status quo cost comes from the same cells plus
 :meth:`~PersistentScoreMatrix._soft_current_cost`; the scalar
 :mod:`repro.scheduling.score.penalties` is the independent spec the tests
 hold it to.
@@ -26,7 +28,15 @@ class bound once.  The matrix owns everything it reads:
 * **Row copies** of the dynamic host state (reserved cpu/mem, VM count,
   concurrency cost, availability), re-read from the hosts for dirty rows
   only (:meth:`_read_rows`, the one reader of host state) and changed
-  hypothetically by :meth:`apply_move`.
+  hypothetically by :meth:`apply_move`.  Beside them each row keeps its
+  **host term** (``_host_terms``): the part of a queued VM's cell that
+  depends on the host alone — P_virt's creation cost, P_conc's load
+  (``conc + pending``) and P_pwr — so a queued cell is one gather of it
+  plus the VM's P_fault, under the feasibility mask.  :meth:`_read_rows`
+  computes it for every row it reads.  :meth:`apply_move` computes it for
+  the rows it touches only when it scores queued columns on them; like
+  the cells of frozen columns, a touched row's term is otherwise stale
+  until the next bind re-reads the row, and nothing reads it before.
 * **One slot space.**  A matrix column *is* a VM slot.  Each slot holds
   the VM's static attributes (``cpu_req``/``mem_req`` as last seen,
   ``fault_tolerance``, the per-class P_req row), one cell per host in
@@ -48,8 +58,9 @@ Per round, :meth:`bind_round` runs two phases:
    transitions and quarantine — the setters mark dirty), rows touched
    hypothetically by last round's :meth:`apply_move` calls, and rows
    whose observed-reliability override changed; re-reads their dynamic
-   state from the hosts and stamps them, so every column catches up on
-   them the next time it takes part in a round (lazy catch-up, below).
+   state and host terms from the hosts and stamps them, so every column
+   catches up on them the next time it takes part in a round (lazy
+   catch-up, below).
    It maintains ``active_rows`` incrementally (recomputed only on an
    availability flip among the dirty rows — the steady state pays no
    O(M) scan);
@@ -66,10 +77,11 @@ The column phase has two paths.  A round of exactly one column that
 changed, with some host row active — one arrival, the shape of most rounds (78–89 % of all binds
 across the benchmark's workloads) — takes the **one-column path**
 (:meth:`_bind_one_column`): the column's attributes are compared and
-written back as Python scalars, its cells come from the same
-:meth:`_score_block` over the active rows and are stored with one column
-assignment, its cost from the same rule as :meth:`_compute_costs`, and
-its minimum from one 1-D argmin.  For one column, the general path's
+written back as Python scalars, its cells come from the same kernels as
+the general path's over the active rows — for an arrival,
+:meth:`_score_queued` — and are stored with one column assignment, its
+cost from the same rule as :meth:`_compute_costs`, and its minimum from
+one 1-D argmin.  For one column, the general path's
 N-column bookkeeping (change masks, scatters, the lag scan, a 2-D minima
 refresh) costs more than the column's cells.  Every other round — a
 lone *unchanged* column that only needs catch-up included — takes the
@@ -95,6 +107,16 @@ choices make the incremental form possible:
   ``avail``, minima scan active rows only), so a row going offline needs
   no O(N) +inf fill and a recycled column slot may leave garbage behind
   rows that are off.
+
+A queued VM's cell is on no host and priced at creation, so the general
+formula adds, in this order, ``((0.0 + cc) + (conc + pending)) +
+(t_empty * c_empty - occ_now * c_fill)``, then ``+ 0.0`` for the SLA term
+when SLA is on (each disabled term skipped), then P_fault.  The host term
+is that sum up to P_fault, taken in the same order on the same operands,
+so the shortcut's cells equal the general formula's bit for bit;
+:meth:`verify_cells` and the tests hold them to it.  Blocks that mix
+queued and placed columns take the general formula: queued cells are 2–4 %
+of such blocks, too few to pay for a split.
 
 Tie-breaking is order-deterministic under partial rescoring: dirty rows
 are processed in ascending host index (the dirty feed is a *set*; sorting
@@ -250,8 +272,11 @@ class PersistentScoreMatrix:
         self.res_mem = np.empty(m)
         self.nvms = np.empty(m)
         self.conc = np.empty(m)
-        self._read_rows(range(m))
         self.pending = np.zeros(m)
+        #: Each row's queued-cell sum (:meth:`_host_term`), kept with the
+        #: row copies it derives from.
+        self._host_terms = np.empty(m)
+        self._read_rows(range(m))
         self._active = np.nonzero(self.avail)[0]
 
         # ---- dirty feeds ------------------------------------------------
@@ -375,6 +400,7 @@ class PersistentScoreMatrix:
         """
         state = self.__dict__.copy()
         state["scores"] = None
+        del state["_host_terms"]
         state["_vm_of"] = {
             vm_id: vm if vm.is_active else _RETIRED
             for vm_id, vm in self._vm_of.items()
@@ -386,10 +412,11 @@ class PersistentScoreMatrix:
         self._rebuild_cells()
 
     def _rebuild_cells(self) -> None:
-        """Recompute the cell array a snapshot left out.
+        """Recompute the host terms and the cell array a snapshot left out.
 
-        One :meth:`_score_block` over the active rows and the live,
-        non-stale slots, from the stored row copies and column attributes.
+        The host terms from the stored row copies, then one
+        :meth:`_score_block` over the active rows and the live, non-stale
+        slots, from the row copies and column attributes.
         Exact for every cell anything reads before rescoring it: a column
         reads a cell only after its catch-up has rescored each row stamped
         since the column last took part, rows touched by hypothetical
@@ -397,6 +424,9 @@ class PersistentScoreMatrix:
         unavailable rows are never read.  Counts no rescored cells —
         ``rescore_stats`` resumes exactly as pickled.
         """
+        self._host_terms = np.array(
+            [self._row_host_term(r) for r in range(self.n_rows)], dtype=float
+        )
         self.scores = np.full((self.n_rows, len(self._cur)), INF)
         live = self._live_cols()
         cols = live[~self._stale[live]]
@@ -521,18 +551,23 @@ class PersistentScoreMatrix:
 
         The one reader of dynamic host state: reserved CPU and memory, VM
         count, concurrency cost and availability (on and not
-        quarantined).  Returns whether any row's availability flipped.
+        quarantined).  Clears the rows' in-round ``pending`` cost and
+        recomputes their host terms from the values just read.  Returns
+        whether any row's availability flipped.
         """
         hosts = self.hosts
         avail = self.avail
         res_cpu, res_mem, nvms, conc = self.res_cpu, self.res_mem, self.nvms, self.conc
+        pending, terms, host_term = self.pending, self._host_terms, self._host_term
         flipped = False
         for r in rows:
             h = hosts[r]
-            res_cpu[r] = h.cpu_reserved()
-            res_mem[r] = h.mem_reserved()
-            nvms[r] = h.n_vms
-            conc[r] = h.concurrency_cost
+            cpu = res_cpu[r] = h.cpu_reserved()
+            mem = res_mem[r] = h.mem_reserved()
+            n = nvms[r] = h.n_vms
+            load = conc[r] = h.concurrency_cost
+            pending[r] = 0.0
+            terms[r] = host_term(r, cpu, mem, n, load + 0.0)  # pending is 0.0
             up = h.is_available and not h.quarantined
             if avail.item(r) != up:  # a numpy bool scalar compares ~20x slower
                 avail[r] = up
@@ -550,6 +585,87 @@ class PersistentScoreMatrix:
     def _score_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Score cells for the given host rows x column slots.
 
+        Columns that are all queued take :meth:`_score_queued`; any other
+        block the general formula, :meth:`_score_row_slots` for one row
+        and :meth:`_score_cells` for more.  All three are bit-identical
+        where they overlap.
+        """
+        R = np.asarray(rows, dtype=int)
+        C = np.asarray(cols, dtype=int)
+        if self._all_queued(C):
+            return self._score_queued(R, C)
+        if R.size == 1:
+            # Scalar-host fast path (a bind catching up on one dirty
+            # row): broadcasting overhead dwarfs the math for one row.
+            # Bit-identical (same elementwise float ops).
+            return self._score_row_slots(int(R[0]), C)[None, :]
+        return self._score_cells(R, C)
+
+    def _all_queued(self, C: np.ndarray) -> bool:
+        """Whether every slot in ``C`` is queued: priced at creation, and on
+        no host, since ``_cur`` is -1 wherever ``_q`` is set (the binds and
+        ``_fill_slot`` write both, :meth:`apply_move` clears ``_q`` as it
+        places; :meth:`verify_cells` checks it)."""
+        return bool(self._q[C].all())
+
+    def _host_term(
+        self, r: int, res_cpu: float, res_mem: float, nvms: float, load: float
+    ) -> float:
+        """Row ``r``'s queued-cell sum, from its row-copy values.
+
+        ``load`` is ``conc + pending``.  These are the terms
+        :meth:`_score_cells` adds for a column on no host priced at
+        creation, in its order: ``((0.0 + cc) + load) + (t_empty * c_empty
+        - occ_now * c_fill)``, then ``+ 0.0`` for the SLA term; a disabled
+        term is skipped as it is there.  Python floats are IEEE doubles,
+        so the sum is bit-identical to the array one.
+        """
+        cfg = self.config
+        s = 0.0
+        if cfg.enable_virt:
+            s += self.cc.item(r)
+        if cfg.enable_conc:
+            s += load
+        if cfg.enable_pwr:
+            occ_now = max(res_cpu / self.cap_cpu.item(r), res_mem / self.cap_mem.item(r))
+            t_empty = 1.0 if nvms <= cfg.th_empty else 0.0
+            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
+        if cfg.enable_sla:
+            s += 0.0
+        return s
+
+    def _row_host_term(self, r: int) -> float:
+        """:meth:`_host_term` of row ``r`` from its row copies."""
+        return self._host_term(
+            r, self.res_cpu.item(r), self.res_mem.item(r), self.nvms.item(r),
+            self.conc.item(r) + self.pending.item(r),
+        )
+
+    def _score_queued(self, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Cells of queued slots ``C`` on rows ``R``: the kept host term,
+        plus the slot's P_fault, where the VM is feasible.
+
+        Bit-identical to :meth:`_score_cells` for such slots: there every
+        cell is off its column's host and priced at creation, so the sum
+        runs through the host terms in the same order and P_fault comes
+        last.  ``max(a, b) <= x`` is tested as ``a <= x and b <= x``.
+        """
+        Rc = R[:, None]
+        lim = 1.0 + 1e-9
+        feasible = (
+            self.v_feas[C].T[self.class_of_host[R]]
+            & self.avail[Rc]
+            & ((self.res_cpu[Rc] + self.v_cpu[C]) / self.cap_cpu[Rc] <= lim)
+            & ((self.res_mem[Rc] + self.v_mem[C]) / self.cap_mem[Rc] <= lim)
+        )
+        s = self._host_terms[Rc]
+        if self.config.enable_fault:
+            s = s + ((1.0 - self._rel[Rc]) - self.v_ftol[C]) * self.config.c_fail
+        return np.where(feasible, s, INF)
+
+    def _score_cells(self, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The general formula: cells for host rows ``R`` x slots ``C``.
+
         The paper's penalty sum over host/VM vectors gathered from the
         persistent arrays.  The migration predicate is evaluated in
         bucket space (``cm_rank >= bucket`` <=> ``tr < cm``) — same
@@ -557,16 +673,10 @@ class PersistentScoreMatrix:
         P_pwr uses the host's occupation *without* the tentative VM — the
         paper's §III-A-4 defines "O(h, vm) = occupation of h" (no
         allocation), unlike P_res's "occupation of h allocating vm".
-        Unavailable rows score +inf.
+        Unavailable rows score +inf.  The reference for every cell
+        (:meth:`verify_cells`).
         """
         cfg = self.config
-        R = np.asarray(rows, dtype=int)
-        C = np.asarray(cols, dtype=int)
-        if R.size == 1:
-            # Scalar-host fast path (a bind catching up on one dirty
-            # row): broadcasting overhead dwarfs the math for one row.
-            # Bit-identical (same elementwise float ops).
-            return self._score_row_slots(int(R[0]), C)[None, :]
         cur = self._cur[C]
         q = self._q[C]
         vcpu = self.v_cpu[C]
@@ -617,10 +727,16 @@ class PersistentScoreMatrix:
     def _score_row_slots(self, r: int, C: np.ndarray) -> np.ndarray:
         """One host row's cells for the given slots (scalar host terms).
 
-        Same float expressions as :meth:`_score_block` with the host-side
+        Same float expressions as :meth:`_score_cells` with the host-side
         vectors collapsed to scalars — every operation is the identical
         IEEE op on the identical operands, so the result is bit-identical
         to the batch path (asserted by the equivalence tests).
+
+        It does not read the kept host term for its queued slots: both
+        callers send a block of queued slots alone to :meth:`_score_queued`,
+        so a block here holds a placed slot, and the general expressions
+        run over all of its slots anyway; picking the host term for the
+        queued ones would add calls, not save them.
         """
         cfg = self.config
         cur = self._cur[C]
@@ -832,7 +948,6 @@ class PersistentScoreMatrix:
             rows = sorted(dirty)
             hs = np.fromiter(rows, dtype=int, count=n_dirty)
             self._row_stamp[hs] = t
-            self.pending[hs] = 0.0
             if self._read_rows(rows):
                 self._active = np.nonzero(self.avail)[0]
 
@@ -879,7 +994,8 @@ class PersistentScoreMatrix:
         lag on dirty rows, which is the general path's catch-up.  Every
         step is the general path's for one changed column, minus its
         N-column bookkeeping: the same attribute write-back, the same
-        ``_score_block`` cells over the active rows, the same cost rule,
+        cells over the active rows (:meth:`_score_queued` for an arrival,
+        :meth:`_score_block` otherwise), the same cost rule,
         and a 1-D argmin (lowest row on ties) for the minimum, which is
         recomputed from scratch and so needs no cost shift.
         """
@@ -911,7 +1027,10 @@ class PersistentScoreMatrix:
             self._live[slot] = True
             self._live_dirty = True
 
-        cells = self._score_block(act, slots)[:, 0]
+        if queued:
+            cells = self._score_queued(act, slots)[:, 0]
+        else:
+            cells = self._score_block(act, slots)[:, 0]
         self.scores[act, slot] = cells
         self._cells_rescored += act.size
         # After the store: a placed column's cost reads its own cell.
@@ -1077,7 +1196,9 @@ class PersistentScoreMatrix:
         next bind (which restamps them, so frozen columns catch up on
         their next participation) and marks a queued->placed column stale
         (its pricing flipped on every row; the full rescore is deferred to
-        its next participation).
+        its next participation).  The touched rows' host terms are
+        recomputed only when the rescore is of queued columns, the one
+        reader of them before the next bind re-reads the rows.
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -1121,7 +1242,14 @@ class PersistentScoreMatrix:
         ls = rs[~self._frozen[rs]]
         if not ls.size:
             return
-        cells = [self._score_row_slots(t, ls) for t in touched]
+        if self._all_queued(ls):
+            # The one reader of a touched row's host term before the next
+            # bind re-reads the row.
+            for t in touched:
+                self._host_terms[t] = self._row_host_term(t)
+            cells = list(self._score_queued(np.array(touched), ls))
+        else:
+            cells = [self._score_row_slots(t, ls) for t in touched]
         for t, row_cells in zip(touched, cells):
             self.scores[t, ls] = row_cells
         self._cells_rescored += len(touched) * ls.size
@@ -1230,7 +1358,7 @@ class PersistentScoreMatrix:
                 )
 
         # Row copies first: a drifted copy is the root cause of cell drift.
-        for name in ("res_cpu", "res_mem", "nvms", "conc", "avail"):
+        for name in ("res_cpu", "res_mem", "nvms", "conc", "avail", "_host_terms"):
             same(name, getattr(self, name), getattr(fresh, name))
         rs = self._round_slots
         frs = fresh._round_slots
@@ -1262,12 +1390,21 @@ class PersistentScoreMatrix:
 
         Recomputes every non-stale live column's cells/cost/argmin from
         the matrix's *own* stored attribute arrays and compares with the
-        incrementally maintained values.  Rows touched by hypothetical
+        incrementally maintained values; cells with the general formula,
+        whichever kernel wrote them.  Also checks that no queued slot is
+        on a host and that each active, untouched row's host term equals
+        its recompute from the row copies.  Rows touched by hypothetical
         moves since the last bind are excluded (their pending concurrency
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
         """
         live = self._live_cols()
+        placed_queued = live[self._q[live] & (self._cur[live] >= 0)]
+        if placed_queued.size:
+            raise StateError(
+                f"persistent matrix queued slot {int(placed_queued[0])} "
+                f"is on host {int(self._cur[placed_queued[0]])}"
+            )
         check = live[~self._stale[live]]
         # Lazily-behind columns (absent from recent rounds) are stale by
         # design — only columns caught up to the current bind are checkable.
@@ -1275,9 +1412,16 @@ class PersistentScoreMatrix:
         act = self._active
         touched = np.fromiter(sorted(self._touched), dtype=int) if self._touched else np.empty(0, dtype=int)
         rows = np.setdiff1d(act, touched) if touched.size else act
+        terms = np.array([self._row_host_term(r) for r in rows], dtype=float)
+        if not np.array_equal(terms, self._host_terms[rows]):
+            j = int(np.nonzero(terms != self._host_terms[rows])[0][0])
+            raise StateError(
+                f"persistent matrix host-term drift: host {int(rows[j])} "
+                f"cached {self._host_terms[rows][j]!r} != recomputed {terms[j]!r}"
+            )
         if not check.size or not rows.size:
             return True
-        expect = self._score_block(rows, check)
+        expect = self._score_cells(rows, check)
         got = self.scores[rows[:, None], check]
         if not np.array_equal(expect, got):
             bad = np.nonzero(expect != got)

@@ -254,6 +254,18 @@ def _corrupt_row_copy(engine):
     matrix.res_cpu[row] += 5.0
 
 
+def _corrupt_host_terms(engine):
+    # The kept queued-cell sum of a clean, active host: its cells go wrong
+    # only when a queued column is next scored, but the bind oracle
+    # compares the vector itself.
+    matrix = engine.policy._matrix
+    row = next(
+        i for i in matrix._active
+        if engine.hosts[i].host_id not in matrix._sink and i not in matrix._touched
+    )
+    matrix._host_terms[row] += 5.0
+
+
 def _corrupt_matrix(engine):
     engine.policy._matrix.scores += 1.0
 
@@ -268,34 +280,38 @@ def _corrupt_sla(engine):
     engine.sla_monitor._fixed[-1] = 1.0
 
 
-#: (test id, guard label, corruption).  Each corruption is seen first by
-#: its own oracle: the three sweep oracles at the next refresh, the SLA
-#: index at the next SLA check, the bind-time matrix at the next bind.
+#: (test id, guard label, what the oracle's message names first,
+#: corruption).  Each corruption is seen first by its own oracle: the
+#: three sweep oracles at the next refresh, the SLA index at the next SLA
+#: check, the bind-time matrix at the next bind.
 DRIFTS = [
-    ("host aggregate", "host aggregate", _corrupt_host),
-    ("metrics aggregate", "metrics aggregate", _corrupt_metrics),
-    ("persistent matrix cells", "persistent matrix cells", _corrupt_cells),
-    ("SLA index", "SLA index", _corrupt_sla),
-    ("persistent matrix bind", "persistent matrix bind", _corrupt_matrix),
-    ("matrix row copy", "persistent matrix bind", _corrupt_row_copy),
+    ("host aggregate", "host aggregate", "", _corrupt_host),
+    ("metrics aggregate", "metrics aggregate", "", _corrupt_metrics),
+    ("persistent matrix cells", "persistent matrix cells", "", _corrupt_cells),
+    ("SLA index", "SLA index", "", _corrupt_sla),
+    ("persistent matrix bind", "persistent matrix bind", "", _corrupt_matrix),
+    ("matrix row copy", "persistent matrix bind",
+     "persistent matrix drift: res_cpu", _corrupt_row_copy),
+    ("matrix host terms", "persistent matrix bind",
+     "persistent matrix drift: _host_terms", _corrupt_host_terms),
 ]
 
 
 class TestOneGuard:
     @pytest.mark.parametrize("mode", ["raise", "resync"])
     @pytest.mark.parametrize(
-        "label,corrupt", [d[1:] for d in DRIFTS], ids=[d[0] for d in DRIFTS]
+        "label,names,corrupt", [d[1:] for d in DRIFTS], ids=[d[0] for d in DRIFTS]
     )
-    def test_drift_is_caught_by_its_oracle(self, label, corrupt, mode):
+    def test_drift_is_caught_by_its_oracle(self, label, names, corrupt, mode):
         engine = _score_engine(mode)
         engine.start()
         engine.sim.run(until=3 * 3600.0)
         corrupt(engine)
         if mode == "raise":
-            with pytest.raises(StateError, match=f"^{label} drift"):
+            with pytest.raises(StateError, match=f"^{label} drift: {names}"):
                 engine.run()
             return
-        with pytest.warns(RuntimeWarning, match=f"{label} drift resynced"):
+        with pytest.warns(RuntimeWarning, match=f"{label} drift resynced: {names}"):
             result = engine.run()
         assert result.invariant_resyncs == 1
         assert engine.metrics.counters["invariant_resyncs"] == 1

@@ -92,7 +92,7 @@ def assert_caches_consistent(b):
     cols = np.arange(b.n_cols)
     live_cols = ~b._frozen
     if live_cols.any() and b.n_rows:
-        fresh_scores = b._score_block(np.arange(b.n_rows), cols)
+        fresh_scores = b._score_cells(np.arange(b.n_rows), cols)
         np.testing.assert_array_equal(
             b.scores[:, live_cols], fresh_scores[:, live_cols]
         )

@@ -466,6 +466,226 @@ class TestOneColumnPath:
         assert matrix.verify_against_fresh([vm], 10.0)
 
 
+def _bits(a):
+    """A float array's raw bits: equality is then bit-for-bit."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _recomputed_host_terms(matrix):
+    """The queued-cell sum of every row, vectorized from the row copies in
+    the general formula's order."""
+    cfg = matrix.config
+    s = np.zeros(matrix.n_rows)
+    if cfg.enable_virt:
+        s += matrix.cc
+    if cfg.enable_conc:
+        s += matrix.conc + matrix.pending
+    if cfg.enable_pwr:
+        occ_now = np.maximum(
+            matrix.res_cpu / matrix.cap_cpu, matrix.res_mem / matrix.cap_mem
+        )
+        t_empty = (matrix.nvms <= cfg.th_empty).astype(float)
+        s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
+    if cfg.enable_sla:
+        s += 0.0
+    return s
+
+
+def _assert_queued_cells_exact(matrix):
+    """Host terms equal their recompute, and queued cells the general
+    formula through every entry point, on every row not touched by a
+    hypothetical move since the last bind (the bind re-reads those)."""
+    rows = np.setdiff1d(np.arange(matrix.n_rows), sorted(matrix._touched))
+    assert np.array_equal(
+        _bits(matrix._host_terms[rows]),
+        _bits(_recomputed_host_terms(matrix)[rows]),
+    )
+    rs = matrix._round_slots
+    queued = rs[matrix._q[rs] & (matrix._cur[rs] < 0)]
+    if not queued.size:
+        return
+    general = matrix._score_cells(rows, queued)
+    assert np.array_equal(_bits(matrix._score_queued(rows, queued)), _bits(general))
+    assert np.array_equal(_bits(matrix._score_block(rows, queued)), _bits(general))
+    for k, r in enumerate(rows):
+        assert np.array_equal(
+            _bits(matrix._score_row_slots(int(r), queued)), _bits(general[k])
+        )
+
+
+class TestHostTermKernel:
+    """Queued cells come from the kept per-row host-term vector.
+
+    A queued column's cell is its row's host term, plus the column's
+    P_fault, where the VM fits.  After every bind and every hypothetical
+    move (which move ``pending`` and ``nvms``), the vector must equal a
+    vectorized recompute from the row copies, and the queued cells the
+    general formula over the same rows, bit for bit, on every row but
+    those touched since the bind; a move's own queued cells on those are
+    held to the general formula by ``test_score_incremental.py``.  Hosts
+    start at and just past ``th_empty``, so moves flip P_pwr's emptiness
+    term, and binds after moves re-read the touched rows.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_queued_cells_equal_the_general_formula(self, data):
+        preset = data.draw(st.sampled_from(["sb0", "sb2", "sb", "full"]), label="preset")
+        th_empty = data.draw(st.integers(min_value=0, max_value=2), label="th_empty")
+        config = getattr(ScoreConfig, preset)(th_empty=th_empty)
+        n_hosts = data.draw(st.integers(min_value=2, max_value=6), label="n_hosts")
+        hosts = [make_host(
+            i,
+            node_class=data.draw(st.sampled_from(CLASSES)),
+            reliability=data.draw(st.floats(min_value=0.5, max_value=1.0)),
+        ) for i in range(n_hosts)]
+        world = World(hosts)
+
+        def arrival():
+            # Unround requirements: occupations that round, so a sum taken
+            # in another order would show.
+            vm = make_vm(
+                world.next_vm,
+                cpu=data.draw(st.floats(min_value=10.0, max_value=400.0)),
+                mem=data.draw(st.floats(min_value=64.0, max_value=2048.0)),
+                fault_tolerance=data.draw(st.floats(min_value=0.0, max_value=1.0)),
+            )
+            world.next_vm += 1
+            world.vms[vm.vm_id] = vm
+            return vm
+
+        for h in hosts:
+            for _ in range(th_empty + data.draw(st.integers(0, 1), label="extra")):
+                place(h, arrival())
+        matrix = PersistentScoreMatrix(hosts, config)
+        matrix.attach()
+        _assert_queued_cells_exact(matrix)
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=2, max_value=6), label="rounds")):
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                _mutate(world, data)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+                arrival()
+            now += data.draw(st.floats(min_value=1.0, max_value=3600.0))
+            columns = world.queued()
+            if data.draw(st.booleans(), label="with_running"):
+                columns += world.running()
+            fulf = None
+            if config.enable_sla:
+                fulf = {vm.vm_id: data.draw(st.sampled_from([1.0, 0.9, 0.4]))
+                        for vm in columns}
+            rel = None
+            if config.enable_fault and data.draw(st.booleans(), label="override"):
+                rel = [data.draw(st.sampled_from([0.6, 0.9, 1.0])) for _ in hosts]
+            matrix.bind_round(columns, now, fulf, rel)
+            _assert_queued_cells_exact(matrix)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=4), label="moves")):
+                free = [j for j in range(matrix.n_cols)
+                        if not matrix._frozen[matrix._round_slots[j]]]
+                if not free:
+                    break
+                col = data.draw(st.sampled_from(free), label="col")
+                row = data.draw(st.integers(0, n_hosts - 1), label="row")
+                if matrix._cur[matrix._round_slots[col]] == row:
+                    continue
+                matrix.apply_move(col, row)
+                _assert_queued_cells_exact(matrix)
+
+    @pytest.mark.parametrize("preset", ["sb0", "sb2", "sb", "full"])
+    def test_many_unround_rows_bit_identical(self, preset):
+        """Hundreds of rows with unround occupations: a term summed in
+        another order than the general formula's rounds differently on
+        some of them."""
+        rng = np.random.default_rng(7)
+        hosts = [make_host(i, node_class=CLASSES[i % 3],
+                           reliability=float(rng.uniform(0.5, 1.0)))
+                 for i in range(300)]
+
+        def vm(vm_id):
+            return make_vm(vm_id, cpu=float(rng.uniform(5.0, 150.0)),
+                           mem=float(rng.uniform(32.0, 900.0)),
+                           fault_tolerance=float(rng.uniform()))
+
+        for i, h in enumerate(hosts):
+            for j in range(int(rng.integers(0, 3))):
+                place(h, vm(1000 + 4 * i + j))
+        config = getattr(ScoreConfig, preset)()
+        matrix = PersistentScoreMatrix(hosts, config)
+        matrix.attach()
+        queued = [vm(10_000 + j) for j in range(5)]
+        fulf = {v.vm_id: 1.0 for v in queued} if config.enable_sla else None
+        matrix.bind_round(queued, 100.0, fulf)
+        _assert_queued_cells_exact(matrix)
+        for col in range(3):
+            matrix.apply_move(col, int(rng.integers(len(hosts))))
+            _assert_queued_cells_exact(matrix)
+
+    def test_arrival_bind_never_evaluates_the_general_formula(self, monkeypatch):
+        """On a warmed matrix, a one-arrival round and its climb score the
+        queued column from the host terms alone."""
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(6)]
+        running = [make_vm(100 + v) for v in range(4)]
+        for v, vm in enumerate(running):
+            place(hosts[v], vm)
+        config = ScoreConfig.full()
+        matrix = PersistentScoreMatrix(hosts, config)
+        matrix.attach()
+        queued = [make_vm(200 + v) for v in range(3)]
+        columns = queued + running
+        matrix.bind_round(columns, 10.0, {vm.vm_id: 1.0 for vm in columns})
+        hill_climb(matrix)
+
+        def general(*args):
+            raise AssertionError("a queued column took the general formula")
+
+        place(hosts[5], make_vm(300))  # one dirty row to catch up on
+        arrival = make_vm(301)
+        fulf = {arrival.vm_id: 1.0}
+        with monkeypatch.context() as m:
+            m.setattr(PersistentScoreMatrix, "_score_cells", general)
+            m.setattr(PersistentScoreMatrix, "_score_row_slots", general)
+            matrix.bind_round([arrival], 20.0, fulf)
+            assert matrix._col_hist[1] >= 1
+            moves = hill_climb(matrix)
+        assert len(moves) == 1
+        place(hosts[matrix.host_index[moves[0].host_id]], arrival)
+        burst = [make_vm(400 + v) for v in range(3)]
+        fulf = {vm.vm_id: 1.0 for vm in burst}
+        with monkeypatch.context() as m:
+            m.setattr(PersistentScoreMatrix, "_score_cells", general)
+            m.setattr(PersistentScoreMatrix, "_score_row_slots", general)
+            matrix.bind_round(burst, 30.0, fulf)
+            hill_climb(matrix)
+        matrix.force_full_rebuild()
+        matrix.bind_round(burst, 40.0, fulf)
+        assert matrix.verify_against_fresh(burst, 40.0, fulf)
+        assert matrix.verify_cells()
+
+    def test_verify_cells_catches_a_drifted_host_term(self):
+        hosts = [make_host(i) for i in range(4)]
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.attach()
+        vm = make_vm(100)
+        matrix.bind_round([vm], 0.0)
+        assert matrix.verify_cells()
+        matrix._host_terms[int(matrix._active[1])] += 1.0
+        with pytest.raises(StateError, match="host-term drift: host 1 "):
+            matrix.verify_cells()
+
+    def test_verify_cells_catches_a_queued_slot_on_a_host(self):
+        """The queued kernel's dispatch reads ``_q`` alone: a queued slot
+        must be on no host."""
+        hosts = [make_host(i) for i in range(3)]
+        vm = make_vm(100)
+        place(hosts[0], vm)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.bind_round([vm], 0.0)
+        assert matrix.verify_cells()
+        matrix._q[matrix._round_slots[0]] = True
+        with pytest.raises(StateError, match="queued slot .* is on host 0"):
+            matrix.verify_cells()
+
+
 # --------------------------------------------------------------------------
 # Layer 2: whole-simulation oracles
 # --------------------------------------------------------------------------

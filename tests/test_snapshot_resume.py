@@ -448,8 +448,13 @@ class TestDerivedStateLeavesThePickle:
         assume(orig is not None and orig._binds > 0)
         blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
         matrix = pickle.loads(blob).policy._matrix
-        # The restore rebuilt the cells.
+        # The restore rebuilt the cells and the host terms; a row touched
+        # by a hypothetical move is re-read at the next bind.
         assert matrix.scores is not None
+        rows = np.setdiff1d(np.arange(orig.n_rows), sorted(orig._touched))
+        assert matrix._host_terms[rows].view(np.int64).tolist() == (
+            orig._host_terms[rows].view(np.int64).tolist()
+        )
         assert matrix.verify_cells()
         assert matrix.stats() == orig.stats()
         assert matrix.scores.shape == orig.scores.shape
