@@ -16,6 +16,14 @@ carries a back-reference to its owning simulator so cancellation can be
 *accounted for* in O(1) too — the simulator keeps a live-event counter and
 compacts the heap when tombstones dominate, instead of scanning the heap
 on every ``pending`` query.
+
+Cancelling an event and pushing it again at the same time and priority
+has a cheaper equal: a *re-key* (:meth:`Simulator.rekey`).  The event
+keeps its place in the heap and only takes the next sequence number into
+:attr:`Event.seq`; its heap entry goes stale.  Keys only ever grow, so a
+stale entry surfaces no later than its current key says, and the
+simulator moves it to that key when it reaches the top of the heap (and
+when it compacts) — the fired order is the cancel-and-push order.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ __all__ = ["Event", "EventHandle"]
 class Event:
     """A scheduled callback; its heap entry carries the order key."""
 
-    __slots__ = ("time", "callback", "label", "cancelled", "owner")
+    __slots__ = ("time", "callback", "label", "cancelled", "owner", "seq")
 
     def __init__(self, time: float, callback: Callable[[], None], label: str = "",
-                 owner: Optional[Any] = None) -> None:
+                 owner: Optional[Any] = None, seq: int = 0) -> None:
         self.time = time
         self.callback = callback
         self.label = label
@@ -39,14 +47,18 @@ class Event:
         #: Owning simulator while the event sits live in its heap; cleared when
         #: the event fires or is cancelled, so notifications fire exactly once.
         self.owner = owner
+        #: Current sequence number; ahead of the heap entry's after a re-key.
+        self.seq = seq
 
     # Snapshots pickle every event in the heap: a plain tuple state is
     # smaller and faster to write than the per-slot dict of the default.
     def __getstate__(self) -> tuple:
-        return (self.time, self.callback, self.label, self.cancelled, self.owner)
+        return (self.time, self.callback, self.label, self.cancelled, self.owner,
+                self.seq)
 
     def __setstate__(self, state: tuple) -> None:
-        self.time, self.callback, self.label, self.cancelled, self.owner = state
+        (self.time, self.callback, self.label, self.cancelled, self.owner,
+         self.seq) = state
 
 
 class EventHandle:
@@ -76,6 +88,11 @@ class EventHandle:
     def cancelled(self) -> bool:
         """Whether the event was cancelled before it fired."""
         return self._event.cancelled
+
+    @property
+    def live(self) -> bool:
+        """Whether the event is still waiting in its simulator's heap."""
+        return self._event.owner is not None
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired or was cancelled."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.des.event import Event, EventHandle
 from repro.errors import SimulationError
@@ -22,7 +22,9 @@ from repro.errors import SimulationError
 __all__ = ["Simulator"]
 
 #: A heap entry: ``(time, priority, seq, event)``.  ``seq`` is unique, so
-#: tuple comparison never reaches the event.
+#: tuple comparison never reaches the event.  After a re-key the entry's
+#: ``seq`` is behind ``event.seq`` until the entry is moved (see
+#: :meth:`Simulator.rekey`).
 Entry = Tuple[float, int, int, Event]
 
 
@@ -98,6 +100,10 @@ class Simulator:
         """Number of not-yet-cancelled events still in the queue (O(1))."""
         return self._live
 
+    def live_events(self) -> Iterator[EventHandle]:
+        """Handles to every live event, in heap order (O(heap): oracles)."""
+        return (EventHandle(entry[3]) for entry in self._heap if entry[3].owner is self)
+
     @property
     def stop_requested(self) -> bool:
         """True once :meth:`stop` was called during the running loop."""
@@ -110,8 +116,10 @@ class Simulator:
 
         Keeps the live counter exact and compacts the heap once cancelled
         tombstones outnumber live events — without this, workloads that
-        cancel and reschedule the same logical event (completion handles on
-        every share change) grow the heap without bound.
+        cancel and reschedule the same logical event (completion handles
+        whose time moved with a share change) grow the heap without bound.
+        A reschedule to the same time is a :meth:`rekey` and leaves no
+        tombstone.
         """
         self._live -= 1
         self._tombstones += 1
@@ -123,10 +131,16 @@ class Simulator:
 
     def _compact(self) -> None:
         # Order-preserving: (time, priority, seq) is a unique total order,
-        # so heapify of the filtered list pops in the same sequence.  In
-        # place, because :meth:`run` holds the list while callbacks cancel.
+        # so heapify of the filtered list pops in the same sequence.  Every
+        # entry is rewritten with its event's current seq, so re-keyed
+        # entries leave compaction up to date.  In place, because
+        # :meth:`run` holds the list while callbacks cancel.
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [
+            (time, priority, event.seq, event)
+            for time, priority, _, event in heap
+            if not event.cancelled
+        ]
         heapq.heapify(heap)
         self._tombstones = 0
 
@@ -172,10 +186,29 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         time = float(time)
-        event = Event(time, callback, label, self)
-        heapq.heappush(self._heap, (time, int(priority), next(self._seq), event))
+        seq = next(self._seq)
+        event = Event(time, callback, label, self, seq)
+        heapq.heappush(self._heap, (time, int(priority), seq, event))
         self._live += 1
         return EventHandle(event)
+
+    def rekey(self, handle: EventHandle, time: float) -> bool:
+        """Cancel-and-push ``handle``'s event at ``time``, in place.
+
+        When the event is live in this heap at exactly ``time``, it takes
+        the next sequence number — the one a cancel followed by
+        :meth:`at` with its own priority would draw — and the handle stays
+        valid; returns ``True``.  The heap is not touched: the event's
+        entry is moved to its new key when it surfaces (:meth:`run`,
+        :meth:`step`) or when the heap compacts.  Otherwise nothing
+        changes and ``False`` is returned, so the caller cancels and
+        pushes.  O(1), and no tombstone.
+        """
+        event = handle._event
+        if event.owner is not self or event.time != time:
+            return False
+        event.seq = next(self._seq)
+        return True
 
     def at_many(
         self,
@@ -195,8 +228,9 @@ class Simulator:
         (``O(k log H)``) are replaced by one extend-and-heapify pass over
         the heap (``O(H + k)``); heapify of the same event set preserves
         pop order because ``(time, priority, seq)`` is a unique total
-        order.  The engine's batched completion reschedule is the hot
-        caller.
+        order.  The engine's completion sweep no longer calls it (it
+        re-keys most handles, see :meth:`rekey`); ``perfbench/ledger.py``
+        still times it as a DES entry point.
         """
         if len(times) != len(callbacks):
             raise SimulationError("times and callbacks must match in length")
@@ -213,10 +247,11 @@ class Simulator:
                 raise SimulationError(
                     f"cannot schedule at t={time} before current time t={self._now}"
                 )
+            n = next(seq)
             event = Event(
-                time, callbacks[i], labels[i] if labels is not None else "", self
+                time, callbacks[i], labels[i] if labels is not None else "", self, n
             )
-            entries.append((time, priority, next(seq), event))
+            entries.append((time, priority, n, event))
         heap = self._heap
         if len(entries) >= 8 and len(entries) * 4 >= len(heap):
             heap.extend(entries)
@@ -233,13 +268,21 @@ class Simulator:
         """Fire the next pending event.
 
         Returns ``True`` if an event fired, ``False`` when the queue is
-        empty (cancelled tombstones are discarded silently).
+        empty (cancelled tombstones are discarded silently, re-keyed
+        entries are moved to their current key).
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
+                heapq.heappop(heap)
                 self._tombstones -= 1
                 continue
+            if entry[2] != event.seq:
+                heapq.heapreplace(heap, (entry[0], entry[1], event.seq, event))
+                continue
+            heapq.heappop(heap)
             self._live -= 1
             event.owner = None
             self._now = event.time
@@ -280,6 +323,7 @@ class Simulator:
         budget = max_events if max_events is not None else float("inf")
         heap = self._heap
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         try:
             while heap and budget > 0 and not self._stop_requested:
                 entry = heap[0]
@@ -287,6 +331,11 @@ class Simulator:
                 if event.cancelled:
                     heappop(heap)
                     self._tombstones -= 1
+                    continue
+                if entry[2] != event.seq:
+                    # Re-keyed: its current key is larger, so move it and
+                    # look at the top again.
+                    heapreplace(heap, (entry[0], entry[1], event.seq, event))
                     continue
                 if until is not None and entry[0] > until:
                     # The world continues past the horizon: close at it.

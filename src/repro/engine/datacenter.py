@@ -850,7 +850,7 @@ class DatacenterSimulation(ActuatorsMixin):
             if self.sla_monitor is not None:
                 # Banking progress re-anchors eta, which may move its last bit.
                 self.sla_monitor.assess((vm,), self.sim.now)
-            self._reschedule_completion(vm)
+            self._reschedule_completion(vm, self.sim.now)
 
     def _on_boot_done(self, host: Host) -> None:
         if host.state is not HostState.BOOTING:
@@ -1334,15 +1334,29 @@ class DatacenterSimulation(ActuatorsMixin):
         if handle is not None:
             handle.cancel()
 
-    def _reschedule_completion(self, vm: Vm) -> None:
-        self._cancel_completion(vm)
+    def _reschedule_completion(self, vm: Vm, now: float) -> None:
+        """The one completion rule: re-key the handle if its time holds,
+        else cancel it and push a new event.
+
+        A RUNNING VM with a positive share completes at
+        ``max(vm.eta(now), now)``.  A live handle already at exactly that
+        time is re-keyed (:meth:`Simulator.rekey`); any other handle is
+        cancelled and a new event pushed.  Either way one sequence number
+        is drawn, so the fired order is that of cancelling every handle
+        and pushing it again.  Any other VM loses its handle.
+        """
         if vm.state is not VmState.RUNNING or vm.share <= 0:
+            self._cancel_completion(vm)
             return
-        eta = vm.eta(self.sim.now)
-        self._completion_handles[vm.vm_id] = self.sim.at(
-            max(eta, self.sim.now),
-            partial(self._on_completion, vm),
-            label=f"complete:{vm.vm_id}",
+        handles = self._completion_handles
+        handle = handles.get(vm.vm_id)
+        time = max(vm.eta(now), now)
+        if handle is not None:
+            if self.sim.rekey(handle, time):
+                return
+            handle.cancel()
+        handles[vm.vm_id] = self.sim.at(
+            time, partial(self._on_completion, vm), label=f"complete:{vm.vm_id}"
         )
 
     def _refresh(self) -> None:
@@ -1364,7 +1378,7 @@ class DatacenterSimulation(ActuatorsMixin):
         loop: hosts are independent (a VM resides on exactly one host and
         a solve touches only that host's VMs), the metrics fold
         accumulates its floats in sorted host order, and the completion
-        pass cancels and pushes handles in (sorted host, residency)
+        pass re-keys or replaces handles in (sorted host, residency)
         order, so every DES event draws the same sequence number.
         Neither the fold nor the solve schedules events, which is what
         makes deferring the completion pass to the end order-neutral.
@@ -1399,47 +1413,35 @@ class DatacenterSimulation(ActuatorsMixin):
     def _reschedule_completions_batched(
         self, hosts: List[Host], now: float
     ) -> None:
-        """Completion handles for a whole dirty sweep in one heap push.
+        """Completion handles for a whole dirty sweep.
 
-        Cancels exactly the handles a per-VM :meth:`_reschedule_completion`
-        loop would cancel, takes each eta from :meth:`Vm.eta` clamped to
-        ``now`` as that loop does, and pushes the new events through
-        :meth:`Simulator.at_many` in the same order — consecutive sequence
-        numbers, identical fired-event sequence.
+        Applies :meth:`_reschedule_completion` to every RUNNING and
+        MIGRATING VM on the swept hosts in (sorted host, residency) order;
+        a MIGRATING VM loses its handle (completion is checked at
+        migration end).  Re-keys and pushes draw their sequence numbers
+        interleaved in that order: consecutive numbers for the VMs with a
+        positive share, exactly those of cancelling every handle and
+        pushing the batch again.  Most handles keep their time (the share
+        did not move), so most of the pass is re-keys: no tombstone, no
+        heap push, no new callback.
         """
-        vms: List[Vm] = []
-        times: List[float] = []
+        reschedule = self._reschedule_completion
         for host in hosts:
             for vm in host.vms.values():
                 state = vm.state
-                if state is VmState.RUNNING:
-                    self._cancel_completion(vm)
-                    if vm.share > 0:
-                        vms.append(vm)
-                        times.append(max(vm.eta(now), now))
-                elif state is VmState.MIGRATING:
-                    # Completion is checked at migration end; no event now.
-                    self._cancel_completion(vm)
-        if not vms:
-            return
-        handles = self.sim.at_many(
-            times,
-            [partial(self._on_completion, vm) for vm in vms],
-            labels=[f"complete:{vm.vm_id}" for vm in vms],
-        )
-        completion_handles = self._completion_handles
-        for vm, handle in zip(vms, handles):
-            completion_handles[vm.vm_id] = handle
+                if state is VmState.RUNNING or state is VmState.MIGRATING:
+                    reschedule(vm, now)
 
     def _check_invariants(self, now: float) -> None:
         """Strict-invariant sweep: run the incremental-state oracles.
 
         One list of ``(label, verify, repair)`` oracles, each run through
         :meth:`_guard`: every host's occupancy aggregates, the metrics
-        collector's delta-maintained totals, then whatever the policy
-        keeps (:meth:`SchedulingPolicy.invariant_checks`).  Called from
-        inside regular events, so enabling the mode schedules nothing and
-        every row stays bit-identical.
+        collector's delta-maintained totals, the completion events, then
+        whatever the policy keeps
+        (:meth:`SchedulingPolicy.invariant_checks`).  Called from inside
+        regular events, so enabling the mode schedules nothing and every
+        row stays bit-identical.
         """
         self._next_invariant_check = now + self.config.invariant_interval_s
         self._invariant_checks += 1
@@ -1451,9 +1453,63 @@ class DatacenterSimulation(ActuatorsMixin):
         oracles.append(
             ("metrics aggregate", metrics.verify_against_scan, metrics.resync_from_scan)
         )
+        oracles.append((
+            "completion events",
+            partial(self._verify_completion_events, now),
+            partial(self._resync_completion_events, now),
+        ))
         oracles.extend(self.policy.invariant_checks(self.hosts))
         for label, verify, repair in oracles:
             self._guard(label, verify, repair)
+
+    def _verify_completion_events(self, now: float) -> None:
+        """Oracle: one live completion event per running VM, at its eta.
+
+        Each RUNNING VM with a positive share holds exactly one live
+        ``complete:`` event in the heap — its handle — at
+        ``max(vm.eta(now), now)`` within a relative 1e-9 (banking progress
+        outside the sweep, as :meth:`_touch_all` does, may move eta's last
+        bit); no other VM has a live one.  Raises StateError naming the
+        first event that is wrong.
+        """
+        live: Dict[str, int] = {}
+        for event in self.sim.live_events():
+            if event.label.startswith("complete:"):
+                live[event.label] = live.get(event.label, 0) + 1
+        handles = self._completion_handles
+        for host in self.hosts:
+            for vm in host.vms.values():
+                if vm.state is not VmState.RUNNING or vm.share <= 0:
+                    continue
+                label = f"complete:{vm.vm_id}"
+                count = live.pop(label, 0)
+                if count != 1:
+                    raise StateError(
+                        f"{label}: running vm has {count} live completion events"
+                    )
+                handle = handles.get(vm.vm_id)
+                if handle is None or not handle.live:
+                    raise StateError(f"{label}: the running vm's handle is not live")
+                want = max(vm.eta(now), now)
+                if not math.isclose(handle.time, want, rel_tol=1e-9):
+                    raise StateError(
+                        f"{label}: fires at t={handle.time!r}, eta is t={want!r}"
+                    )
+        if live:
+            raise StateError(
+                f"{next(iter(live))}: live completion event of a vm that is "
+                f"not running with a share"
+            )
+
+    def _resync_completion_events(self, now: float) -> None:
+        """Cancel every completion event and push them again, host by host."""
+        for event in list(self.sim.live_events()):
+            if event.label.startswith("complete:"):
+                event.cancel()
+        self._completion_handles.clear()
+        self._reschedule_completions_batched(
+            sorted(self.hosts, key=lambda h: h.host_id), now
+        )
 
     def _resync_host(self, host: Host) -> None:
         host.resync_aggregates()

@@ -139,7 +139,10 @@ __all__ = [
 #:    matrix holds the static host arrays and the VM slot registry itself
 #:    and rebuilds its cells on unpickling; a version-10 snapshot pickles
 #:    a class that no longer exists.
-SNAPSHOT_VERSION = 11
+#: 12: completion events re-keyed in place — ``Event`` pickles its
+#:    current sequence number ``seq``, which can be ahead of its heap
+#:    entry's; a version-11 event unpickles without it.
+SNAPSHOT_VERSION = 12
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"

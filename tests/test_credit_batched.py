@@ -2,9 +2,10 @@
 
 Three layers of proof that skipping work never changes results:
 
-* kernel level — the completion events the engine's batched reschedule
-  pushes carry :meth:`Vm.eta` clamped to ``now``, in (sorted host,
-  residency) order, and :meth:`Simulator.at_many` versus per-item
+* kernel level — the completion events the engine's reschedule sweep
+  leaves live carry :meth:`Vm.eta` clamped to ``now``, with sequence
+  numbers in (sorted host, residency) order whether re-keyed or pushed,
+  and :meth:`Simulator.at_many` versus per-item
   :meth:`Simulator.at` (same fired order on both heap paths);
 * memo level — :class:`ShareMemo` hits return the exact solution, and a
   share problem seen twice in one dirty sweep is solved once;
@@ -253,22 +254,25 @@ def _running_vm(vm_id, work, done, share, anchor, state=VmState.RUNNING):
 
 
 def _pushed_completions(engine):
-    """``vm_id -> (time, seq)`` of every live completion event."""
+    """``vm_id -> (time, seq)`` of every live completion event; ``seq`` is
+    the event's current one, which a re-key moves ahead of its heap
+    entry's."""
     handles = engine._completion_handles
     by_event = {id(h._event): vm_id for vm_id, h in handles.items()}
     pushed = {}
-    for time, _, seq, event in engine.sim._heap:
+    for time, _, _, event in engine.sim._heap:
         if not event.cancelled and id(event) in by_event:
-            pushed[by_event[id(event)]] = (time, seq)
+            pushed[by_event[id(event)]] = (time, event.seq)
     assert len(pushed) == len(handles)
     return pushed
 
 
 class TestBatchEta:
     """The engine path that replaced the vectorized eta kernel: every
-    completion event ``_reschedule_completions_batched`` pushes fires at
-    ``max(vm.eta(now), now)``, and the pushes draw consecutive sequence
-    numbers in (sorted host, residency) order."""
+    completion event ``_reschedule_completions_batched`` leaves live fires
+    at ``max(vm.eta(now), now)``, and its current sequence numbers are
+    consecutive in (sorted host, residency) order, as if every handle had
+    been cancelled and the batch pushed again."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -295,12 +299,15 @@ class TestBatchEta:
                 host.add_vm(vm)
                 if state is VmState.RUNNING and share > 0:
                     expected_order.append(vm)
-        # A first sweep leaves handles behind; the second must cancel and
-        # replace every one of them.
+        # A first sweep leaves handles behind.  Between the sweeps some
+        # shares move (and with them, unless no work is left, the eta);
+        # the second sweep must re-key the handles whose time held and
+        # replace the others.
         engine._reschedule_completions_batched(hosts, now)
         old = dict(engine._completion_handles)
+        for vm in expected_order:
+            vm.share *= data.draw(st.sampled_from([1.0, 1.0, 0.5, 3.0]))
         engine._reschedule_completions_batched(hosts, now)
-        assert all(h.cancelled for h in old.values())
         pushed = _pushed_completions(engine)
         assert sorted(pushed) == sorted(vm.vm_id for vm in expected_order)
         seqs = [pushed[vm.vm_id][1] for vm in expected_order]
@@ -308,8 +315,16 @@ class TestBatchEta:
             assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
         for vm in expected_order:
             expected = max(vm.eta(now), now)
+            handle = engine._completion_handles[vm.vm_id]
             assert pushed[vm.vm_id][0] == expected, (vm.vm_id, expected)
-            assert engine._completion_handles[vm.vm_id].time == expected
+            assert handle.time == expected
+            before = old[vm.vm_id]
+            if before.time == expected:
+                assert handle is before and handle.live
+            else:
+                assert handle is not before
+                assert before.cancelled and not before.live
+        assert engine.sim.pending == len(expected_order)
 
     def test_finished_vm_maps_to_now(self):
         engine = _engine(chaos=False, pm=False)
@@ -530,14 +545,54 @@ class TestShareSolveAccounting:
 
 
 class TestCompletionReschedule:
+    def test_most_completion_reschedules_are_rekeys(self, tmp_path, monkeypatch):
+        """On the benchmark's ``paper`` episode 0 (seed 1), at least 70 %
+        of the completion events the engine schedules keep a live
+        handle's time and are re-keyed in place; the rest are pushed."""
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve their module through ``sys.modules``.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        counts = {"rekey": 0, "push": 0}
+        rekey, at = Simulator.rekey, Simulator.at
+
+        def counted_rekey(self, handle, time):
+            keyed = rekey(self, handle, time)
+            counts["rekey"] += keyed
+            return keyed
+
+        def counted_at(self, time, callback, **kwargs):
+            counts["push"] += kwargs.get("label", "").startswith("complete:")
+            return at(self, time, callback, **kwargs)
+
+        monkeypatch.setattr(Simulator, "rekey", counted_rekey)
+        monkeypatch.setattr(Simulator, "at", counted_at)
+        episode = workloads.paper(workloads.episode_seed("paper", 1, 0), str(tmp_path))
+        assert not episode.check(episode.run())
+        total = counts["rekey"] + counts["push"]
+        assert total > 2000
+        assert counts["rekey"] >= 0.70 * total, counts
+
     def test_early_completion_event_reschedules_at_eta(self):
         """A completion that fires while work remains is pushed back to
-        the VM's eta at its current share, replacing the old handle."""
+        the VM's eta at its current share, replacing the spent handle.
+        The handler takes the sweep's one rule: a handle still live at
+        that time is re-keyed in place instead."""
         engine = _engine(chaos=False, pm=False)
         (vm, *_) = _load(engine, engine.hosts[:1])
         engine._refresh()
         first = engine._completion_handles[vm.vm_id]
+        first.cancel()  # stands in for the fired event: no longer live
         engine._on_completion(vm)
         second = engine._completion_handles[vm.vm_id]
-        assert first.cancelled and not second.cancelled
+        assert second is not first and second.live
         assert second.time == vm.eta(engine.sim.now) == first.time
+        engine._on_completion(vm)
+        assert engine._completion_handles[vm.vm_id] is second and second.live
+        assert engine.sim.pending == len(engine._completion_handles)

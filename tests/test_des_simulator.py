@@ -130,6 +130,55 @@ class TestCancellation:
         assert sim.pending == 1
 
 
+class TestRekey:
+    def test_rekeyed_event_fires_behind_a_later_tie(self):
+        """A re-key draws a new sequence number: the event now fires after
+        an equal-(time, priority) event pushed since, as a cancel and push
+        would, and the handle stays the same live one."""
+        sim = Simulator()
+        order = []
+        first = sim.at(1.0, partial(order.append, "first"))
+        sim.at(1.0, partial(order.append, "second"))
+        assert sim.rekey(first, 1.0) is True
+        assert first.live and not first.cancelled
+        assert sim.pending == 2
+        sim.run()
+        assert order == ["second", "first"]
+        assert not first.live
+
+    def test_rekey_refuses_a_moved_or_dead_event(self):
+        sim = Simulator()
+        handle = sim.at(1.0, lambda: None)
+        assert sim.rekey(handle, 2.0) is False
+        assert sim.rekey(Simulator().at(1.0, lambda: None), 1.0) is False
+        handle.cancel()
+        assert sim.rekey(handle, 1.0) is False
+        fired = sim.at(1.5, lambda: None)
+        assert sim.step()
+        assert sim.rekey(fired, 1.5) is False
+        assert sim.pending == 0
+
+    def test_step_moves_a_stale_entry_before_firing(self):
+        sim = Simulator()
+        order = []
+        handles = [sim.at(1.0, partial(order.append, i)) for i in range(3)]
+        sim.rekey(handles[0], 1.0)
+        sim.rekey(handles[1], 1.0)
+        while sim.step():
+            pass
+        assert order == [2, 0, 1]
+        assert sim.events_processed == 3
+
+    def test_compaction_writes_current_keys(self):
+        sim = Simulator()
+        handles = [sim.at(1.0, lambda: None) for _ in range(4)]
+        sim.rekey(handles[0], 1.0)
+        handles[1].cancel()
+        sim._compact()
+        assert all(entry[2] == entry[3].seq for entry in sim._heap)
+        assert [h.live for h in handles] == [True, False, True, True]
+
+
 class TestRunControl:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
@@ -408,3 +457,138 @@ class TestRandomInterleavings:
         assert clone_sim.now == sim.now
         assert clone_sim.events_processed == sim.events_processed
         assert clone_sim.pending == sim.pending == 0
+
+
+# ------------------------------------------- re-key against cancel-and-push
+
+
+class _Script:
+    """One simulator driven through a schedule/cancel/reschedule script.
+
+    A reschedule re-keys the event in place when it is live at the new
+    time (``rekey=True``), or always cancels it and pushes a new one (the
+    reference).  Tags ``≡ 3 (mod 4)`` reschedule tag ``- 1`` to its own
+    time when they fire, so re-keys also happen inside a running loop.
+    Picklable, so a script can continue from a round trip.
+    """
+
+    def __init__(self, rekey):
+        self.sim = Simulator()
+        self.sim._COMPACT_FLOOR = 8
+        self.rekey = rekey
+        self.handles = []
+        self.priorities = []
+        self.fired = []
+        self.rekeys = 0
+        self.compactions = 0
+
+    def fire(self, tag):
+        self.fired.append((tag, self.sim.now))
+        if tag % 4 == 3:
+            self.reschedule(tag - 1, None)
+
+    def add(self, time, priority):
+        tag = len(self.handles)
+        self.handles.append(
+            self.sim.at(time, partial(self.fire, tag), priority=priority)
+        )
+        self.priorities.append(priority)
+
+    def reschedule(self, tag, time):
+        """Move ``tag`` to ``time`` (``None``: its own time, or now)."""
+        sim = self.sim
+        handle = self.handles[tag]
+        if time is None:
+            time = max(handle.time, sim.now)
+        if self.rekey and sim.rekey(handle, time):
+            self.rekeys += 1
+            return
+        handle.cancel()
+        self.handles[tag] = sim.at(
+            time, partial(self.fire, tag), priority=self.priorities[tag]
+        )
+
+    def apply(self, op):
+        sim = self.sim
+        kind = op[0]
+        heap = len(sim._heap)
+        if kind == "at":
+            for _ in range(op[3]):
+                self.add(sim.now + op[1], op[2])
+        elif kind in ("cancel", "same", "move") and self.handles:
+            start = op[1] % len(self.handles)
+            for tag in range(start, min(start + op[2], len(self.handles))):
+                if kind == "cancel":
+                    self.handles[tag].cancel()
+                else:
+                    self.reschedule(tag, sim.now + op[3] if kind == "move" else None)
+            # Outside the loop, only a compaction shrinks the heap.
+            self.compactions += len(sim._heap) < heap
+        elif kind == "step":
+            sim.step()
+        elif kind == "until":
+            sim.run(until=sim.now + op[1])
+
+
+_tag = st.integers(min_value=0, max_value=10**6)
+_run = st.integers(min_value=1, max_value=12)
+#: ``("at", delay, priority, count)``; ``(kind, first tag, count[, delay])``
+#: for a run of consecutive tags; ``("step",)``, ``("until", delay)``,
+#: ``("pickle",)``.
+_script_op = st.one_of(
+    st.tuples(st.just("at"), _delay, _priority, _run),
+    st.tuples(st.just("cancel"), _tag, _run),
+    st.tuples(st.just("same"), _tag, _run),
+    st.tuples(st.just("move"), _tag, _run, _delay),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until"), _delay),
+    st.tuples(st.just("pickle")),
+)
+
+
+class TestRekeyDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_script_op, min_size=10, max_size=120))
+    def test_fires_exactly_as_cancel_and_push(self, ops):
+        """Random scripts with equal-(time, priority) ties, reschedules to
+        the same and to another time, ``step``, ``run(until=)``,
+        compaction and a pickle round trip: the re-keying simulator fires
+        the reference's sequence, with the same live count throughout."""
+        mine, ref = _Script(rekey=True), _Script(rekey=False)
+        for op in ops:
+            if op[0] == "pickle":
+                rekeys = mine.rekeys
+                mine = pickle.loads(pickle.dumps(mine))
+                ref = pickle.loads(pickle.dumps(ref))
+                assert mine.rekeys == rekeys
+            else:
+                mine.apply(op)
+                ref.apply(op)
+            assert mine.sim.pending == ref.sim.pending
+            assert mine.fired == ref.fired
+            assert mine.sim.now == ref.sim.now
+        event(f"re-keyed: {mine.rekeys > 0}")
+        event(f"compacted: {mine.compactions > 0}")
+        mine.sim.run()
+        ref.sim.run()
+        assert mine.fired == ref.fired
+        assert mine.sim.events_processed == ref.sim.events_processed
+        assert mine.sim.pending == ref.sim.pending == 0
+
+    def test_script_reaches_rekeys_compaction_and_pickle(self):
+        """One fixed script pins what the property's mix reaches: re-keys
+        of stale entries at the heap top, a compaction while entries are
+        stale, and a pickle round trip in between."""
+        mine, ref = _Script(rekey=True), _Script(rekey=False)
+        for op in [("at", 1.0, 0, 12), ("same", 0, 12), ("cancel", 5, 7)]:
+            mine.apply(op)
+            ref.apply(op)
+        assert mine.rekeys == 12 and mine.compactions == 1
+        mine = pickle.loads(pickle.dumps(mine))
+        for op in [("at", 0.5, 0, 1), ("same", 12, 1), ("step",), ("until", 1.0)]:
+            mine.apply(op)
+            ref.apply(op)
+        mine.sim.run()
+        ref.sim.run()
+        assert mine.fired == ref.fired
+        assert [tag for tag, _ in mine.fired[:3]] == [12, 0, 1]

@@ -11,10 +11,12 @@ enabling it may not change a single result field.
 """
 
 import os
+from functools import partial
 
 import pytest
 
 from repro.cluster.spec import ClusterSpec
+from repro.cluster.vm import VmState
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
 from repro.errors import ConfigurationError, StateError
@@ -275,6 +277,25 @@ def _corrupt_cells(engine):
     engine._next_invariant_check = 0.0
 
 
+def _orphan_completion(engine):
+    """A second live completion event for a running VM, far in the future,
+    that no handle holds: the sweep can neither re-key nor cancel it."""
+    vm = next(
+        vm for h in engine.hosts for vm in h.vms.values()
+        if vm.state is VmState.RUNNING and vm.share > 0
+    )
+    engine.sim.at(
+        engine.sim.now + 1e7, partial(engine._on_completion, vm),
+        label=f"complete:{vm.vm_id}",
+    )
+    return vm
+
+
+def _corrupt_completions(engine):
+    _orphan_completion(engine)
+    engine._next_invariant_check = 0.0
+
+
 def _corrupt_sla(engine):
     # A phantom VM in the fulfilment index: only the full scan sees it.
     engine.sla_monitor._fixed[-1] = 1.0
@@ -282,11 +303,12 @@ def _corrupt_sla(engine):
 
 #: (test id, guard label, what the oracle's message names first,
 #: corruption).  Each corruption is seen first by its own oracle: the
-#: three sweep oracles at the next refresh, the SLA index at the next SLA
+#: four sweep oracles at the next refresh, the SLA index at the next SLA
 #: check, the bind-time matrix at the next bind.
 DRIFTS = [
     ("host aggregate", "host aggregate", "", _corrupt_host),
     ("metrics aggregate", "metrics aggregate", "", _corrupt_metrics),
+    ("completion events", "completion events", "complete:", _corrupt_completions),
     ("persistent matrix cells", "persistent matrix cells", "", _corrupt_cells),
     ("SLA index", "SLA index", "", _corrupt_sla),
     ("persistent matrix bind", "persistent matrix bind", "", _corrupt_matrix),
@@ -337,6 +359,45 @@ class TestOneGuard:
         monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
         engine = _engine(EngineConfig(seed=3))
         assert engine._context().guard is None
+
+    @pytest.mark.parametrize("drift", ["orphan", "lost", "moved", "idle"])
+    def test_completion_oracle_names_the_event(self, drift):
+        """Each way a completion event can go wrong: a second live event
+        (``orphan``), none (``lost``), one at the wrong time (``moved``),
+        or a live one for a VM that is not running with a share
+        (``idle``)."""
+        engine = _score_engine()
+        engine.start()
+        engine.sim.run(until=3 * 3600.0)
+        now = engine.sim.now
+        engine._verify_completion_events(now)
+        vm = next(
+            vm for h in engine.hosts for vm in h.vms.values()
+            if vm.state is VmState.RUNNING and vm.share > 0
+        )
+        handle = engine._completion_handles[vm.vm_id]
+        label = f"complete:{vm.vm_id}"
+        if drift == "orphan":
+            _orphan_completion(engine)
+            match = f"{label}: running vm has 2 live"
+        elif drift == "lost":
+            handle.cancel()
+            match = f"{label}: running vm has 0 live completion events"
+        elif drift == "moved":
+            handle.cancel()
+            engine._completion_handles[vm.vm_id] = engine.sim.at(
+                handle.time * (1 + 1e-6), lambda: None, label=label
+            )
+            match = f"{label}: fires at"
+        else:
+            vm.share = 0.0
+            match = f"{label}: live completion event of a vm that is not running"
+        with pytest.raises(StateError, match=f"^{match}"):
+            engine._verify_completion_events(now)
+        engine._resync_completion_events(now)
+        if drift == "idle":
+            assert vm.vm_id not in engine._completion_handles
+        engine._verify_completion_events(now)
 
     @pytest.mark.parametrize("total", ["online", "working", "reserved"])
     def test_metrics_oracle_raises_naming_the_total(self, total):

@@ -308,17 +308,17 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
         (version 4), the cache-free payload (version 5), the SLA
         violation counter (version 6), the one workload feed (version 7),
         the pickled feed cursor (version 8), the one host mirror
-        (version 9) or the one score-matrix object (version 10) pickles
-        classes whose layout changed or state the engine now reads
-        differently; it must be refused from its header, never
-        unpickled."""
+        (version 9), the one score-matrix object (version 10) or the
+        re-keyed event sequence number (version 11) pickles classes whose
+        layout changed or state the engine now reads differently; it must
+        be refused from its header, never unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
