@@ -117,7 +117,8 @@ class TablePowerModel(PowerModel):
         object.__setattr__(self, "_knots", _table_knots(self.points))
 
     def __reduce__(self):
-        # Snapshots hold one model per host: pickle the points, not knots.
+        # Hosts of one class share one scaled model, which a snapshot
+        # pickles once: the points, not the knots.
         return (TablePowerModel, (self.points,))
 
     @property

@@ -15,7 +15,7 @@ the configuration above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.power import PowerModel, TablePowerModel
@@ -48,6 +48,29 @@ class NodeClass:
             raise ConfigurationError(
                 f"node class {self.name!r}: overheads must be positive"
             )
+
+
+#: The curve a host without its own power model starts from: one shared
+#: object, so all such hosts of one width share one scaled copy.
+_DEFAULT_POWER_MODEL = TablePowerModel()
+
+#: Scaled power models, ``(id(model), capacity) -> (model, scaled)``.  The
+#: models are frozen, so every host built from one model at one capacity
+#: (a whole host class) shares one scaled copy.  Keyed by identity, since
+#: equal tables may still repr differently (``230`` vs ``230.0``) and a
+#: config fingerprint reads the repr; the entry keeps ``model`` alive, so
+#: its id is never reused while the entry stands.
+_SCALED_MODELS: Dict[Tuple[int, float], Tuple[PowerModel, PowerModel]] = {}
+
+
+def _scaled_model(model: PowerModel, capacity: float) -> PowerModel:
+    key = (id(model), capacity)
+    entry = _SCALED_MODELS.get(key)
+    if entry is None:
+        if len(_SCALED_MODELS) >= 1024:
+            _SCALED_MODELS.clear()
+        entry = _SCALED_MODELS[key] = (model, model.scaled_to(capacity))
+    return entry[1]
 
 
 #: The paper's three node classes (§V).
@@ -91,7 +114,7 @@ class HostSpec:
     arch: str = "x86_64"
     hypervisor: str = "xen"
     boot_s: float = 300.0
-    power_model: PowerModel = field(default_factory=TablePowerModel)
+    power_model: PowerModel = _DEFAULT_POWER_MODEL
     reliability: float = 1.0
     creation_cpu_pct: float = 100.0
     migration_cpu_pct: float = 100.0
@@ -110,7 +133,7 @@ class HostSpec:
         # Rescale the power curve to this host's capacity once, here, so the
         # hot power() path never rescales.
         object.__setattr__(
-            self, "power_model", self.power_model.scaled_to(self.cpu_capacity)
+            self, "power_model", _scaled_model(self.power_model, self.cpu_capacity)
         )
 
     @property

@@ -52,9 +52,11 @@ class Event:
 
     # Snapshots pickle every event in the heap: a plain tuple state is
     # smaller and faster to write than the per-slot dict of the default.
+    # A tombstone never fires, so it leaves its callback out (and with it
+    # whatever the callback holds, such as a retired VM).
     def __getstate__(self) -> tuple:
-        return (self.time, self.callback, self.label, self.cancelled, self.owner,
-                self.seq)
+        return (self.time, None if self.cancelled else self.callback, self.label,
+                self.cancelled, self.owner, self.seq)
 
     def __setstate__(self, state: tuple) -> None:
         (self.time, self.callback, self.label, self.cancelled, self.owner,

@@ -69,14 +69,20 @@ difference between the two input kinds: a stream also prunes retired VMs
 from the registry, so a 10⁶-job sweep holds O(live VMs) of state instead
 of O(total jobs), while a trace keeps them for the readers of
 ``self.vms`` after the run (``job_records``, economics accounting,
-federation).
+federation), and so does live mode (the service's duplicate-admission
+check).  Those kept VMs are the *retired archive*: a retired VM never
+changes again, so a snapshot pickles it once into a cached chunk and
+later snapshots copy the chunk's bytes (see :meth:`__getstate__`); a
+snapshot's object walk covers the live set, not the run's history.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
+import pickle
 import time as _time
 import warnings
 
@@ -212,6 +218,16 @@ class DatacenterSimulation(ActuatorsMixin):
             h.state = HostState.ON
 
         self.vms: Dict[int, Vm] = {}
+        #: Retired archive (trace and live mode; a stream prunes its
+        #: retired VMs, so it stays empty there).  A retired VM never
+        #: changes again, so a snapshot pickles it once: ``_retired_new``
+        #: holds the VMs retired since the last pickle, and
+        #: :meth:`__getstate__` pickles them into one more cached chunk of
+        #: ``_archive``.  ``_archived`` holds each chunk's VM objects (the
+        #: ones in ``self.vms``) for the strict-mode oracle.
+        self._archive: List[bytes] = []
+        self._archived: List[List[Vm]] = []
+        self._retired_new: List[Vm] = []
         #: Live set: VMs still queued or placed, in arrival order.  The
         #: steady-state scans (context building, checkpoint tick) iterate
         #: this instead of the ever-growing ``self.vms``.
@@ -366,6 +382,28 @@ class DatacenterSimulation(ActuatorsMixin):
 
     # ------------------------------------------------- checkpoint/restore
 
+    def __getstate__(self) -> dict:
+        """Pickle the engine with ``self.vms`` as its key order only.
+
+        The VMs retired since the last pickle go into one new chunk of
+        the retired archive first; every chunk then travels as cached
+        ``bytes``, the VMs not yet retired travel in ``self._live``, and
+        :meth:`__setstate__` rebuilds the registry from both in the
+        pickled key order.  A snapshot's object walk thus covers the
+        live set, not the run's history.  Under strict invariants the
+        ``retired archive`` oracle runs first.
+        """
+        if self._retired_new:
+            self._archive.append(self._pickle_chunk(self._retired_new))
+            self._archived.append(self._retired_new)
+            self._retired_new = []
+        if self._invariants_enabled:
+            self._guard("retired archive", self._verify_archive, self._resync_archive)
+        state = self.__dict__.copy()
+        state["vms"] = list(self.vms)
+        del state["_archived"]
+        return state
+
     def __setstate__(self, state: dict) -> None:
         """Restore an engine unpickled from a snapshot.
 
@@ -375,13 +413,21 @@ class DatacenterSimulation(ActuatorsMixin):
         trace's list iterator, or a stream's
         :class:`~repro.workload.stream.FeedCursor`, which resumes by
         itself (see :mod:`repro.workload.stream` for when that is O(1)
-        and when it replays).  Three members leave derived payload out
+        and when it replays).  The retired VMs come from the archive's
+        chunks (see :meth:`__getstate__`); a trace's jobs stay the
+        trace's own objects.  Three members leave derived payload out
         through their own ``__getstate__``: the score matrix its cell
         array (rebuilt by its ``__setstate__``) and its slot registry's
         finished VMs, the event trace its record objects (pickled as
         tuples), and the SLA monitor its fulfilment index, rebuilt here.
         """
         self.__dict__.update(state)
+        self._archived = [self._unpickle_chunk(chunk) for chunk in self._archive]
+        by_id = dict(self._live)
+        for chunk in self._archived:
+            for vm in chunk:
+                by_id[vm.vm_id] = vm
+        self.vms = {vm_id: by_id[vm_id] for vm_id in state["vms"]}
         if self.sla_monitor is not None:
             # The fulfilment index is derived state: one scan rebuilds it.
             self.sla_monitor.rebuild(self._live.values(), self.sim.now)
@@ -1320,6 +1366,8 @@ class DatacenterSimulation(ActuatorsMixin):
             self._ret_failed += 1
         if self._streaming:
             self.vms.pop(vm.vm_id, None)
+        else:
+            self._retired_new.append(vm)
         self._vm_attempts.pop(vm.vm_id, None)
 
     def _job_finished(self) -> None:
@@ -1458,6 +1506,7 @@ class DatacenterSimulation(ActuatorsMixin):
             partial(self._verify_completion_events, now),
             partial(self._resync_completion_events, now),
         ))
+        oracles.append(("retired archive", self._verify_archive, self._resync_archive))
         oracles.extend(self.policy.invariant_checks(self.hosts))
         for label, verify, repair in oracles:
             self._guard(label, verify, repair)
@@ -1510,6 +1559,48 @@ class DatacenterSimulation(ActuatorsMixin):
         self._reschedule_completions_batched(
             sorted(self.hosts, key=lambda h: h.host_id), now
         )
+
+    def _pickle_chunk(self, vms: List[Vm]) -> bytes:
+        """One archive chunk: ``vms`` pickled, each trace job by its index."""
+        if self.trace is None:
+            return pickle.dumps(vms, protocol=pickle.HIGHEST_PROTOCOL)
+        buf = io.BytesIO()
+        _TraceChunkPickler(buf, vms).dump(vms)
+        return buf.getvalue()
+
+    def _unpickle_chunk(self, chunk: bytes) -> List[Vm]:
+        if self.trace is None:
+            return pickle.loads(chunk)
+        return _TraceChunkUnpickler(io.BytesIO(chunk), self.trace).load()
+
+    def _verify_archive(self) -> None:
+        """Oracle: the retired archive still pickles what it holds.
+
+        Every archived VM is still retired and, in trace mode, holds the
+        trace's own job; every chunk re-pickles to its cached bytes.
+        Raises StateError naming the first VM or chunk that is wrong.
+        """
+        trace = self.trace
+        for i, (chunk, vms) in enumerate(zip(self._archive, self._archived)):
+            for vm in vms:
+                if vm.is_active:
+                    raise StateError(
+                        f"archived vm {vm.vm_id} is {vm.state.value}, not retired"
+                    )
+                if trace is not None and vm.job is not trace[vm.arrival_seq]:
+                    raise StateError(
+                        f"archived vm {vm.vm_id} holds a job that is not "
+                        f"trace[{vm.arrival_seq}]"
+                    )
+            if self._pickle_chunk(vms) != chunk:
+                raise StateError(
+                    f"chunk {i} of {len(self._archive)} no longer re-pickles "
+                    f"to its cached bytes"
+                )
+
+    def _resync_archive(self) -> None:
+        """Re-pickle every chunk from the VMs it archives."""
+        self._archive = [self._pickle_chunk(vms) for vms in self._archived]
 
     def _resync_host(self, host: Host) -> None:
         host.resync_aggregates()
@@ -1699,6 +1790,29 @@ class DatacenterSimulation(ActuatorsMixin):
             checkpoint_bytes=snap.bytes_written if snap is not None else 0,
             snapshot_restores=snap.restores if snap is not None else 0,
         )
+
+
+class _TraceChunkPickler(pickle.Pickler):
+    """Pickles a trace-mode archive chunk: each VM's job, which the trace
+    holds at the VM's arrival index, travels as that index."""
+
+    def __init__(self, file, vms: List[Vm]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._seq_of = {id(vm.job): vm.arrival_seq for vm in vms}
+
+    def persistent_id(self, obj):
+        return self._seq_of.get(id(obj))
+
+
+class _TraceChunkUnpickler(pickle.Unpickler):
+    """Loads a trace-mode archive chunk, taking each job from ``trace``."""
+
+    def __init__(self, file, trace) -> None:
+        super().__init__(file)
+        self._trace = trace
+
+    def persistent_load(self, pid):
+        return self._trace[pid]
 
 
 def simulate(

@@ -15,11 +15,20 @@ shared identities survive, minus state a restore derives cheaply):
   scheduled callbacks (all ``functools.partial`` of bound methods —
   picklable), tombstones, the sequence counter;
 * every :class:`~repro.des.random.RandomStreams` numpy generator state;
-* hosts and VMs with their incremental occupancy aggregates, the
-  delta-maintained :class:`~repro.engine.metrics.MetricsCollector`;
+* hosts and the VMs not yet retired, with their incremental occupancy
+  aggregates, and the delta-maintained
+  :class:`~repro.engine.metrics.MetricsCollector`;
+* the retired archive: every retired VM of a trace or live run, pickled
+  once into a cached ``bytes`` chunk by the first snapshot after it
+  retired (a retired VM never changes again) and copied as bytes by every
+  later one, plus the VM registry's key order as a list of ids.  A
+  snapshot's object walk therefore covers the live set, not the run's
+  history; a trace-mode chunk refers to each job by its index in the
+  trace, so a restored VM holds the trace's own job object;
 * chaos state: :class:`~repro.cluster.faults.OperationFaultModel` RNGs and
   :class:`~repro.cluster.faults.ObservedReliability` EWMAs, supervisor
   retry/quarantine/orphan bookkeeping;
+* the heap's tombstones without their callbacks (they never fire);
 * the scheduling policy with its
   :class:`~repro.scheduling.score.persistent.PersistentScoreMatrix` —
   every O(hosts + slots) member (static host arrays, row copies, per-slot
@@ -27,9 +36,10 @@ shared identities survive, minus state a restore derives cheaply):
   but not the O(hosts x slots) cell array: the matrix's restore rebuilds
   the cells in one block from those members, and counts nothing, so
   ``rescore_stats`` resumes exactly;
-* the matrix's VM slot registry with finished VMs replaced by a stand-in
-  (they wait there for the next sweep; the stand-in keeps the key order,
-  so the sweep frees the same slots in the same order);
+* the matrix's VM slot registry and its last round's columns with
+  finished VMs replaced by a stand-in (they wait there for the next
+  sweep or bind; the stand-in keeps the key order, so the sweep frees the
+  same slots in the same order);
 * the event trace, with its records pickled as plain tuples and rebuilt
   on load;
 * the workload iterator: a trace's list iterator, or a stream's
@@ -54,8 +64,9 @@ format version and a config fingerprint; restoring with a mismatched
 version or fingerprint raises :class:`~repro.errors.StateError` naming
 both sides, never a silent wrong-state resume.
 
-Determinism contract: writing a snapshot is a pure read of the engine
-(no RNG draws, no events scheduled, no state mutated), so enabling
+Determinism contract: writing a snapshot is a pure read of the simulated
+world (no RNG draws, no events scheduled, no simulated state mutated;
+the archive's chunk cache is operational state), so enabling
 checkpointing changes *nothing* about the simulated world — rows,
 ``sim_events`` and traces stay bit-identical to a checkpoint-off run,
 chaos on or off.  Only the operational counters
@@ -74,12 +85,13 @@ import threading
 import time
 from dataclasses import replace as _replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.durable import atomic_write
 from repro.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.spec import HostSpec
     from repro.engine.datacenter import DatacenterSimulation
 
 __all__ = [
@@ -142,7 +154,11 @@ __all__ = [
 #: 12: completion events re-keyed in place — ``Event`` pickles its
 #:    current sequence number ``seq``, which can be ahead of its heap
 #:    entry's; a version-11 event unpickles without it.
-SNAPSHOT_VERSION = 12
+#: 13: retired archive — the engine pickles ``vms`` as its key order and
+#:    its retired VMs as cached chunks (``_archive``), rebuilt on load; a
+#:    version-12 engine pickles ``vms`` as the whole registry and has no
+#:    archive.
+SNAPSHOT_VERSION = 13
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"
@@ -188,9 +204,31 @@ def config_fingerprint(engine: "DatacenterSimulation") -> str:
     for part in parts:
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")
-    for spec in engine.cluster:
-        digest.update(repr(spec).encode("utf-8"))
+    digest.update("".join(_spec_reprs(engine.cluster)).encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+def _spec_reprs(specs: Iterable["HostSpec"]) -> Iterator[str]:
+    """``repr`` of each host spec, deriving each host class's part once.
+
+    Hosts of one class differ only in ``host_id``: the repr after it is
+    cached, keyed by the identities of the other field values (equal
+    values may still repr differently, ``4096`` vs ``4096.0``).
+    """
+    tails: Dict[tuple, str] = {}
+    for spec in specs:
+        values = iter(spec.__dict__.values())
+        next(values)  # host_id, the first field
+        key = (type(spec), *map(id, values))
+        head = f"{type(spec).__qualname__}(host_id={spec.host_id!r}, "
+        tail = tails.get(key)
+        if tail is None:
+            text = repr(spec)
+            if not text.startswith(head):
+                yield text
+                continue
+            tail = tails[key] = text[len(head):]
+        yield head + tail
 
 
 # ----------------------------------------------------------------- files
@@ -210,8 +248,8 @@ def write_snapshot(
 ) -> Tuple[Path, int]:
     """Atomically persist one snapshot; returns ``(path, payload bytes)``.
 
-    Pure read of the engine: pickling draws no randomness and schedules
-    nothing, so a checkpointed run stays bit-identical to an
+    Pure read of the simulated world: pickling draws no randomness and
+    schedules nothing, so a checkpointed run stays bit-identical to an
     uncheckpointed one.  The write is crash-safe (temp file + fsync +
     rename into place, then the directory is fsynced) and, when ``keep``
     is given, older snapshots beyond the last K are pruned.

@@ -13,9 +13,11 @@ via :attr:`EngineConfig.trace_events` — disabled (zero-cost) by default.
 from __future__ import annotations
 
 import enum
+import json
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
@@ -26,6 +28,7 @@ __all__ = [
     "TraceRecord",
     "EventTrace",
     "record_to_dict",
+    "record_to_jsonl",
     "record_from_dict",
     "read_jsonl",
 ]
@@ -196,8 +199,6 @@ class EventTrace:
         ``RuntimeWarning`` says so (replay tooling must refuse such a
         journal rather than diverge half-way through).
         """
-        import json
-
         if self.dropped:
             warnings.warn(
                 f"EventTrace dropped {self.dropped} records (capacity "
@@ -207,8 +208,7 @@ class EventTrace:
                 stacklevel=2,
             )
         with open(path, "w", encoding="utf-8") as fh:
-            for r in self._records:
-                fh.write(json.dumps(record_to_dict(r)) + "\n")
+            fh.writelines(map(record_to_jsonl, self._records))
         return len(self._records)
 
 
@@ -224,6 +224,46 @@ def record_to_dict(record: TraceRecord) -> Dict[str, object]:
         "host_id": record.host_id,
         "detail": record.detail,
     }
+
+
+#: Each kind's ``value`` as a JSON string literal.
+_KIND_JSON = {kind: _json_str(kind.value) for kind in TraceEventKind}
+
+
+def _json_scalar(value: object) -> Optional[str]:
+    """``value`` as ``json.dumps`` writes it, for ``None``, an ``int`` or a
+    finite ``float``; ``None`` for anything else."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return None
+
+
+def record_to_jsonl(record: TraceRecord) -> str:
+    """One record's JSONL line, byte-identical to
+    ``json.dumps(record_to_dict(record)) + "\n"`` without building the dict.
+
+    Anything outside the common shapes (a non-finite time, a numpy
+    integer id, a non-string detail) goes through ``json.dumps`` itself.
+    """
+    time = _json_scalar(record.time)
+    vm_id = _json_scalar(record.vm_id)
+    host_id = _json_scalar(record.host_id)
+    kind = _KIND_JSON.get(record.kind)
+    detail = record.detail
+    if (
+        time is None or vm_id is None or host_id is None or kind is None
+        or type(detail) is not str
+    ):
+        return json.dumps(record_to_dict(record)) + "\n"
+    return (
+        f'{{"time": {time}, "kind": {kind}, "vm_id": {vm_id}, '
+        f'"host_id": {host_id}, "detail": {_json_str(detail)}}}\n'
+    )
 
 
 def record_from_dict(payload: Dict[str, object]) -> TraceRecord:

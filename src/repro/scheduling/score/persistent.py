@@ -397,6 +397,8 @@ class PersistentScoreMatrix:
         their slots, the registry keeps finished VMs (and with them their
         jobs); they pickle as a stand-in, which keeps the key order, so
         the sweep after a restore frees the same slots in the same order.
+        The last round's columns pickle their finished VMs as the same
+        stand-in: the next bind replaces them unread.
         """
         state = self.__dict__.copy()
         state["scores"] = None
@@ -405,6 +407,9 @@ class PersistentScoreMatrix:
             vm_id: vm if vm.is_active else _RETIRED
             for vm_id, vm in self._vm_of.items()
         }
+        state["columns"] = [
+            vm if vm.is_active else _RETIRED for vm in self.columns
+        ]
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -29,7 +29,6 @@ a later one.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List
 
@@ -38,7 +37,7 @@ from repro.engine.tracing import (
     TraceEventKind,
     TraceRecord,
     record_from_dict,
-    record_to_dict,
+    record_to_jsonl,
 )
 
 __all__ = ["DecisionJournal", "UNINDEXED_KINDS"]
@@ -106,7 +105,7 @@ class DecisionJournal:
         self._write(record)
 
     def _write(self, record: TraceRecord) -> None:
-        self._fh.write(json.dumps(record_to_dict(record)) + "\n")
+        self._fh.write(record_to_jsonl(record))
         # Flush to the OS on every record: a SIGKILL loses nothing that
         # was journaled (only a machine crash could, and the torn-tail
         # loader handles the partial last line even then).

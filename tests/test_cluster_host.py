@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.host import Host, HostState, Operation, OperationKind
+from repro.cluster.power import TablePowerModel
 from repro.cluster.spec import FAST, MEDIUM, SLOW, ClusterSpec, HostSpec
 from repro.cluster.vm import Vm, VmState
 from repro.cluster.xen import ShareMemo, compute_shares
@@ -53,6 +54,27 @@ class TestSpec:
         spec = HostSpec(host_id=0, ncpus=8)
         assert spec.power_model.capacity == 800.0
         assert spec.power_model.power(800.0) == 304.0
+
+    def test_hosts_of_one_class_share_one_scaled_model(self):
+        spec = ClusterSpec.paper_datacenter()
+        models = {id(h.power_model) for h in spec}
+        assert len(models) == 1
+        wide = HostSpec(host_id=1, ncpus=8)
+        assert wide.power_model is HostSpec(host_id=2, ncpus=8).power_model
+        assert wide.power_model is not spec[0].power_model
+        assert wide.power_model == TablePowerModel().scaled_to(800.0)
+
+    def test_equal_tables_of_other_types_keep_their_own_repr(self):
+        """Models are shared by identity: an equal table written with
+        ints still reprs with ints (a config fingerprint reads it)."""
+        ints = TablePowerModel(points=((0, 230), (400, 304)))
+        floats = TablePowerModel(points=((0.0, 230.0), (400.0, 304.0)))
+        a = HostSpec(host_id=0, power_model=ints)
+        b = HostSpec(host_id=1, power_model=floats)
+        assert a.power_model == b.power_model
+        assert repr(a.power_model) == repr(ints.scaled_to(400.0))
+        assert repr(b.power_model) == repr(floats.scaled_to(400.0))
+        assert repr(a.power_model) != repr(b.power_model)
 
     def test_invalid_reliability_rejected(self):
         with pytest.raises(ConfigurationError):

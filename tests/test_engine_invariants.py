@@ -11,6 +11,7 @@ enabling it may not change a single result field.
 """
 
 import os
+import pickle
 from functools import partial
 
 import pytest
@@ -301,6 +302,14 @@ def _corrupt_sla(engine):
     engine.sla_monitor._fixed[-1] = 1.0
 
 
+def _corrupt_archive(engine):
+    # Archive the VMs retired so far, as a snapshot does, then change one
+    # behind the cache's back: only a re-pickle sees it.
+    pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+    engine._archived[0][0].work_done += 1.0
+    engine._next_invariant_check = 0.0
+
+
 #: (test id, guard label, what the oracle's message names first,
 #: corruption).  Each corruption is seen first by its own oracle: the
 #: four sweep oracles at the next refresh, the SLA index at the next SLA
@@ -316,6 +325,7 @@ DRIFTS = [
      "persistent matrix drift: res_cpu", _corrupt_row_copy),
     ("matrix host terms", "persistent matrix bind",
      "persistent matrix drift: _host_terms", _corrupt_host_terms),
+    ("retired archive", "retired archive", "chunk 0 of 1", _corrupt_archive),
 ]
 
 

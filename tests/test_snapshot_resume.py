@@ -286,6 +286,41 @@ class TestSnapshotFiles:
 # ----------------------------------------------------------- the guards
 
 
+class TestConfigFingerprint:
+    """The fingerprint derives each host class's repr once; the digest
+    must stay the one of the plain per-host ``repr`` fold."""
+
+    @pytest.mark.parametrize("cluster,digest", [
+        (ClusterSpec.paper_datacenter(), "edd384988109f242"),
+        (ClusterSpec.paper_datacenter(n_fast=150, n_medium=500, n_slow=350),
+         "a4e4653c281d4e5e"),
+    ], ids=["paper", "fleet-1000"])
+    def test_digest_is_pinned(self, cluster, digest, monkeypatch):
+        # The strict-invariant switch is part of the fingerprinted config.
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+        engine = DatacenterSimulation(
+            cluster=cluster, policy=ScoreBasedPolicy(ScoreConfig.sb()),
+            trace=None, config=EngineConfig(seed=7),
+        )
+        assert config_fingerprint(engine) == digest
+
+    def test_spec_reprs_equal_repr(self):
+        """Equal field values of other types (or other objects) repr on
+        their own; only identical values share a cached part."""
+        from repro.cluster.spec import SLOW, HostSpec
+        from repro.engine.snapshot import _spec_reprs
+
+        specs = [
+            HostSpec(host_id=0),
+            HostSpec(host_id=1),
+            HostSpec(host_id=2, mem_mb=4096),
+            HostSpec(host_id=3, mem_mb=4096.0),
+            HostSpec(host_id=4, node_class=SLOW, reliability=0.5),
+            HostSpec(host_id=5, arch="arm"),
+        ]
+        assert list(_spec_reprs(specs)) == list(map(repr, specs))
+
+
 class TestRestoreGuards:
     def _one_snapshot(self, tmp_path):
         engine = build_engine(None)
@@ -308,15 +343,16 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
         (version 4), the cache-free payload (version 5), the SLA
         violation counter (version 6), the one workload feed (version 7),
         the pickled feed cursor (version 8), the one host mirror
-        (version 9), the one score-matrix object (version 10) or the
-        re-keyed event sequence number (version 11) pickles classes whose
+        (version 9), the one score-matrix object (version 10), the
+        re-keyed event sequence number (version 11) or the retired
+        archive (version 12) pickles classes whose
         layout changed or state the engine now reads differently; it must
         be refused from its header, never unpickled."""
         _, path = self._one_snapshot(tmp_path)

@@ -1,8 +1,10 @@
 """Tests for event tracing and decision explanation."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.host import Host, HostState
 from repro.cluster.spec import FAST, SLOW, ClusterSpec, HostSpec
@@ -289,6 +291,40 @@ class TestReadJsonl:
         path.write_text(good + "\n" + good + "\n" + '{"time": 2.0, "ki' + "\n\n")
         with pytest.warns(RuntimeWarning, match=":3: skipping corrupt"):
             assert len(read_jsonl(str(path))) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        time=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, 1e-300, 1e300, 5e-324]),
+            st.integers(),
+        ),
+        kind=st.sampled_from(list(TraceEventKind)),
+        vm_id=st.one_of(st.none(), st.integers()),
+        host_id=st.one_of(st.none(), st.integers(min_value=-5, max_value=10**6)),
+        detail=st.one_of(
+            st.text(),
+            st.sampled_from(['a "quoted" word', "back\\slash", "naïve ☃ 日本",
+                             '{"seq": 3}', "\x00\n\t"]),
+        ),
+    )
+    def test_jsonl_line_is_json_dumps(self, time, kind, vm_id, host_id, detail):
+        from repro.engine.tracing import TraceRecord, record_to_dict, record_to_jsonl
+
+        record = TraceRecord(time, kind, vm_id, host_id, detail)
+        assert record_to_jsonl(record) == json.dumps(record_to_dict(record)) + "\n"
+
+    def test_jsonl_line_falls_back_for_other_types(self):
+        """A numpy id goes through ``json.dumps`` (which refuses it), never
+        through ``repr`` (which would write ``np.int64(5)``)."""
+        import numpy as np
+
+        from repro.engine.tracing import TraceRecord, record_to_dict, record_to_jsonl
+
+        record = TraceRecord(np.float64(2.5), TraceEventKind.PLACEMENT, True, None)
+        assert record_to_jsonl(record) == json.dumps(record_to_dict(record)) + "\n"
+        with pytest.raises(TypeError):
+            record_to_jsonl(TraceRecord(1.0, TraceEventKind.PLACEMENT, np.int64(5)))
 
     def test_record_from_dict_rejects_missing_keys(self):
         from repro.engine.tracing import record_from_dict
