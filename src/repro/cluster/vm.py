@@ -108,7 +108,8 @@ class Vm:
     @property
     def is_placed(self) -> bool:
         """Whether the VM occupies a physical host."""
-        return self.state in (VmState.CREATING, VmState.RUNNING, VmState.MIGRATING)
+        state = self.state
+        return state is VmState.RUNNING or state is VmState.CREATING or state is VmState.MIGRATING
 
     @property
     def is_active(self) -> bool:
@@ -122,7 +123,8 @@ class Vm:
         The score matrix pins such VMs with an infinite penalty everywhere
         but their current location (§III-A-3).
         """
-        return self.state in (VmState.CREATING, VmState.MIGRATING)
+        state = self.state
+        return state is VmState.CREATING or state is VmState.MIGRATING
 
     def advance(self, now: float) -> None:
         """Integrate progress up to ``now`` at the current share."""

@@ -4,10 +4,15 @@
 row is implicit: queued VMs carry ``queue_cost`` as their "current" cost,
 so any feasible placement is a (large) improvement.  Every cell is one
 evaluation of ``Score(h, vm) = P_req + P_res + P_virt + P_conc + P_pwr +
-P_SLA + P_fault`` in :meth:`~PersistentScoreMatrix._score_cells`, the
-general formula, or for a queued VM in
-:meth:`~PersistentScoreMatrix._score_queued`, its bit-identical shortcut
-(below); every status quo cost comes from the same cells plus
+P_SLA + P_fault``, written once as the general formula,
+:meth:`~PersistentScoreMatrix._score_cells`, the reference that
+:meth:`~PersistentScoreMatrix.verify_cells` and the tests hold the
+kernels to.  Cells come from two kernels, each bit-identical to it
+(below): :meth:`~PersistentScoreMatrix._score_queued` for a block of
+queued columns, from the kept host terms, and
+:meth:`~PersistentScoreMatrix._score_placed` for any block that holds a
+placed column, from the kept placed terms.  Every status quo cost comes
+from the same cells plus
 :meth:`~PersistentScoreMatrix._soft_current_cost`; the scalar
 :mod:`repro.scheduling.score.penalties` is the independent spec the tests
 hold it to.
@@ -33,10 +38,17 @@ class bound once.  The matrix owns everything it reads:
   depends on the host alone — P_virt's creation cost, P_conc's load
   (``conc + pending``) and P_pwr — so a queued cell is one gather of it
   plus the VM's P_fault, under the feasibility mask.  :meth:`_read_rows`
-  computes it for every row it reads.  :meth:`apply_move` computes it for
-  the rows it touches only when it scores queued columns on them; like
-  the cells of frozen columns, a touched row's term is otherwise stale
-  until the next bind re-reads the row, and nothing reads it before.
+  computes it for every row it reads; :meth:`apply_move` for the rows it
+  touches when it rescores an unfrozen column on them.  Like the cells
+  of frozen columns, a touched row's term is otherwise stale until the
+  next bind re-reads the row, and nothing reads it before.  Each row
+  also keeps its **placed terms** (``_placed_hi``, ``_placed_lo``,
+  ``_placed_on``): the sums of a placed column's cell off its host, for
+  either migration-penalty branch, and on it.  They are recomputed
+  lazily: :meth:`_read_rows` and :meth:`apply_move` only mark their rows
+  in ``_placed_stale``, and :meth:`_score_placed` recomputes the marked
+  rows before it reads them, so a round without placed columns — one
+  arrival, most rounds — computes none.
 * **One slot space.**  A matrix column *is* a VM slot.  Each slot holds
   the VM's static attributes (``cpu_req``/``mem_req`` as last seen,
   ``fault_tolerance``, the per-class P_req row), one cell per host in
@@ -113,10 +125,13 @@ formula adds, in this order, ``((0.0 + cc) + (conc + pending)) +
 (t_empty * c_empty - occ_now * c_fill)``, then ``+ 0.0`` for the SLA term
 when SLA is on (each disabled term skipped), then P_fault.  The host term
 is that sum up to P_fault, taken in the same order on the same operands,
-so the shortcut's cells equal the general formula's bit for bit;
-:meth:`verify_cells` and the tests hold them to it.  Blocks that mix
-queued and placed columns take the general formula: queued cells are 2–4 %
-of such blocks, too few to pay for a split.
+so the shortcut's cells equal the general formula's bit for bit.  A
+placed VM's cell off its host adds ``2 cm`` (remaining time under ``cm``)
+or ``cm/2`` in place of ``cc``, and on its host ``0.0`` for P_virt and
+P_conc, then the SLA on-cell term; the placed terms are those sums up to
+the column's own terms, so :meth:`_score_placed` adds only the SLA
+on-cell term and P_fault.  :meth:`verify_cells` and the tests hold both
+kernels to the general formula.
 
 Tie-breaking is order-deterministic under partial rescoring: dirty rows
 are processed in ascending host index (the dirty feed is a *set*; sorting
@@ -169,6 +184,10 @@ INF = np.inf
 #: Sweep the VM registry for retired slots once it exceeds this size and
 #: has doubled since the previous sweep (amortized O(1) per column).
 _MIN_SWEEP = 1024
+
+#: The per-row terms a snapshot leaves out and the restore recomputes.
+_ROW_TERMS = ("_host_terms", "_placed_hi", "_placed_lo", "_placed_on", "_placed_stale")
+
 
 def _log2_bucket(n: int) -> int:
     """Histogram bucket for a per-bind dirty count (0, 1, 2, 4, 8, ...)."""
@@ -276,6 +295,7 @@ class PersistentScoreMatrix:
         #: Each row's queued-cell sum (:meth:`_host_term`), kept with the
         #: row copies it derives from.
         self._host_terms = np.empty(m)
+        self._init_placed_terms()
         self._read_rows(range(m))
         self._active = np.nonzero(self.avail)[0]
 
@@ -390,19 +410,22 @@ class PersistentScoreMatrix:
     # ------------------------------------------------------------ snapshots
 
     def __getstate__(self) -> dict:
-        """Pickle everything but the ``(M, cap)`` cell array.
+        """Pickle everything but the ``(M, cap)`` cell array and the row
+        terms.
 
-        Every other member is O(M + cap), and the cells are derivable from
-        it: :meth:`__setstate__` recomputes them.  Until a sweep frees
-        their slots, the registry keeps finished VMs (and with them their
-        jobs); they pickle as a stand-in, which keeps the key order, so
-        the sweep after a restore frees the same slots in the same order.
+        Every other member is O(M + cap), and the cells and row terms are
+        derivable from it: :meth:`__setstate__` recomputes them.  Until a
+        sweep frees their slots, the registry keeps finished VMs (and
+        with them their jobs); they pickle as a stand-in, which keeps the
+        key order, so the sweep after a restore frees the same slots in
+        the same order.
         The last round's columns pickle their finished VMs as the same
         stand-in: the next bind replaces them unread.
         """
         state = self.__dict__.copy()
         state["scores"] = None
-        del state["_host_terms"]
+        for name in _ROW_TERMS:
+            del state[name]
         state["_vm_of"] = {
             vm_id: vm if vm.is_active else _RETIRED
             for vm_id, vm in self._vm_of.items()
@@ -417,11 +440,12 @@ class PersistentScoreMatrix:
         self._rebuild_cells()
 
     def _rebuild_cells(self) -> None:
-        """Recompute the host terms and the cell array a snapshot left out.
+        """Recompute the row terms and the cell array a snapshot left out.
 
-        The host terms from the stored row copies, then one
-        :meth:`_score_block` over the active rows and the live, non-stale
-        slots, from the row copies and column attributes.
+        The host terms from the stored row copies, every row's placed
+        terms marked for recompute, then one :meth:`_score_block` over the
+        active rows and the live, non-stale slots, from the row copies and
+        column attributes.
         Exact for every cell anything reads before rescoring it: a column
         reads a cell only after its catch-up has rescored each row stamped
         since the column last took part, rows touched by hypothetical
@@ -432,6 +456,7 @@ class PersistentScoreMatrix:
         self._host_terms = np.array(
             [self._row_host_term(r) for r in range(self.n_rows)], dtype=float
         )
+        self._init_placed_terms()
         self.scores = np.full((self.n_rows, len(self._cur)), INF)
         live = self._live_cols()
         cols = live[~self._stale[live]]
@@ -494,22 +519,18 @@ class PersistentScoreMatrix:
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
 
-    def _ensure_slot(self, vm: Vm) -> int:
-        slot = self._slot_of.get(vm.vm_id)
-        if slot is None:
-            if self._free:
-                slot = self._free.pop()
-            else:
-                slot = self._n_slots
-                if slot == len(self._cur):
-                    self._grow()
-                self._n_slots += 1
-            self._slot_of[vm.vm_id] = slot
-            self._vm_of[vm.vm_id] = vm
-            self._fill_slot(slot, vm)
-        elif self.v_cpu[slot] != vm.cpu_req or self.v_mem[slot] != vm.mem_req:
-            # Dynamic SLA enforcement inflated the requirement in place.
-            self._fill_slot(slot, vm)
+    def _new_slot(self, vm: Vm) -> int:
+        """Register a VM the registry has not seen in a free slot, filled."""
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._n_slots
+            if slot == len(self._cur):
+                self._grow()
+            self._n_slots += 1
+        self._slot_of[vm.vm_id] = slot
+        self._vm_of[vm.vm_id] = vm
+        self._fill_slot(slot, vm)
         return slot
 
     def _maybe_sweep(self) -> None:
@@ -530,42 +551,58 @@ class PersistentScoreMatrix:
     def _prepare_columns(self, columns: Sequence[Vm], now: float) -> tuple:
         """Single per-column pass: ``(slots, cur, is_queued, tr)``.
 
-        Raises :class:`~repro.errors.SchedulingError` on in-operation
-        columns (they are pinned, §III-A-3).
+        Builds Python lists and each array once from them.  Raises
+        :class:`~repro.errors.SchedulingError` on in-operation columns
+        (they are pinned, §III-A-3).
         """
         self._maybe_sweep()
-        n = len(columns)
-        slots = np.empty(n, dtype=int)
-        cur = np.empty(n, dtype=int)
-        is_queued = np.empty(n, dtype=bool)
-        tr = np.empty(n, dtype=float)
         index = self.host_index
-        for j, vm in enumerate(columns):
+        slot_of = self._slot_of
+        v_cpu, v_mem = self.v_cpu.item, self.v_mem.item
+        slots: List[int] = []
+        cur: List[int] = []
+        queued: List[bool] = []
+        tr: List[float] = []
+        for vm in columns:
             if vm.in_operation:
                 raise SchedulingError(
                     f"vm {vm.vm_id} has an operation in flight and cannot be a column"
                 )
-            slots[j] = self._ensure_slot(vm)
-            cur[j] = index.get(vm.host_id, -1) if vm.is_placed else -1
-            is_queued[j] = vm.state is VmState.QUEUED
-            tr[j] = vm.remaining_user_time(now)
-        return slots, cur, is_queued, tr
+            slot = slot_of.get(vm.vm_id)
+            if slot is None:
+                slot = self._new_slot(vm)
+            elif v_cpu(slot) != vm.cpu_req or v_mem(slot) != vm.mem_req:
+                # Dynamic SLA enforcement inflated the requirement in place.
+                self._fill_slot(slot, vm)
+            slots.append(slot)
+            cur.append(index.get(vm.host_id, -1) if vm.is_placed else -1)
+            queued.append(vm.state is VmState.QUEUED)
+            tr.append(vm.remaining_user_time(now))
+        return (
+            np.array(slots, dtype=int),
+            np.array(cur, dtype=int),
+            np.array(queued, dtype=bool),
+            np.array(tr, dtype=float),
+        )
 
     def _read_rows(self, rows: Iterable[int]) -> bool:
         """Re-read the row copies of ``rows`` from their hosts.
 
         The one reader of dynamic host state: reserved CPU and memory, VM
         count, concurrency cost and availability (on and not
-        quarantined).  Clears the rows' in-round ``pending`` cost and
-        recomputes their host terms from the values just read.  Returns
-        whether any row's availability flipped.
+        quarantined).  Clears the rows' in-round ``pending`` cost,
+        recomputes their host terms from the values just read and marks
+        their placed terms for recompute.  Returns whether any row's
+        availability flipped.
         """
         hosts = self.hosts
         avail = self.avail
         res_cpu, res_mem, nvms, conc = self.res_cpu, self.res_mem, self.nvms, self.conc
         pending, terms, host_term = self.pending, self._host_terms, self._host_term
+        stale = self._placed_stale.add
         flipped = False
         for r in rows:
+            stale(r)
             h = hosts[r]
             cpu = res_cpu[r] = h.cpu_reserved()
             mem = res_mem[r] = h.mem_reserved()
@@ -590,28 +627,19 @@ class PersistentScoreMatrix:
     def _score_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Score cells for the given host rows x column slots.
 
-        Columns that are all queued take :meth:`_score_queued`; any other
-        block the general formula, :meth:`_score_row_slots` for one row
-        and :meth:`_score_cells` for more.  All three are bit-identical
-        where they overlap.
+        Columns that are all queued take :meth:`_score_queued`, any other
+        block :meth:`_score_placed`; both are bit-identical to the general
+        formula, :meth:`_score_cells`.  A queued slot is priced at
+        creation and is on no host: ``_cur`` is -1 wherever ``_q`` is set
+        (the binds and ``_fill_slot`` write both, :meth:`apply_move`
+        clears ``_q`` as it places; :meth:`verify_cells` checks it).
         """
         R = np.asarray(rows, dtype=int)
         C = np.asarray(cols, dtype=int)
-        if self._all_queued(C):
+        q = self._q[C]
+        if q.all():
             return self._score_queued(R, C)
-        if R.size == 1:
-            # Scalar-host fast path (a bind catching up on one dirty
-            # row): broadcasting overhead dwarfs the math for one row.
-            # Bit-identical (same elementwise float ops).
-            return self._score_row_slots(int(R[0]), C)[None, :]
-        return self._score_cells(R, C)
-
-    def _all_queued(self, C: np.ndarray) -> bool:
-        """Whether every slot in ``C`` is queued: priced at creation, and on
-        no host, since ``_cur`` is -1 wherever ``_q`` is set (the binds and
-        ``_fill_slot`` write both, :meth:`apply_move` clears ``_q`` as it
-        places; :meth:`verify_cells` checks it)."""
-        return bool(self._q[C].all())
+        return self._score_placed(R, C, q)
 
     def _host_term(
         self, r: int, res_cpu: float, res_mem: float, nvms: float, load: float
@@ -646,6 +674,72 @@ class PersistentScoreMatrix:
             self.conc.item(r) + self.pending.item(r),
         )
 
+    def _init_placed_terms(self) -> None:
+        """Empty placed terms, every row marked for recompute."""
+        m = self.n_rows
+        self._placed_hi = np.empty(m)
+        self._placed_lo = np.empty(m)
+        self._placed_on = np.empty(m)
+        #: Rows whose row copies changed since their placed terms were
+        #: computed: the next :meth:`_score_placed` recomputes them.
+        self._placed_stale: set = set(range(m))
+
+    def _refresh_placed_terms(self) -> None:
+        """Recompute the placed terms of every row marked stale."""
+        rows = list(self._placed_stale)
+        self._placed_stale.clear()
+        self._placed_hi[rows], self._placed_lo[rows], self._placed_on[rows] = (
+            self._placed_terms_of(rows)
+        )
+
+    def _placed_terms_of(self, rows: Iterable[int]) -> Tuple[list, list, list]:
+        """The placed terms ``(hi, lo, on)`` of ``rows``, from their row
+        copies.
+
+        A row's placed terms are the sums :meth:`_score_cells` adds, in its
+        order, for a column on another host priced by migration —
+        ``((0.0 + 2*cm) + (conc + pending)) + P_pwr``, then ``+ 0.0`` for
+        the SLA term, when the column's remaining time is under ``cm``
+        (``hi``), the same with ``cm/2`` (``lo``) — and for the column's
+        own cell, where P_virt and P_conc add exactly 0.0: ``0.0 + P_pwr``
+        (``on``).  A disabled term is skipped as it is there; Python
+        floats are IEEE doubles, so each sum is bit-identical to the
+        array one.
+        """
+        cfg = self.config
+        virt, conc, pwr, sla = cfg.enable_virt, cfg.enable_conc, cfg.enable_pwr, cfg.enable_sla
+        th_empty, c_empty, c_fill = cfg.th_empty, cfg.c_empty, cfg.c_fill
+        cm_of, conc_of, pending_of = self.cm.item, self.conc.item, self.pending.item
+        cpu_of, mem_of, nvms_of = self.res_cpu.item, self.res_mem.item, self.nvms.item
+        cap_cpu_of, cap_mem_of = self.cap_cpu.item, self.cap_mem.item
+        his: List[float] = []
+        los: List[float] = []
+        ons: List[float] = []
+        for r in rows:
+            hi = lo = on = 0.0
+            if virt:
+                cm = cm_of(r)
+                hi += 2.0 * cm
+                lo += cm / 2.0
+            if conc:
+                load = conc_of(r) + pending_of(r)
+                hi += load
+                lo += load
+            if pwr:
+                occ_now = max(cpu_of(r) / cap_cpu_of(r), mem_of(r) / cap_mem_of(r))
+                t_empty = 1.0 if nvms_of(r) <= th_empty else 0.0
+                p_pwr = t_empty * c_empty - occ_now * c_fill
+                hi += p_pwr
+                lo += p_pwr
+                on += p_pwr
+            if sla:
+                hi += 0.0
+                lo += 0.0
+            his.append(hi)
+            los.append(lo)
+            ons.append(on)
+        return his, los, ons
+
     def _score_queued(self, R: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Cells of queued slots ``C`` on rows ``R``: the kept host term,
         plus the slot's P_fault, where the VM is feasible.
@@ -668,6 +762,53 @@ class PersistentScoreMatrix:
             s = s + ((1.0 - self._rel[Rc]) - self.v_ftol[C]) * self.config.c_fail
         return np.where(feasible, s, INF)
 
+    def _score_placed(self, R: np.ndarray, C: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Cells of any slots ``C`` (queued flags ``q``) on rows ``R`` from
+        the kept row terms.
+
+        Off a column's host, the cell is the row's migration sum — ``hi``
+        where ``cm_rank >= bucket`` (the remaining time is under ``cm``),
+        else ``lo`` — or, for a queued column, its host term; on the
+        column's host it is the on-cell term plus the SLA on-cell term
+        (``c_sla`` below full fulfilment, +inf at or below ``th_sla``).
+        P_fault comes last, and the general formula's feasibility mask
+        over it.  Bit-identical to :meth:`_score_cells`: every sum runs
+        through the same operands in the same order.
+        """
+        if self._placed_stale:
+            self._refresh_placed_terms()
+        cfg = self.config
+        Rc = R[:, None]
+        cur = self._cur[C]
+        on = cur == Rc
+        s = np.where(
+            self._cm_rank[Rc] >= self._bucket[C], self._placed_hi[Rc], self._placed_lo[Rc]
+        )
+        if cfg.enable_virt and q.any():
+            # Without P_virt the host term equals both migration sums.
+            s = np.where(q, self._host_terms[Rc], s)
+        on_term = self._placed_on[Rc]
+        if cfg.enable_sla:
+            fulf = self._fulf[C]
+            s = np.where(on, on_term + np.where(fulf < 1.0, cfg.c_sla, 0.0), s)
+            hard = fulf <= cfg.th_sla  # th_sla < 1: hard implies soft
+            if hard.any():
+                s = np.where(on & hard, INF, s)
+        else:
+            s = np.where(on, on_term, s)
+        if cfg.enable_fault:
+            s = s + ((1.0 - self._rel[Rc]) - self.v_ftol[C]) * cfg.c_fail
+        occ_after = np.maximum(
+            (self.res_cpu[Rc] + np.where(on, 0.0, self.v_cpu[C])) / self.cap_cpu[Rc],
+            (self.res_mem[Rc] + np.where(on, 0.0, self.v_mem[C])) / self.cap_mem[Rc],
+        )
+        feasible = (
+            self.v_feas[C].T[self.class_of_host[R]]
+            & self.avail[Rc]
+            & (occ_after <= 1.0 + 1e-9)
+        )
+        return np.where(feasible, s, INF)
+
     def _score_cells(self, R: np.ndarray, C: np.ndarray) -> np.ndarray:
         """The general formula: cells for host rows ``R`` x slots ``C``.
 
@@ -678,8 +819,9 @@ class PersistentScoreMatrix:
         P_pwr uses the host's occupation *without* the tentative VM — the
         paper's §III-A-4 defines "O(h, vm) = occupation of h" (no
         allocation), unlike P_res's "occupation of h allocating vm".
-        Unavailable rows score +inf.  The reference for every cell
-        (:meth:`verify_cells`).
+        Unavailable rows score +inf.  The reference for every cell: no
+        bind or move calls it; :meth:`verify_cells` and the tests hold
+        :meth:`_score_queued` and :meth:`_score_placed` to it.
         """
         cfg = self.config
         cur = self._cur[C]
@@ -729,64 +871,6 @@ class PersistentScoreMatrix:
 
         return np.where(feasible, s, INF)
 
-    def _score_row_slots(self, r: int, C: np.ndarray) -> np.ndarray:
-        """One host row's cells for the given slots (scalar host terms).
-
-        Same float expressions as :meth:`_score_cells` with the host-side
-        vectors collapsed to scalars — every operation is the identical
-        IEEE op on the identical operands, so the result is bit-identical
-        to the batch path (asserted by the equivalence tests).
-
-        It does not read the kept host term for its queued slots: both
-        callers send a block of queued slots alone to :meth:`_score_queued`,
-        so a block here holds a placed slot, and the general expressions
-        run over all of its slots anyway; picking the host term for the
-        queued ones would add calls, not save them.
-        """
-        cfg = self.config
-        cur = self._cur[C]
-        q = self._q[C]
-        vcpu = self.v_cpu[C]
-        vmem = self.v_mem[C]
-
-        on = cur == r
-        add_cpu = np.where(on, 0.0, vcpu)
-        add_mem = np.where(on, 0.0, vmem)
-        occ_after = np.maximum(
-            (self.res_cpu[r] + add_cpu) / self.cap_cpu[r],
-            (self.res_mem[r] + add_mem) / self.cap_mem[r],
-        )
-        occ_now = max(
-            self.res_cpu[r] / self.cap_cpu[r],
-            self.res_mem[r] / self.cap_mem[r],
-        )
-
-        req_ok = self.v_feas[C, self.class_of_host[r]]
-        feasible = req_ok & self.avail[r] & (occ_after <= 1.0 + 1e-9)
-
-        s = np.zeros(len(C))
-        if cfg.enable_virt:
-            cm_r = self.cm[r]
-            migration = np.where(
-                self._cm_rank[r] >= self._bucket[C], 2.0 * cm_r, cm_r / 2.0
-            )
-            s += np.where(on, 0.0, np.where(q, self.cc[r], migration))
-        if cfg.enable_conc:
-            s += np.where(on, 0.0, self.conc[r] + self.pending[r])
-        if cfg.enable_pwr:
-            t_empty = 1.0 if self.nvms[r] <= cfg.th_empty else 0.0
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla:
-            fulf = self._fulf[C]
-            viol = on & (fulf < 1.0)
-            hard = viol & (fulf <= cfg.th_sla)
-            s += np.where(viol, cfg.c_sla, 0.0)
-            s = np.where(hard, INF, s)
-        if cfg.enable_fault:
-            s += ((1.0 - self._rel[r]) - self.v_ftol[C]) * cfg.c_fail
-
-        return np.where(feasible, s, INF)
-
     # ---------------------------------------------------------------- costs
 
     def _soft_current_cost(self, r: int, slot: int) -> Optional[float]:
@@ -796,11 +880,11 @@ class PersistentScoreMatrix:
         cell is genuinely infeasible for reasons other than the hard-SLA
         promotion (host unavailable, P_req failed, occupation past 100 %)
         — those VMs are forced out and keep the queue_cost pricing.
-        Otherwise the value replays :meth:`_score_row_slots`'s float
-        operations for an "on" cell (where P_virt and P_conc contribute
-        exactly 0.0) with ``c_sla`` in place of the hard infinity, so it
-        is bit-identical to the score the cell would carry if the
-        fulfilment were above ``th_sla``.
+        Otherwise the value replays the general formula's float
+        operations for an "on" cell (:meth:`_score_cells`, where P_virt
+        and P_conc contribute exactly 0.0) with ``c_sla`` in place of the
+        hard infinity, so it is bit-identical to the score the cell would
+        carry if the fulfilment were above ``th_sla``.
         """
         cfg = self.config
         if not self.avail[r] or not self.v_feas[slot, self.class_of_host[r]]:
@@ -1109,8 +1193,9 @@ class PersistentScoreMatrix:
         if cols_changed.size < slots.size:
             lag_pos = np.nonzero(~changed)[0]
             stamps = self._col_stamp[slots[lag_pos]]
-            for s in np.unique(stamps):
-                pos = lag_pos[stamps == s]
+            distinct = sorted(set(stamps.tolist()))
+            for s in distinct:
+                pos = lag_pos if len(distinct) == 1 else lag_pos[stamps == s]
                 rows = np.nonzero(self._row_stamp > s)[0]
                 if rows.size:
                     grp = slots[pos]
@@ -1180,6 +1265,12 @@ class PersistentScoreMatrix:
         """
         if self.n_cols == 0 or self.n_rows == 0:
             return None
+        if self.n_cols == 1:
+            # One column: its cached minimum is the answer (the tuple
+            # below, in Python scalars).
+            slot = self._round_slots.item(0)
+            best = self._col_min_val.item(slot)
+            return (self._col_min_row.item(slot) if math.isfinite(best) else 0), 0, best
         vals = self._col_min_val[self._round_slots]
         best = float(vals.min())
         if not math.isfinite(best):
@@ -1201,9 +1292,11 @@ class PersistentScoreMatrix:
         next bind (which restamps them, so frozen columns catch up on
         their next participation) and marks a queued->placed column stale
         (its pricing flipped on every row; the full rescore is deferred to
-        its next participation).  The touched rows' host terms are
-        recomputed only when the rescore is of queued columns, the one
-        reader of them before the next bind re-reads the rows.
+        its next participation).  Both touched rows are rescored in one
+        :meth:`_score_block` call; their host terms are recomputed first,
+        and their placed terms marked for recompute, which the placed
+        kernel does only if it runs before the next bind re-reads the
+        rows.  No unfrozen column left: no term is recomputed.
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -1235,6 +1328,7 @@ class PersistentScoreMatrix:
 
         touched = [row] if old < 0 else sorted({old, row})
         self._touched.update(touched)
+        self._placed_stale.update(touched)
         # The moved column is frozen: O(1) invalidation.
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
@@ -1247,16 +1341,13 @@ class PersistentScoreMatrix:
         ls = rs[~self._frozen[rs]]
         if not ls.size:
             return
-        if self._all_queued(ls):
-            # The one reader of a touched row's host term before the next
-            # bind re-reads the row.
-            for t in touched:
-                self._host_terms[t] = self._row_host_term(t)
-            cells = list(self._score_queued(np.array(touched), ls))
-        else:
-            cells = [self._score_row_slots(t, ls) for t in touched]
-        for t, row_cells in zip(touched, cells):
-            self.scores[t, ls] = row_cells
+        # The kernels below are the one reader of a touched row's host
+        # term before the next bind re-reads the row.
+        for t in touched:
+            self._host_terms[t] = self._row_host_term(t)
+        T = np.array(touched)
+        cells = self._score_block(T, ls)
+        self.scores[T[:, None], ls] = cells
         self._cells_rescored += len(touched) * ls.size
         self._cells_total += len(touched) * ls.size
 
@@ -1365,6 +1456,11 @@ class PersistentScoreMatrix:
         # Row copies first: a drifted copy is the root cause of cell drift.
         for name in ("res_cpu", "res_mem", "nvms", "conc", "avail", "_host_terms"):
             same(name, getattr(self, name), getattr(fresh, name))
+        # Kept placed terms: every row not marked for recompute.
+        fresh._refresh_placed_terms()
+        kept = self._kept_placed_rows(np.arange(self.n_rows))
+        for name in ("_placed_hi", "_placed_lo", "_placed_on"):
+            same(name, getattr(self, name)[kept], getattr(fresh, name)[kept])
         rs = self._round_slots
         frs = fresh._round_slots
         act = self._active
@@ -1397,8 +1493,9 @@ class PersistentScoreMatrix:
         the matrix's *own* stored attribute arrays and compares with the
         incrementally maintained values; cells with the general formula,
         whichever kernel wrote them.  Also checks that no queued slot is
-        on a host and that each active, untouched row's host term equals
-        its recompute from the row copies.  Rows touched by hypothetical
+        on a host and that each active, untouched row's host term, and
+        its placed terms unless marked for recompute, equal their
+        recompute from the row copies.  Rows touched by hypothetical
         moves since the last bind are excluded (their pending concurrency
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
@@ -1424,6 +1521,17 @@ class PersistentScoreMatrix:
                 f"persistent matrix host-term drift: host {int(rows[j])} "
                 f"cached {self._host_terms[rows][j]!r} != recomputed {terms[j]!r}"
             )
+        kept = self._kept_placed_rows(rows)
+        for name, terms in zip(
+            ("_placed_hi", "_placed_lo", "_placed_on"), self._placed_terms_of(kept)
+        ):
+            cached = getattr(self, name)[kept]
+            if not np.array_equal(np.array(terms, dtype=float), cached):
+                j = int(np.nonzero(np.array(terms) != cached)[0][0])
+                raise StateError(
+                    f"persistent matrix placed-term drift: {name} host "
+                    f"{int(kept[j])} cached {cached[j]!r} != recomputed {terms[j]!r}"
+                )
         if not check.size or not rows.size:
             return True
         expect = self._score_cells(rows, check)
@@ -1469,6 +1577,13 @@ class PersistentScoreMatrix:
                         f"({val[j]!r}, {int(row[j])})"
                     )
         return True
+
+    def _kept_placed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The rows among ``rows`` whose placed terms are kept, not marked
+        for recompute."""
+        if not self._placed_stale:
+            return rows
+        return rows[~np.isin(rows, list(self._placed_stale))]
 
     def force_full_rebuild(self) -> None:
         """Mark everything dirty; the next bind rebuilds from ground truth."""

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from repro.scheduling.score.persistent import PersistentScoreMatrix
 
 __all__ = ["Move", "hill_climb", "AnytimeResult", "anytime_hill_climb"]
@@ -150,7 +148,7 @@ def anytime_hill_climb(
         if best is None:
             break
         row, col, gain = best
-        if not np.isfinite(gain) or gain >= -cfg.epsilon:
+        if not math.isfinite(gain) or gain >= -cfg.epsilon:
             break
         vm = builder.columns[col]
         moves.append(
@@ -169,7 +167,7 @@ def anytime_hill_climb(
         best = builder.best_move()
         exhausted = bool(
             best is not None
-            and np.isfinite(best[2])
+            and math.isfinite(best[2])
             and best[2] < -cfg.epsilon
         )
     return AnytimeResult(

@@ -269,6 +269,19 @@ def _corrupt_host_terms(engine):
     matrix._host_terms[row] += 5.0
 
 
+def _corrupt_placed_terms(engine):
+    # A kept placed term of a clean, active host: its cells go wrong only
+    # when a placed column is next scored on it, but the bind oracle
+    # compares the kept terms themselves.
+    matrix = engine.policy._matrix
+    row = next(
+        i for i in matrix._active
+        if engine.hosts[i].host_id not in matrix._sink and i not in matrix._touched
+        and i not in matrix._placed_stale
+    )
+    matrix._placed_hi[row] += 5.0
+
+
 def _corrupt_matrix(engine):
     engine.policy._matrix.scores += 1.0
 
@@ -325,6 +338,8 @@ DRIFTS = [
      "persistent matrix drift: res_cpu", _corrupt_row_copy),
     ("matrix host terms", "persistent matrix bind",
      "persistent matrix drift: _host_terms", _corrupt_host_terms),
+    ("matrix placed terms", "persistent matrix bind",
+     "persistent matrix drift: _placed_hi", _corrupt_placed_terms),
     ("retired archive", "retired archive", "chunk 0 of 1", _corrupt_archive),
 ]
 

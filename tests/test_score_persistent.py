@@ -147,7 +147,9 @@ class TestScalarRowPath:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_single_row_block_bit_identical_to_batch(self, data):
-        """_score_block's scalar-host fast path must equal the batch path."""
+        """A one-row block -- a bind catching up on one dirty row, or a
+        move's touched row -- scores each cell as the whole-block call
+        and the general formula do, bit for bit."""
         n_hosts = data.draw(st.integers(min_value=2, max_value=5))
         hosts = [make_host(
             i,
@@ -167,10 +169,12 @@ class TestScalarRowPath:
                  for vm in vms} if config.enable_sla else None)
         matrix.bind_round(vms, 500.0, fulf)
         slots = matrix._round_slots
-        batch = matrix._score_block(np.arange(n_hosts), slots)
+        rows = np.arange(n_hosts)
+        batch = matrix._score_block(rows, slots)
+        assert np.array_equal(_bits(batch), _bits(matrix._score_cells(rows, slots)))
         for r in range(n_hosts):
             single = matrix._score_block(np.array([r]), slots)[0]
-            assert np.array_equal(single, batch[r]), (r, single, batch[r])
+            assert np.array_equal(_bits(single), _bits(batch[r])), (r, single, batch[r])
 
 
 class TestEpisodicOracle:
@@ -443,6 +447,25 @@ class TestOneColumnPath:
                     world.host_of(vm).remove_vm(vm.vm_id)
                     dst.add_vm(vm)
 
+    @pytest.mark.parametrize("cpu", [100.0, 5000.0], ids=["fits", "fits-nowhere"])
+    def test_lone_column_best_move_is_its_column_argmin(self, cpu):
+        """With one column, ``best_move`` reads the column's cached
+        minimum: the lowest row of the smallest finite diff, or row 0 and
+        +inf when no host fits; Python scalars either way."""
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(4)]
+        place(hosts[2], make_vm(1))
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.bind_round([make_vm(2, cpu=cpu)], 0.0)
+        act = matrix._active
+        slot = matrix._round_slots[0]
+        diff = matrix.scores[act, slot] - matrix._cost[slot]
+        row, col, gain = matrix.best_move()
+        assert type(row) is int and col == 0 and type(gain) is float
+        if np.isfinite(diff).any():
+            assert (row, gain) == (int(act[np.argmin(diff)]), float(diff.min()))
+        else:
+            assert (row, gain) == (0, float("inf"))
+
     def test_arrival_round_takes_the_one_column_path(self, monkeypatch):
         """A new column alone in its round is bound by the scalar path."""
         hosts = [make_host(i) for i in range(3)]
@@ -509,7 +532,7 @@ def _assert_queued_cells_exact(matrix):
     assert np.array_equal(_bits(matrix._score_block(rows, queued)), _bits(general))
     for k, r in enumerate(rows):
         assert np.array_equal(
-            _bits(matrix._score_row_slots(int(r), queued)), _bits(general[k])
+            _bits(matrix._score_block(np.array([r]), queued)[0]), _bits(general[k])
         )
 
 
@@ -622,7 +645,9 @@ class TestHostTermKernel:
 
     def test_arrival_bind_never_evaluates_the_general_formula(self, monkeypatch):
         """On a warmed matrix, a one-arrival round and its climb score the
-        queued column from the host terms alone."""
+        queued column from the host terms alone: neither the general
+        formula nor the placed-term kernel runs, and no placed term is
+        computed."""
         hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(6)]
         running = [make_vm(100 + v) for v in range(4)]
         for v, vm in enumerate(running):
@@ -638,12 +663,16 @@ class TestHostTermKernel:
         def general(*args):
             raise AssertionError("a queued column took the general formula")
 
+        def placed(*args):
+            raise AssertionError("a queued round computed a placed term")
+
         place(hosts[5], make_vm(300))  # one dirty row to catch up on
         arrival = make_vm(301)
         fulf = {arrival.vm_id: 1.0}
         with monkeypatch.context() as m:
             m.setattr(PersistentScoreMatrix, "_score_cells", general)
-            m.setattr(PersistentScoreMatrix, "_score_row_slots", general)
+            m.setattr(PersistentScoreMatrix, "_score_placed", placed)
+            m.setattr(PersistentScoreMatrix, "_placed_terms_of", placed)
             matrix.bind_round([arrival], 20.0, fulf)
             assert matrix._col_hist[1] >= 1
             moves = hill_climb(matrix)
@@ -653,7 +682,8 @@ class TestHostTermKernel:
         fulf = {vm.vm_id: 1.0 for vm in burst}
         with monkeypatch.context() as m:
             m.setattr(PersistentScoreMatrix, "_score_cells", general)
-            m.setattr(PersistentScoreMatrix, "_score_row_slots", general)
+            m.setattr(PersistentScoreMatrix, "_score_placed", placed)
+            m.setattr(PersistentScoreMatrix, "_placed_terms_of", placed)
             matrix.bind_round(burst, 30.0, fulf)
             hill_climb(matrix)
         matrix.force_full_rebuild()
@@ -684,6 +714,203 @@ class TestHostTermKernel:
         matrix._q[matrix._round_slots[0]] = True
         with pytest.raises(StateError, match="queued slot .* is on host 0"):
             matrix.verify_cells()
+
+
+def _assert_cells_exact(matrix, rows, cols):
+    """The kernels' cells equal the general formula's bit for bit, on the
+    whole block and on each of its rows alone."""
+    general = matrix._score_cells(rows, cols)
+    assert np.array_equal(_bits(matrix._score_block(rows, cols)), _bits(general))
+    for k in range(rows.size):
+        assert np.array_equal(
+            _bits(matrix._score_block(rows[k:k + 1], cols)[0]), _bits(general[k])
+        )
+
+
+#: The presets whose placed cells differ: P_virt's migration branch, P_conc,
+#: P_SLA with its hard infinity, P_fault, and the soft current-cost pricing.
+PLACED_PRESETS = {
+    "sb": ScoreConfig.sb,
+    "sb2": ScoreConfig.sb2,
+    "full": ScoreConfig.full,
+    "reprice_hard_sla": lambda **kw: ScoreConfig.full(reprice_hard_sla=True, **kw),
+}
+
+
+class TestPlacedTermKernel:
+    """Blocks holding a placed column come from the kept placed terms.
+
+    A placed column's cell off its host is its row's migration sum (the
+    ``2*cm`` or ``cm/2`` branch by bucket), a queued column's the row's
+    host term, and the column's own cell the on-cell term plus the SLA
+    on-cell term; P_fault comes last, under the general feasibility mask.
+    After every bind, every hypothetical move (which moves ``pending``,
+    ``nvms`` and the reservations of the touched rows) and a snapshot
+    restore, blocks that mix queued and placed columns must equal the
+    general formula bit for bit.  Remaining times sit near the migration
+    costs, so columns cross buckets between rounds; fulfilments below 1
+    and at or below ``th_sla`` put soft penalties and hard infinities on
+    the on-cells.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_placed_cells_equal_the_general_formula(self, data):
+        import pickle
+
+        preset = data.draw(st.sampled_from(sorted(PLACED_PRESETS)), label="preset")
+        th_empty = data.draw(st.integers(min_value=0, max_value=2), label="th_empty")
+        config = PLACED_PRESETS[preset](th_empty=th_empty)
+        n_hosts = data.draw(st.integers(min_value=2, max_value=6), label="n_hosts")
+        hosts = [make_host(
+            i,
+            node_class=data.draw(st.sampled_from(CLASSES)),
+            reliability=data.draw(st.floats(min_value=0.5, max_value=1.0)),
+        ) for i in range(n_hosts)]
+        world = World(hosts)
+
+        def arrival():
+            vm = make_vm(
+                world.next_vm,
+                cpu=data.draw(st.floats(min_value=10.0, max_value=400.0)),
+                mem=data.draw(st.floats(min_value=64.0, max_value=2048.0)),
+                runtime=data.draw(st.floats(min_value=20.0, max_value=300.0)),
+                fault_tolerance=data.draw(st.floats(min_value=0.0, max_value=1.0)),
+            )
+            world.next_vm += 1
+            world.vms[vm.vm_id] = vm
+            return vm
+
+        for h in hosts:
+            for _ in range(th_empty + data.draw(st.integers(0, 1), label="extra")):
+                place(h, arrival())
+        matrix = PersistentScoreMatrix(hosts, config)
+        matrix.attach()
+
+        def check(m):
+            # A touched row's host term is recomputed while an unfrozen
+            # column is left to read it; the next bind re-reads the row.
+            rows = np.arange(m.n_rows)
+            rs = m._round_slots
+            if m._touched and m._frozen[rs].all():
+                rows = np.setdiff1d(rows, sorted(m._touched))
+            if rows.size and rs.size:
+                _assert_cells_exact(m, rows, rs)
+                mixed = rs[np.array(data.draw(st.lists(
+                    st.booleans(), min_size=rs.size, max_size=rs.size), label="subset"))]
+                if mixed.size:
+                    _assert_cells_exact(m, rows, mixed)
+            assert m.verify_cells()
+
+        now = 0.0
+        for _ in range(data.draw(st.integers(min_value=2, max_value=5), label="rounds")):
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                _mutate(world, data)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+                arrival()
+            now += data.draw(st.floats(min_value=1.0, max_value=120.0))
+            columns = world.queued() + world.running()
+            fulf = None
+            if config.enable_sla:
+                fulf = {vm.vm_id: data.draw(st.sampled_from([1.0, 0.9, 0.5, 0.2]))
+                        for vm in columns}
+            rel = None
+            if config.enable_fault and data.draw(st.booleans(), label="override"):
+                rel = [data.draw(st.sampled_from([0.6, 0.9, 1.0])) for _ in hosts]
+            matrix.bind_round(columns, now, fulf, rel)
+            assert matrix.verify_against_fresh(columns, now, fulf, rel)
+            check(matrix)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=4), label="moves")):
+                free = [j for j in range(matrix.n_cols)
+                        if not matrix._frozen[matrix._round_slots[j]]]
+                if not free:
+                    break
+                col = data.draw(st.sampled_from(free), label="col")
+                row = data.draw(st.integers(0, n_hosts - 1), label="row")
+                if matrix._cur[matrix._round_slots[col]] == row:
+                    continue
+                matrix.apply_move(col, row)
+                check(matrix)
+        # The restore recomputes the placed terms it scores the cells from.
+        restored = pickle.loads(pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL))
+        check(restored)
+
+    def test_on_cells_and_hard_sla_infinities(self):
+        """The on-cell term with its SLA on-cell term: soft below full
+        fulfilment, +inf at or below ``th_sla`` -- and with
+        ``reprice_hard_sla`` the hard VM's current cost is the soft one."""
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(3)]
+        vms = [make_vm(100 + v, cpu=50.0 + 30.0 * v) for v in range(3)]
+        for v, vm in enumerate(vms):
+            place(hosts[v], vm)
+        queued = make_vm(200)
+        columns = vms + [queued]
+        fulf = {100: 1.0, 101: 0.9, 102: 0.2, 200: 1.0}
+        for reprice in (False, True):
+            config = ScoreConfig.full(reprice_hard_sla=reprice)
+            matrix = PersistentScoreMatrix(hosts, config)
+            matrix.bind_round(columns, 10.0, fulf)
+            rows = np.arange(3)
+            rs = matrix._round_slots
+            cells = matrix._score_block(rows, rs)
+            _assert_cells_exact(matrix, rows, rs)
+            assert np.isinf(cells[2, 2]) and np.isfinite(cells[0, 2])
+            soft = matrix._score_block(rows, rs[1:2])[1, 0]
+            alone = PersistentScoreMatrix(hosts, config)
+            alone.bind_round(columns, 10.0, {**fulf, 101: 1.0})
+            assert soft == alone._score_block(rows, rs[1:2])[1, 0] + config.c_sla
+            cost = matrix.current_costs()[2]
+            assert (cost < config.queue_cost) if reprice else cost == config.queue_cost
+
+    def test_consolidation_move_rescores_both_rows_in_one_call(self, monkeypatch):
+        """A migration's two touched rows are one placed-kernel call, and
+        only they have their placed terms recomputed."""
+        hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(4)]
+        running = [make_vm(100 + v) for v in range(4)]
+        for v, vm in enumerate(running):
+            place(hosts[v % 2], vm)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.bind_round(running, 10.0)
+        assert not matrix._placed_stale
+        calls = []
+        real = PersistentScoreMatrix._score_placed
+
+        def spy(self, R, C, q):
+            calls.append((list(R), set(self._placed_stale)))
+            return real(self, R, C, q)
+
+        monkeypatch.setattr(PersistentScoreMatrix, "_score_placed", spy)
+        matrix.apply_move(0, 3)
+        assert calls == [([0, 3], {0, 3})]
+        assert not matrix._placed_stale
+        _assert_cells_exact(matrix, np.arange(4), matrix._round_slots)
+
+    def test_verify_cells_catches_a_drifted_placed_term(self):
+        hosts = [make_host(i) for i in range(4)]
+        vm = make_vm(100)
+        place(hosts[0], vm)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.attach()
+        matrix.bind_round([vm], 0.0)
+        assert matrix.verify_cells()
+        matrix._placed_lo[1] += 1.0
+        with pytest.raises(StateError, match="placed-term drift: _placed_lo host 1 "):
+            matrix.verify_cells()
+
+    def test_bind_oracle_catches_a_drifted_placed_term(self):
+        hosts = [make_host(i) for i in range(4)]
+        vm = make_vm(100)
+        place(hosts[0], vm)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.attach()
+        matrix.bind_round([vm], 0.0)
+        assert matrix.verify_against_fresh([vm], 0.0)
+        matrix._placed_on[2] -= 1.0
+        with pytest.raises(StateError, match="drift: _placed_on"):
+            matrix.verify_against_fresh([vm], 0.0)
+        # A row marked for recompute holds no kept term to drift.
+        matrix._placed_stale.add(2)
+        assert matrix.verify_against_fresh([vm], 0.0)
 
 
 # --------------------------------------------------------------------------
