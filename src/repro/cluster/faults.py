@@ -188,10 +188,6 @@ class OperationFaultModel:
             self._multipliers[host_id] = mult
         return mult
 
-    def is_hot(self, host_id: int) -> bool:
-        """Whether this host belongs to the multiplied-rate subset."""
-        return self.multiplier(host_id) > 1.0
-
     def _p(self, base: float, host_id: int) -> float:
         return min(base * self.multiplier(host_id), 1.0)
 

@@ -87,11 +87,6 @@ class Operation:
     started_at: float
     duration: float
 
-    @property
-    def ends_at(self) -> float:
-        """Scheduled completion time of the operation."""
-        return self.started_at + self.duration
-
 
 class Host:
     """Mutable runtime state of one physical machine."""
@@ -443,10 +438,6 @@ class Host:
         raise StateError(
             f"no {kind.value} operation for vm {vm_id} on host {self.host_id}"
         )
-
-    def operations_on(self, vm_id: int) -> List[Operation]:
-        """Operations currently touching a given VM."""
-        return [op for op in self.operations if op.vm_id == vm_id]
 
     @property
     def concurrency_cost(self) -> float:

@@ -13,12 +13,12 @@ table/figure module draws from the same environment:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import simulate
-from repro.engine.results import SimulationResult, results_table
+from repro.engine.results import SimulationResult
 from repro.scheduling.base import SchedulingPolicy
 from repro.scheduling.power_manager import PowerManagerConfig
 from repro.units import WEEK
@@ -108,7 +108,3 @@ def run_policy(
         config=engine_config or EngineConfig(seed=seed),
     )
 
-
-def format_results(results: Sequence[SimulationResult], title: str = "") -> str:
-    """Paper-layout table text for a list of runs."""
-    return results_table(results, title=title or None)

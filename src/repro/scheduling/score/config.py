@@ -21,7 +21,7 @@ variant    penalties                                      migration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -167,7 +167,3 @@ class ScoreConfig:
             allow_migration=True,
             **overrides,
         )
-
-    def with_costs(self, c_empty: float, c_fill: float) -> "ScoreConfig":
-        """Copy with different consolidation costs (Table V sweeps)."""
-        return replace(self, c_empty=c_empty, c_fill=c_fill)

@@ -69,7 +69,6 @@ class AssignmentEvaluator:
         self.cm_rank = builder._cm_rank
         self.bucket = builder._bucket[rs]
         self.fulf = builder._fulf[rs]
-        self.is_queued_initially = builder._q[rs]
         self.initial = builder._cur[rs]
 
         # Occupancy baselines with the columns' own contributions removed.
@@ -128,7 +127,7 @@ class AssignmentEvaluator:
             moved = h != int(self.initial[j])
             s = 0.0
             if cfg.enable_virt and moved:
-                if self.is_queued_initially[j]:
+                if self.initial[j] < 0:
                     s += self.cc[h]
                 elif self.cm_rank[h] >= self.bucket[j]:
                     s += 2.0 * self.cm[h]

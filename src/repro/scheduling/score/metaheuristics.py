@@ -49,7 +49,7 @@ def _moves_from_assignment(
             vm_id=vm.vm_id,
             host_id=builder.hosts[target].host_id,
             gain=0.0,
-            from_queue=bool(evaluator.is_queued_initially[j]),
+            from_queue=origin < 0,
         )
         (placements if move.from_queue else migrations).append(move)
     return placements + migrations

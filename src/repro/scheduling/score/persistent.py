@@ -52,11 +52,11 @@ class bound once.  The matrix owns everything it reads:
 * **One slot space.**  A matrix column *is* a VM slot.  Each slot holds
   the VM's static attributes (``cpu_req``/``mem_req`` as last seen,
   ``fault_tolerance``, the per-class P_req row), one cell per host in
-  the ``(M, cap)`` cell array, and its column state (current host, queued
-  flag, migration-penalty bucket, SLA fulfilment, current cost, argmin
-  cache).  A slot is filled once per VM lifetime, and refilled only when
-  dynamic SLA enforcement inflates the requirement in place; filling
-  resets its column state and marks it stale, so its first
+  the ``(M, cap)`` cell array, and its column state (current host, -1
+  while queued, migration-penalty bucket, SLA fulfilment, current cost,
+  argmin cache).  A slot is filled once per VM lifetime, and refilled
+  only when dynamic SLA enforcement inflates the requirement in place;
+  filling resets its column state and marks it stale, so its first
   participation rescores it in full.  Finished VMs are swept out lazily
   (once the registry passes ``_MIN_SWEEP`` entries and has doubled since
   the previous sweep) and their slots recycled through a free list, so
@@ -78,12 +78,12 @@ Per round, :meth:`bind_round` runs two phases:
    O(M) scan);
 2. the **column phase** detects **changed columns** among the round's
    participants by comparing stored column attributes against fresh ones
-   (placement changed, queued flag flipped, migration-penalty bucket
-   crossed, SLA fulfilment moved, slot newly filled/refilled), rescores
-   exactly those columns across the active rows, catches the unchanged
-   ones up on the rows stamped since they last took part, and keeps the
-   per-column argmin caches valid under the partial rescoring via a
-   generalized multi-row take/rescan rule.
+   (current host changed, migration-penalty bucket crossed, SLA
+   fulfilment moved, slot newly filled/refilled), rescores exactly those
+   columns across the active rows, catches the unchanged ones up in one
+   block over the rows stamped since the oldest of them last took part,
+   and keeps the per-column argmin caches valid under the partial
+   rescoring via a generalized multi-row take/rescan rule.
 
 The column phase has two paths.  A round of exactly one column that
 changed, with some host row active — one arrival, the shape of most rounds (78–89 % of all binds
@@ -95,7 +95,9 @@ the general path's over the active rows — for an arrival,
 cost from the same rule as :meth:`_compute_costs`, and its minimum from
 one 1-D argmin.  For one column, the general path's
 N-column bookkeeping (change masks, scatters, the lag scan, a 2-D minima
-refresh) costs more than the column's cells.  Every other round — a
+refresh) costs more than the column's cells: binding one-arrival rounds
+through it raised the median bind on the ``paper`` benchmark workload
+from 77–83 µs to 142–144 µs, so the fork stays.  Every other round — a
 lone *unchanged* column that only needs catch-up included — takes the
 **general path** (:meth:`_bind_columns`).  The general path is also the
 one-column path's reference: :meth:`_bind_general` binds every round
@@ -283,7 +285,6 @@ class PersistentScoreMatrix:
         from the hosts, ``capacity`` empty slots, no round bound."""
         m = self.n_rows
         self._rel = self._spec_rel
-        self._rel_overridden = False
 
         # ---- persistent dynamic host rows (hypothetical-capable copies) -
         self.avail = np.zeros(m, dtype=bool)
@@ -325,21 +326,17 @@ class PersistentScoreMatrix:
         self._peak_matrix_nbytes = self.scores.nbytes
         for name, unused, width in self._slot_arrays():
             setattr(self, name, np.full((capacity,) + width, unused))
-        self._live_list = np.empty(0, dtype=int)
-        self._live_dirty = False
 
         # ---- round binding ----------------------------------------------
         self.columns: List[Vm] = []
         self.is_queued = np.zeros(0, dtype=bool)
         self._round_slots = np.empty(0, dtype=int)
         self.n_cols = 0
-        self.now = 0.0
 
         # ---- observability ----------------------------------------------
         self._cells_rescored = 0
         self._cells_total = 0
         self._full_rebuilds = 0
-        self._binds = 0
         self._row_hist: Counter = Counter()
         self._col_hist: Counter = Counter()
 
@@ -347,8 +344,11 @@ class PersistentScoreMatrix:
         """Every per-slot array but the cells: (name, unused-slot value,
         shape past the slot axis).
 
-        An unused slot is stale and not live, so its first participation
-        rescores it in full and nothing reads it before.
+        An unused slot is stale, so its first participation rescores it in
+        full and nothing reads it before.  A slot is queued exactly when
+        its ``_cur`` is -1 (:meth:`_prepare_columns` admits no other
+        unplaced column), and caught up on its cells exactly when it is
+        not ``_stale``.
         """
         return (
             ("v_cpu", 0.0, ()),
@@ -356,7 +356,6 @@ class PersistentScoreMatrix:
             ("v_ftol", 0.0, ()),
             ("v_feas", False, (len(self._class_arch),)),
             ("_cur", -1, ()),
-            ("_q", False, ()),
             ("_bucket", 0, ()),
             ("_fulf", 1.0, ()),
             ("_cost", self.config.queue_cost, ()),
@@ -365,7 +364,6 @@ class PersistentScoreMatrix:
             ("_frozen", False, ()),
             ("_stale", True, ()),
             ("_col_stamp", 0, ()),
-            ("_live", False, ()),
         )
 
     def _twin(self, capacity: int) -> "PersistentScoreMatrix":
@@ -444,7 +442,7 @@ class PersistentScoreMatrix:
 
         The host terms from the stored row copies, every row's placed
         terms marked for recompute, then one :meth:`_score_block` over the
-        active rows and the live, non-stale slots, from the row copies and
+        active rows and the non-stale slots, from the row copies and
         column attributes.
         Exact for every cell anything reads before rescoring it: a column
         reads a cell only after its catch-up has rescored each row stamped
@@ -458,8 +456,7 @@ class PersistentScoreMatrix:
         )
         self._init_placed_terms()
         self.scores = np.full((self.n_rows, len(self._cur)), INF)
-        live = self._live_cols()
-        cols = live[~self._stale[live]]
+        cols = np.nonzero(~self._stale)[0]
         act = self._active
         if act.size and cols.size:
             self.scores[act[:, None], cols] = self._score_block(act, cols)
@@ -509,12 +506,8 @@ class PersistentScoreMatrix:
                 and vm.mem_req <= self._class_cap_mem[c] + 1e-9
             )
         self._stale[slot] = True
-        if self._live[slot]:
-            self._live[slot] = False
-            self._live_dirty = True
         self._frozen[slot] = False
         self._cur[slot] = -1
-        self._q[slot] = True
         self._cost[slot] = self.config.queue_cost
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
@@ -542,18 +535,17 @@ class PersistentScoreMatrix:
             slot = self._slot_of.pop(vm_id)
             del self._vm_of[vm_id]
             self._free.append(slot)
-            if self._live[slot]:
-                self._live[slot] = False
-                self._live_dirty = True
             self._stale[slot] = True
         self._next_sweep = max(_MIN_SWEEP, 2 * len(self._slot_of))
 
     def _prepare_columns(self, columns: Sequence[Vm], now: float) -> tuple:
-        """Single per-column pass: ``(slots, cur, is_queued, tr)``.
+        """Single per-column pass: ``(slots, cur, tr)``.
 
-        Builds Python lists and each array once from them.  Raises
-        :class:`~repro.errors.SchedulingError` on in-operation columns
-        (they are pinned, §III-A-3).
+        Builds Python lists and each array once from them.  A column is a
+        queued VM (current row -1) or a VM running on a matrix row; any
+        other raises :class:`~repro.errors.SchedulingError` — an
+        in-operation VM is pinned (§III-A-3), and a finished VM or one
+        running off the matrix has no cell to price it by.
         """
         self._maybe_sweep()
         index = self.host_index
@@ -561,12 +553,15 @@ class PersistentScoreMatrix:
         v_cpu, v_mem = self.v_cpu.item, self.v_mem.item
         slots: List[int] = []
         cur: List[int] = []
-        queued: List[bool] = []
         tr: List[float] = []
         for vm in columns:
-            if vm.in_operation:
+            state = vm.state
+            c = index.get(vm.host_id, -1) if state is VmState.RUNNING else -1
+            if c < 0 and state is not VmState.QUEUED:
                 raise SchedulingError(
-                    f"vm {vm.vm_id} has an operation in flight and cannot be a column"
+                    f"vm {vm.vm_id} is {state.value} on host {vm.host_id} and "
+                    "cannot be a column: only a queued VM or one running on a "
+                    "matrix row can"
                 )
             slot = slot_of.get(vm.vm_id)
             if slot is None:
@@ -575,13 +570,11 @@ class PersistentScoreMatrix:
                 # Dynamic SLA enforcement inflated the requirement in place.
                 self._fill_slot(slot, vm)
             slots.append(slot)
-            cur.append(index.get(vm.host_id, -1) if vm.is_placed else -1)
-            queued.append(vm.state is VmState.QUEUED)
+            cur.append(c)
             tr.append(vm.remaining_user_time(now))
         return (
             np.array(slots, dtype=int),
             np.array(cur, dtype=int),
-            np.array(queued, dtype=bool),
             np.array(tr, dtype=float),
         )
 
@@ -616,12 +609,6 @@ class PersistentScoreMatrix:
                 flipped = True
         return flipped
 
-    def _live_cols(self) -> np.ndarray:
-        if self._live_dirty:
-            self._live_list = np.nonzero(self._live)[0]
-            self._live_dirty = False
-        return self._live_list
-
     # ------------------------------------------------------------------ math
 
     def _score_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -629,14 +616,12 @@ class PersistentScoreMatrix:
 
         Columns that are all queued take :meth:`_score_queued`, any other
         block :meth:`_score_placed`; both are bit-identical to the general
-        formula, :meth:`_score_cells`.  A queued slot is priced at
-        creation and is on no host: ``_cur`` is -1 wherever ``_q`` is set
-        (the binds and ``_fill_slot`` write both, :meth:`apply_move`
-        clears ``_q`` as it places; :meth:`verify_cells` checks it).
+        formula, :meth:`_score_cells`.  A queued slot — ``_cur`` -1 — is
+        priced at creation and is on no host.
         """
         R = np.asarray(rows, dtype=int)
         C = np.asarray(cols, dtype=int)
-        q = self._q[C]
+        q = self._cur[C] < 0
         if q.all():
             return self._score_queued(R, C)
         return self._score_placed(R, C, q)
@@ -825,7 +810,7 @@ class PersistentScoreMatrix:
         """
         cfg = self.config
         cur = self._cur[C]
-        q = self._q[C]
+        q = cur < 0
         vcpu = self.v_cpu[C]
         vmem = self.v_mem[C]
 
@@ -1023,12 +1008,10 @@ class PersistentScoreMatrix:
                 changed = np.nonzero(rel != self._rel)[0]
                 dirty.update(int(i) for i in changed)
                 self._rel = rel
-            self._rel_overridden = True
-        elif self._rel_overridden:
+        elif self._rel is not self._spec_rel:
             changed = np.nonzero(self._spec_rel != self._rel)[0]
             dirty.update(int(i) for i in changed)
             self._rel = self._spec_rel
-            self._rel_overridden = False
 
         # Ascending host order: the dirty feed is a set, sorting makes
         # every downstream tie-break independent of mutation order.
@@ -1041,25 +1024,23 @@ class PersistentScoreMatrix:
                 self._active = np.nonzero(self.avail)[0]
 
         # ---- column phase -----------------------------------------------
-        slots, cur, q, tr = self._prepare_columns(columns, now)
+        slots, cur, tr = self._prepare_columns(columns, now)
         if self.config.enable_sla and fulfillments is None:
             raise SchedulingError("enable_sla requires a fulfillments map")
         if one_column and slots.size == 1 and self._bind_one_column(
-            columns[0], slots, cur, q, tr, fulfillments
+            columns[0], slots, cur, tr, fulfillments
         ):
             n_changed = 1
         else:
-            n_changed = self._bind_columns(columns, slots, cur, q, tr, fulfillments)
+            n_changed = self._bind_columns(columns, slots, cur, tr, fulfillments)
 
         # ---- round binding ----------------------------------------------
         self._round_slots = slots
         self.columns = list(columns)
-        self.is_queued = q
+        self.is_queued = cur < 0
         self.n_cols = len(self.columns)
-        self.now = float(now)
 
         # ---- observability ----------------------------------------------
-        self._binds += 1
         # Counterfactual: a one-shot rebuild scores every row (available
         # or not) for every round column.
         self._cells_total += self.n_rows * slots.size
@@ -1071,14 +1052,13 @@ class PersistentScoreMatrix:
         vm: Vm,
         slots: np.ndarray,
         cur: np.ndarray,
-        q: np.ndarray,
         tr: np.ndarray,
         fulfillments: Optional[Dict[int, float]],
     ) -> bool:
         """Column phase of a one-column round, in Python scalars.
 
         Binds the column only if it changed (stale, new, moved, or its
-        queued flag, bucket or fulfilment changed) and some row is
+        bucket or fulfilment changed) and some row is
         active, and returns whether it did; an unchanged column may still
         lag on dirty rows, which is the general path's catch-up.  Every
         step is the general path's for one changed column, minus its
@@ -1094,29 +1074,23 @@ class PersistentScoreMatrix:
         cfg = self.config
         slot = int(slots[0])
         c = int(cur[0])
-        queued = bool(q[0])
         bucket = bisect_right(self._cm_distinct, float(tr[0]))
         fulf = fulfillments.get(vm.vm_id, 1.0) if cfg.enable_sla else 1.0
         if not (
             self._stale[slot]
             or self._cur[slot] != c
-            or self._q[slot] != queued
-            or (not queued and self._bucket[slot] != bucket)
+            or (c >= 0 and self._bucket[slot] != bucket)
             or (cfg.enable_sla and self._fulf[slot] != fulf)
         ):
             return False
         self._cur[slot] = c
-        self._q[slot] = queued
         self._bucket[slot] = bucket
         if cfg.enable_sla:
             self._fulf[slot] = fulf
         self._frozen[slot] = False
         self._stale[slot] = False
-        if not self._live[slot]:
-            self._live[slot] = True
-            self._live_dirty = True
 
-        if queued:
+        if c < 0:
             cells = self._score_queued(act, slots)[:, 0]
         else:
             cells = self._score_block(act, slots)[:, 0]
@@ -1137,7 +1111,6 @@ class PersistentScoreMatrix:
         columns: Sequence[Vm],
         slots: np.ndarray,
         cur: np.ndarray,
-        q: np.ndarray,
         tr: np.ndarray,
         fulfillments: Optional[Dict[int, float]],
     ) -> int:
@@ -1152,8 +1125,7 @@ class PersistentScoreMatrix:
         changed = (
             self._stale[slots]
             | (self._cur[slots] != cur)
-            | (self._q[slots] != q)
-            | (~q & (self._bucket[slots] != bucket))
+            | ((cur >= 0) & (self._bucket[slots] != bucket))
         )
         if self.config.enable_sla:
             fulf = np.array(
@@ -1165,14 +1137,9 @@ class PersistentScoreMatrix:
         # survive (changed ones get their minima from the fresh block).
         rescan = self._frozen[slots] & ~changed
         self._cur[slots] = cur
-        self._q[slots] = q
         self._bucket[slots] = bucket
         self._frozen[slots] = False
         self._stale[slots] = False
-        newly = slots[~self._live[slots]]
-        if newly.size:
-            self._live[newly] = True
-            self._live_dirty = True
         cols_changed = slots[changed]
 
         # ---- full rescore: stale/changed columns x active rows ----------
@@ -1184,36 +1151,32 @@ class PersistentScoreMatrix:
 
         # ---- lazy catch-up: participating columns behind on row churn ---
         # A column's cells are current up to its ``_col_stamp``; only rows
-        # stamped later changed since it last participated.  Group columns
-        # by stamp (steady state: one group — last round's queue catching
-        # up on this round's dirty rows) and rescore rows-behind x group.
-        # Non-participating columns pay nothing until they return.  Groups
-        # hold positions into ``slots`` so the masks below stay aligned.
-        groups = []
+        # stamped later changed since it last participated.  One block
+        # rescores every row stamped since the oldest lagging column's
+        # stamp: a cell on a row its column already saw is rescored
+        # bit-identically, and below each column tests the rows against
+        # its own stamp.  Non-participating columns pay nothing until they
+        # return.  ``lag_pos`` holds positions into ``slots`` so the masks
+        # stay aligned.
+        sub = None
         if cols_changed.size < slots.size:
             lag_pos = np.nonzero(~changed)[0]
-            stamps = self._col_stamp[slots[lag_pos]]
-            distinct = sorted(set(stamps.tolist()))
-            for s in distinct:
-                pos = lag_pos if len(distinct) == 1 else lag_pos[stamps == s]
-                rows = np.nonzero(self._row_stamp > s)[0]
-                if rows.size:
-                    grp = slots[pos]
-                    sub = self._score_block(rows, grp)
-                    self.scores[rows[:, None], grp] = sub
-                    self._cells_rescored += rows.size * grp.size
-                    groups.append((s, pos, grp, rows, sub))
+            lag = slots[lag_pos]
+            seen = self._col_stamp[lag]
+            rows = np.nonzero(self._row_stamp > seen.min())[0]
+            if rows.size:
+                sub = self._score_block(rows, lag)
+                self.scores[rows[:, None], lag] = sub
+                self._cells_rescored += rows.size * lag.size
 
         # ---- current costs (changed cols + cols homed on changed rows) --
         affected_mask = changed
-        if groups:
-            affected_mask = changed.copy()
-            for s, pos, grp, rows, _ in groups:
-                cur_g = self._cur[grp]
-                placed = cur_g >= 0
-                if placed.any():
-                    home = np.where(placed, cur_g, 0)
-                    affected_mask[pos[placed & (self._row_stamp[home] > s)]] = True
+        if sub is not None:
+            home = cur[lag_pos]
+            behind = (home >= 0) & (self._row_stamp[np.maximum(home, 0)] > seen)
+            if behind.any():
+                affected_mask = changed.copy()
+                affected_mask[lag_pos[behind]] = True
         affected = slots[affected_mask]
         if affected.size:
             old = self._cost[affected].copy()
@@ -1224,23 +1187,25 @@ class PersistentScoreMatrix:
             self._cost[affected] = new
 
         # ---- argmin maintenance -----------------------------------------
-        # Changed columns: straight from the block just scored.  Lagged
-        # groups: generalized multi-row take/rescan against the cache.
+        # Changed columns: straight from the block just scored.  Lagging
+        # columns: generalized multi-row take/rescan against the cache.  A
+        # row the column already saw holds a diff no better than its cached
+        # minimum, and on a tie no lower row, so it never takes.
         self._refresh_minima(cols_changed, block)
-        for s, pos, grp, rows, sub in groups:
-            sub = sub - self._cost[grp]
+        if sub is not None:
+            sub = sub - self._cost[lag]
             k = np.argmin(sub, axis=0)  # rows ascending: lowest host wins
-            w = sub[k, np.arange(grp.size)]
+            w = sub[k, np.arange(lag.size)]
             rw = rows[k]
-            v = self._col_min_val[grp]
-            r = self._col_min_row[grp]
-            in_t = self._row_stamp[r] > s
+            v = self._col_min_val[lag]
+            r = self._col_min_row[lag]
+            in_t = self._row_stamp[r] > seen
             take = (
                 (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
             )
-            rescan[pos[in_t & ~take]] = True
+            rescan[lag_pos[in_t & ~take]] = True
             if take.any():
-                tk = grp[take]
+                tk = lag[take]
                 self._col_min_val[tk] = w[take]
                 self._col_min_row[tk] = rw[take]
         if rescan.any():
@@ -1316,11 +1281,10 @@ class PersistentScoreMatrix:
         self.res_cpu[row] += vcpu
         self.res_mem[row] += vmem
         self.nvms[row] += 1
-        placement = bool(self._q[slot])
+        placement = old < 0
         self.pending[row] += self.cc[row] if placement else self.cm[row]
 
         self._cur[slot] = row
-        self._q[slot] = False
         self.is_queued[col] = False
         self._frozen[slot] = True
         if placement:
@@ -1489,25 +1453,17 @@ class PersistentScoreMatrix:
     def verify_cells(self) -> bool:
         """Internal-consistency oracle for the engine's strict mode.
 
-        Recomputes every non-stale live column's cells/cost/argmin from
-        the matrix's *own* stored attribute arrays and compares with the
+        Recomputes every non-stale column's cells/cost/argmin from the
+        matrix's *own* stored attribute arrays and compares with the
         incrementally maintained values; cells with the general formula,
-        whichever kernel wrote them.  Also checks that no queued slot is
-        on a host and that each active, untouched row's host term, and
-        its placed terms unless marked for recompute, equal their
-        recompute from the row copies.  Rows touched by hypothetical
+        whichever kernel wrote them.  Also checks that each active,
+        untouched row's host term, and its placed terms unless marked for
+        recompute, equal their recompute from the row copies.  Rows touched by hypothetical
         moves since the last bind are excluded (their pending concurrency
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
         """
-        live = self._live_cols()
-        placed_queued = live[self._q[live] & (self._cur[live] >= 0)]
-        if placed_queued.size:
-            raise StateError(
-                f"persistent matrix queued slot {int(placed_queued[0])} "
-                f"is on host {int(self._cur[placed_queued[0]])}"
-            )
-        check = live[~self._stale[live]]
+        check = np.nonzero(~self._stale)[0]
         # Lazily-behind columns (absent from recent rounds) are stale by
         # design — only columns caught up to the current bind are checkable.
         check = check[self._col_stamp[check] == self._bind_idx]
@@ -1589,8 +1545,7 @@ class PersistentScoreMatrix:
         """Mark everything dirty; the next bind rebuilds from ground truth."""
         self._full_rebuilds += 1
         self._touched.update(range(self.n_rows))
-        live = self._live_cols()
-        self._stale[live] = True
+        self._stale[:] = True
 
     # ---------------------------------------------------------------- stats
 
@@ -1602,7 +1557,7 @@ class PersistentScoreMatrix:
         rescored within the round, nor counted.
         """
         out: Dict[str, float] = {
-            "binds": float(self._binds),
+            "binds": float(self._bind_idx),
             "cells_rescored": float(self._cells_rescored),
             "cells_total": float(self._cells_total),
             "full_rebuilds": float(self._full_rebuilds),

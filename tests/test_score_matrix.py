@@ -92,6 +92,19 @@ class TestMatrixBasics:
         with pytest.raises(SchedulingError):
             ScoreMatrixBuilder([host], [vm], 0.0, ScoreConfig.sb())
 
+    @pytest.mark.parametrize("state", [VmState.COMPLETED, VmState.FAILED])
+    def test_finished_vm_rejected_as_column(self, state):
+        vm = make_vm(1)
+        vm.state = state
+        with pytest.raises(SchedulingError, match=f"vm 1 is {state.value} on host None"):
+            ScoreMatrixBuilder([make_host(0)], [vm], 0.0, ScoreConfig.sb())
+
+    def test_vm_running_off_the_matrix_rejected_as_column(self):
+        vm = make_vm(1)
+        place(make_host(7), vm)
+        with pytest.raises(SchedulingError, match="vm 1 is running on host 7"):
+            ScoreMatrixBuilder([make_host(0)], [vm], 0.0, ScoreConfig.sb())
+
     def test_empty_columns(self):
         b = ScoreMatrixBuilder([make_host(0)], [], 0.0, ScoreConfig.sb())
         assert b.n_cols == 0

@@ -343,9 +343,41 @@ class TestFrozenColumnCatchUp:
         assert (row, gain) == (2, -10.0)
 
 
+class TestLagBlock:
+    def test_columns_behind_by_different_binds_catch_up_in_one_bind(self):
+        """Lagging columns with different stamps share one catch-up block.
+
+        The placed column last took part at bind 1 and the queued one at
+        bind 2, and a row changed at each of binds 2 and 3 — the first
+        one the placed column's home.  The block must start at the older
+        stamp: starting at the newer one leaves the placed column's
+        cells and cost on its home row as they were at bind 1.
+        """
+        hosts = [make_host(i) for i in range(4)]
+        queued = make_vm(1, cpu=100.0, runtime=36000.0)
+        placed = make_vm(2, cpu=100.0, runtime=36000.0)
+        place(hosts[0], placed)
+        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
+        matrix.attach()
+        columns = [queued, placed]
+
+        matrix.bind_round(columns, 0.0)
+        place(hosts[0], make_vm(3, cpu=150.0, runtime=36000.0))
+        matrix.bind_round([queued], 0.0)  # unchanged: catch-up only
+        place(hosts[2], make_vm(4, cpu=150.0, runtime=36000.0))
+
+        slots = [matrix._slot_of[vm.vm_id] for vm in columns]
+        assert matrix._col_stamp[slots].tolist() == [2, 1]
+        assert matrix._row_stamp.tolist() == [2, 0, 0, 0]
+        matrix.bind_round(columns, 0.0)
+        assert matrix._row_stamp.tolist() == [2, 0, 3, 0]
+        assert matrix.verify_against_fresh(columns, 0.0)
+        assert matrix.verify_cells()
+
+
 #: Per-slot column attributes both bind paths write.
-_SLOT_ATTRS = ("_cur", "_q", "_bucket", "_fulf", "_cost", "_col_min_val",
-               "_col_min_row", "_frozen", "_stale", "_col_stamp", "_live")
+_SLOT_ATTRS = ("_cur", "_bucket", "_fulf", "_cost", "_col_min_val",
+               "_col_min_row", "_frozen", "_stale", "_col_stamp")
 
 
 def _assert_same_matrix(mine, ref):
@@ -524,7 +556,7 @@ def _assert_queued_cells_exact(matrix):
         _bits(_recomputed_host_terms(matrix)[rows]),
     )
     rs = matrix._round_slots
-    queued = rs[matrix._q[rs] & (matrix._cur[rs] < 0)]
+    queued = rs[matrix._cur[rs] < 0]
     if not queued.size:
         return
     general = matrix._score_cells(rows, queued)
@@ -700,19 +732,6 @@ class TestHostTermKernel:
         assert matrix.verify_cells()
         matrix._host_terms[int(matrix._active[1])] += 1.0
         with pytest.raises(StateError, match="host-term drift: host 1 "):
-            matrix.verify_cells()
-
-    def test_verify_cells_catches_a_queued_slot_on_a_host(self):
-        """The queued kernel's dispatch reads ``_q`` alone: a queued slot
-        must be on no host."""
-        hosts = [make_host(i) for i in range(3)]
-        vm = make_vm(100)
-        place(hosts[0], vm)
-        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
-        matrix.bind_round([vm], 0.0)
-        assert matrix.verify_cells()
-        matrix._q[matrix._round_slots[0]] = True
-        with pytest.raises(StateError, match="queued slot .* is on host 0"):
             matrix.verify_cells()
 
 
@@ -1214,7 +1233,7 @@ class TestSnapshotPayload:
         assert restored.stats() == matrix.stats()
         assert restored.verify_cells()
         act = matrix._active
-        live = np.nonzero(matrix._live & ~matrix._stale)[0]
+        live = np.nonzero(~matrix._stale)[0]
         assert live.size == 300
         assert np.array_equal(
             restored.scores[act[:, None], live], matrix.scores[act[:, None], live]

@@ -481,7 +481,7 @@ class TestDerivedStateLeavesThePickle:
         engine.start()
         engine.sim.run(max_events=kill_after)
         orig = engine.policy._matrix
-        assume(orig is not None and orig._binds > 0)
+        assume(orig is not None and orig._bind_idx > 0)
         blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
         matrix = pickle.loads(blob).policy._matrix
         # The restore rebuilt the cells and the host terms; a row touched
@@ -496,7 +496,7 @@ class TestDerivedStateLeavesThePickle:
         assert matrix.scores.shape == orig.scores.shape
         # A cell is current when its row is not hypothetically touched
         # and has not changed since its column last took part.
-        slots = np.nonzero(orig._live & ~orig._stale)[0]
+        slots = np.nonzero(~orig._stale)[0]
         rows = np.setdiff1d(orig._active, sorted(orig._touched))
         current = (
             orig._row_stamp[rows][:, None] <= orig._col_stamp[slots][None, :]
