@@ -24,7 +24,7 @@ This package models the virtualized datacenter the paper simulates:
 from repro.cluster.spec import HostSpec, NodeClass, ClusterSpec, FAST, MEDIUM, SLOW
 from repro.cluster.vm import Vm, VmState
 from repro.cluster.host import Host, HostState, Operation, OperationKind
-from repro.cluster.xen import compute_shares, CreditScheduler
+from repro.cluster.xen import compute_shares
 from repro.cluster.power import (
     PowerModel,
     TablePowerModel,
@@ -52,7 +52,6 @@ __all__ = [
     "Operation",
     "OperationKind",
     "compute_shares",
-    "CreditScheduler",
     "PowerModel",
     "TablePowerModel",
     "LinearPowerModel",

@@ -38,7 +38,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "compute_shares",
-    "CreditScheduler",
     "ShareMemo",
 ]
 
@@ -201,47 +200,3 @@ class ShareMemo:
             # (see class docstring), O(1), and deterministic.
             del table[next(iter(table))]
         table[key] = shares
-
-
-class CreditScheduler:
-    """Object wrapper around :func:`compute_shares` with named domains.
-
-    :meth:`allocate` serves callers that want shares keyed by domain
-    name; the engine solves positionally through
-    :meth:`repro.cluster.host.Host.recompute_shares` instead.
-
-    Examples
-    --------
-    >>> cs = CreditScheduler(capacity=400.0)
-    >>> cs.allocate({"vm1": 300.0, "vm2": 300.0})["vm1"]
-    200.0
-    """
-
-    def __init__(self, capacity: float) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("scheduler capacity must be positive")
-        self.capacity = float(capacity)
-
-    def allocate(
-        self,
-        demands: dict,
-        weights: Optional[dict] = None,
-    ) -> dict:
-        """Allocate shares for a ``name -> cap`` mapping.
-
-        Iteration order of ``demands`` fixes the domain order; Python dicts
-        preserve insertion order, so results are deterministic.
-        """
-        names = list(demands.keys())
-        caps = [demands[n] for n in names]
-        if weights is not None:
-            try:
-                w = [weights[n] for n in names]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"weights missing domain {exc.args[0]!r}"
-                ) from None
-        else:
-            w = None
-        shares = compute_shares(self.capacity, caps, w)
-        return {n: float(s) for n, s in zip(names, shares)}

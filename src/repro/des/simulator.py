@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.des.event import Event, EventHandle
 from repro.errors import SimulationError
@@ -199,8 +199,8 @@ class Simulator:
         the next sequence number — the one a cancel followed by
         :meth:`at` with its own priority would draw — and the handle stays
         valid; returns ``True``.  The heap is not touched: the event's
-        entry is moved to its new key when it surfaces (:meth:`run`,
-        :meth:`step`) or when the heap compacts.  Otherwise nothing
+        entry is moved to its new key when it surfaces (:meth:`run`) or
+        when the heap compacts.  Otherwise nothing
         changes and ``False`` is returned, so the caller cancels and
         pushes.  O(1), and no tombstone.
         """
@@ -264,35 +264,6 @@ class Simulator:
 
     # ------------------------------------------------------------------- run
 
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` when the queue is
-        empty (cancelled tombstones are discarded silently, re-keyed
-        entries are moved to their current key).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                continue
-            if entry[2] != event.seq:
-                heapq.heapreplace(heap, (entry[0], entry[1], event.seq, event))
-                continue
-            heapq.heappop(heap)
-            self._live -= 1
-            event.owner = None
-            self._now = event.time
-            self._events_processed += 1
-            event.callback()
-            if self.post_event is not None:
-                self.post_event()
-            return True
-        return False
-
     def stop(self) -> None:
         """Request the running loop to stop after the current event.
 
@@ -353,7 +324,3 @@ class Simulator:
         finally:
             self._running = False
 
-    def drain(self, times: Iterable[float]) -> None:
-        """Advance through a sequence of checkpoints (testing helper)."""
-        for t in times:
-            self.run(until=t)

@@ -147,6 +147,28 @@ def clear_global_graceful_stop() -> None:
     _GLOBAL_GRACEFUL_STOP = False
 
 
+def _strict_from_env(config: EngineConfig) -> EngineConfig:
+    """``config`` with the ``REPRO_STRICT_INVARIANTS`` switch applied.
+
+    CI guard rail: ``raise`` or ``resync`` force-enables the
+    strict-invariant oracles for a whole test run without every call site
+    having to thread a config through; any other value enables them in
+    the config's own mode.  A config that already asks for them keeps its
+    mode.
+    """
+    env_mode = os.environ.get("REPRO_STRICT_INVARIANTS")
+    if env_mode and not config.strict_invariants:
+        config = _replace(
+            config,
+            strict_invariants=True,
+            invariant_mode=(
+                env_mode if env_mode in ("raise", "resync")
+                else config.invariant_mode
+            ),
+        )
+    return config
+
+
 class DatacenterSimulation(ActuatorsMixin):
     """One simulated datacenter run.
 
@@ -189,20 +211,7 @@ class DatacenterSimulation(ActuatorsMixin):
         self.policy = policy
         self.trace = trace
         self._streaming = isinstance(trace, JobStream)
-        self.config = config or EngineConfig()
-        # CI guard rail: REPRO_STRICT_INVARIANTS=raise|resync force-enables
-        # the strict-invariant oracles for a whole test run without every
-        # call site having to thread a config through.
-        env_mode = os.environ.get("REPRO_STRICT_INVARIANTS")
-        if env_mode and not self.config.strict_invariants:
-            self.config = _replace(
-                self.config,
-                strict_invariants=True,
-                invariant_mode=(
-                    env_mode if env_mode in ("raise", "resync")
-                    else self.config.invariant_mode
-                ),
-            )
+        self.config = _strict_from_env(config or EngineConfig())
         self.power_manager = power_manager or PowerManager(
             pm_config or PowerManagerConfig()
         )
@@ -514,18 +523,21 @@ class DatacenterSimulation(ActuatorsMixin):
         """Adopt another invocation's operational settings after a restore.
 
         The fingerprint deliberately excludes checkpoint cadence,
-        retention and wall budgets, so a snapshot may be resumed under
-        different operational knobs than the run that wrote it.  This
-        replaces exactly those fields (never anything semantic), rebuilds
-        the snapshotter accordingly while preserving its counters and
-        index lineage, and re-derives the post-event hook.
+        retention, wall budgets and strict-invariant checking, so a
+        snapshot may be resumed under different operational knobs than
+        the run that wrote it.  This replaces exactly those fields (never
+        anything semantic), switches the invariant checks on or off to
+        match (``REPRO_STRICT_INVARIANTS`` applies here as at
+        construction), rebuilds the snapshotter accordingly while preserving its
+        counters and index lineage, and re-derives the post-event hook.
         """
         from repro.engine.snapshot import _OPERATIONAL_FIELDS
 
-        self.config = _replace(
+        self.config = _strict_from_env(_replace(
             self.config,
             **{name: getattr(config, name) for name in _OPERATIONAL_FIELDS},
-        )
+        ))
+        self._invariants_enabled = self.config.strict_invariants
         old = self._snapshotter
         if old is not None:
             old.flush()

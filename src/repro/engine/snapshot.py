@@ -166,16 +166,22 @@ SNAPSHOT_MAGIC = "repro-engine-snapshot"
 _SUFFIX = ".ckpt"
 
 #: EngineConfig fields that are *operational* (where/how often to
-#: checkpoint, wall budgets) rather than semantic: two runs differing
-#: only in these produce identical simulations, so they are excluded
-#: from the fingerprint — a resumed run may checkpoint elsewhere or at a
-#: different cadence and still restore.
+#: checkpoint, wall budgets, strict-invariant checking) rather than
+#: semantic: two runs differing only in these produce identical
+#: simulations, so they are excluded from the fingerprint — a resumed run
+#: may checkpoint elsewhere or at a different cadence, or check its
+#: invariants where the run that wrote the snapshot did not, and still
+#: restore.  Each maps to its default, so a default config sanitizes to
+#: its own repr.
 _OPERATIONAL_FIELDS = {
     "checkpoint_dir": None,
     "checkpoint_sim_interval_s": None,
     "checkpoint_wall_interval_s": None,
     "checkpoint_keep": 3,
     "max_wall_clock_s": None,
+    "strict_invariants": False,
+    "invariant_mode": "raise",
+    "invariant_interval_s": 3600.0,
 }
 
 

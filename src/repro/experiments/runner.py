@@ -108,21 +108,6 @@ def comparable_rows(output: ExperimentOutput) -> List[dict]:
     ]
 
 
-def _run_one(exp_id: str, scale: float, seed: Optional[int]) -> ExperimentOutput:
-    """Worker entry point: run one experiment module (picklable).
-
-    Kept for backward compatibility; the resilient executor uses
-    :func:`repro.experiments.resilience.run_task` (which also threads the
-    attempt number through for fault injection).
-    """
-    from repro.experiments import registry
-
-    kwargs = {"scale": scale}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return registry.get(exp_id)(**kwargs)
-
-
 def _cache_load(path: Path) -> Optional[ExperimentOutput]:
     """Load one cache entry; quarantine it (rename aside) when corrupt.
 

@@ -34,21 +34,20 @@ class bound once.  The matrix owns everything it reads:
   concurrency cost, availability), re-read from the hosts for dirty rows
   only (:meth:`_read_rows`, the one reader of host state) and changed
   hypothetically by :meth:`apply_move`.  Beside them each row keeps its
-  **host term** (``_host_terms``): the part of a queued VM's cell that
-  depends on the host alone — P_virt's creation cost, P_conc's load
-  (``conc + pending``) and P_pwr — so a queued cell is one gather of it
-  plus the VM's P_fault, under the feasibility mask.  :meth:`_read_rows`
-  computes it for every row it reads; :meth:`apply_move` for the rows it
-  touches when it rescores an unfrozen column on them.  Like the cells
-  of frozen columns, a touched row's term is otherwise stale until the
-  next bind re-reads the row, and nothing reads it before.  Each row
-  also keeps its **placed terms** (``_placed_hi``, ``_placed_lo``,
-  ``_placed_on``): the sums of a placed column's cell off its host, for
-  either migration-penalty branch, and on it.  They are recomputed
-  lazily: :meth:`_read_rows` and :meth:`apply_move` only mark their rows
-  in ``_placed_stale``, and :meth:`_score_placed` recomputes the marked
-  rows before it reads them, so a round without placed columns — one
-  arrival, most rounds — computes none.
+  four **row terms**, one rule for all of them (:meth:`_row_terms`): the
+  parts of a cell on the row that depend on the host alone.  The **host
+  term** (``_host_terms``) is a queued VM's cell up to its P_fault —
+  P_virt's creation cost, P_conc's load (``conc + pending``) and P_pwr —
+  so a queued cell is one gather of it plus the VM's P_fault, under the
+  feasibility mask.  The **placed terms** (``_placed_hi``,
+  ``_placed_lo``, ``_placed_on``) are a placed column's cell off its
+  host, for either migration-penalty branch, and on it.  Every writer of
+  row copies writes the four terms with them: :meth:`_read_rows` for
+  every row it reads, :meth:`apply_move` for the rows it touches while
+  the round has an unfrozen column left to read them, and
+  :meth:`_rebuild_cells` for every row of a restored matrix.  Like the
+  cells of frozen columns, a touched row's terms are otherwise stale until
+  the next bind re-reads the row, and nothing reads them before.
 * **One slot space.**  A matrix column *is* a VM slot.  Each slot holds
   the VM's static attributes (``cpu_req``/``mem_req`` as last seen,
   ``fault_tolerance``, the per-class P_req row), one cell per host in
@@ -70,9 +69,9 @@ Per round, :meth:`bind_round` runs two phases:
    transitions and quarantine — the setters mark dirty), rows touched
    hypothetically by last round's :meth:`apply_move` calls, and rows
    whose observed-reliability override changed; re-reads their dynamic
-   state and host terms from the hosts and stamps them, so every column
-   catches up on them the next time it takes part in a round (lazy
-   catch-up, below).
+   state from the hosts, recomputes their row terms and stamps them, so
+   every column catches up on them the next time it takes part in a
+   round (lazy catch-up, below).
    It maintains ``active_rows`` incrementally (recomputed only on an
    availability flip among the dirty rows — the steady state pays no
    O(M) scan);
@@ -83,7 +82,7 @@ Per round, :meth:`bind_round` runs two phases:
    columns across the active rows, catches the unchanged ones up in one
    block over the rows stamped since the oldest of them last took part,
    and keeps the per-column argmin caches valid under the partial
-   rescoring via a generalized multi-row take/rescan rule.
+   rescoring with the take/rescan rule of :meth:`_take_minima`.
 
 The column phase has two paths.  A round of exactly one column that
 changed, with some host row active — one arrival, the shape of most rounds (78–89 % of all binds
@@ -132,8 +131,11 @@ placed VM's cell off its host adds ``2 cm`` (remaining time under ``cm``)
 or ``cm/2`` in place of ``cc``, and on its host ``0.0`` for P_virt and
 P_conc, then the SLA on-cell term; the placed terms are those sums up to
 the column's own terms, so :meth:`_score_placed` adds only the SLA
-on-cell term and P_fault.  :meth:`verify_cells` and the tests hold both
-kernels to the general formula.
+on-cell term and P_fault.  All four sums are one function,
+:meth:`_row_terms`, so a penalty that depends on the host alone goes into
+it once.  :meth:`verify_cells` and the tests hold both kernels to the
+general formula, and both oracles hold every row term they check to its
+recompute from the row copies.
 
 Tie-breaking is order-deterministic under partial rescoring: dirty rows
 are processed in ascending host index (the dirty feed is a *set*; sorting
@@ -146,12 +148,14 @@ permutes dirty-row marking order and asserts identical move sequences.
 Within a round, :meth:`apply_move` rescores only the <=2 affected host
 rows, and only over the round's still-unfrozen columns, and maintains a
 per-column (min value, argmin row) cache of the diff (score - current
-cost), so :meth:`best_move` is O(N).  Frozen columns' cells and costs go
-stale on the touched rows until the next bind restamps those rows; a
-round whose last unfrozen column moves pays nothing beyond the move's
-bookkeeping.  The cache is per column, not per row, because queued VMs
-are frequently identical: a per-row argmin tends to point at the very
-column each move freezes.
+cost), so :meth:`best_move` is O(N).  One take/rescan rule,
+:meth:`_take_minima`, folds fresh cells on a few rows into that cache:
+for a move's touched rows here, and for a bind's lag catch-up rows.
+Frozen columns' cells and costs go stale on the touched rows until the
+next bind restamps those rows; a round whose last unfrozen column moves
+pays nothing beyond the move's bookkeeping.  The cache is per column,
+not per row, because queued VMs are frequently identical: a per-row
+argmin tends to point at the very column each move freezes.
 In-round planned operations feed a ``pending`` concurrency cost per host,
 so later moves see earlier ones through P_conc — this is what makes SB2
 stagger simultaneous creations.
@@ -188,7 +192,7 @@ INF = np.inf
 _MIN_SWEEP = 1024
 
 #: The per-row terms a snapshot leaves out and the restore recomputes.
-_ROW_TERMS = ("_host_terms", "_placed_hi", "_placed_lo", "_placed_on", "_placed_stale")
+_ROW_TERMS = ("_host_terms", "_placed_hi", "_placed_lo", "_placed_on")
 
 
 def _log2_bucket(n: int) -> int:
@@ -293,10 +297,10 @@ class PersistentScoreMatrix:
         self.nvms = np.empty(m)
         self.conc = np.empty(m)
         self.pending = np.zeros(m)
-        #: Each row's queued-cell sum (:meth:`_host_term`), kept with the
-        #: row copies it derives from.
-        self._host_terms = np.empty(m)
-        self._init_placed_terms()
+        #: Each row's four terms (:meth:`_row_terms`), kept with the row
+        #: copies they derive from.
+        for name in _ROW_TERMS:
+            setattr(self, name, np.empty(m))
         self._read_rows(range(m))
         self._active = np.nonzero(self.avail)[0]
 
@@ -440,10 +444,9 @@ class PersistentScoreMatrix:
     def _rebuild_cells(self) -> None:
         """Recompute the row terms and the cell array a snapshot left out.
 
-        The host terms from the stored row copies, every row's placed
-        terms marked for recompute, then one :meth:`_score_block` over the
-        active rows and the non-stale slots, from the row copies and
-        column attributes.
+        Every row's terms from its stored row copies, then one
+        :meth:`_score_block` over the active rows and the non-stale slots,
+        from the row copies and column attributes.
         Exact for every cell anything reads before rescoring it: a column
         reads a cell only after its catch-up has rescored each row stamped
         since the column last took part, rows touched by hypothetical
@@ -451,10 +454,15 @@ class PersistentScoreMatrix:
         unavailable rows are never read.  Counts no rescored cells —
         ``rescore_stats`` resumes exactly as pickled.
         """
-        self._host_terms = np.array(
-            [self._row_host_term(r) for r in range(self.n_rows)], dtype=float
-        )
-        self._init_placed_terms()
+        terms = np.array([
+            self._row_terms(
+                r, self.res_cpu.item(r), self.res_mem.item(r), self.nvms.item(r),
+                self.conc.item(r) + self.pending.item(r),
+            )
+            for r in range(self.n_rows)
+        ]).reshape(self.n_rows, len(_ROW_TERMS))
+        for name, column in zip(_ROW_TERMS, terms.T):
+            setattr(self, name, column.copy())
         self.scores = np.full((self.n_rows, len(self._cur)), INF)
         cols = np.nonzero(~self._stale)[0]
         act = self._active
@@ -583,26 +591,26 @@ class PersistentScoreMatrix:
 
         The one reader of dynamic host state: reserved CPU and memory, VM
         count, concurrency cost and availability (on and not
-        quarantined).  Clears the rows' in-round ``pending`` cost,
-        recomputes their host terms from the values just read and marks
-        their placed terms for recompute.  Returns whether any row's
-        availability flipped.
+        quarantined).  Clears the rows' in-round ``pending`` cost and
+        computes their terms (:meth:`_row_terms`) from the values just
+        read.  Returns whether any row's availability flipped.
         """
         hosts = self.hosts
         avail = self.avail
         res_cpu, res_mem, nvms, conc = self.res_cpu, self.res_mem, self.nvms, self.conc
-        pending, terms, host_term = self.pending, self._host_terms, self._host_term
-        stale = self._placed_stale.add
+        pending, row_terms = self.pending, self._row_terms
+        host, hi = self._host_terms, self._placed_hi
+        lo, on = self._placed_lo, self._placed_on
         flipped = False
         for r in rows:
-            stale(r)
             h = hosts[r]
             cpu = res_cpu[r] = h.cpu_reserved()
             mem = res_mem[r] = h.mem_reserved()
             n = nvms[r] = h.n_vms
             load = conc[r] = h.concurrency_cost
             pending[r] = 0.0
-            terms[r] = host_term(r, cpu, mem, n, load + 0.0)  # pending is 0.0
+            # The load is conc + pending, and pending is now 0.0.
+            host[r], hi[r], lo[r], on[r] = row_terms(r, cpu, mem, n, load + 0.0)
             up = h.is_available and not h.quarantined
             if avail.item(r) != up:  # a numpy bool scalar compares ~20x slower
                 avail[r] = up
@@ -626,104 +634,48 @@ class PersistentScoreMatrix:
             return self._score_queued(R, C)
         return self._score_placed(R, C, q)
 
-    def _host_term(
+    def _row_terms(
         self, r: int, res_cpu: float, res_mem: float, nvms: float, load: float
-    ) -> float:
-        """Row ``r``'s queued-cell sum, from its row-copy values.
+    ) -> Tuple[float, float, float, float]:
+        """Row ``r``'s four terms ``(host, hi, lo, on)``, from its row-copy
+        values; ``load`` is ``conc + pending``.
 
-        ``load`` is ``conc + pending``.  These are the terms
-        :meth:`_score_cells` adds for a column on no host priced at
-        creation, in its order: ``((0.0 + cc) + load) + (t_empty * c_empty
-        - occ_now * c_fill)``, then ``+ 0.0`` for the SLA term; a disabled
-        term is skipped as it is there.  Python floats are IEEE doubles,
-        so the sum is bit-identical to the array one.
+        Each is the sum :meth:`_score_cells` adds, in its order, for one
+        kind of cell on the row, up to the column's own terms: ``host`` for
+        a column on no host priced at creation, ``((0.0 + cc) + load) +
+        P_pwr``; ``hi`` and ``lo`` for a column on another host priced by
+        migration, the same with ``2*cm`` when the column's remaining time
+        is under ``cm`` and with ``cm/2`` otherwise; each then ``+ 0.0``
+        for the SLA term.  ``on`` is the column's own cell, where P_virt
+        and P_conc add exactly 0.0: ``0.0 + P_pwr``, with
+        ``P_pwr = t_empty * c_empty - occ_now * c_fill``.  A disabled term
+        is skipped as it is there; Python floats are IEEE doubles, so each
+        sum is bit-identical to the array one.
         """
         cfg = self.config
-        s = 0.0
+        host = hi = lo = on = 0.0
         if cfg.enable_virt:
-            s += self.cc.item(r)
+            cm = self.cm.item(r)
+            host += self.cc.item(r)
+            hi += 2.0 * cm
+            lo += cm / 2.0
         if cfg.enable_conc:
-            s += load
+            host += load
+            hi += load
+            lo += load
         if cfg.enable_pwr:
             occ_now = max(res_cpu / self.cap_cpu.item(r), res_mem / self.cap_mem.item(r))
             t_empty = 1.0 if nvms <= cfg.th_empty else 0.0
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
+            p_pwr = t_empty * cfg.c_empty - occ_now * cfg.c_fill
+            host += p_pwr
+            hi += p_pwr
+            lo += p_pwr
+            on += p_pwr
         if cfg.enable_sla:
-            s += 0.0
-        return s
-
-    def _row_host_term(self, r: int) -> float:
-        """:meth:`_host_term` of row ``r`` from its row copies."""
-        return self._host_term(
-            r, self.res_cpu.item(r), self.res_mem.item(r), self.nvms.item(r),
-            self.conc.item(r) + self.pending.item(r),
-        )
-
-    def _init_placed_terms(self) -> None:
-        """Empty placed terms, every row marked for recompute."""
-        m = self.n_rows
-        self._placed_hi = np.empty(m)
-        self._placed_lo = np.empty(m)
-        self._placed_on = np.empty(m)
-        #: Rows whose row copies changed since their placed terms were
-        #: computed: the next :meth:`_score_placed` recomputes them.
-        self._placed_stale: set = set(range(m))
-
-    def _refresh_placed_terms(self) -> None:
-        """Recompute the placed terms of every row marked stale."""
-        rows = list(self._placed_stale)
-        self._placed_stale.clear()
-        self._placed_hi[rows], self._placed_lo[rows], self._placed_on[rows] = (
-            self._placed_terms_of(rows)
-        )
-
-    def _placed_terms_of(self, rows: Iterable[int]) -> Tuple[list, list, list]:
-        """The placed terms ``(hi, lo, on)`` of ``rows``, from their row
-        copies.
-
-        A row's placed terms are the sums :meth:`_score_cells` adds, in its
-        order, for a column on another host priced by migration —
-        ``((0.0 + 2*cm) + (conc + pending)) + P_pwr``, then ``+ 0.0`` for
-        the SLA term, when the column's remaining time is under ``cm``
-        (``hi``), the same with ``cm/2`` (``lo``) — and for the column's
-        own cell, where P_virt and P_conc add exactly 0.0: ``0.0 + P_pwr``
-        (``on``).  A disabled term is skipped as it is there; Python
-        floats are IEEE doubles, so each sum is bit-identical to the
-        array one.
-        """
-        cfg = self.config
-        virt, conc, pwr, sla = cfg.enable_virt, cfg.enable_conc, cfg.enable_pwr, cfg.enable_sla
-        th_empty, c_empty, c_fill = cfg.th_empty, cfg.c_empty, cfg.c_fill
-        cm_of, conc_of, pending_of = self.cm.item, self.conc.item, self.pending.item
-        cpu_of, mem_of, nvms_of = self.res_cpu.item, self.res_mem.item, self.nvms.item
-        cap_cpu_of, cap_mem_of = self.cap_cpu.item, self.cap_mem.item
-        his: List[float] = []
-        los: List[float] = []
-        ons: List[float] = []
-        for r in rows:
-            hi = lo = on = 0.0
-            if virt:
-                cm = cm_of(r)
-                hi += 2.0 * cm
-                lo += cm / 2.0
-            if conc:
-                load = conc_of(r) + pending_of(r)
-                hi += load
-                lo += load
-            if pwr:
-                occ_now = max(cpu_of(r) / cap_cpu_of(r), mem_of(r) / cap_mem_of(r))
-                t_empty = 1.0 if nvms_of(r) <= th_empty else 0.0
-                p_pwr = t_empty * c_empty - occ_now * c_fill
-                hi += p_pwr
-                lo += p_pwr
-                on += p_pwr
-            if sla:
-                hi += 0.0
-                lo += 0.0
-            his.append(hi)
-            los.append(lo)
-            ons.append(on)
-        return his, los, ons
+            host += 0.0
+            hi += 0.0
+            lo += 0.0
+        return host, hi, lo, on
 
     def _score_queued(self, R: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Cells of queued slots ``C`` on rows ``R``: the kept host term,
@@ -760,8 +712,6 @@ class PersistentScoreMatrix:
         over it.  Bit-identical to :meth:`_score_cells`: every sum runs
         through the same operands in the same order.
         """
-        if self._placed_stale:
-            self._refresh_placed_terms()
         cfg = self.config
         Rc = R[:, None]
         cur = self._cur[C]
@@ -944,6 +894,45 @@ class PersistentScoreMatrix:
         k = np.argmin(sub, axis=0)
         self._col_min_row[slots] = act[k]
         self._col_min_val[slots] = sub[k, np.arange(slots.size)]
+
+    def _take_minima(
+        self,
+        slots: np.ndarray,
+        rows: np.ndarray,
+        cells: np.ndarray,
+        in_rows: np.ndarray,
+    ) -> np.ndarray:
+        """Fold fresh cells into the argmin caches of ``slots``; return
+        the mask of slots that need a rescan.
+
+        ``cells`` are the slots' fresh cells on ``rows`` (ascending),
+        which hold every row whose cell changed since the caches were
+        right; ``in_rows`` flags the slots whose cached argmin row is
+        such a changed row.  Compare the cached minimum (``v`` at row
+        ``r``) with the best fresh diff (``w`` at row ``rw``, lowest row
+        on ties).  Every other row still holds a diff ``>= v``, and on a
+        tie no lower row than ``r``, so:
+
+        * ``w < v``, or ``w == v`` at a lower row: ``(w, rw)`` is the new
+          minimum;
+        * ``r`` among the fresh rows and ``w == v`` at ``r`` or below: the
+          same;
+        * ``r`` among the fresh rows, not taken: its value got worse, and
+          the column is rescanned;
+        * otherwise the cache still holds.
+        """
+        sub = cells - self._cost[slots]
+        k = np.argmin(sub, axis=0)
+        w = sub[k, np.arange(slots.size)]
+        rw = rows[k]
+        v = self._col_min_val[slots]
+        r = self._col_min_row[slots]
+        take = (w < v) | ((w == v) & (rw < r)) | (in_rows & (w == v) & (rw <= r))
+        if take.any():
+            tk = slots[take]
+            self._col_min_val[tk] = w[take]
+            self._col_min_row[tk] = rw[take]
+        return in_rows & ~take
 
     # ----------------------------------------------------------------- bind
 
@@ -1188,26 +1177,14 @@ class PersistentScoreMatrix:
 
         # ---- argmin maintenance -----------------------------------------
         # Changed columns: straight from the block just scored.  Lagging
-        # columns: generalized multi-row take/rescan against the cache.  A
-        # row the column already saw holds a diff no better than its cached
-        # minimum, and on a tie no lower row, so it never takes.
+        # columns: :meth:`_take_minima` against the cache, where a
+        # column's cached row changed if it was stamped after the column.
+        # A row the column already saw holds a diff no better than its
+        # cached minimum, and on a tie no lower row, so it never takes.
         self._refresh_minima(cols_changed, block)
         if sub is not None:
-            sub = sub - self._cost[lag]
-            k = np.argmin(sub, axis=0)  # rows ascending: lowest host wins
-            w = sub[k, np.arange(lag.size)]
-            rw = rows[k]
-            v = self._col_min_val[lag]
-            r = self._col_min_row[lag]
-            in_t = self._row_stamp[r] > seen
-            take = (
-                (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
-            )
-            rescan[lag_pos[in_t & ~take]] = True
-            if take.any():
-                tk = lag[take]
-                self._col_min_val[tk] = w[take]
-                self._col_min_row[tk] = rw[take]
+            in_rows = self._row_stamp[self._col_min_row[lag]] > seen
+            rescan[lag_pos] |= self._take_minima(lag, rows, sub, in_rows)
         if rescan.any():
             self._refresh_minima(slots[rescan])
         self._col_stamp[slots] = self._bind_idx
@@ -1258,10 +1235,11 @@ class PersistentScoreMatrix:
         their next participation) and marks a queued->placed column stale
         (its pricing flipped on every row; the full rescore is deferred to
         its next participation).  Both touched rows are rescored in one
-        :meth:`_score_block` call; their host terms are recomputed first,
-        and their placed terms marked for recompute, which the placed
-        kernel does only if it runs before the next bind re-reads the
-        rows.  No unfrozen column left: no term is recomputed.
+        :meth:`_score_block` call, after their terms are recomputed from
+        the moved row copies, and the argmin caches take the fresh cells
+        through :meth:`_take_minima`.  No unfrozen column left: no term
+        is recomputed, and nothing reads one before the next bind
+        re-reads the rows.
         """
         slot = int(self._round_slots[col])
         if self._frozen[slot]:
@@ -1292,7 +1270,6 @@ class PersistentScoreMatrix:
 
         touched = [row] if old < 0 else sorted({old, row})
         self._touched.update(touched)
-        self._placed_stale.update(touched)
         # The moved column is frozen: O(1) invalidation.
         self._col_min_val[slot] = INF
         self._col_min_row[slot] = 0
@@ -1305,10 +1282,16 @@ class PersistentScoreMatrix:
         ls = rs[~self._frozen[rs]]
         if not ls.size:
             return
-        # The kernels below are the one reader of a touched row's host
-        # term before the next bind re-reads the row.
+        # The kernels below are the one reader of a touched row's terms
+        # before the next bind re-reads the row.
         for t in touched:
-            self._host_terms[t] = self._row_host_term(t)
+            (
+                self._host_terms[t], self._placed_hi[t],
+                self._placed_lo[t], self._placed_on[t],
+            ) = self._row_terms(
+                t, self.res_cpu.item(t), self.res_mem.item(t), self.nvms.item(t),
+                self.conc.item(t) + self.pending.item(t),
+            )
         T = np.array(touched)
         cells = self._score_block(T, ls)
         self.scores[T[:, None], ls] = cells
@@ -1318,11 +1301,11 @@ class PersistentScoreMatrix:
         # Current costs change only for columns homed on a touched row
         # (their current cell was just recomputed).  A cost change shifts
         # that column's whole diff uniformly, so the cached min value
-        # shifts with it and the argmin row stays put.
+        # shifts with it and the argmin row stays put.  ``touched`` holds
+        # one row or two, so its first and last name every touched row.
+        first, last = touched[0], touched[-1]
         cur_l = self._cur[ls]
-        homed = cur_l == touched[0]
-        if len(touched) == 2:
-            homed |= cur_l == touched[1]
+        homed = (cur_l == first) | (cur_l == last)
         if homed.any():
             homed_slots = ls[homed]
             old_costs = self._cost[homed_slots].copy()
@@ -1330,41 +1313,9 @@ class PersistentScoreMatrix:
             self._col_min_val[homed_slots] += old_costs - new_costs
             self._cost[homed_slots] = new_costs
 
-        # Score changes are confined to the touched rows.  For each column,
-        # compare the cached min (v at row r) with the best new value over
-        # the touched rows (w at row rw, lowest row on ties).  Every
-        # untouched row still holds a value >= v, so:
-        #   w < v, or w == v at a lower row  ->  (w, rw) is the new min;
-        #   cached row untouched, not beaten ->  cache still valid;
-        #   cached row touched and got worse ->  full column rescan.
-        v = self._col_min_val[ls]
+        # Score changes are confined to the touched rows.
         r = self._col_min_row[ls]
-        cost = self._cost[ls]
-        if len(touched) == 1:
-            t0 = touched[0]
-            w = cells[0] - cost
-            # With one touched row the general rule collapses to: take on
-            # a strict win, or a tie at a row index not above the cached
-            # one (covers both the rw<r and the in-T rw==r cases).
-            take = (w < v) | ((w == v) & (r >= t0))
-            rescan = (r == t0) & (w > v)
-            if take.any():
-                tk = ls[take]
-                self._col_min_val[tk] = w[take]
-                self._col_min_row[tk] = t0
-        else:
-            d0 = cells[0] - cost
-            d1 = cells[1] - cost
-            first = d0 <= d1
-            w = np.where(first, d0, d1)
-            rw = np.where(first, touched[0], touched[1])
-            in_t = (r == touched[0]) | (r == touched[1])
-            take = (w < v) | ((w == v) & (rw < r)) | (in_t & (w == v) & (rw <= r))
-            rescan = in_t & ~take
-            if take.any():
-                tk = ls[take]
-                self._col_min_val[tk] = w[take]
-                self._col_min_row[tk] = rw[take]
+        rescan = self._take_minima(ls, T, cells, (r == first) | (r == last))
         if rescan.any():
             self._refresh_minima(ls[rescan])
 
@@ -1401,7 +1352,7 @@ class PersistentScoreMatrix:
         bound state is then real, not hypothetical).  The one-shot shares
         only the static host arrays and reads every row from the hosts,
         so this compares the matrix with the hosts themselves: every row
-        copy, the active row set, cells on active rows, current costs,
+        copy and row term, the active row set, cells on active rows, current costs,
         and the argmin caches for every round column; raises
         :class:`~repro.errors.StateError` on any mismatch.  The one-shot
         (:meth:`_twin`) registers nothing on the hosts.
@@ -1418,13 +1369,8 @@ class PersistentScoreMatrix:
                 )
 
         # Row copies first: a drifted copy is the root cause of cell drift.
-        for name in ("res_cpu", "res_mem", "nvms", "conc", "avail", "_host_terms"):
+        for name in ("res_cpu", "res_mem", "nvms", "conc", "avail") + _ROW_TERMS:
             same(name, getattr(self, name), getattr(fresh, name))
-        # Kept placed terms: every row not marked for recompute.
-        fresh._refresh_placed_terms()
-        kept = self._kept_placed_rows(np.arange(self.n_rows))
-        for name in ("_placed_hi", "_placed_lo", "_placed_on"):
-            same(name, getattr(self, name)[kept], getattr(fresh, name)[kept])
         rs = self._round_slots
         frs = fresh._round_slots
         act = self._active
@@ -1457,9 +1403,9 @@ class PersistentScoreMatrix:
         matrix's *own* stored attribute arrays and compares with the
         incrementally maintained values; cells with the general formula,
         whichever kernel wrote them.  Also checks that each active,
-        untouched row's host term, and its placed terms unless marked for
-        recompute, equal their recompute from the row copies.  Rows touched by hypothetical
-        moves since the last bind are excluded (their pending concurrency
+        untouched row's four terms equal their recompute from the row
+        copies (:meth:`_row_terms`).  Rows touched by hypothetical moves
+        since the last bind are excluded (their pending concurrency
         is round-local by design), as are columns homed on or argmin'd at
         such rows.  Raises :class:`~repro.errors.StateError` on mismatch.
         """
@@ -1470,23 +1416,20 @@ class PersistentScoreMatrix:
         act = self._active
         touched = np.fromiter(sorted(self._touched), dtype=int) if self._touched else np.empty(0, dtype=int)
         rows = np.setdiff1d(act, touched) if touched.size else act
-        terms = np.array([self._row_host_term(r) for r in rows], dtype=float)
-        if not np.array_equal(terms, self._host_terms[rows]):
-            j = int(np.nonzero(terms != self._host_terms[rows])[0][0])
-            raise StateError(
-                f"persistent matrix host-term drift: host {int(rows[j])} "
-                f"cached {self._host_terms[rows][j]!r} != recomputed {terms[j]!r}"
+        terms = np.array([
+            self._row_terms(
+                r, self.res_cpu.item(r), self.res_mem.item(r), self.nvms.item(r),
+                self.conc.item(r) + self.pending.item(r),
             )
-        kept = self._kept_placed_rows(rows)
-        for name, terms in zip(
-            ("_placed_hi", "_placed_lo", "_placed_on"), self._placed_terms_of(kept)
-        ):
-            cached = getattr(self, name)[kept]
-            if not np.array_equal(np.array(terms, dtype=float), cached):
-                j = int(np.nonzero(np.array(terms) != cached)[0][0])
+            for r in rows.tolist()
+        ]).reshape(rows.size, len(_ROW_TERMS))
+        for name, recomputed in zip(_ROW_TERMS, terms.T):
+            cached = getattr(self, name)[rows]
+            if not np.array_equal(recomputed, cached):
+                j = int(np.nonzero(recomputed != cached)[0][0])
                 raise StateError(
-                    f"persistent matrix placed-term drift: {name} host "
-                    f"{int(kept[j])} cached {cached[j]!r} != recomputed {terms[j]!r}"
+                    f"persistent matrix row-term drift: {name} host {int(rows[j])} "
+                    f"cached {cached[j]!r} != recomputed {recomputed[j]!r}"
                 )
         if not check.size or not rows.size:
             return True
@@ -1533,13 +1476,6 @@ class PersistentScoreMatrix:
                         f"({val[j]!r}, {int(row[j])})"
                     )
         return True
-
-    def _kept_placed_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The rows among ``rows`` whose placed terms are kept, not marked
-        for recompute."""
-        if not self._placed_stale:
-            return rows
-        return rows[~np.isin(rows, list(self._placed_stale))]
 
     def force_full_rebuild(self) -> None:
         """Mark everything dirty; the next bind rebuilds from ground truth."""

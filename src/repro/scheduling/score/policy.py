@@ -104,7 +104,7 @@ class ScoreBasedPolicy(SchedulingPolicy):
         #: bit-identical to the plain full climb.  Requires the
         #: ``hill_climb`` solver (metaheuristics have no anytime prefix
         #: property).
-        self.budget_controller: Optional["RoundBudget"] = None
+        self.budget_controller: Optional["RoundBudgetController"] = None
 
     def _long_lived_matrix(self, ctx: SchedulingContext) -> PersistentScoreMatrix:
         """The attached matrix for ``ctx.hosts`` (rebuilt on a new cluster).

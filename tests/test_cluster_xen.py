@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.xen import CreditScheduler, compute_shares
+from repro.cluster.xen import compute_shares
 from repro.errors import ConfigurationError
 
 
@@ -103,24 +103,3 @@ class TestComputeShares:
             lo = ratios[unsaturated].min()
             hi = ratios.max()
             assert lo == pytest.approx(hi, rel=1e-6)
-
-
-class TestCreditScheduler:
-    def test_named_allocation(self):
-        cs = CreditScheduler(capacity=400.0)
-        out = cs.allocate({"vm1": 300.0, "vm2": 300.0})
-        assert out["vm1"] == pytest.approx(200.0)
-        assert out["vm2"] == pytest.approx(200.0)
-
-    def test_empty_allocation(self):
-        assert CreditScheduler(400.0).allocate({}) == {}
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CreditScheduler(0.0)
-
-    def test_deterministic_order(self):
-        cs = CreditScheduler(capacity=100.0)
-        a = cs.allocate({"x": 80.0, "y": 80.0})
-        b = cs.allocate({"x": 80.0, "y": 80.0})
-        assert a == b

@@ -32,7 +32,7 @@ from repro.cluster.host import HostState
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.vm import Vm, VmState
 from repro.cluster import host as host_module
-from repro.cluster.xen import CreditScheduler, ShareMemo, compute_shares
+from repro.cluster.xen import ShareMemo, compute_shares
 from repro.des.simulator import Simulator
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
@@ -144,14 +144,6 @@ class TestWaterFillingProperties:
 
 
 class TestDegenerateInputs:
-    def test_allocate_empty_demand_dict(self):
-        assert CreditScheduler(400.0).allocate({}) == {}
-
-    def test_allocate_missing_weight_key_names_domain(self):
-        cs = CreditScheduler(400.0)
-        with pytest.raises(ConfigurationError, match="'vm2'"):
-            cs.allocate({"vm1": 50.0, "vm2": 50.0}, weights={"vm1": 1.0})
-
     def test_all_zero_weights_fall_back_to_epsilon(self):
         """Zero-weight runnable domains still split the capacity."""
         shares = compute_shares(100.0, [80.0, 80.0], weights=[0.0, 0.0])

@@ -10,6 +10,13 @@ from repro.des import Simulator
 from repro.errors import SimulationError
 
 
+def _fire_one(sim):
+    """Run the simulator for one event; whether an event fired."""
+    before = sim.events_processed
+    sim.run(max_events=1)
+    return sim.events_processed > before
+
+
 class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
@@ -124,7 +131,7 @@ class TestCancellation:
         sim = Simulator()
         fired = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.step() is True
+        assert _fire_one(sim) is True
         fired.cancel()
         assert fired.cancelled is False
         assert sim.pending == 1
@@ -154,17 +161,17 @@ class TestRekey:
         handle.cancel()
         assert sim.rekey(handle, 1.0) is False
         fired = sim.at(1.5, lambda: None)
-        assert sim.step()
+        assert _fire_one(sim)
         assert sim.rekey(fired, 1.5) is False
         assert sim.pending == 0
 
-    def test_step_moves_a_stale_entry_before_firing(self):
+    def test_one_event_runs_move_a_stale_entry_before_firing(self):
         sim = Simulator()
         order = []
         handles = [sim.at(1.0, partial(order.append, i)) for i in range(3)]
         sim.rekey(handles[0], 1.0)
         sim.rekey(handles[1], 1.0)
-        while sim.step():
+        while _fire_one(sim):
             pass
         assert order == [2, 0, 1]
         assert sim.events_processed == 3
@@ -227,15 +234,15 @@ class TestRunControl:
         sim.run()
         assert fired == [1.0]
 
-    def test_step_returns_false_on_empty_queue(self):
-        assert Simulator().step() is False
+    def test_one_event_run_on_empty_queue_fires_nothing(self):
+        assert _fire_one(Simulator()) is False
 
-    def test_step_fires_one_event(self):
+    def test_one_event_run_fires_one_event(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
+        assert _fire_one(sim) is True
         assert fired == [1]
 
     def test_reentrant_run_rejected(self):
@@ -248,12 +255,13 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_drain_advances_through_checkpoints(self):
+    def test_run_until_advances_through_checkpoints(self):
         sim = Simulator()
         seen = []
         sim.schedule(1.0, lambda: seen.append(sim.now))
         sim.schedule(5.0, lambda: seen.append(sim.now))
-        sim.drain([2.0, 6.0])
+        for t in (2.0, 6.0):
+            sim.run(until=t)
         assert seen == [1.0, 5.0]
 
 
@@ -366,7 +374,7 @@ class _Model:
                 elif seq in fired:
                     assert not handle.cancelled
         elif kind == "step":
-            self._expect_fire(sim.step())
+            self._expect_fire(_fire_one(sim))
         assert sim.pending == len(self.live)
 
     def _expect_fire(self, fired):
@@ -525,7 +533,7 @@ class _Script:
             # Outside the loop, only a compaction shrinks the heap.
             self.compactions += len(sim._heap) < heap
         elif kind == "step":
-            sim.step()
+            sim.run(max_events=1)
         elif kind == "until":
             sim.run(until=sim.now + op[1])
 
@@ -533,8 +541,8 @@ class _Script:
 _tag = st.integers(min_value=0, max_value=10**6)
 _run = st.integers(min_value=1, max_value=12)
 #: ``("at", delay, priority, count)``; ``(kind, first tag, count[, delay])``
-#: for a run of consecutive tags; ``("step",)``, ``("until", delay)``,
-#: ``("pickle",)``.
+#: for a run of consecutive tags; ``("step",)`` (a one-event run),
+#: ``("until", delay)``, ``("pickle",)``.
 _script_op = st.one_of(
     st.tuples(st.just("at"), _delay, _priority, _run),
     st.tuples(st.just("cancel"), _tag, _run),
@@ -551,7 +559,7 @@ class TestRekeyDifferential:
     @given(ops=st.lists(_script_op, min_size=10, max_size=120))
     def test_fires_exactly_as_cancel_and_push(self, ops):
         """Random scripts with equal-(time, priority) ties, reschedules to
-        the same and to another time, ``step``, ``run(until=)``,
+        the same and to another time, one-event runs, ``run(until=)``,
         compaction and a pickle round trip: the re-keying simulator fires
         the reference's sequence, with the same live count throughout."""
         mine, ref = _Script(rekey=True), _Script(rekey=False)

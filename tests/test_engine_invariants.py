@@ -69,6 +69,12 @@ class TestConfig:
         )
         assert engine.config.invariant_mode == "resync"
 
+    def test_env_variable_other_value_keeps_config_mode(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STRICT_INVARIANTS", "1")
+        engine = _engine(EngineConfig(seed=3, invariant_mode="resync"))
+        assert engine.config.strict_invariants
+        assert engine.config.invariant_mode == "resync"
+
 
 class TestSemanticsFree:
     def test_rows_bit_identical_with_checks_enabled(self, monkeypatch):
@@ -86,6 +92,76 @@ class TestSemanticsFree:
         assert baseline.invariant_checks == 0
         assert strict.invariant_checks > 0
         assert strict.invariant_resyncs == 0
+
+
+    @staticmethod
+    def _score_run(checkpoint_dir=None, strict=False):
+        from repro.scheduling.score import ScoreConfig
+        from repro.scheduling.score.policy import ScoreBasedPolicy
+
+        trace = Grid5000WeekGenerator(
+            SyntheticConfig(horizon_s=6 * 3600.0), seed=7
+        ).generate()
+        return DatacenterSimulation(
+            ClusterSpec.homogeneous(8), ScoreBasedPolicy(ScoreConfig.sb()),
+            trace.fresh(),
+            config=EngineConfig(
+                seed=3, strict_invariants=strict, invariant_interval_s=600.0,
+                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+                checkpoint_sim_interval_s=3600.0 if checkpoint_dir else None,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "written,resumed", [(False, True), (True, False)],
+        ids=["plain-resumed-strict", "strict-resumed-plain"],
+    )
+    def test_snapshot_resumes_across_the_strict_switch(
+        self, tmp_path, monkeypatch, written, resumed
+    ):
+        """Strict checking is no part of a run's identity: a snapshot
+        written with it off resumes with it on, and the other way round,
+        to the plain uninterrupted run's row."""
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+        baseline = self._score_run().run()
+        writer = self._score_run(tmp_path, strict=written)
+        writer.start()
+        writer.sim.run(until=3 * 3600.0)
+        writer._snapshotter.flush()
+        restored = self._score_run(tmp_path, strict=resumed).try_restore()
+        assert restored is not None and restored.sim.now > 0.0
+        assert restored.config.strict_invariants is resumed
+        checks_before = restored._invariant_checks
+        result = restored.run()
+        for name in ROW_FIELDS:
+            assert getattr(result, name) == getattr(baseline, name), name
+        assert result.snapshot_restores == 1
+        if resumed:
+            assert result.invariant_checks > checks_before
+        else:
+            assert result.invariant_checks == checks_before
+
+    @pytest.mark.parametrize("mode", ["raise", "resync"])
+    def test_env_variable_applies_on_resume(self, tmp_path, monkeypatch, mode):
+        """``REPRO_STRICT_INVARIANTS`` switches checking on for a plain
+        resume of a plain snapshot, as it does at construction."""
+        monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
+        baseline = self._score_run().run()
+        writer = self._score_run(tmp_path)
+        writer.start()
+        writer.sim.run(until=3 * 3600.0)
+        writer._snapshotter.flush()
+        monkeypatch.setenv("REPRO_STRICT_INVARIANTS", mode)
+        restored = self._score_run(tmp_path).try_restore()
+        assert restored is not None and restored.sim.now > 0.0
+        assert restored.config.strict_invariants
+        assert restored.config.invariant_mode == mode
+        checks_before = restored._invariant_checks
+        result = restored.run()
+        for name in ROW_FIELDS:
+            assert getattr(result, name) == getattr(baseline, name), name
+        assert result.invariant_checks > checks_before
+        assert result.invariant_resyncs == 0
 
 
 class TestDriftDetection:
@@ -269,15 +345,14 @@ def _corrupt_host_terms(engine):
     matrix._host_terms[row] += 5.0
 
 
-def _corrupt_placed_terms(engine):
+def _corrupt_row_terms(engine):
     # A kept placed term of a clean, active host: its cells go wrong only
     # when a placed column is next scored on it, but the bind oracle
-    # compares the kept terms themselves.
+    # compares every row term itself.
     matrix = engine.policy._matrix
     row = next(
         i for i in matrix._active
         if engine.hosts[i].host_id not in matrix._sink and i not in matrix._touched
-        and i not in matrix._placed_stale
     )
     matrix._placed_hi[row] += 5.0
 
@@ -338,8 +413,8 @@ DRIFTS = [
      "persistent matrix drift: res_cpu", _corrupt_row_copy),
     ("matrix host terms", "persistent matrix bind",
      "persistent matrix drift: _host_terms", _corrupt_host_terms),
-    ("matrix placed terms", "persistent matrix bind",
-     "persistent matrix drift: _placed_hi", _corrupt_placed_terms),
+    ("matrix row terms", "persistent matrix bind",
+     "persistent matrix drift: _placed_hi", _corrupt_row_terms),
     ("retired archive", "retired archive", "chunk 0 of 1", _corrupt_archive),
 ]
 

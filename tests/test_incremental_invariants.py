@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.host import Host, HostState, Operation, OperationKind
 from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
-from repro.cluster.xen import CreditScheduler, ShareMemo
+from repro.cluster.xen import ShareMemo, compute_shares
 from repro.engine.config import EngineConfig
 from repro.engine.datacenter import DatacenterSimulation
 from repro.errors import CapacityError, StateError
@@ -212,9 +212,12 @@ def legacy_recompute_shares(host):
         weights[f"op:{i}"] = op.cpu_overhead
     out = {}
     if demands:
-        shares = CreditScheduler(host.spec.cpu_capacity).allocate(
-            demands, weights
+        solved = compute_shares(
+            float(host.spec.cpu_capacity),
+            list(demands.values()),
+            list(weights.values()),
         )
+        shares = {name: float(s) for name, s in zip(demands, solved)}
         for vm in host.vms.values():
             key = f"vm:{vm.vm_id}"
             if key in shares:

@@ -58,7 +58,7 @@ class TestPendingCounter:
         # Double-cancel must not double-count.
         handles[3].cancel()
         assert sim.pending == 8
-        sim.step()
+        sim.run(max_events=1)
         assert sim.pending == 7
         sim.run()
         assert sim.pending == 0
@@ -68,7 +68,7 @@ class TestPendingCounter:
         sim = Simulator()
         h = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
+        sim.run(max_events=1)
         assert sim.pending == 1
         h.cancel()  # already fired: accounting must not change
         assert sim.pending == 1

@@ -5,7 +5,9 @@ collects each name a function or class definition in ``src/`` binds.  A
 name is referenced when it occurs anywhere in those directories other
 than as a definition: as a name or attribute in code, in an import, or
 as a word of a string that is not a docstring (``__all__``,
-``getattr``, the ledger's layer table).  Dunders, and the pickler hooks
+``getattr``, the ledger's layer table).  A file outside ``src/`` that
+defines a function or class of a name is taken to mean its own: its
+references to that name do not count.  Dunders, and the pickler hooks
 that :mod:`pickle` calls by name, are exempt.
 """
 
@@ -41,21 +43,27 @@ def _scan():
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             docs = _docstrings(tree)
+            own = set()
+            names = set()
             for node in ast.walk(tree):
-                if isinstance(node, DEFS) and top == "src":
-                    defined[node.name].append(f"{path.relative_to(ROOT)}:{node.lineno}")
+                if isinstance(node, DEFS):
+                    own.add(node.name)
+                    if top == "src":
+                        site = f"{path.relative_to(ROOT)}:{node.lineno}"
+                        defined[node.name].append(site)
                 elif isinstance(node, ast.Name):
-                    referenced.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+                    names.add(node.attr)
                 elif isinstance(node, ast.alias):
-                    referenced.add(node.name.rpartition(".")[2])
+                    names.add(node.name.rpartition(".")[2])
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and id(node) not in docs
                 ):
-                    referenced.update(WORD.findall(node.value))
+                    names.update(WORD.findall(node.value))
+            referenced |= names if top == "src" else names - own
     return defined, referenced
 
 

@@ -21,6 +21,7 @@ from repro.cluster.spec import FAST, MEDIUM, SLOW, HostSpec
 from repro.cluster.vm import Vm, VmState
 from repro.scheduling.score import ScoreConfig, ScoreMatrixBuilder
 from repro.scheduling.score.evaluator import AssignmentEvaluator
+from repro.scheduling.score.persistent import PersistentScoreMatrix
 from repro.scheduling.score.solver import hill_climb
 
 CLASSES = [FAST, MEDIUM, SLOW]
@@ -300,6 +301,34 @@ class TestWithinRoundInvariant:
             b.apply_move(col, int(finite_rows[int(rng.integers(finite_rows.size))]))
         b.bind_round(columns, 100.0, fulfills)
         assert b.verify_against_fresh(columns, 100.0, fulfills)
+
+    def test_a_touched_row_that_keeps_the_cached_minimum_is_not_rescanned(
+        self, monkeypatch
+    ):
+        """Placing one of two identical queued VMs on the row both cache as
+        their argmin leaves the other's diff there as it was (creation
+        cost only: no P_conc, no P_pwr).  The cache takes the fresh value
+        at the same row; no column is rescanned."""
+        hosts = [
+            Host(HostSpec(host_id=i), initial_state=HostState.ON) for i in range(4)
+        ]
+        b = ScoreMatrixBuilder(
+            hosts, [make_vm(1), make_vm(2)], 0.0, ScoreConfig.sb1(enable_pwr=False)
+        )
+        slots = b._round_slots
+        assert b._col_min_row[slots].tolist() == [0, 0]
+        before = b._col_min_val[slots[1]]
+        rescans = []
+        real = PersistentScoreMatrix._refresh_minima
+
+        def spy(self, slots, block=None):
+            rescans.append(slots.tolist())
+            return real(self, slots, block)
+
+        monkeypatch.setattr(PersistentScoreMatrix, "_refresh_minima", spy)
+        b.apply_move(0, 0)
+        assert rescans == []
+        assert (b._col_min_row[slots[1]], b._col_min_val[slots[1]]) == (0, before)
 
     def test_one_column_round_stops_after_the_placement(self):
         hosts = [

@@ -526,35 +526,53 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-def _recomputed_host_terms(matrix):
-    """The queued-cell sum of every row, vectorized from the row copies in
-    the general formula's order."""
+def _recomputed_row_terms(matrix):
+    """Every row's four terms, by name, vectorized from the row copies in
+    the general formula's order: the queued-cell sum, the migration sums
+    for either bucket branch, and the on-cell sum."""
     cfg = matrix.config
-    s = np.zeros(matrix.n_rows)
+    m = matrix.n_rows
+    host, hi, lo, on = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
     if cfg.enable_virt:
-        s += matrix.cc
+        host += matrix.cc
+        hi += 2.0 * matrix.cm
+        lo += matrix.cm / 2.0
     if cfg.enable_conc:
-        s += matrix.conc + matrix.pending
+        load = matrix.conc + matrix.pending
+        host += load
+        hi += load
+        lo += load
     if cfg.enable_pwr:
         occ_now = np.maximum(
             matrix.res_cpu / matrix.cap_cpu, matrix.res_mem / matrix.cap_mem
         )
         t_empty = (matrix.nvms <= cfg.th_empty).astype(float)
-        s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
+        p_pwr = t_empty * cfg.c_empty - occ_now * cfg.c_fill
+        host += p_pwr
+        hi += p_pwr
+        lo += p_pwr
+        on += p_pwr
     if cfg.enable_sla:
-        s += 0.0
-    return s
+        host += 0.0
+        hi += 0.0
+        lo += 0.0
+    return dict(zip(persistent._ROW_TERMS, (host, hi, lo, on)))
+
+
+def _assert_row_terms_exact(matrix, rows):
+    """The kept row terms of ``rows`` equal their recompute, bit for bit."""
+    for name, terms in _recomputed_row_terms(matrix).items():
+        assert np.array_equal(
+            _bits(getattr(matrix, name)[rows]), _bits(terms[rows])
+        ), name
 
 
 def _assert_queued_cells_exact(matrix):
-    """Host terms equal their recompute, and queued cells the general
+    """Row terms equal their recompute, and queued cells the general
     formula through every entry point, on every row not touched by a
     hypothetical move since the last bind (the bind re-reads those)."""
     rows = np.setdiff1d(np.arange(matrix.n_rows), sorted(matrix._touched))
-    assert np.array_equal(
-        _bits(matrix._host_terms[rows]),
-        _bits(_recomputed_host_terms(matrix)[rows]),
-    )
+    _assert_row_terms_exact(matrix, rows)
     rs = matrix._round_slots
     queued = rs[matrix._cur[rs] < 0]
     if not queued.size:
@@ -678,8 +696,7 @@ class TestHostTermKernel:
     def test_arrival_bind_never_evaluates_the_general_formula(self, monkeypatch):
         """On a warmed matrix, a one-arrival round and its climb score the
         queued column from the host terms alone: neither the general
-        formula nor the placed-term kernel runs, and no placed term is
-        computed."""
+        formula nor the placed-term kernel runs."""
         hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(6)]
         running = [make_vm(100 + v) for v in range(4)]
         for v, vm in enumerate(running):
@@ -696,7 +713,7 @@ class TestHostTermKernel:
             raise AssertionError("a queued column took the general formula")
 
         def placed(*args):
-            raise AssertionError("a queued round computed a placed term")
+            raise AssertionError("a queued round took the placed kernel")
 
         place(hosts[5], make_vm(300))  # one dirty row to catch up on
         arrival = make_vm(301)
@@ -704,7 +721,6 @@ class TestHostTermKernel:
         with monkeypatch.context() as m:
             m.setattr(PersistentScoreMatrix, "_score_cells", general)
             m.setattr(PersistentScoreMatrix, "_score_placed", placed)
-            m.setattr(PersistentScoreMatrix, "_placed_terms_of", placed)
             matrix.bind_round([arrival], 20.0, fulf)
             assert matrix._col_hist[1] >= 1
             moves = hill_climb(matrix)
@@ -715,24 +731,12 @@ class TestHostTermKernel:
         with monkeypatch.context() as m:
             m.setattr(PersistentScoreMatrix, "_score_cells", general)
             m.setattr(PersistentScoreMatrix, "_score_placed", placed)
-            m.setattr(PersistentScoreMatrix, "_placed_terms_of", placed)
             matrix.bind_round(burst, 30.0, fulf)
             hill_climb(matrix)
         matrix.force_full_rebuild()
         matrix.bind_round(burst, 40.0, fulf)
         assert matrix.verify_against_fresh(burst, 40.0, fulf)
         assert matrix.verify_cells()
-
-    def test_verify_cells_catches_a_drifted_host_term(self):
-        hosts = [make_host(i) for i in range(4)]
-        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
-        matrix.attach()
-        vm = make_vm(100)
-        matrix.bind_round([vm], 0.0)
-        assert matrix.verify_cells()
-        matrix._host_terms[int(matrix._active[1])] += 1.0
-        with pytest.raises(StateError, match="host-term drift: host 1 "):
-            matrix.verify_cells()
 
 
 def _assert_cells_exact(matrix, rows, cols):
@@ -766,10 +770,15 @@ class TestPlacedTermKernel:
     After every bind, every hypothetical move (which moves ``pending``,
     ``nvms`` and the reservations of the touched rows) and a snapshot
     restore, blocks that mix queued and placed columns must equal the
-    general formula bit for bit.  Remaining times sit near the migration
-    costs, so columns cross buckets between rounds; fulfilments below 1
-    and at or below ``th_sla`` put soft penalties and hard infinities on
-    the on-cells.
+    general formula bit for bit.  So must the four row terms equal a
+    vectorized recompute from the row copies on every row the matrix
+    may read, and the stored cells of the round's unfrozen columns the
+    general formula: every writer of row copies writes the terms with
+    them.  A round's moves either stop early or go on until every column
+    is frozen, so both sides of ``apply_move``'s unfrozen-column test
+    are taken.  Remaining times sit near the migration costs, so columns
+    cross buckets between rounds; fulfilments below 1 and at or below
+    ``th_sla`` put soft penalties and hard infinities on the on-cells.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -806,19 +815,28 @@ class TestPlacedTermKernel:
         matrix = PersistentScoreMatrix(hosts, config)
         matrix.attach()
 
-        def check(m):
-            # A touched row's host term is recomputed while an unfrozen
-            # column is left to read it; the next bind re-reads the row.
+        def check(m, restored=False):
+            # A touched row's terms are recomputed while an unfrozen
+            # column is left to read them, and by a restore; otherwise
+            # the next bind re-reads the row.
             rows = np.arange(m.n_rows)
             rs = m._round_slots
-            if m._touched and m._frozen[rs].all():
+            live = rs[~m._frozen[rs]]
+            if m._touched and not (live.size or restored):
                 rows = np.setdiff1d(rows, sorted(m._touched))
+            _assert_row_terms_exact(m, rows)
             if rows.size and rs.size:
                 _assert_cells_exact(m, rows, rs)
                 mixed = rs[np.array(data.draw(st.lists(
                     st.booleans(), min_size=rs.size, max_size=rs.size), label="subset"))]
                 if mixed.size:
                     _assert_cells_exact(m, rows, mixed)
+            act = np.intersect1d(rows, m._active)
+            if act.size and live.size:
+                assert np.array_equal(
+                    _bits(m.scores[act[:, None], live]),
+                    _bits(m._score_cells(act, live)),
+                )
             assert m.verify_cells()
 
         now = 0.0
@@ -839,20 +857,23 @@ class TestPlacedTermKernel:
             matrix.bind_round(columns, now, fulf, rel)
             assert matrix.verify_against_fresh(columns, now, fulf, rel)
             check(matrix)
-            for _ in range(data.draw(st.integers(min_value=0, max_value=4), label="moves")):
+            freeze_all = data.draw(st.booleans(), label="freeze_all")
+            n_moves = matrix.n_cols if freeze_all else data.draw(
+                st.integers(min_value=0, max_value=2), label="moves")
+            for _ in range(n_moves):
                 free = [j for j in range(matrix.n_cols)
                         if not matrix._frozen[matrix._round_slots[j]]]
                 if not free:
                     break
                 col = data.draw(st.sampled_from(free), label="col")
-                row = data.draw(st.integers(0, n_hosts - 1), label="row")
-                if matrix._cur[matrix._round_slots[col]] == row:
-                    continue
+                cur = int(matrix._cur[matrix._round_slots[col]])
+                row = data.draw(st.sampled_from(
+                    [r for r in range(n_hosts) if r != cur]), label="row")
                 matrix.apply_move(col, row)
                 check(matrix)
-        # The restore recomputes the placed terms it scores the cells from.
+        # The restore recomputes the row terms it scores the cells from.
         restored = pickle.loads(pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL))
-        check(restored)
+        check(restored, restored=True)
 
     def test_on_cells_and_hard_sla_infinities(self):
         """The on-cell term with its SLA on-cell term: soft below full
@@ -882,54 +903,55 @@ class TestPlacedTermKernel:
             assert (cost < config.queue_cost) if reprice else cost == config.queue_cost
 
     def test_consolidation_move_rescores_both_rows_in_one_call(self, monkeypatch):
-        """A migration's two touched rows are one placed-kernel call, and
-        only they have their placed terms recomputed."""
+        """A migration recomputes the terms of its two touched rows, and
+        only theirs, before one placed-kernel call reads them."""
         hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(4)]
         running = [make_vm(100 + v) for v in range(4)]
         for v, vm in enumerate(running):
             place(hosts[v % 2], vm)
         matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.bind_round(running, 10.0)
-        assert not matrix._placed_stale
         calls = []
-        real = PersistentScoreMatrix._score_placed
+        real_terms = PersistentScoreMatrix._row_terms
+        real_placed = PersistentScoreMatrix._score_placed
 
-        def spy(self, R, C, q):
-            calls.append((list(R), set(self._placed_stale)))
-            return real(self, R, C, q)
+        def terms_spy(self, r, *args):
+            calls.append(("terms", r))
+            return real_terms(self, r, *args)
 
-        monkeypatch.setattr(PersistentScoreMatrix, "_score_placed", spy)
+        def placed_spy(self, R, C, q):
+            calls.append(("placed", list(R)))
+            _assert_row_terms_exact(self, R)
+            return real_placed(self, R, C, q)
+
+        monkeypatch.setattr(PersistentScoreMatrix, "_row_terms", terms_spy)
+        monkeypatch.setattr(PersistentScoreMatrix, "_score_placed", placed_spy)
         matrix.apply_move(0, 3)
-        assert calls == [([0, 3], {0, 3})]
-        assert not matrix._placed_stale
+        assert calls == [("terms", 0), ("terms", 3), ("placed", [0, 3])]
         _assert_cells_exact(matrix, np.arange(4), matrix._round_slots)
 
-    def test_verify_cells_catches_a_drifted_placed_term(self):
-        hosts = [make_host(i) for i in range(4)]
-        vm = make_vm(100)
-        place(hosts[0], vm)
-        matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
-        matrix.attach()
-        matrix.bind_round([vm], 0.0)
-        assert matrix.verify_cells()
-        matrix._placed_lo[1] += 1.0
-        with pytest.raises(StateError, match="placed-term drift: _placed_lo host 1 "):
-            matrix.verify_cells()
 
-    def test_bind_oracle_catches_a_drifted_placed_term(self):
+class TestRowTerms:
+    """Both oracles hold every row term they check to its recompute."""
+
+    @pytest.mark.parametrize("name", persistent._ROW_TERMS)
+    def test_both_oracles_catch_a_drifted_row_term(self, name):
+        """One corrupted entry in any of the four arrays is caught by the
+        bind oracle and by ``verify_cells``, each naming the array."""
         hosts = [make_host(i) for i in range(4)]
         vm = make_vm(100)
         place(hosts[0], vm)
+        columns = [vm, make_vm(101)]
         matrix = PersistentScoreMatrix(hosts, ScoreConfig.sb())
         matrix.attach()
-        matrix.bind_round([vm], 0.0)
-        assert matrix.verify_against_fresh([vm], 0.0)
-        matrix._placed_on[2] -= 1.0
-        with pytest.raises(StateError, match="drift: _placed_on"):
-            matrix.verify_against_fresh([vm], 0.0)
-        # A row marked for recompute holds no kept term to drift.
-        matrix._placed_stale.add(2)
-        assert matrix.verify_against_fresh([vm], 0.0)
+        matrix.bind_round(columns, 0.0)
+        assert matrix.verify_against_fresh(columns, 0.0)
+        assert matrix.verify_cells()
+        getattr(matrix, name)[2] += 1.0
+        with pytest.raises(StateError, match=f"row-term drift: {name} host 2 "):
+            matrix.verify_cells()
+        with pytest.raises(StateError, match=rf"persistent matrix drift: {name}\[2\]"):
+            matrix.verify_against_fresh(columns, 0.0)
 
 
 # --------------------------------------------------------------------------

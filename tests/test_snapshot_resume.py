@@ -484,13 +484,14 @@ class TestDerivedStateLeavesThePickle:
         assume(orig is not None and orig._bind_idx > 0)
         blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
         matrix = pickle.loads(blob).policy._matrix
-        # The restore rebuilt the cells and the host terms; a row touched
+        # The restore rebuilt the cells and the row terms; a row touched
         # by a hypothetical move is re-read at the next bind.
         assert matrix.scores is not None
         rows = np.setdiff1d(np.arange(orig.n_rows), sorted(orig._touched))
-        assert matrix._host_terms[rows].view(np.int64).tolist() == (
-            orig._host_terms[rows].view(np.int64).tolist()
-        )
+        for name in ("_host_terms", "_placed_hi", "_placed_lo", "_placed_on"):
+            assert getattr(matrix, name)[rows].view(np.int64).tolist() == (
+                getattr(orig, name)[rows].view(np.int64).tolist()
+            ), name
         assert matrix.verify_cells()
         assert matrix.stats() == orig.stats()
         assert matrix.scores.shape == orig.scores.shape
