@@ -71,18 +71,19 @@ of O(total jobs), while a trace keeps them for the readers of
 ``self.vms`` after the run (``job_records``, economics accounting,
 federation), and so does live mode (the service's duplicate-admission
 check).  Those kept VMs are the *retired archive*: a retired VM never
-changes again, so a snapshot pickles it once into a cached chunk and
-later snapshots copy the chunk's bytes (see :meth:`__getstate__`); a
+changes again, so a snapshot pickles it once into a cached chunk (see
+:meth:`__getstate__`), writes the chunk once to the run's chunk log, and
+later snapshots refer to it there (:mod:`repro.engine.snapshot`).  The
+event trace's records and a trace's job specs are chunked the same way,
+and a trace job pickles as its arrival index wherever it is held; a
 snapshot's object walk covers the live set, not the run's history.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import os
-import pickle
 import time as _time
 import warnings
 
@@ -104,6 +105,9 @@ from repro.cluster.xen import ShareMemo
 from repro.des.random import RandomStreams
 from repro.des.simulator import Simulator
 from repro.engine.actuators import ActuatorsMixin
+from repro.engine.chunks import (
+    Chunk, RefUnpickler, TraceRefs, dumps, logged_copy_problem,
+)
 from repro.engine.config import EngineConfig
 from repro.engine.metrics import MetricsCollector
 from repro.engine.results import SimulationResult
@@ -114,7 +118,7 @@ from repro.scheduling.power_manager import PowerManager, PowerManagerConfig
 from repro.sla.monitor import SlaMonitor
 from repro.workload.job import Job, JobState
 from repro.workload.stream import JobStream
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, TraceCursor
 
 __all__ = [
     "DatacenterSimulation",
@@ -231,12 +235,19 @@ class DatacenterSimulation(ActuatorsMixin):
         #: retired VMs, so it stays empty there).  A retired VM never
         #: changes again, so a snapshot pickles it once: ``_retired_new``
         #: holds the VMs retired since the last pickle, and
-        #: :meth:`__getstate__` pickles them into one more cached chunk of
-        #: ``_archive``.  ``_archived`` holds each chunk's VM objects (the
-        #: ones in ``self.vms``) for the strict-mode oracle.
-        self._archive: List[bytes] = []
+        #: :meth:`__getstate__` pickles them into one more
+        #: :class:`~repro.engine.chunks.Chunk` of ``_archive``.
+        #: ``_archived`` holds each chunk's VM objects (the ones in
+        #: ``self.vms``) for the strict-mode oracle.
+        self._archive: List[Chunk] = []
         self._archived: List[List[Vm]] = []
         self._retired_new: List[Vm] = []
+        #: Trace mode: pickles the trace's jobs by arrival index (built at
+        #: the first pickle, never pickled itself).
+        self._trace_refs: Optional[TraceRefs] = None
+        #: Names this run's chunk log; drawn at the first snapshot, and
+        #: pickled, so a resumed run extends its own log.
+        self._lineage: Optional[str] = None
         #: Live set: VMs still queued or placed, in arrival order.  The
         #: steady-state scans (context building, checkpoint tick) iterate
         #: this instead of the ever-growing ``self.vms``.
@@ -269,9 +280,9 @@ class DatacenterSimulation(ActuatorsMixin):
 
         # ---- workload feed -----------------------------------------------
         #: Iterator over the workload (None before start and in live mode):
-        #: a trace's list iterator or a stream's
-        #: :class:`~repro.workload.stream.FeedCursor`.  Both pickle their
-        #: position, so a snapshot resumes the feed where it stopped.
+        #: a trace's :class:`~repro.workload.trace.TraceCursor` or a
+        #: stream's :class:`~repro.workload.stream.FeedCursor`.  Both pickle
+        #: their position, so a snapshot resumes the feed where it stopped.
         self._job_iter: Optional[Iterator[Job]] = None
         #: The one pulled job whose arrival event has not fired yet
         #: (counted as pending if the result is built before it fires).
@@ -395,12 +406,13 @@ class DatacenterSimulation(ActuatorsMixin):
         """Pickle the engine with ``self.vms`` as its key order only.
 
         The VMs retired since the last pickle go into one new chunk of
-        the retired archive first; every chunk then travels as cached
-        ``bytes``, the VMs not yet retired travel in ``self._live``, and
-        :meth:`__setstate__` rebuilds the registry from both in the
-        pickled key order.  A snapshot's object walk thus covers the
-        live set, not the run's history.  Under strict invariants the
-        ``retired archive`` oracle runs first.
+        the retired archive first; every chunk then travels as a
+        :class:`~repro.engine.chunks.Chunk` (inline in a plain pickle, a
+        chunk-log reference in a snapshot), the VMs not yet retired
+        travel in ``self._live``, and :meth:`__setstate__` rebuilds the
+        registry from both in the pickled key order.  A snapshot's object
+        walk thus covers the live set, not the run's history.  Under
+        strict invariants the ``retired archive`` oracle runs first.
         """
         if self._retired_new:
             self._archive.append(self._pickle_chunk(self._retired_new))
@@ -410,7 +422,7 @@ class DatacenterSimulation(ActuatorsMixin):
             self._guard("retired archive", self._verify_archive, self._resync_archive)
         state = self.__dict__.copy()
         state["vms"] = list(self.vms)
-        del state["_archived"]
+        del state["_archived"], state["_trace_refs"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -428,10 +440,16 @@ class DatacenterSimulation(ActuatorsMixin):
         through their own ``__getstate__``: the score matrix its cell
         array (rebuilt by its ``__setstate__``) and its slot registry's
         finished VMs, the event trace its record objects (pickled as
-        tuples), and the SLA monitor its fulfilment index, rebuilt here.
+        chunks of tuples), and the SLA monitor its fulfilment index,
+        rebuilt here.
         """
         self.__dict__.update(state)
-        self._archived = [self._unpickle_chunk(chunk) for chunk in self._archive]
+        self._trace_refs = None
+        refs = self._refs()
+        jobs = refs.trace._jobs if refs is not None else None
+        self._archived = [
+            RefUnpickler(chunk.data, jobs=jobs).load() for chunk in self._archive
+        ]
         by_id = dict(self._live)
         for chunk in self._archived:
             for vm in chunk:
@@ -611,7 +629,7 @@ class DatacenterSimulation(ActuatorsMixin):
         if self._started:
             return
         if self.trace is not None:
-            it = iter(self.trace)
+            it = iter(self.trace) if self._streaming else TraceCursor(self.trace)
             first = next(it, None)
             if first is None:
                 raise ConfigurationError("cannot simulate an empty trace")
@@ -1572,25 +1590,36 @@ class DatacenterSimulation(ActuatorsMixin):
             sorted(self.hosts, key=lambda h: h.host_id), now
         )
 
-    def _pickle_chunk(self, vms: List[Vm]) -> bytes:
-        """One archive chunk: ``vms`` pickled, each trace job by its index."""
-        if self.trace is None:
-            return pickle.dumps(vms, protocol=pickle.HIGHEST_PROTOCOL)
-        buf = io.BytesIO()
-        _TraceChunkPickler(buf, vms).dump(vms)
-        return buf.getvalue()
+    def _refs(self) -> Optional[TraceRefs]:
+        """The trace's job references (trace mode only), built once."""
+        if self._trace_refs is None and self.trace is not None and not self._streaming:
+            self._trace_refs = TraceRefs(self.trace)
+        return self._trace_refs
 
-    def _unpickle_chunk(self, chunk: bytes) -> List[Vm]:
-        if self.trace is None:
-            return pickle.loads(chunk)
-        return _TraceChunkUnpickler(io.BytesIO(chunk), self.trace).load()
+    def _pickle_chunk(self, vms: List[Vm]) -> Chunk:
+        """One archive chunk: ``vms`` pickled, each trace job by its index."""
+        refs = self._refs()
+        return Chunk(dumps(vms, refs.dispatch() if refs is not None else None))
+
+    def _all_chunks(self) -> List[Chunk]:
+        """Every chunk the engine holds: the retired archive's, the event
+        trace's and, once a snapshot has cut it, the trace's job specs."""
+        out = list(self._archive)
+        if self.trace_log is not None:
+            out.extend(chunk for _, chunk in self.trace_log._chunks)
+        if self._trace_refs is not None and self._trace_refs.specs is not None:
+            out.append(self._trace_refs.specs)
+        return out
 
     def _verify_archive(self) -> None:
-        """Oracle: the retired archive still pickles what it holds.
+        """Oracle: the retired archive still pickles what it holds, and
+        the chunk log holds every chunk it took.
 
         Every archived VM is still retired and, in trace mode, holds the
-        trace's own job; every chunk re-pickles to its cached bytes.
-        Raises StateError naming the first VM or chunk that is wrong.
+        trace's own job; every archive chunk re-pickles to its cached
+        bytes; every chunk already written to a chunk log reads back
+        there at its recorded crc.  Raises StateError naming the first VM
+        or chunk that is wrong.
         """
         trace = self.trace
         for i, (chunk, vms) in enumerate(zip(self._archive, self._archived)):
@@ -1604,15 +1633,28 @@ class DatacenterSimulation(ActuatorsMixin):
                         f"archived vm {vm.vm_id} holds a job that is not "
                         f"trace[{vm.arrival_seq}]"
                     )
-            if self._pickle_chunk(vms) != chunk:
+            if self._pickle_chunk(vms).data != chunk.data:
                 raise StateError(
                     f"chunk {i} of {len(self._archive)} no longer re-pickles "
                     f"to its cached bytes"
                 )
+        chunks = self._all_chunks()
+        for i, chunk in enumerate(chunks):
+            problem = logged_copy_problem(chunk)
+            if problem is not None:
+                raise StateError(f"logged chunk {i} of {len(chunks)}: {problem}")
 
     def _resync_archive(self) -> None:
-        """Re-pickle every chunk from the VMs it archives."""
-        self._archive = [self._pickle_chunk(vms) for vms in self._archived]
+        """Re-pickle every chunk from the VMs it archives, and forget every
+        chunk-log copy that does not read back: the next snapshot appends
+        those chunks again."""
+        for i, vms in enumerate(self._archived):
+            chunk = self._pickle_chunk(vms)
+            if chunk.data != self._archive[i].data:
+                self._archive[i] = chunk
+        for chunk in self._all_chunks():
+            if logged_copy_problem(chunk) is not None:
+                chunk.where = None
 
     def _resync_host(self, host: Host) -> None:
         host.resync_aggregates()
@@ -1802,29 +1844,6 @@ class DatacenterSimulation(ActuatorsMixin):
             checkpoint_bytes=snap.bytes_written if snap is not None else 0,
             snapshot_restores=snap.restores if snap is not None else 0,
         )
-
-
-class _TraceChunkPickler(pickle.Pickler):
-    """Pickles a trace-mode archive chunk: each VM's job, which the trace
-    holds at the VM's arrival index, travels as that index."""
-
-    def __init__(self, file, vms: List[Vm]) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._seq_of = {id(vm.job): vm.arrival_seq for vm in vms}
-
-    def persistent_id(self, obj):
-        return self._seq_of.get(id(obj))
-
-
-class _TraceChunkUnpickler(pickle.Unpickler):
-    """Loads a trace-mode archive chunk, taking each job from ``trace``."""
-
-    def __init__(self, file, trace) -> None:
-        super().__init__(file)
-        self._trace = trace
-
-    def persistent_load(self, pid):
-        return self._trace[pid]
 
 
 def simulate(

@@ -8,7 +8,8 @@ latest snapshot and produces a :class:`~repro.engine.results.SimulationResult`
 and event trace **bit-identical** to the uninterrupted run.
 
 What a snapshot contains (the whole engine, pickled as one object so
-shared identities survive, minus state a restore derives cheaply):
+shared identities survive, minus state a restore derives cheaply, and
+minus its history, which lives once in the chunk log below):
 
 * the DES kernel: virtual clock, the event heap as a list of
   ``(time, priority, seq, event)`` entries whose events hold the
@@ -19,12 +20,9 @@ shared identities survive, minus state a restore derives cheaply):
   aggregates, and the delta-maintained
   :class:`~repro.engine.metrics.MetricsCollector`;
 * the retired archive: every retired VM of a trace or live run, pickled
-  once into a cached ``bytes`` chunk by the first snapshot after it
-  retired (a retired VM never changes again) and copied as bytes by every
-  later one, plus the VM registry's key order as a list of ids.  A
-  snapshot's object walk therefore covers the live set, not the run's
-  history; a trace-mode chunk refers to each job by its index in the
-  trace, so a restored VM holds the trace's own job object;
+  once into a :class:`~repro.engine.chunks.Chunk` by the first snapshot
+  after it retired (a retired VM never changes again), plus the VM
+  registry's key order as a list of ids;
 * chaos state: :class:`~repro.cluster.faults.OperationFaultModel` RNGs and
   :class:`~repro.cluster.faults.ObservedReliability` EWMAs, supervisor
   retry/quarantine/orphan bookkeeping;
@@ -40,13 +38,32 @@ shared identities survive, minus state a restore derives cheaply):
   finished VMs replaced by a stand-in (they wait there for the next
   sweep or bind; the stand-in keeps the key order, so the sweep frees the
   same slots in the same order);
-* the event trace, with its records pickled as plain tuples and rebuilt
-  on load;
-* the workload iterator: a trace's list iterator, or a stream's
+* the event trace, as chunks: each snapshot cuts one chunk of the
+  records emitted since the previous one, as plain tuples, and a restore
+  rebuilds the records from them (a bounded trace forgets the chunks
+  whose records it has all dropped);
+* in trace mode, the trace as one chunk of its jobs' specs, cut by the
+  first snapshot; every job anywhere in the payload or in an archive
+  chunk pickles as its arrival index plus its runtime fields (``state``,
+  ``start_time``, ``finish_time``), so those travel with whatever holds
+  the job and a restored VM holds the trace's own job object;
+* the workload iterator: a trace's :class:`~repro.workload.trace.TraceCursor`
+  (the trace and a position), or a stream's
   :class:`~repro.workload.stream.FeedCursor`.  The cursor pickles its
   feed's position when the feed can (the synthetic generator, the
   SWF/GWF readers) and resumes in O(1); over an opaque generator it
   pickles the factory and pull count and replays that prefix on load.
+
+The chunk log: every chunk is immutable once cut, so it is written once,
+to one append-only ``chunks-<lineage>.log`` per lineage beside the
+``snap-*.ckpt`` files (a lineage is one run and its resumes; a fresh run
+draws a new name and never reads or extends an older run's log).  The
+payload pickles ``(trace, engine)`` through a ``dispatch_table`` that
+turns each chunk into its position in the snapshot's chunk table and
+each trace job into its index; the header carries the table as
+``[offset, length, crc32]`` per chunk.  A snapshot's object walk and its
+bytes therefore follow the live set and the history since the previous
+snapshot, not the run's whole history.
 
 Snapshots are only taken at **inter-event boundaries** (the simulator's
 ``post_event`` hook): inside an event callback the enclosing frame may
@@ -54,19 +71,26 @@ still have work to do (e.g. ``trigger_round()`` after ``_refresh()``),
 and that continuation lives on the Python stack, which no pickle can
 capture.  Between events the heap *is* the continuation.
 
-Durability: each snapshot is written to a temp file in the target
-directory, flushed, ``fsync``\\ ed, then atomically renamed — a torn write
-can never shadow a good snapshot — and the directory keeps only the last
-K files.  The durable half runs on a background writer thread (at most
-one write in flight), so the simulation itself only pays serialization
-time.  A JSON header line precedes the pickle payload carrying the
-format version and a config fingerprint; restoring with a mismatched
-version or fingerprint raises :class:`~repro.errors.StateError` naming
-both sides, never a silent wrong-state resume.
+Durability: the chunks a snapshot is the first to need are appended to
+the log and ``fsync``\\ ed; then the snapshot is written to a temp file in
+the target directory, flushed, ``fsync``\\ ed and atomically renamed — a
+torn write can never shadow a good snapshot — and the directory keeps
+only the last K files.  A kill between the append and the rename leaves
+a torn log tail that no durable snapshot refers to; the resumed run
+appends after it.  The durable half runs on a background writer thread
+(at most one write in flight), so the simulation itself only pays
+serialization time.  A JSON header line precedes the pickle payload
+carrying the format version, a config fingerprint, the chunk table and a
+crc32 of the header's other fields and the payload (computed on the
+writer thread).  Restoring with a mismatched version or fingerprint
+raises :class:`~repro.errors.StateError` naming both sides, never a
+silent wrong-state resume; a payload or chunk that fails its crc32, or a
+chunk missing from the log, raises :class:`CorruptSnapshotError` naming
+the file (and the chunk and log) before anything is unpickled.
 
 Determinism contract: writing a snapshot is a pure read of the simulated
 world (no RNG draws, no events scheduled, no simulated state mutated;
-the archive's chunk cache is operational state), so enabling
+the chunks and the lineage name are operational state), so enabling
 checkpointing changes *nothing* about the simulated world — rows,
 ``sim_events`` and traces stay bit-identical to a checkpoint-off run,
 chaos on or off.  Only the operational counters
@@ -80,14 +104,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import threading
 import time
+import warnings
+import zlib
 from dataclasses import replace as _replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.durable import atomic_write
+from repro.durable import atomic_write, fsync_dir
+from repro.engine.chunks import (
+    Chunk, RefUnpickler, chunk_at, dumps, read_logged,
+)
 from repro.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,6 +125,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "SNAPSHOT_VERSION",
     "SNAPSHOT_MAGIC",
+    "CorruptSnapshotError",
     "EngineSnapshotter",
     "config_fingerprint",
     "write_snapshot",
@@ -158,12 +187,26 @@ __all__ = [
 #:    its retired VMs as cached chunks (``_archive``), rebuilt on load; a
 #:    version-12 engine pickles ``vms`` as the whole registry and has no
 #:    archive.
-SNAPSHOT_VERSION = 13
+#: 14: chunk log — the archive's chunks, the event trace's records (in
+#:    chunks of the records since the previous snapshot) and a trace's
+#:    job specs live once in a per-lineage append-only log beside the
+#:    snapshots; the payload pickles ``(trace, engine)`` with chunks and
+#:    trace jobs as references, a trace's feed is a ``TraceCursor``, the
+#:    matrix's slot arrays stop at the high-water mark, and the header
+#:    carries the chunk table and a crc32 of the header and payload.  A
+#:    version-13 payload has none of these.
+SNAPSHOT_VERSION = 14
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"
 
 _SUFFIX = ".ckpt"
+_LOG_SUFFIX = ".log"
+
+
+class CorruptSnapshotError(StateError):
+    """A snapshot's payload or one of its chunks fails its crc32, or the
+    chunk log does not hold a chunk: a bad file, not a wrong run."""
 
 #: EngineConfig fields that are *operational* (where/how often to
 #: checkpoint, wall budgets, strict-invariant checking) rather than
@@ -252,26 +295,52 @@ def write_snapshot(
     fingerprint: Optional[str] = None,
     keep: Optional[int] = None,
 ) -> Tuple[Path, int]:
-    """Atomically persist one snapshot; returns ``(path, payload bytes)``.
+    """Atomically persist one snapshot; returns ``(path, bytes written)``.
 
     Pure read of the simulated world: pickling draws no randomness and
     schedules nothing, so a checkpointed run stays bit-identical to an
-    uncheckpointed one.  The write is crash-safe (temp file + fsync +
-    rename into place, then the directory is fsynced) and, when ``keep``
-    is given, older snapshots beyond the last K are pruned.
+    uncheckpointed one.  The write is crash-safe (new chunks appended and
+    fsynced, then temp file + fsync + rename into place, then the
+    directory is fsynced) and, when ``keep`` is given, older snapshots
+    beyond the last K are pruned.
     """
-    header = _build_header(engine, index, fingerprint)
-    payload = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
-    final = _persist(header, payload, Path(directory), index, keep)
-    return final, len(payload)
+    directory = Path(directory)
+    header, payload, chunks, log, written = _dump(engine, directory, index, fingerprint)
+    return _persist(header, payload, chunks, log, directory, keep), written
 
 
-def _build_header(
-    engine: "DatacenterSimulation", index: int, fingerprint: Optional[str]
-) -> dict:
-    """Header fields captured at serialization time (the engine moves on
-    while a background writer persists the payload)."""
-    return {
+def _dump(
+    engine: "DatacenterSimulation",
+    directory: Path,
+    index: int,
+    fingerprint: Optional[str],
+) -> Tuple[dict, bytes, List[Chunk], str, int]:
+    """The main-thread half of a snapshot, the one engine dump.
+
+    Returns the header fields captured now (the engine moves on while a
+    background writer persists the payload), the payload, the chunks it
+    refers to in table order, the lineage's chunk-log path, and the bytes
+    the snapshot writes: the payload plus the chunks not yet in that log.
+    The payload pickles ``(trace, engine)``: in trace mode the trace
+    comes first, as a reference to its job-spec chunk, so every job
+    reference after it resolves against the restored trace.
+    """
+    if engine._lineage is None:
+        engine._lineage = os.urandom(8).hex()
+    name = f"chunks-{engine._lineage}{_LOG_SUFFIX}"
+    log = os.path.abspath(directory / name)
+    chunks: List[Chunk] = []
+
+    def chunk_ref(chunk: Chunk):
+        chunks.append(chunk)
+        return chunk_at, (len(chunks) - 1,)
+
+    dispatch = {Chunk: chunk_ref}
+    refs = engine._refs()
+    if refs is not None:
+        dispatch.update(refs.dispatch())
+    payload = dumps((engine.trace if refs is not None else None, engine), dispatch)
+    header = {
         "magic": SNAPSHOT_MAGIC,
         "version": SNAPSHOT_VERSION,
         "fingerprint": fingerprint or config_fingerprint(engine),
@@ -279,19 +348,63 @@ def _build_header(
         "sim_time": engine.sim.now,
         "events": engine.sim.events_processed,
         "created_at": time.time(),
+        "log": name,
     }
+    written = len(payload) + sum(
+        len(chunk.data) for chunk in chunks if not _in_log(chunk.where, log)
+    )
+    return header, payload, chunks, log, written
+
+
+def _in_log(where: Optional[Tuple[str, int, int]], log: str) -> bool:
+    """Whether a chunk at ``where`` is already in the chunk log ``log``."""
+    return where is not None and where[0] == log
+
+
+def _append(log: str, chunks: List[Chunk]) -> List[List[int]]:
+    """Append the chunks not yet in ``log`` and fsync it; returns the
+    snapshot's chunk table, ``[offset, length, crc32]`` per chunk."""
+    wheres = [chunk.where for chunk in chunks]
+    new = [i for i, where in enumerate(wheres) if not _in_log(where, log)]
+    if new:
+        created = not os.path.exists(log)
+        with open(log, "ab") as fh:
+            for i in new:
+                data = chunks[i].data
+                wheres[i] = (log, fh.tell(), zlib.crc32(data))
+                fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if created:
+            fsync_dir(os.path.dirname(log))
+        for i in new:
+            chunks[i].where = wheres[i]
+    return [
+        [where[1], len(chunk.data), where[2]]
+        for chunk, where in zip(chunks, wheres)
+    ]
+
+
+def _header_crc(header: dict, payload: bytes) -> int:
+    """crc32 of the header fields but ``crc``, then of the payload."""
+    body = {key: value for key, value in header.items() if key != "crc"}
+    return zlib.crc32(payload, zlib.crc32(json.dumps(body, sort_keys=True).encode()))
 
 
 def _persist(
     header: dict,
     payload: bytes,
+    chunks: List[Chunk],
+    log: str,
     directory: Path,
-    index: int,
     keep: Optional[int],
 ) -> Path:
-    """The durable half: temp file + fsync + atomic rename + retention."""
+    """The durable half: the chunk append, the table and crc in the
+    header, temp file + fsync + atomic rename, retention."""
     directory.mkdir(parents=True, exist_ok=True)
-    final = _snapshot_path(directory, index)
+    header["chunks"] = _append(log, chunks)
+    header["crc"] = _header_crc(header, payload)
+    final = _snapshot_path(directory, header["index"])
     atomic_write(
         final, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", payload
     )
@@ -342,12 +455,14 @@ def load_snapshot(
     *,
     expected_fingerprint: Optional[str] = None,
 ) -> "DatacenterSimulation":
-    """Restore an engine from a snapshot file.
+    """Restore an engine from a snapshot file and its lineage's chunk log.
 
-    Guards first, unpickles second: a schema-version or fingerprint
-    mismatch raises :class:`StateError` naming both sides before any
-    state is materialized — restoring the wrong run silently is the one
-    failure mode this subsystem must never have.
+    Guards first, unpickles last: a schema-version or fingerprint
+    mismatch raises :class:`StateError` naming both sides, and a payload
+    or chunk that fails its crc32 (or a chunk the log does not hold)
+    raises :class:`CorruptSnapshotError` naming the file, before any
+    state is materialized — restoring the wrong run, or a changed one,
+    silently is the one failure mode this subsystem must never have.
     """
     header = read_header(path)
     version = header.get("version")
@@ -367,11 +482,40 @@ def load_snapshot(
         )
     with open(path, "rb") as fh:
         fh.readline()  # header
-        engine = pickle.load(fh)
+        payload = fh.read()
+    crc, theirs = _header_crc(header, payload), header.get("crc")
+    if crc != theirs:
+        recorded = f"{theirs:08x}" if isinstance(theirs, int) else repr(theirs)
+        raise CorruptSnapshotError(
+            f"{path}: crc32 {crc:08x} does not match the header's "
+            f"{recorded}; the snapshot is corrupt"
+        )
+    loader = RefUnpickler(payload, chunks=_read_chunks(Path(path), header))
+    _, engine = loader.load()
+    if loader.specs is not None:
+        engine._refs().specs = loader.specs
     snapshotter = getattr(engine, "_snapshotter", None)
     if snapshotter is not None:
         snapshotter.note_restore()
     return engine
+
+
+def _read_chunks(path: Path, header: dict) -> List[Chunk]:
+    """The snapshot's chunks from its lineage's log, each checked against
+    its recorded length and crc32."""
+    log = os.path.abspath(path.parent / header["log"])
+    table = header["chunks"]
+    chunks = []
+    for i, (offset, length, crc) in enumerate(table):
+        try:
+            chunk = Chunk(read_logged(log, offset, length, crc))
+        except StateError as exc:
+            raise CorruptSnapshotError(
+                f"{path}: chunk {i} of {len(table)}: {exc}"
+            ) from None
+        chunk.where = (log, offset, crc)
+        chunks.append(chunk)
+    return chunks
 
 
 def resume_from(
@@ -381,9 +525,10 @@ def resume_from(
 ) -> Optional["DatacenterSimulation"]:
     """Restore from the newest loadable snapshot in ``directory``.
 
-    Walks newest → oldest so a snapshot torn by a concurrent crash (only
-    possible outside the atomic-rename protocol, e.g. a copied partial
-    file) falls back to its predecessor.  Guard failures (version or
+    Walks newest → oldest so a snapshot torn or corrupted outside the
+    atomic-rename protocol (a copied partial file, a flipped byte, a
+    chunk missing from the log) falls back to its predecessor, with a
+    ``RuntimeWarning`` naming what was wrong.  Guard failures (version or
     fingerprint mismatch) propagate — they mean "wrong run", not "bad
     file".  Returns ``None`` when the directory holds no snapshots.
     """
@@ -394,6 +539,8 @@ def resume_from(
             continue  # torn/garbage header: not a guard failure, fall back
         try:
             return load_snapshot(path, expected_fingerprint=expected_fingerprint)
+        except CorruptSnapshotError as exc:
+            warnings.warn(f"{exc}; trying an older snapshot", RuntimeWarning)
         except StateError:
             raise  # version/fingerprint mismatch: wrong run, not a bad file
         except Exception:
@@ -482,11 +629,10 @@ class EngineSnapshotter:
             raise error
 
     def _persist_in_background(
-        self, header: dict, payload: bytes
+        self, header: dict, payload: bytes, chunks: List[Chunk], log: str
     ) -> None:
         try:
-            _persist(header, payload, Path(self.directory),
-                     header["index"], self.keep)
+            _persist(header, payload, chunks, log, Path(self.directory), self.keep)
         except BaseException as exc:  # surfaced by the next flush()
             self._writer_error = exc
 
@@ -518,14 +664,15 @@ class EngineSnapshotter:
                 self._next_sim_due += self.sim_interval_s
         self._index += 1
         self.written += 1
-        header = _build_header(engine, self._index, self.fingerprint)
-        payload = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
-        self.bytes_written += len(payload)
+        header, payload, chunks, log, written = _dump(
+            engine, Path(self.directory), self._index, self.fingerprint
+        )
+        self.bytes_written += written
         # Non-daemon on purpose: a normal interpreter exit waits for the
         # write to finish, so even an unflushed final snapshot is durable.
         self._writer = threading.Thread(
             target=self._persist_in_background,
-            args=(header, payload),
+            args=(header, payload, chunks, log),
             name=f"snapshot-writer-{self._index}",
         )
         self._writer.start()

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import enum
 import json
+import pickle
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.durable import read_records
+from repro.engine.chunks import Chunk
 
 __all__ = [
     "TraceEventKind",
@@ -91,7 +94,7 @@ class TraceRecord:
 
 
 #: A record as the plain ``(time, kind, vm_id, host_id, detail)`` tuple
-#: snapshots pickle (a tuple pickles several times faster than a dataclass).
+#: a chunk pickles (a tuple pickles several times faster than a dataclass).
 _as_tuple = attrgetter("time", "kind", "vm_id", "host_id", "detail")
 
 
@@ -112,22 +115,44 @@ class EventTrace:
         self.capacity = None if capacity is None else int(capacity)
         self._records: Deque[TraceRecord] = deque(maxlen=self.capacity)
         self.dropped = 0
+        #: The records in snapshot chunks, oldest first: ``(end, chunk)``
+        #: holds the records emitted before the ``end``-th, back to the
+        #: previous chunk's end (or to the oldest record still retained
+        #: when it was cut).  Grows by one chunk per pickle that finds new
+        #: records; a chunk whose records were all dropped is forgotten.
+        self._chunks: List[Tuple[int, Chunk]] = []
 
     # ------------------------------------------------------------ snapshots
 
     def __getstate__(self) -> dict:
-        """Pickle the records as plain tuples; :meth:`__setstate__` rebuilds
-        the :class:`TraceRecord` objects."""
+        """Pickle the records as chunks: the records emitted since the last
+        pickle go into one new chunk, of plain tuples; the earlier ones are
+        in the chunks already cut.  :meth:`__setstate__` rebuilds the
+        :class:`TraceRecord` objects."""
+        records = self._records
+        emitted = self.dropped + len(records)
+        cut = self._chunks[-1][0] if self._chunks else 0
+        new = min(emitted - cut, len(records))
+        if new:
+            tail = islice(records, len(records) - new, None)
+            self._chunks.append((emitted, Chunk(pickle.dumps(
+                list(map(_as_tuple, tail)), protocol=pickle.HIGHEST_PROTOCOL
+            ))))
+        while self._chunks and self._chunks[0][0] <= self.dropped:
+            del self._chunks[0]
         state = self.__dict__.copy()
-        state["_records"] = list(map(_as_tuple, self._records))
+        del state["_records"]
         return state
 
     def __setstate__(self, state: dict) -> None:
+        """Rebuild the records from the chunks; the bounded deque keeps
+        exactly the retained ones (the first chunk may start earlier)."""
         self.__dict__.update(state)
-        self._records = deque(
-            (TraceRecord(*fields) for fields in state["_records"]),
-            maxlen=self.capacity,
-        )
+        self._records = deque(maxlen=self.capacity)
+        for _, chunk in self._chunks:
+            self._records.extend(
+                TraceRecord(*fields) for fields in pickle.loads(chunk.data)
+            )
 
     # ---------------------------------------------------------------- write
 

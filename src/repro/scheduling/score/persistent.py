@@ -413,10 +413,13 @@ class PersistentScoreMatrix:
 
     def __getstate__(self) -> dict:
         """Pickle everything but the ``(M, cap)`` cell array and the row
-        terms.
+        terms, and the per-slot arrays only up to the high-water mark.
 
         Every other member is O(M + cap), and the cells and row terms are
-        derivable from it: :meth:`__setstate__` recomputes them.  Until a
+        derivable from it: :meth:`__setstate__` recomputes them.  A slot
+        past ``_n_slots`` was never filled, so it holds its unused value
+        from :meth:`_slot_arrays`, and :meth:`__setstate__` pads the
+        arrays back to the capacity with it.  Until a
         sweep frees their slots, the registry keeps finished VMs (and
         with them their jobs); they pickle as a stand-in, which keeps the
         key order, so the sweep after a restore frees the same slots in
@@ -428,6 +431,10 @@ class PersistentScoreMatrix:
         state["scores"] = None
         for name in _ROW_TERMS:
             del state[name]
+        n = self._n_slots
+        state["_capacity"] = len(self._cur)
+        for name, _, _ in self._slot_arrays():
+            state[name] = state[name][:n]
         state["_vm_of"] = {
             vm_id: vm if vm.is_active else _RETIRED
             for vm_id, vm in self._vm_of.items()
@@ -439,6 +446,7 @@ class PersistentScoreMatrix:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._pad_slot_arrays(self.__dict__.pop("_capacity"))
         self._rebuild_cells()
 
     def _rebuild_cells(self) -> None:
@@ -492,10 +500,14 @@ class PersistentScoreMatrix:
         )
         grown[:, :old] = self.scores
         self.scores = grown
+        self._pad_slot_arrays(cap)
+
+    def _pad_slot_arrays(self, cap: int) -> None:
+        """Extend every per-slot array to ``cap`` slots with its unused value."""
         for name, unused, width in self._slot_arrays():
             arr = getattr(self, name)
             new = np.full((cap,) + width, unused, dtype=arr.dtype)
-            new[:old] = arr
+            new[: len(arr)] = arr
             setattr(self, name, new)
 
     def _fill_slot(self, slot: int, vm: Vm) -> None:
@@ -922,16 +934,19 @@ class PersistentScoreMatrix:
         * otherwise the cache still holds.
         """
         sub = cells - self._cost[slots]
-        k = np.argmin(sub, axis=0)
-        w = sub[k, np.arange(slots.size)]
-        rw = rows[k]
+        if len(rows) == 1:  # a placement move: the one row is the best
+            w, rw = sub[0], rows[0]
+        else:
+            k = np.argmin(sub, axis=0)
+            w = sub[k, np.arange(slots.size)]
+            rw = rows[k]
         v = self._col_min_val[slots]
         r = self._col_min_row[slots]
         take = (w < v) | ((w == v) & (rw < r)) | (in_rows & (w == v) & (rw <= r))
         if take.any():
             tk = slots[take]
             self._col_min_val[tk] = w[take]
-            self._col_min_row[tk] = rw[take]
+            self._col_min_row[tk] = rw if rw.ndim == 0 else rw[take]
         return in_rows & ~take
 
     # ----------------------------------------------------------------- bind

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.units import to_hours
 from repro.workload.job import Job
 
-__all__ = ["Trace", "TraceStats"]
+__all__ = ["Trace", "TraceCursor", "TraceStats"]
 
 
 @dataclass(frozen=True)
@@ -164,3 +164,28 @@ class Trace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace({self.stats()})"
+
+
+class TraceCursor:
+    """A feed position in a trace: iterates its jobs from the first on.
+
+    It pickles as the trace and the position, where a list iterator would
+    pickle the whole job list with it.
+    """
+
+    __slots__ = ("trace", "pos")
+
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
+        self.pos = 0
+
+    def __iter__(self) -> "TraceCursor":
+        return self
+
+    def __next__(self) -> Job:
+        jobs = self.trace._jobs
+        pos = self.pos
+        if pos >= len(jobs):
+            raise StopIteration
+        self.pos = pos + 1
+        return jobs[pos]

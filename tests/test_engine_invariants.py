@@ -12,6 +12,9 @@ enabling it may not change a single result field.
 
 import os
 import pickle
+import shutil
+import tempfile
+import weakref
 from functools import partial
 
 import pytest
@@ -398,6 +401,21 @@ def _corrupt_archive(engine):
     engine._next_invariant_check = 0.0
 
 
+def _corrupt_chunk_log(engine):
+    # Write the chunks to a chunk log, as a snapshot does, then flip a bit
+    # of the log: only reading the log back sees it.
+    from repro.engine.snapshot import read_header, write_snapshot
+
+    directory = tempfile.mkdtemp(prefix="chunk-log-")
+    weakref.finalize(engine, shutil.rmtree, directory, True)
+    path, _ = write_snapshot(engine, directory, index=1)
+    log = path.parent / read_header(path)["log"]
+    raw = bytearray(log.read_bytes())
+    raw[len(raw) // 2] ^= 0x04
+    log.write_bytes(bytes(raw))
+    engine._next_invariant_check = 0.0
+
+
 #: (test id, guard label, what the oracle's message names first,
 #: corruption).  Each corruption is seen first by its own oracle: the
 #: four sweep oracles at the next refresh, the SLA index at the next SLA
@@ -416,6 +434,8 @@ DRIFTS = [
     ("matrix row terms", "persistent matrix bind",
      "persistent matrix drift: _placed_hi", _corrupt_row_terms),
     ("retired archive", "retired archive", "chunk 0 of 1", _corrupt_archive),
+    ("chunk log", "retired archive", r"logged chunk \d+ of \d+: .* reads crc32",
+     _corrupt_chunk_log),
 ]
 
 

@@ -2,11 +2,15 @@
 
 A trace or live run keeps every VM it has retired in ``engine.vms``; a
 retired VM never changes again, so the engine pickles it into a cached
-``bytes`` chunk at the first snapshot after it retired and copies that
-chunk at every later one.  These tests hold the archive to three laws:
+chunk at the first snapshot after it retired, and that snapshot appends
+the chunk to its lineage's chunk log, where every later one refers to
+it.  The event trace's records and a trace's job specs are chunked the
+same way.  These tests hold the archive to three laws:
 
 * a snapshot's object walk covers the VMs not yet retired plus the VMs
-  retired since the previous snapshot — never the run's history;
+  retired since the previous snapshot, their jobs, and the trace records
+  emitted since the previous snapshot — never the run's history, and no
+  trace job but those and the pending arrivals';
 * resuming from any snapshot reproduces the run bit for bit, with the
   registry in its original order and, in trace mode, every VM holding
   the trace's own job object;
@@ -14,14 +18,14 @@ chunk at every later one.  These tests hold the archive to three laws:
   behind the cache's back.
 """
 
-import io
 import json
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro.cluster.vm import Vm, VmState
-from repro.engine import datacenter
+from repro.engine import chunks, tracing
 from repro.engine.config import EngineConfig
 from repro.engine.jobstats import job_records
 from repro.engine.snapshot import EngineSnapshotter, list_snapshots, load_snapshot
@@ -56,25 +60,18 @@ def _live_engine(checkpoint_dir):
     )
 
 
-#: ``Vm`` objects walked by every pickle since the current snapshot began.
+#: What every pickle since the current snapshot began walked: ``Vm`` and
+#: ``Job`` objects, and trace ``records`` turned into chunk tuples.
 _walked = []
 
 
-class _Counting:
-    """Mixin: counts the ``Vm`` objects a pickler walks into ``_walked``."""
+class _CountingPickler(pickle.Pickler):
+    """Counts the ``Vm`` and ``Job`` objects it walks into ``_walked``."""
 
     def reducer_override(self, obj):
-        if type(obj) is Vm:
-            _walked[-1] += 1
+        if type(obj) in (Vm, Job):
+            _walked[-1][type(obj).__name__] += 1
         return NotImplemented
-
-
-class _CountingPickler(_Counting, pickle.Pickler):
-    pass
-
-
-class _CountingTraceChunkPickler(_Counting, datacenter._TraceChunkPickler):
-    pass
 
 
 def _soak_jobs():
@@ -144,6 +141,7 @@ def _trace_run(tmp_path):
         config=EngineConfig(
             seed=SEED, checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_sim_interval_s=1800.0, checkpoint_keep=1,
+            trace_events=True,
         ),
     )
     return engine, engine.run()
@@ -160,42 +158,52 @@ class TestSnapshotWalksTheLiveSet:
         self, tmp_path, monkeypatch, run
     ):
         """Snapshot k walks exactly the VMs not yet retired plus those
-        retired since snapshot k-1, however many the archive holds."""
+        retired since snapshot k-1, their jobs and the jobs of the arrival
+        events in the heap (a trace chains one), and the records emitted
+        since snapshot k-1, however long the history is."""
         # The strict-mode oracle re-pickles the whole archive on purpose.
         monkeypatch.delenv("REPRO_STRICT_INVARIANTS", raising=False)
-        real_dumps = pickle.dumps
+        as_tuple = tracing._as_tuple
 
-        def counting_dumps(obj, protocol=None, **kwargs):
-            buf = io.BytesIO()
-            _CountingPickler(buf, protocol).dump(obj)
-            return buf.getvalue()
+        def counting_as_tuple(record):
+            _walked[-1]["records"] += 1
+            return as_tuple(record)
 
         expected = []
         archived_before = []
+        emitted = [0]
         real_write = EngineSnapshotter.write
 
         def write(self, engine):
-            expected.append(len(engine._live) + len(engine._retired_new))
+            vms = len(engine._live) + len(engine._retired_new)
+            log = engine.trace_log
+            now = log.dropped + len(log) if log is not None else 0
+            expected.append(Counter(
+                Vm=vms,
+                Job=vms + engine._arrivals_pending,
+                records=now - emitted[0],
+            ))
+            emitted[0] = now
             archived_before.append(sum(map(len, engine._archived)))
-            _walked.append(0)
+            _walked.append(Counter())
             return real_write(self, engine)
 
         _walked.clear()
         monkeypatch.setattr(EngineSnapshotter, "write", write)
-        monkeypatch.setattr(
-            datacenter, "_TraceChunkPickler", _CountingTraceChunkPickler
-        )
-        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        monkeypatch.setattr(chunks, "_Pickler", _CountingPickler)
+        monkeypatch.setattr(tracing, "_as_tuple", counting_as_tuple)
         engine, result = run(tmp_path)
-        monkeypatch.setattr(pickle, "dumps", real_dumps)
 
         assert len(expected) >= 10
         assert _walked == expected
         # Not vacuous: later snapshots skip a growing archive.
-        assert max(archived_before) > max(expected)
+        assert max(archived_before) > max(e["Vm"] for e in expected)
         assert sum(map(len, engine._archived)) + len(engine._retired_new) == (
             result.n_completed + result.n_failed
         )
+        if engine.trace_log is not None:
+            assert sum(e["records"] for e in expected) < len(engine.trace_log)
+            assert max(e["records"] for e in expected) > 0
 
 
 class TestResumeFromEverySnapshot:

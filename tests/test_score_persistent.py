@@ -1261,6 +1261,24 @@ class TestSnapshotPayload:
             restored.scores[act[:, None], live], matrix.scores[act[:, None], live]
         )
 
+    def test_slot_arrays_pickle_up_to_the_high_water_mark(self):
+        """300 VMs fill 300 of 512 slots: the pickle carries 300 entries of
+        each slot array, and the restore pads the rest back bit-identically."""
+        import pickle
+
+        matrix, _ = self._bound_matrix()
+        names = [name for name, _, _ in matrix._slot_arrays()]
+        assert matrix._n_slots == 300 < len(matrix._cur)
+        state = matrix.__getstate__()
+        assert {len(state[name]) for name in names} == {300}
+        restored = pickle.loads(pickle.dumps(matrix, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored.stats()["capacity"] == len(matrix._cur)
+        for name in names:
+            mine, theirs = getattr(restored, name), getattr(matrix, name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
+            assert mine.tobytes() == theirs.tobytes(), name
+        assert restored.scores.tobytes() == matrix.scores.tobytes()
+
     def test_finished_vms_pickle_as_stand_ins_in_key_order(self):
         import pickle
 

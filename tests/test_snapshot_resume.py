@@ -343,7 +343,7 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
@@ -351,8 +351,8 @@ class TestRestoreGuards:
         violation counter (version 6), the one workload feed (version 7),
         the pickled feed cursor (version 8), the one host mirror
         (version 9), the one score-matrix object (version 10), the
-        re-keyed event sequence number (version 11) or the retired
-        archive (version 12) pickles classes whose
+        re-keyed event sequence number (version 11), the retired
+        archive (version 12) or the chunk log (version 13) pickles classes whose
         layout changed or state the engine now reads differently; it must
         be refused from its header, never unpickled."""
         _, path = self._one_snapshot(tmp_path)
@@ -410,7 +410,8 @@ class TestRestoreGuards:
         newer, _ = write_snapshot(engine, tmp_path, index=2, fingerprint=fp)
         raw = newer.read_bytes()
         newer.write_bytes(raw[: len(raw) // 2])  # torn payload
-        restored = resume_from(tmp_path, expected_fingerprint=fp)
+        with pytest.warns(RuntimeWarning, match="trying an older snapshot"):
+            restored = resume_from(tmp_path, expected_fingerprint=fp)
         assert restored is not None
         assert restored.sim.now == t_good
         # Garbage header (not just torn payload) also falls back.
