@@ -1,53 +1,55 @@
-"""Macro benchmark: whole-simulation wall clock with a regression gate.
+"""Macro benchmark: whole-simulation run time with a regression gate.
 
 Runs the paper's §V pipeline (synthetic Grid5000 week × 100-node
-datacenter) for a set of policies at a configurable fraction of the week
-and emits a machine-readable ``BENCH_*.json`` report.  Committed baselines
-live in ``benchmarks/baselines/``; CI re-runs the quick scale and fails
-when the *calibration-normalized* wall clock regresses by more than the
-tolerance (25 % by default), so the gate is meaningful across machines of
-different speeds.
+datacenter) for a set of policies at a fraction of the week and writes a
+``BENCH_*.json`` report; committed baselines live in
+``benchmarks/baselines/``.  Two classes of check:
 
-Two classes of check:
+* **performance** — every run is timed with perfbench's ``RefClock``
+  (``perfbench/clock.py``): wall time divided by a fixed reference loop
+  measured every 50 ms, so a core whose speed drifts still reads the
+  same reference seconds.  A quick-scale run is shorter than one clock
+  period, so each policy runs once untimed (caches, lazy imports), then
+  :data:`REPEATS` times timed; the median ``ref_s`` over the baseline's
+  must stay under ``1 + tolerance``;
+* **determinism** — every repeat must reproduce the untimed run's
+  outputs (energy, CPU hours, migrations, completions, event count), and
+  at the baseline's scale and seed the baseline's, *exactly*: drift
+  means a code path changed semantics, which no tolerance excuses.
 
-* **performance** — each policy's wall clock is divided by the duration of
-  a fixed, deterministic calibration workload measured on the same
-  machine; the ratio of normalized times (new / baseline) must stay under
-  ``1 + tolerance``;
-* **determinism** — when the baseline was produced at the same scale and
-  seed, the simulation outputs (energy, CPU hours, migrations,
-  completions, event count) must match the baseline *exactly*; any drift
-  means the optimized code path changed semantics, which no tolerance
-  excuses.
+Usage (CI's quick gates; the strict run has its own timing baseline)::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/macro.py --scale 0.0714 \
-        --out BENCH_macro.json \
+    PYTHONPATH=src python benchmarks/macro.py --out BENCH_macro.json \
         --check-against benchmarks/baselines/BENCH_macro_quick.json
+    PYTHONPATH=src python benchmarks/macro.py --strict-invariants \
+        --out BENCH_macro_strict.json \
+        --check-against benchmarks/baselines/BENCH_macro_quick_strict.json
 
-Regenerate a baseline after an intentional perf or semantics change::
-
-    PYTHONPATH=src python benchmarks/macro.py --scale 0.0714 \
-        --out benchmarks/baselines/BENCH_macro_quick.json
+After an intentional perf or semantics change, regenerate a baseline
+from the median of ≥5 runs written with ``--out`` (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import statistics
 import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-import numpy as np
+SCHEMA = "repro-macro-bench/2"
 
-SCHEMA = "repro-macro-bench/1"
+#: Timed runs per policy, after one untimed warm-up; the report holds
+#: their median.
+REPEATS = 5
 
 #: Quick scale used by the committed CI baseline (= benchmarks.conftest.SCALE).
 QUICK_SCALE = 1.0 / 14.0
 
-#: Result fields that must be bit-identical at equal (scale, seed).
+#: Result fields that must be bit-identical at equal inputs and seed (also
+#: the scale gate's).
 DETERMINISM_FIELDS = (
     "energy_kwh",
     "cpu_hours",
@@ -76,38 +78,35 @@ def _policy(name: str):
         ) from None
 
 
-def calibrate(repeats: int = 5) -> float:
-    """Seconds for a fixed, deterministic reference workload (best of N).
+@contextlib.contextmanager
+def ref_clock() -> Iterator:
+    """perfbench's ``RefClock``, installed on the engine's round for the
+    block.
 
-    The workload mixes the simulator's two cost centres — numpy
-    water-filling and Python-level dict/object churn — so the measured
-    duration scales with machine speed roughly the way a simulation run
-    does.  Normalizing wall clocks by this figure makes baselines
-    recorded on one machine comparable on another.
+    ``perfbench/clock.py`` is imported read-only from this checkout, so
+    every gate here reads the same reference seconds as the benchmark of
+    record.
     """
-    from repro.cluster.xen import compute_shares
-
-    caps = np.linspace(10.0, 390.0, 64)
-    weights = np.linspace(1.0, 3.0, 64)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        acc = 0.0
-        for i in range(40):
-            shares = compute_shares(400.0, caps, weights)
-            acc += float(shares.sum())
-            d = {f"k{j}": float(j) * 0.5 for j in range(400)}
-            acc += sum(d.values()) * 1e-9
-        assert acc > 0
-        best = min(best, time.perf_counter() - t0)
-    return best
+    saved = list(sys.path)
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+    ))
+    try:
+        from clock import RefClock
+    finally:
+        sys.path[:] = saved
+    clock = RefClock()
+    clock.install()
+    try:
+        yield clock
+    finally:
+        clock.uninstall()
 
 
 def run_macro(
     scale: float,
     seed: int,
     policies: List[str],
-    calibration_repeats: int = 5,
     strict_invariants: bool = False,
 ) -> Dict:
     """Run the benchmark and return the report dict (see module docs).
@@ -115,8 +114,9 @@ def run_macro(
     ``strict_invariants=True`` runs the engine with the incremental-state
     oracles enabled (``raise`` mode).  The checks piggyback on regular
     events, so every determinism field — including ``sim_events`` — must
-    match a baseline recorded without them; CI uses this to prove the
-    guard rails are semantics-free.
+    equal a plain run's; CI uses this to prove the guard rails are
+    semantics-free.  The oracles cost run time, so such a report is
+    gated against a baseline timed the same way.
     """
     from repro.engine.config import EngineConfig
     from repro.experiments.common import (
@@ -134,34 +134,46 @@ def run_macro(
         if strict_invariants
         else None
     )
-    calibration_s = calibrate(calibration_repeats)
     results: Dict[str, Dict] = {}
-    for name in policies:
-        trace = paper_trace(scale=scale, seed=seed)
-        t0 = time.perf_counter()
-        res = run_policy(
-            _policy(name),
-            trace,
-            cluster=paper_cluster(),
-            pm_config=lambda_config(),
-            engine_config=engine_config,
-        )
-        wall = time.perf_counter() - t0
-        results[name] = {
-            "wall_clock_s": wall,
-            "normalized": wall / calibration_s,
-            "events_per_s": res.sim_events / wall if wall > 0 else 0.0,
-            "energy_kwh": res.energy_kwh,
-            "cpu_hours": res.cpu_hours,
-            "migrations": res.migrations,
-            "n_completed": res.n_completed,
-            "sim_events": res.sim_events,
-        }
+    with ref_clock() as clock:
+        for name in policies:
+            first: Optional[Dict] = None
+            ref_s: List[float] = []
+            wall_s: List[float] = []
+            for _ in range(REPEATS + 1):
+                trace = paper_trace(scale=scale, seed=seed)
+                policy = _policy(name)
+                clock.start()
+                res = run_policy(
+                    policy,
+                    trace,
+                    cluster=paper_cluster(),
+                    pm_config=lambda_config(),
+                    engine_config=engine_config,
+                )
+                elapsed = clock.stop()
+                fields = {f: getattr(res, f) for f in DETERMINISM_FIELDS}
+                if first is None:
+                    first = fields  # the untimed warm-up
+                    continue
+                if fields != first:
+                    raise RuntimeError(
+                        f"{name}: a repeat's outputs {fields} differ from the "
+                        f"first run's {first} (nondeterministic run)"
+                    )
+                ref_s.append(elapsed)
+                wall_s.append(clock.raw_s)
+            results[name] = {
+                "ref_s": statistics.median(ref_s),
+                "wall_clock_s": statistics.median(wall_s),
+                **first,
+            }
     return {
         "schema": SCHEMA,
         "scale": scale,
         "seed": seed,
-        "calibration_s": calibration_s,
+        "strict_invariants": strict_invariants,
+        "repeats": REPEATS,
         "results": results,
     }
 
@@ -171,13 +183,20 @@ def check_regression(
 ) -> List[str]:
     """Compare a fresh report against a baseline; returns failure strings.
 
-    Performance is compared through the calibration-normalized wall
-    clock; determinism fields are compared exactly when (scale, seed)
+    Performance is compared through the median run time in reference
+    seconds; determinism fields are compared exactly when (scale, seed)
     match the baseline's.
     """
     failures: List[str] = []
     if baseline.get("schema") != SCHEMA:
         return [f"baseline schema {baseline.get('schema')!r} != {SCHEMA!r}"]
+    if baseline.get("strict_invariants") != report["strict_invariants"]:
+        return [
+            f"baseline was timed with strict_invariants="
+            f"{baseline.get('strict_invariants')}, this run with "
+            f"{report['strict_invariants']}: the oracles' cost is not "
+            f"comparable"
+        ]
     same_setup = (
         baseline.get("scale") == report["scale"]
         and baseline.get("seed") == report["seed"]
@@ -187,11 +206,12 @@ def check_regression(
         if new is None:
             failures.append(f"{name}: missing from this run")
             continue
-        ratio = new["normalized"] / base["normalized"]
+        ratio = new["ref_s"] / base["ref_s"]
         if ratio > 1.0 + tolerance:
             failures.append(
-                f"{name}: normalized wall clock regressed {ratio:.2f}x "
-                f"(new {new['normalized']:.1f} vs base {base['normalized']:.1f}, "
+                f"{name}: run time regressed {ratio:.2f}x "
+                f"(new {new['ref_s'] * 1e3:.1f} vs base "
+                f"{base['ref_s'] * 1e3:.1f} reference ms, "
                 f"tolerance {tolerance:.0%})"
             )
         if same_setup:
@@ -224,13 +244,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.25,
-        help="allowed normalized wall-clock regression (default 0.25)",
+        help="allowed run-time regression in reference seconds "
+             "(default 0.25)",
     )
     parser.add_argument(
         "--strict-invariants", action="store_true",
         help="run the simulations with the engine's strict-invariant "
-             "oracles enabled (raise mode); determinism fields must still "
-             "match a baseline recorded without them",
+             "oracles enabled (raise mode); gate against a baseline timed "
+             "the same way, whose determinism fields equal a plain run's",
     )
     args = parser.parse_args(argv)
 
@@ -245,13 +266,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"calibration: {report['calibration_s'] * 1e3:.1f} ms")
     for name, row in report["results"].items():
         print(
-            f"{name}: {row['wall_clock_s']:.2f}s wall "
-            f"({row['normalized']:.1f}x calib, "
-            f"{row['events_per_s']:.0f} events/s, "
-            f"{row['sim_events']} events)"
+            f"{name}: {row['ref_s'] * 1e3:.1f} reference ms "
+            f"({row['wall_clock_s'] * 1e3:.1f} ms wall, median of "
+            f"{report['repeats']}; {row['sim_events']} events)"
         )
     print(f"wrote {args.out}")
 

@@ -11,9 +11,9 @@ Each sweep point runs in a **fresh subprocess** so its ``ru_maxrss`` is an
 isolated, comparable measurement rather than the running maximum of the
 whole sweep.  Three classes of check:
 
-* **throughput** — events/s, calibration-normalized like the macro gate
-  (multiplied by the duration of the same deterministic calibration
-  workload), must not fall below baseline by more than the tolerance;
+* **throughput** — events per reference second, timed by each child
+  run itself with perfbench's ``RefClock`` as the macro gate is, must
+  not fall below baseline by more than the tolerance;
 * **determinism** — simulation outputs (energy, CPU hours, migrations,
   completions, event count) must match the baseline exactly at equal
   (hosts, jobs, seed): the scale path must not change semantics;
@@ -44,7 +44,7 @@ the engine's share-memo counters (``share_memo_*`` fields).  A sweep
 point may carry the ``service`` kernel tag: ``1000x3400:service`` runs the same workload through the live
 control-plane service (:mod:`repro.service`) — every job admitted
 individually through the journaled admit/settle path — and reports
-``decisions_per_s`` plus wall-clock decision-latency percentiles
+``decisions_per_ref_s`` plus wall-clock decision-latency percentiles
 (``latency_p50_ms``/``latency_p99_ms``) alongside the usual
 determinism fields, so service-mode regressions gate like any other
 kernel.
@@ -62,10 +62,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from typing import Dict, List, Optional, Tuple
 
-SCHEMA = "repro-scale-bench/1"
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from macro import DETERMINISM_FIELDS, ref_clock  # noqa: E402  (path bootstrap above)
+
+SCHEMA = "repro-scale-bench/2"
 
 #: Jobs generated by one synthetic week at the default 45 jobs/h peak
 #: rate with the paper seed (measured; deterministic).  Sweep points
@@ -74,23 +77,7 @@ SCHEMA = "repro-scale-bench/1"
 JOBS_AT_BASE_RATE = 3435
 BASE_RATE_PER_HOUR = 45.0
 
-#: Result fields that must be bit-identical at equal (hosts, jobs, seed).
-DETERMINISM_FIELDS = (
-    "energy_kwh",
-    "cpu_hours",
-    "migrations",
-    "n_completed",
-    "sim_events",
-)
-
 _RESULT_MARKER = "SCALE_RESULT "
-
-
-def _calibrate() -> float:
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from macro import calibrate
-
-    return calibrate()
 
 
 def _scaled_cluster(n_hosts: int):
@@ -120,8 +107,6 @@ def run_point(
     restore: bool = False,
 ) -> Dict:
     """Run one sweep point in-process and return its raw measurements."""
-    import resource
-
     from repro.engine.config import EngineConfig
     from repro.engine.datacenter import simulate
     from repro.experiments.common import lambda_config
@@ -136,39 +121,24 @@ def run_point(
         return _run_service_point(n_hosts, jobs_target, seed, cfg)
     stream = Grid5000WeekGenerator(cfg, seed=seed).stream()
     policy = ScoreBasedPolicy(ScoreConfig.sb())
-    t0 = time.perf_counter()
-    res = simulate(
-        cluster=_scaled_cluster(n_hosts),
-        policy=policy,
-        trace=stream,
-        pm_config=lambda_config(),
-        config=EngineConfig(
-            seed=seed,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_sim_interval_s=(
-                checkpoint_interval_s if checkpoint_dir else None
+    with ref_clock() as clock:
+        clock.start()
+        res = simulate(
+            cluster=_scaled_cluster(n_hosts),
+            policy=policy,
+            trace=stream,
+            pm_config=lambda_config(),
+            config=EngineConfig(
+                seed=seed,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_sim_interval_s=(
+                    checkpoint_interval_s if checkpoint_dir else None
+                ),
             ),
-        ),
-        restore=restore,
-    )
-    wall = time.perf_counter() - t0
-    row = {
-        "hosts": n_hosts,
-        "jobs_target": jobs_target,
-        "kind": kind,
-        "n_jobs": res.n_jobs,
-        "wall_clock_s": wall,
-        "events_per_s": res.sim_events / wall if wall > 0 else 0.0,
-        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "energy_kwh": res.energy_kwh,
-        "cpu_hours": res.cpu_hours,
-        "migrations": res.migrations,
-        "n_completed": res.n_completed,
-        "sim_events": res.sim_events,
-        "checkpoints_written": res.checkpoints_written,
-        "checkpoint_bytes": res.checkpoint_bytes,
-        "snapshot_restores": res.snapshot_restores,
-    }
+            restore=restore,
+        )
+        ref_s = clock.stop()
+    row = _row(res, n_hosts, jobs_target, kind, ref_s, clock.raw_s)
     stats = res.rescore_stats
     if stats:
         for fld in ("binds", "cells_rescored", "cells_total", "full_rebuilds"):
@@ -184,13 +154,34 @@ def run_point(
         }
     memo = res.share_memo_stats
     if memo:
-        row["share_memo_hits"] = memo["hits"]
-        row["share_memo_misses"] = memo["misses"]
-        row["share_memo_entries"] = memo["entries"]
+        for fld in ("hits", "misses", "entries"):
+            row[f"share_memo_{fld}"] = memo[fld]
         solves = memo["hits"] + memo["misses"]
         if solves:
             row["share_memo_hit_rate"] = round(memo["hits"] / solves, 4)
     return row
+
+
+def _row(res, n_hosts: int, jobs_target: int, kind: str,
+         ref_s: float, wall_s: float) -> Dict:
+    """The fields every sweep point reports: the point, its timing and
+    peak RSS, the simulation outputs and the snapshot counters."""
+    import resource
+
+    return {
+        "hosts": n_hosts,
+        "jobs_target": jobs_target,
+        "kind": kind,
+        "n_jobs": res.n_jobs,
+        "ref_s": ref_s,
+        "wall_clock_s": wall_s,
+        "events_per_ref_s": res.sim_events / ref_s,
+        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        **{fld: getattr(res, fld) for fld in DETERMINISM_FIELDS},
+        "checkpoints_written": res.checkpoints_written,
+        "checkpoint_bytes": res.checkpoint_bytes,
+        "snapshot_restores": res.snapshot_restores,
+    }
 
 
 def _run_service_point(
@@ -203,7 +194,6 @@ def _run_service_point(
     measured), then drained.  Decision latency percentiles come from the
     service's own wall-clock measurements.
     """
-    import resource
     import tempfile
 
     from repro.engine.config import EngineConfig
@@ -234,29 +224,14 @@ def _run_service_point(
             engine, core,
             DecisionJournal(os.path.join(tmp, "journal.jsonl")),
         )
-        t0 = time.perf_counter()
-        res, stats = serve_synthetic(svc, jobs, ServiceConfig())
-        wall = time.perf_counter() - t0
+        with ref_clock() as clock:
+            clock.start()
+            res, stats = serve_synthetic(svc, jobs, ServiceConfig())
+            ref_s = clock.stop()
     return {
-        "hosts": n_hosts,
-        "jobs_target": jobs_target,
-        "kind": "service",
-        "n_jobs": res.n_jobs,
-        "wall_clock_s": wall,
-        "events_per_s": res.sim_events / wall if wall > 0 else 0.0,
-        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "energy_kwh": res.energy_kwh,
-        "cpu_hours": res.cpu_hours,
-        "migrations": res.migrations,
-        "n_completed": res.n_completed,
-        "sim_events": res.sim_events,
-        "checkpoints_written": res.checkpoints_written,
-        "checkpoint_bytes": res.checkpoint_bytes,
-        "snapshot_restores": res.snapshot_restores,
+        **_row(res, n_hosts, jobs_target, "service", ref_s, clock.raw_s),
         "decisions": stats["decisions"],
-        "decisions_per_s": (
-            stats["decisions"] / wall if wall > 0 else 0.0
-        ),
+        "decisions_per_ref_s": stats["decisions"] / ref_s,
         "sheds": stats["sheds"],
         "latency_p50_ms": stats["latency_p50_ms"],
         "latency_p99_ms": stats["latency_p99_ms"],
@@ -265,7 +240,6 @@ def _run_service_point(
 
 def _child_main(args: argparse.Namespace) -> int:
     """``--single`` entry: one point, JSON on stdout, optional profile."""
-    kind = args.kind
     kwargs = dict(
         checkpoint_dir=args.ckpt_dir,
         checkpoint_interval_s=args.ckpt_interval,
@@ -276,12 +250,12 @@ def _child_main(args: argparse.Namespace) -> int:
 
         prof = cProfile.Profile()
         prof.enable()
-        row = run_point(args.hosts, args.jobs, args.seed, kind, **kwargs)
+        row = run_point(args.hosts, args.jobs, args.seed, args.kind, **kwargs)
         prof.disable()
         prof.dump_stats(args.profile_out)
         row["profile"] = args.profile_out
     else:
-        row = run_point(args.hosts, args.jobs, args.seed, kind, **kwargs)
+        row = run_point(args.hosts, args.jobs, args.seed, args.kind, **kwargs)
     print(_RESULT_MARKER + json.dumps(row))
     return 0
 
@@ -357,20 +331,14 @@ def run_sweep(
     profile_dir: Optional[str] = None,
 ) -> Dict:
     """Run every point (each in its own subprocess) and build the report."""
-    calibration_s = _calibrate()
     if profile_dir:
         os.makedirs(profile_dir, exist_ok=True)
     results: Dict[str, Dict] = {}
     for hosts, jobs, kind in points:
-        row = _spawn_point(hosts, jobs, seed, kind, profile_dir)
-        row["normalized_events_per_s"] = row["events_per_s"] * calibration_s
-        results[point_key(hosts, jobs, kind)] = row
-    return {
-        "schema": SCHEMA,
-        "seed": seed,
-        "calibration_s": calibration_s,
-        "results": results,
-    }
+        results[point_key(hosts, jobs, kind)] = _spawn_point(
+            hosts, jobs, seed, kind, profile_dir
+        )
+    return {"schema": SCHEMA, "seed": seed, "results": results}
 
 
 def _leak_rss_kb(row: Dict) -> float:
@@ -383,6 +351,11 @@ def _leak_rss_kb(row: Dict) -> float:
     persistent-kernel rows are compared net of the matrix.
     """
     return max(row["maxrss_kb"] - row.get("matrix_nbytes", 0.0) / 1024.0, 1.0)
+
+
+def _kind(row: Dict) -> str:
+    """Kernel tag of a result row (untagged when absent)."""
+    return row.get("kind", "")
 
 
 def check_memory_flatness(report: Dict, tolerance: float) -> List[str]:
@@ -419,7 +392,11 @@ def check_memory_flatness(report: Dict, tolerance: float) -> List[str]:
 def check_regression(
     report: Dict, baseline: Dict, tolerance: float
 ) -> List[str]:
-    """Gate a fresh report against a baseline; returns failure strings."""
+    """Gate a fresh report against a baseline; returns failure strings.
+
+    A baseline row without ``ref_s`` (the 100k rung, never timed under
+    the reference clock) gates determinism alone, and says so on stderr.
+    """
     failures: List[str] = []
     if baseline.get("schema") != SCHEMA:
         return [f"baseline schema {baseline.get('schema')!r} != {SCHEMA!r}"]
@@ -429,12 +406,15 @@ def check_regression(
         if new is None:
             failures.append(f"{key}: missing from this run")
             continue
-        ratio = new["normalized_events_per_s"] / base["normalized_events_per_s"]
-        if ratio < 1.0 / (1.0 + tolerance):
+        if "ref_s" not in base:
+            print(f"{key}: untimed baseline row, throughput not gated",
+                  file=sys.stderr)
+        elif (ratio := new["events_per_ref_s"] / base["events_per_ref_s"]
+              ) < 1.0 / (1.0 + tolerance):
             failures.append(
-                f"{key}: normalized throughput regressed to {ratio:.2f}x "
-                f"baseline ({new['normalized_events_per_s']:.2f} vs "
-                f"{base['normalized_events_per_s']:.2f} events/calib, "
+                f"{key}: throughput regressed to {ratio:.2f}x baseline "
+                f"({new['events_per_ref_s']:.0f} vs "
+                f"{base['events_per_ref_s']:.0f} events per reference s, "
                 f"tolerance {tolerance:.0%})"
             )
         if same_seed:
@@ -453,7 +433,7 @@ def run_checkpoint_overhead(
     interval_s: float,
     tolerance: float,
 ) -> List[str]:
-    """Measure checkpointing's wall-clock cost at one sweep point.
+    """Measure checkpointing's run-time cost at one sweep point.
 
     Runs the point twice in fresh subprocesses — without checkpointing,
     then with a sim-time cadence of ``interval_s`` (default: daily) —
@@ -469,11 +449,11 @@ def run_checkpoint_overhead(
         ckpt = _spawn_point(
             hosts, jobs, seed, kind, None, checkpoint=(ckpt_dir, interval_s)
         )
-    overhead = ckpt["wall_clock_s"] / plain["wall_clock_s"] - 1.0
+    overhead = ckpt["ref_s"] / plain["ref_s"] - 1.0
     print(
         f"checkpoint overhead at {point_key(hosts, jobs, kind)}: "
-        f"{overhead:+.1%} wall clock ({ckpt['wall_clock_s']:.1f}s vs "
-        f"{plain['wall_clock_s']:.1f}s), {ckpt['checkpoints_written']} "
+        f"{overhead:+.1%} run time ({ckpt['ref_s']:.2f} vs "
+        f"{plain['ref_s']:.2f} reference s), {ckpt['checkpoints_written']} "
         f"snapshots, {ckpt['checkpoint_bytes'] / 1e6:.1f} MB written"
     )
     failures: List[str] = []
@@ -496,11 +476,6 @@ def run_checkpoint_overhead(
     return failures
 
 
-def _kind(row: Dict) -> str:
-    """Kernel tag of a result row (untagged when absent)."""
-    return row.get("kind", "")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -518,7 +493,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
-        help="allowed normalized throughput regression (default 0.30)",
+        help="allowed throughput regression in events per reference "
+             "second (default 0.30)",
     )
     parser.add_argument(
         "--mem-tolerance", type=float, default=0.30,
@@ -532,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--checkpoint-overhead", action="store_true",
         help="instead of the sweep, run the first sweep point with and "
-             "without engine checkpointing and gate the wall-clock "
+             "without engine checkpointing and gate the run-time "
              "overhead (exit 1 when above --checkpoint-tolerance)",
     )
     parser.add_argument(
@@ -542,7 +518,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--checkpoint-tolerance", type=float, default=0.10,
-        help="allowed checkpointing wall-clock overhead (default 0.10)",
+        help="allowed checkpointing run-time overhead (default 0.10)",
     )
     # --single: internal per-point child mode (subprocess isolation).
     parser.add_argument("--single", action="store_true", help=argparse.SUPPRESS)
@@ -587,7 +563,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"calibration: {report['calibration_s'] * 1e3:.1f} ms")
     for key, row in report["results"].items():
         rescore = (
             f", {row['rescore_savings_x']:.0f}x fewer cells rescored"
@@ -595,16 +570,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             else ""
         )
         service = (
-            f", {row['decisions_per_s']:.1f} decisions/s "
+            f", {row['decisions_per_ref_s']:.1f} decisions per reference s "
             f"(p50 {row['latency_p50_ms']:.1f} / "
-            f"p99 {row['latency_p99_ms']:.1f} ms)"
-            if "decisions_per_s" in row
+            f"p99 {row['latency_p99_ms']:.1f} ms wall)"
+            if "decisions_per_ref_s" in row
             else ""
         )
         print(
-            f"{key}: {row['n_jobs']} jobs, {row['wall_clock_s']:.1f}s wall, "
-            f"{row['events_per_s']:.0f} events/s "
-            f"({row['normalized_events_per_s']:.2f} norm), "
+            f"{key}: {row['n_jobs']} jobs, {row['ref_s']:.2f} reference s "
+            f"({row['wall_clock_s']:.2f} s wall), "
+            f"{row['events_per_ref_s']:.0f} events per reference s, "
             f"{row['maxrss_kb'] // 1024} MB peak{rescore}{service}"
         )
     print(f"wrote {args.out}")

@@ -29,7 +29,8 @@ class TestRunPoint:
         assert row["hosts"] == 20 and row["kind"] == ""
         assert row["n_jobs"] > 0
         assert row["sim_events"] > 0
-        assert row["wall_clock_s"] > 0
+        assert row["ref_s"] > 0 and row["wall_clock_s"] > 0
+        assert row["events_per_ref_s"] == row["sim_events"] / row["ref_s"]
         assert row["maxrss_kb"] > 0
         for fld in DETERMINISM_FIELDS:
             assert fld in row
@@ -73,15 +74,15 @@ class TestSweepParsing:
         assert point_key(1000, 3400, "service") == "h1000-j3400-service"
 
 
-def _row(hosts=1000, jobs=3400, kind="", norm=20.0, rss=50_000):
+def _row(hosts=1000, jobs=3400, kind="", rate=5000.0, rss=50_000):
     return {
         "hosts": hosts,
         "jobs_target": jobs,
         "kind": kind,
         "n_jobs": jobs,
-        "wall_clock_s": 5.0,
-        "events_per_s": norm / 0.01,
-        "normalized_events_per_s": norm,
+        "ref_s": 800 / rate,
+        "wall_clock_s": 800 / rate,
+        "events_per_ref_s": rate,
         "maxrss_kb": rss,
         "energy_kwh": 5.0,
         "cpu_hours": 10.0,
@@ -95,7 +96,6 @@ def _report(rows):
     return {
         "schema": SCHEMA,
         "seed": DEFAULT_SEED,
-        "calibration_s": 0.01,
         "results": {
             point_key(r["hosts"], r["jobs_target"], r["kind"]): r
             for r in rows
@@ -108,22 +108,37 @@ class TestRegressionGate:
         rep = _report([_row()])
         assert check_regression(rep, copy.deepcopy(rep), 0.30) == []
 
-    def test_throughput_regression_fails(self):
-        new = _report([_row(norm=10.0)])
-        base = _report([_row(norm=20.0)])
-        failures = check_regression(new, base, 0.30)
-        assert any("throughput regressed" in f for f in failures)
-
     def test_faster_run_passes(self):
-        new = _report([_row(norm=40.0)])
-        base = _report([_row(norm=20.0)])
+        new = _report([_row(rate=10000.0)])
+        base = _report([_row(rate=5000.0)])
         assert check_regression(new, base, 0.30) == []
 
+    @pytest.mark.parametrize("tolerance", [0.10, 0.30, 0.40])
+    def test_band_edge(self, tolerance):
+        """A run whose ref_s is 1 % past the band fails, 1 % inside passes."""
+        base = _report([_row()])
+        ref_s = base["results"]["h1000-j3400"]["ref_s"]
+        for factor, fails in ((1.01, True), (0.99, False)):
+            slow = ref_s * (1.0 + tolerance) * factor
+            failures = check_regression(_report([_row(rate=800 / slow)]), base, tolerance)
+            assert any("throughput regressed" in f for f in failures) is fails
+
     def test_determinism_drift_fails_regardless_of_speed(self):
-        new = _report([_row(norm=100.0)])
+        new = _report([_row(rate=25000.0)])
         new["results"]["h1000-j3400"]["energy_kwh"] += 1e-9
         failures = check_regression(new, _report([_row()]), 0.30)
         assert any("energy_kwh drifted" in f for f in failures)
+
+    def test_untimed_baseline_row_gates_determinism_alone(self, capsys):
+        base = _report([_row()])
+        for fld in ("ref_s", "wall_clock_s", "events_per_ref_s"):
+            del base["results"]["h1000-j3400"][fld]
+        assert check_regression(_report([_row(rate=1.0)]), base, 0.30) == []
+        assert "h1000-j3400: untimed baseline row" in capsys.readouterr().err
+        drifted = _report([_row(rate=1.0)])
+        drifted["results"]["h1000-j3400"]["sim_events"] += 1
+        assert any("sim_events drifted" in f
+                   for f in check_regression(drifted, base, 0.30))
 
     def test_seed_mismatch_skips_determinism(self):
         new = _report([_row()])

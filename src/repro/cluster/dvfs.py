@@ -10,10 +10,10 @@ explicit: a set of (frequency, voltage) operating points, with
 
 where the governor picks the lowest frequency that still serves the
 offered load.  Calibrated against the paper's endpoints (230 W idle,
-304 W at full tilt on 4 cores), it produces a *stepped* curve that the
-``ablation_power`` experiment can contrast with the measured
-piecewise-linear one — quantifying how much the smooth-curve assumption
-matters to the paper's energy numbers.
+304 W at full tilt on 4 cores), it produces a *stepped* curve to
+set beside the measured piecewise-linear one.  No experiment runs it:
+``ablation_power`` contrasts the Table I curve with constant-power
+hosts, and the model is exercised only by its unit tests.
 """
 
 from __future__ import annotations

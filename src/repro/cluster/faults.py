@@ -38,11 +38,6 @@ from repro.errors import ConfigurationError
 
 __all__ = ["FaultConfig", "OperationFaultModel", "ObservedReliability"]
 
-#: Valid migration-abort recovery modes: ``refund`` keeps the progress the
-#: VM accrued up to the abort instant; ``checkpoint`` rolls its work back
-#: to the latest snapshot (restart-from-checkpoint semantics).
-_RECOVERY_MODES = ("refund", "checkpoint")
-
 #: FaultConfig fields that are per-operation probabilities in [0, 1].
 _PROBABILITY_FIELDS = (
     "creation_failure_p",
@@ -63,7 +58,8 @@ class FaultConfig:
         paid) creation time, returning the VM to the queue.
     migration_abort_p:
         Probability that a migration aborts mid-flight; the VM stays on
-        its source host and the destination reservation is released.
+        its source host, keeps the work accrued up to the abort instant,
+        and the destination reservation is released.
     boot_failure_p:
         Probability that a host boot fails: the machine burns the full
         boot time and falls back to ``OFF``.
@@ -80,10 +76,6 @@ class FaultConfig:
     hot_multiplier:
         Fault-rate multiplier of hot hosts (>= 1); effective
         probabilities are clamped to 1.
-    migration_abort_recovery:
-        ``"refund"`` keeps the work accrued up to the abort instant;
-        ``"checkpoint"`` rolls the VM back to its latest checkpoint
-        (restart-from-checkpoint, pricing the lost CPU-seconds).
     """
 
     creation_failure_p: float = 0.0
@@ -93,7 +85,6 @@ class FaultConfig:
     slow_boot_factor: float = 3.0
     hot_fraction: float = 0.25
     hot_multiplier: float = 4.0
-    migration_abort_recovery: str = "refund"
 
     def __post_init__(self) -> None:
         for name in _PROBABILITY_FIELDS:
@@ -116,11 +107,6 @@ class FaultConfig:
             raise ConfigurationError(
                 f"FaultConfig.hot_multiplier must be >= 1, "
                 f"got {self.hot_multiplier!r}"
-            )
-        if self.migration_abort_recovery not in _RECOVERY_MODES:
-            raise ConfigurationError(
-                f"FaultConfig.migration_abort_recovery must be one of "
-                f"{_RECOVERY_MODES}, got {self.migration_abort_recovery!r}"
             )
 
     @property

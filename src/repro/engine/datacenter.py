@@ -984,11 +984,7 @@ class DatacenterSimulation(ActuatorsMixin):
 
         The VM never left its source: both operation legs end, the
         destination reservation is released, and the VM resumes RUNNING
-        on the source.  Recovery semantics follow
-        ``FaultConfig.migration_abort_recovery``: ``refund`` keeps the
-        work accrued up to the abort instant, ``checkpoint`` rolls the VM
-        back to its latest snapshot (or scratch) and prices the lost
-        CPU-seconds.
+        on the source with the work accrued up to the abort instant.
         """
         if vm.state is not VmState.MIGRATING or vm.migration_dst != dst.host_id:
             return  # superseded by a failure on either end
@@ -999,17 +995,6 @@ class DatacenterSimulation(ActuatorsMixin):
         vm.migration_src = None
         vm.migration_dst = None
         vm.state = VmState.RUNNING
-        faults = self.config.faults
-        if faults is not None and faults.migration_abort_recovery == "checkpoint":
-            snapshot = self.checkpoints.latest(vm.vm_id)
-            target = snapshot.work_done if snapshot is not None else 0.0
-            target = min(target, vm.work_done)
-            lost = vm.work_done - target
-            if lost > 0:
-                self._lost_work_pct_s += lost
-                vm.work_done = target
-            if snapshot is not None:
-                self.metrics.counters.incr("checkpoint_recoveries")
         self.metrics.counters.incr("aborted_migrations")
         self.emit(
             TraceEventKind.MIGRATION_ABORTED,

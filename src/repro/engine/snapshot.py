@@ -57,7 +57,8 @@ minus its history, which lives once in the chunk log below):
 The chunk log: every chunk is immutable once cut, so it is written once,
 to one append-only ``chunks-<lineage>.log`` per lineage beside the
 ``snap-*.ckpt`` files (a lineage is one run and its resumes; a fresh run
-draws a new name and never reads or extends an older run's log).  The
+draws a new name and never reads or extends an older run's log, and
+retention deletes a log once no remaining snapshot names it).  The
 payload pickles ``(trace, engine)`` through a ``dispatch_table`` that
 turns each chunk into its position in the snapshot's chunk table and
 each trace job into its index; the header carries the table as
@@ -101,6 +102,7 @@ excludes exactly those.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -410,11 +412,35 @@ def _persist(
     )
     if keep is not None:
         for stale in list_snapshots(directory)[:-keep]:
-            try:
+            with contextlib.suppress(OSError):  # retention is best-effort
                 stale.unlink()
-            except OSError:  # pragma: no cover - retention is best-effort
-                pass
+        _prune_logs(directory, header["log"])
     return final
+
+
+def _prune_logs(directory: Path, current: str) -> None:
+    """Delete every chunk log but ``current`` that no remaining snapshot's
+    header names.  A snapshot that is gone or whose header is invalid
+    names nothing; any other read error deletes no log, since a deletion
+    cannot be undone."""
+    others = [
+        log for log in directory.glob(f"chunks-*{_LOG_SUFFIX}")
+        if log.name != current
+    ]
+    if not others:
+        return
+    named = set()
+    for path in list_snapshots(directory):
+        try:
+            named.add(read_header(path).get("log"))
+        except (FileNotFoundError, StateError):
+            continue
+        except OSError:
+            return
+    for log in others:
+        if log.name not in named:
+            with contextlib.suppress(OSError):  # retention is best-effort
+                log.unlink()
 
 
 def list_snapshots(directory: os.PathLike) -> List[Path]:

@@ -78,21 +78,6 @@ class ScoreConfig:
     max_moves: Optional[int] = None
     queue_cost: float = 1e6
     epsilon: float = 1e-9
-    #: Pricing of a placed VM whose *current* cell went infinite solely
-    #: through the hard-SLA promotion (``fulf <= th_sla`` at its own host)
-    #: while the placement itself stays feasible.  The legacy behaviour
-    #: (``False``) prices such a VM at ``queue_cost`` — like a queued VM —
-    #: so *any* feasible cell looks like a huge win and the climber
-    #: migrates it even though the inflated requirement travels with the
-    #: VM and the move buys no fulfilment; see
-    #: :meth:`PersistentScoreMatrix._compute_costs`.  With ``True`` the
-    #: current cost is the cell's value with the *soft* SLA penalty
-    #: (``c_sla``) instead of the hard infinity, so the VM migrates only
-    #: when a destination genuinely beats staying put.  VMs that are
-    #: *forced* out (host unavailable/quarantined, requirement no longer
-    #: met, occupation pushed past 100 %) keep the queue_cost pricing
-    #: either way.
-    reprice_hard_sla: bool = False
     #: Minimum time between consolidation passes (rounds that consider
     #: migrating running VMs).  The paper's scheduler "periodically
     #: calculates whether to move jobs"; placements still happen at every

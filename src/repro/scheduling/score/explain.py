@@ -106,8 +106,13 @@ def explain_cell(
     *,
     fulfillment: float = 1.0,
     pending_conc_cost: float = 0.0,
+    reliability: Optional[float] = None,
 ) -> CellExplanation:
-    """Decompose ``Score(h, vm)`` into its penalty components."""
+    """Decompose ``Score(h, vm)`` into its penalty components.
+
+    ``reliability`` prices P_fault from a learned per-host estimate
+    instead of the static spec ``F_rel`` (see :func:`penalties.p_fault`).
+    """
     config = config or ScoreConfig.sb()
     p_req = P.p_req(host, vm)
     p_res = P.p_res(host, vm)
@@ -115,7 +120,7 @@ def explain_cell(
     p_conc = P.p_conc(host, vm, pending_conc_cost) if config.enable_conc else 0.0
     p_pwr = P.p_pwr(host, vm, config) if config.enable_pwr else 0.0
     p_sla = P.p_sla(host, vm, fulfillment, config) if config.enable_sla else 0.0
-    p_fault = P.p_fault(host, vm, config) if config.enable_fault else 0.0
+    p_fault = P.p_fault(host, vm, config, reliability) if config.enable_fault else 0.0
     total = p_req + p_res + p_virt + p_conc + p_pwr + p_sla + p_fault
     return CellExplanation(
         host_id=host.host_id,

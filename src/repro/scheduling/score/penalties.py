@@ -156,18 +156,13 @@ def total_score(
     pending_conc_cost: float = 0.0,
     reliability: Optional[float] = None,
 ) -> float:
-    """The merged cell score ``Score(h, vm)`` — sum of enabled penalties."""
-    score = p_req(host, vm) + p_res(host, vm)
-    if score == INF:
-        return INF
-    if config.enable_virt:
-        score += p_virt(host, vm, now)
-    if config.enable_conc:
-        score += p_conc(host, vm, pending_conc_cost)
-    if config.enable_pwr:
-        score += p_pwr(host, vm, config)
-    if config.enable_sla:
-        score += p_sla(host, vm, fulfillment, config)
-    if config.enable_fault:
-        score += p_fault(host, vm, config, reliability)
-    return score
+    """The merged cell score ``Score(h, vm)`` — sum of enabled penalties,
+    the total of :func:`~repro.scheduling.score.explain.explain_cell`."""
+    from repro.scheduling.score.explain import explain_cell
+
+    return explain_cell(
+        host, vm, now, config,
+        fulfillment=fulfillment,
+        pending_conc_cost=pending_conc_cost,
+        reliability=reliability,
+    ).total

@@ -12,10 +12,9 @@ kernels to.  Cells come from two kernels, each bit-identical to it
 queued columns, from the kept host terms, and
 :meth:`~PersistentScoreMatrix._score_placed` for any block that holds a
 placed column, from the kept placed terms.  Every status quo cost comes
-from the same cells plus
-:meth:`~PersistentScoreMatrix._soft_current_cost`; the scalar
-:mod:`repro.scheduling.score.penalties` is the independent spec the tests
-hold it to.
+from the same cells (:meth:`~PersistentScoreMatrix._compute_costs`); the
+scalar :mod:`repro.scheduling.score.penalties` is the independent spec
+the tests hold it to.
 
 The policy keeps one matrix per cluster and rebinds it every round
 instead of rebuilding O(online x N) cells; a one-shot
@@ -820,51 +819,18 @@ class PersistentScoreMatrix:
 
     # ---------------------------------------------------------------- costs
 
-    def _soft_current_cost(self, r: int, slot: int) -> Optional[float]:
-        """Score of ``slot``'s own cell with the *soft* SLA penalty.
-
-        ``r`` must be the slot's current host.  Returns ``None`` when the
-        cell is genuinely infeasible for reasons other than the hard-SLA
-        promotion (host unavailable, P_req failed, occupation past 100 %)
-        — those VMs are forced out and keep the queue_cost pricing.
-        Otherwise the value replays the general formula's float
-        operations for an "on" cell (:meth:`_score_cells`, where P_virt
-        and P_conc contribute exactly 0.0) with ``c_sla`` in place of the
-        hard infinity, so it is bit-identical to the score the cell would
-        carry if the fulfilment were above ``th_sla``.
-        """
-        cfg = self.config
-        if not self.avail[r] or not self.v_feas[slot, self.class_of_host[r]]:
-            return None
-        occ_now = max(
-            self.res_cpu[r] / self.cap_cpu[r], self.res_mem[r] / self.cap_mem[r]
-        )
-        if not occ_now <= 1.0 + 1e-9:
-            return None
-        s = 0.0
-        if cfg.enable_pwr:
-            t_empty = 1.0 if self.nvms[r] <= cfg.th_empty else 0.0
-            s += t_empty * cfg.c_empty - occ_now * cfg.c_fill
-        if cfg.enable_sla and self._fulf[slot] < 1.0:
-            s += cfg.c_sla
-        if cfg.enable_fault:
-            s += ((1.0 - self._rel[r]) - self.v_ftol[slot]) * cfg.c_fail
-        return float(s)
-
     def _compute_costs(self, slots: np.ndarray) -> np.ndarray:
         """Per-slot current costs from the stored cells.
 
         Queued VMs cost ``queue_cost``; placed VMs cost their current
         cell.  Unavailable current hosts read as +inf without touching the
         cell array (their rows may hold garbage).  An infinite current
-        cell maps to ``queue_cost`` — the VM is forced out (host
+        cell maps to ``queue_cost``: the VM is forced out (host
         unavailable/quarantined, requirements unmet, occupation over
-        100 %) and any feasible cell is an improvement — or, for a
-        hard-SLA promotion under ``config.reprice_hard_sla``, to the soft
-        pricing of :meth:`_soft_current_cost` (see that config field).
+        100 %, or a hard SLA violation) and any feasible cell is an
+        improvement.
         """
-        cfg = self.config
-        costs = np.full(len(slots), cfg.queue_cost)
+        costs = np.full(len(slots), self.config.queue_cost)
         cur = self._cur[slots]
         placed = np.nonzero(cur >= 0)[0]
         if placed.size:
@@ -874,13 +840,6 @@ class PersistentScoreMatrix:
             )
             finite = np.isfinite(vals)
             costs[placed[finite]] = vals[finite]
-            if cfg.reprice_hard_sla and not finite.all():
-                for k in placed[~finite]:
-                    soft = self._soft_current_cost(
-                        int(cur[k]), int(slots[k])
-                    )
-                    if soft is not None:
-                        costs[k] = soft
         return costs
 
     # --------------------------------------------------------------- minima

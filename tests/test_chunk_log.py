@@ -9,7 +9,8 @@ contract:
 * a bounded event trace resumes exactly from every snapshot;
 * a kill between a chunk append and the snapshot rename leaves a torn
   log tail that the previous snapshot resumes past, exactly;
-* a fresh run neither reads nor extends an older lineage's log;
+* a fresh run neither reads nor extends an older lineage's log, and the
+  log is deleted once no retained snapshot names it;
 * every flipped bit in a snapshot's payload or in its chunks is refused,
   and the refusal names the file.
 """
@@ -151,12 +152,83 @@ class TestLineages:
         monkeypatch.setattr("builtins.open", real_open)
 
         assert str(old_log) not in opened
-        assert old_log.read_bytes() == before
         # The newer lineage rewrote the snapshot files at the indices it
-        # shares with the older one, each referring to its own log.
+        # shares with the older one, each referring to its own log, so no
+        # snapshot names the older log any more and retention deleted it.
         snaps = list_snapshots(directory)
         assert {_log_of(p) for p in snaps} == {_log_of(snaps[-1])} != {old_log}
+        assert not old_log.exists()
         for path in snaps:
+            assert load_snapshot(path).sim.now == read_header(path)["sim_time"]
+
+    def test_a_log_a_retained_snapshot_names_survives(self, tmp_path):
+        """A newer run that overwrites only the first two indices leaves
+        the older log in place: the older snapshots past them name it."""
+        older = build_engine(tmp_path, trace_events=True, keep=1000)
+        older.run()
+        directory = older._snapshotter.directory
+        snaps = list_snapshots(directory)
+        assert len(snaps) > 2
+        (old_log,) = {_log_of(p) for p in snaps}
+        before = old_log.read_bytes()
+
+        newer = build_engine(tmp_path, trace_events=True, keep=1000)
+        newer.start()
+        newer.sim.run(until=read_header(snaps[1])["sim_time"] + 1.0)
+        newer._snapshotter.flush()
+
+        after = list_snapshots(directory)
+        logs = [_log_of(p) for p in after]
+        assert len(after) == len(snaps)
+        assert logs[2:] == [old_log] * (len(snaps) - 2)
+        assert logs[0] == logs[1] != old_log
+        assert old_log.read_bytes() == before
+        for path in after:
+            assert load_snapshot(path).sim.now == read_header(path)["sim_time"]
+
+    def test_an_unreadable_header_deletes_no_log(self, tmp_path, monkeypatch):
+        """A header read that fails other than by a missing file (here a
+        permission error) leaves every log in place: the snapshot may
+        still name it."""
+        older = build_engine(tmp_path, trace_events=True, keep=1000)
+        older.run()
+        directory = older._snapshotter.directory
+        (old_log,) = {_log_of(p) for p in list_snapshots(directory)}
+        before = old_log.read_bytes()
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(snapshot, "read_header", unreadable)
+        build_engine(tmp_path, trace_events=True, keep=1000).run()
+        monkeypatch.undo()
+
+        assert old_log.read_bytes() == before
+        assert _log_of(list_snapshots(directory)[-1]) != old_log
+
+    def test_the_running_lineage_keeps_its_log_while_pruned(self, tmp_path):
+        """Retention keeps the highest indices, here at first the older
+        run's: the newer run's own snapshots are pruned, yet the log it
+        is still appending to stays, and its later snapshots load."""
+        older = build_engine(tmp_path, trace_events=True, keep=1000)
+        older.run()
+        directory = older._snapshotter.directory
+        snaps = list_snapshots(directory)
+        assert len(snaps) > 3
+        (old_log,) = {_log_of(p) for p in snaps}
+
+        newer = build_engine(tmp_path, trace_events=True, keep=2)
+        newer.start()
+        newer.sim.run(until=read_header(snaps[1])["sim_time"] + 1.0)
+        newer._snapshotter.flush()
+        assert {_log_of(p) for p in list_snapshots(directory)} == {old_log}
+        (new_log,) = set(old_log.parent.glob("chunks-*.log")) - {old_log}
+
+        newer.run()
+        after = list_snapshots(directory)
+        assert {_log_of(p) for p in after} == {new_log}
+        assert not old_log.exists()
+        for path in after:
             assert load_snapshot(path).sim.now == read_header(path)["sim_time"]
 
 

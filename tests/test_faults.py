@@ -96,15 +96,19 @@ class TestFaultConfigValidation:
         with pytest.raises(ConfigurationError, match=field):
             FaultConfig(**{field: -0.1})
 
-    def test_multiplier_and_recovery_validated(self):
+    def test_multipliers_validated(self):
         with pytest.raises(ConfigurationError, match="slow_boot_factor"):
             FaultConfig(slow_boot_factor=0.5)
         with pytest.raises(ConfigurationError, match="hot_fraction"):
             FaultConfig(hot_fraction=2.0)
         with pytest.raises(ConfigurationError, match="hot_multiplier"):
             FaultConfig(hot_multiplier=0.0)
-        with pytest.raises(ConfigurationError, match="migration_abort_recovery"):
-            FaultConfig(migration_abort_recovery="undo")
+
+    def test_removed_recovery_mode_is_refused(self):
+        # An abort always keeps the accrued work; the old switch between
+        # refund and checkpoint rollback is an unknown keyword now.
+        with pytest.raises(TypeError, match="migration_abort_recovery"):
+            FaultConfig(migration_abort_recovery="checkpoint")
 
     def test_uniform_builder_and_any_faults(self):
         assert not FaultConfig().any_faults
@@ -291,7 +295,7 @@ class TestMigrationAbort:
         assert src.operations == [] and dst.operations == []
         assert dst.reservations == {}
         assert engine.metrics.counters["aborted_migrations"] == 1
-        # Refund semantics: no progress was destroyed.
+        # The VM keeps the progress accrued up to the abort.
         assert vm.work_done > 0.0
         assert engine._lost_work_pct_s == 0.0
         # The stale migration-done event must be a no-op.
@@ -299,28 +303,22 @@ class TestMigrationAbort:
         assert vm.job.state is JobState.COMPLETED
         assert engine.metrics.counters["migrations"] == 0
 
+    def test_abort_keeps_progress_past_the_latest_checkpoint(self):
+        """An abort never rolls the VM back, not even to its latest
+        per-VM checkpoint."""
+        stub = ScriptedFaultModel(migration=[True], frac=0.5)
+        engine = self._migrating_engine(stub, checkpoint_interval_s=60.0)
+        vm = engine.vms[1]
+        engine.sim.run(until=235.0)  # abort at 200 + 60*0.5 = 230
+        assert vm.state is VmState.RUNNING
+        snapshot = engine.checkpoints.latest(vm.vm_id)
+        assert snapshot is not None and vm.work_done > snapshot.work_done
+        assert engine.metrics.counters["aborted_migrations"] == 1
+        assert engine.metrics.counters["checkpoint_recoveries"] == 0
+        assert engine._lost_work_pct_s == 0.0
+
     # (migration abort racing a concurrent source-host crash lives in
     # tests/test_failure_migration_interplay.py::TestChaosFailureInterplay)
-
-    def test_checkpoint_recovery_rolls_back_and_prices_loss(self):
-        engine = build_engine(
-            [[Place(vm_id=1, host_id=0)], [Migrate(vm_id=1, dst_host_id=1)]],
-            faults=FaultConfig(
-                migration_abort_p=1.0, migration_abort_recovery="checkpoint"
-            ),
-        )
-        assert engine.fault_model is not None  # real model, p = 1
-        engine.sim.at(200.0, engine.trigger_round, label="force-round")
-        run_until(engine, 270.0)  # abort fires within 200 + 60 s
-        vm = engine.vms[1]
-        # No checkpoint exists: restart-from-scratch, loss is priced.
-        assert vm.state is VmState.RUNNING
-        assert vm.work_done == 0.0
-        assert engine._lost_work_pct_s > 0.0
-        result = engine.run()  # start() is idempotent: drains + builds row
-        assert vm.job.state is JobState.COMPLETED
-        assert result.aborted_migrations >= 1
-        assert result.lost_cpu_s > 0.0
 
 
 class TestBootFaults:

@@ -9,7 +9,7 @@ must agree with both.  The scalar-row
 fast path and the whole-simulation oracles live in
 ``tests/test_score_persistent.py``.
 
-Plus the regression test for the ``reprice_hard_sla`` current-cost fix.
+Plus the pricing of a hard SLA violation's current cost.
 """
 
 import dataclasses
@@ -72,8 +72,6 @@ def cluster_state(draw):
     now = draw(st.floats(min_value=0.0, max_value=7200.0))
     preset = draw(st.sampled_from(["sb0", "sb1", "sb2", "sb", "full"]))
     config = getattr(ScoreConfig, preset)()
-    if draw(st.booleans()):
-        config = dataclasses.replace(config, reprice_hard_sla=True)
     return hosts, vms, now, config, fulf
 
 
@@ -114,13 +112,13 @@ class TestOneShotEquivalence:
 
 
 class TestRepriceHardSla:
-    """Regression: hard-SLA promotion must not price the VM like a queued one.
+    """A hard SLA violation prices the VM like a queued one.
 
     A placed VM whose fulfilment has crossed ``th_sla`` gets its current
-    cell promoted to +inf.  Historically that cell then fell into the
-    forced-out bucket of :meth:`current_costs` (priced at ``queue_cost``),
-    making *any* feasible cell look like a ~1e6 win — the climber migrated
-    the VM every round even though fulfilment travels with the VM.
+    cell promoted to +inf, which falls into the forced-out bucket of
+    :meth:`current_costs` (priced at ``queue_cost``): *any* feasible cell
+    looks like a ~1e6 win, although fulfilment travels with the VM.  The
+    committed baselines are recorded with this pricing.
     """
 
     def _state(self):
@@ -141,32 +139,26 @@ class TestRepriceHardSla:
         row, col, gain = b.best_move()
         assert gain < -1e5  # spurious "huge win" migration
 
-    def test_reprice_uses_soft_sla_cost(self):
-        hosts, cols, config, fulf = self._state()
-        config = dataclasses.replace(config, reprice_hard_sla=True)
-        b = _builder(hosts, cols, 0.0, config, fulf)
-        # Independent expectation: the same placement with a *soft*
-        # violation (th_sla < fulf < 1) scores its own cell finitely, and
-        # the soft repricing must reproduce exactly that value.
-        soft_fulf = dict(fulf)
-        soft_fulf[cols[0].vm_id] = 0.8
-        ref = _builder(hosts, cols, 0.0, config, soft_fulf)
-        assert np.isfinite(ref.scores[0, 0])
-        assert b.current_costs()[0] == ref.scores[0, 0]
-        # The move can still buy back the on-host c_sla penalty, but the
-        # 1e6-scale forced-out gain is gone.
-        _, _, gain = b.best_move()
-        assert gain > -1e3
-
     def test_genuinely_forced_out_keeps_queue_cost(self):
         hosts, cols, config, fulf = self._state()
-        config = dataclasses.replace(config, reprice_hard_sla=True)
         hosts[0].quarantined = True  # forced out for real
         b = _builder(hosts, cols, 0.0, config, fulf)
         assert b.current_costs()[0] == config.queue_cost
 
     def test_default_stays_legacy(self):
-        # The committed macro baselines were recorded with the legacy
-        # pricing; the fix must stay opt-in until they are regenerated.
-        assert ScoreConfig().reprice_hard_sla is False
-        assert ScoreConfig.full().reprice_hard_sla is False
+        # The committed macro baselines were recorded with the queue_cost
+        # pricing, and it is the only pricing: the soft repricing switch
+        # is gone, so passing it is an error rather than a silent no-op.
+        assert "reprice_hard_sla" not in {
+            f.name for f in dataclasses.fields(ScoreConfig)
+        }
+        with pytest.raises(TypeError, match="reprice_hard_sla"):
+            ScoreConfig(reprice_hard_sla=True)
+        for preset in ("sb0", "sb1", "sb2", "sb", "full"):
+            hosts, cols, _, fulf = self._state()
+            config = getattr(ScoreConfig, preset)()
+            b = _builder(hosts, cols, 0.0, config, fulf)
+            if math.isinf(b.scores[0, 0]):  # presets that price the hard SLA
+                assert b.current_costs()[0] == config.queue_cost
+            else:
+                assert b.current_costs()[0] == b.scores[0, 0]

@@ -406,8 +406,7 @@ class TestOneColumnPath:
     @given(data=st.data())
     @pytest.mark.parametrize("config", [
         ScoreConfig.sb(), ScoreConfig.full(),
-        ScoreConfig.full(reprice_hard_sla=True),
-    ], ids=["sb", "full", "full-reprice"])
+    ], ids=["sb", "full"])
     def test_one_column_bind_equals_general_path(self, config, data):
         n_hosts = data.draw(st.integers(min_value=2, max_value=6), label="n_hosts")
         hosts = [make_host(
@@ -751,12 +750,11 @@ def _assert_cells_exact(matrix, rows, cols):
 
 
 #: The presets whose placed cells differ: P_virt's migration branch, P_conc,
-#: P_SLA with its hard infinity, P_fault, and the soft current-cost pricing.
+#: P_SLA with its hard infinity, and P_fault.
 PLACED_PRESETS = {
     "sb": ScoreConfig.sb,
     "sb2": ScoreConfig.sb2,
     "full": ScoreConfig.full,
-    "reprice_hard_sla": lambda **kw: ScoreConfig.full(reprice_hard_sla=True, **kw),
 }
 
 
@@ -877,8 +875,8 @@ class TestPlacedTermKernel:
 
     def test_on_cells_and_hard_sla_infinities(self):
         """The on-cell term with its SLA on-cell term: soft below full
-        fulfilment, +inf at or below ``th_sla`` -- and with
-        ``reprice_hard_sla`` the hard VM's current cost is the soft one."""
+        fulfilment, +inf at or below ``th_sla``, and the hard VM's current
+        cost is ``queue_cost``."""
         hosts = [make_host(i, node_class=CLASSES[i % 3]) for i in range(3)]
         vms = [make_vm(100 + v, cpu=50.0 + 30.0 * v) for v in range(3)]
         for v, vm in enumerate(vms):
@@ -886,21 +884,19 @@ class TestPlacedTermKernel:
         queued = make_vm(200)
         columns = vms + [queued]
         fulf = {100: 1.0, 101: 0.9, 102: 0.2, 200: 1.0}
-        for reprice in (False, True):
-            config = ScoreConfig.full(reprice_hard_sla=reprice)
-            matrix = PersistentScoreMatrix(hosts, config)
-            matrix.bind_round(columns, 10.0, fulf)
-            rows = np.arange(3)
-            rs = matrix._round_slots
-            cells = matrix._score_block(rows, rs)
-            _assert_cells_exact(matrix, rows, rs)
-            assert np.isinf(cells[2, 2]) and np.isfinite(cells[0, 2])
-            soft = matrix._score_block(rows, rs[1:2])[1, 0]
-            alone = PersistentScoreMatrix(hosts, config)
-            alone.bind_round(columns, 10.0, {**fulf, 101: 1.0})
-            assert soft == alone._score_block(rows, rs[1:2])[1, 0] + config.c_sla
-            cost = matrix.current_costs()[2]
-            assert (cost < config.queue_cost) if reprice else cost == config.queue_cost
+        config = ScoreConfig.full()
+        matrix = PersistentScoreMatrix(hosts, config)
+        matrix.bind_round(columns, 10.0, fulf)
+        rows = np.arange(3)
+        rs = matrix._round_slots
+        cells = matrix._score_block(rows, rs)
+        _assert_cells_exact(matrix, rows, rs)
+        assert np.isinf(cells[2, 2]) and np.isfinite(cells[0, 2])
+        soft = matrix._score_block(rows, rs[1:2])[1, 0]
+        alone = PersistentScoreMatrix(hosts, config)
+        alone.bind_round(columns, 10.0, {**fulf, 101: 1.0})
+        assert soft == alone._score_block(rows, rs[1:2])[1, 0] + config.c_sla
+        assert matrix.current_costs()[2] == config.queue_cost
 
     def test_consolidation_move_rescores_both_rows_in_one_call(self, monkeypatch):
         """A migration recomputes the terms of its two touched rows, and

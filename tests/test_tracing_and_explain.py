@@ -117,6 +117,24 @@ class TestExplain:
         builder = ScoreMatrixBuilder([host], [vm], 0.0, config)
         assert cell.total == pytest.approx(builder.scores[0, 0])
 
+    def test_learned_reliability_cell_matches_matrix(self):
+        """P_fault priced from a learned reliability, not the spec F_rel."""
+        from repro.scheduling.score.matrix import ScoreMatrixBuilder
+        hosts = [Host(HostSpec(host_id=i), initial_state=HostState.ON)
+                 for i in range(2)]
+        vm = make_vm(1)
+        config = ScoreConfig.full()
+        learned = [0.35, 0.9]
+        builder = ScoreMatrixBuilder(hosts, [vm], 0.0, config,
+                                     fulfillments={vm.vm_id: 1.0},
+                                     reliability=learned)
+        for i, host in enumerate(hosts):
+            cell = explain_cell(host, vm, 0.0, config, reliability=learned[i])
+            static = explain_cell(host, vm, 0.0, config)
+            assert cell.total == builder.scores[i, 0]
+            assert cell.p_fault == ((1.0 - learned[i]) - 0.0) * config.c_fail
+            assert cell.p_fault != static.p_fault
+
     def test_infeasible_cell_reported(self):
         host = Host(HostSpec(host_id=0), initial_state=HostState.OFF)
         cell = explain_cell(host, make_vm(1), 0.0)
