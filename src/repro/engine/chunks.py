@@ -23,12 +23,11 @@ import copyreg
 import io
 import pickle
 import zlib
-from dataclasses import fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import StateError
-from repro.workload.job import Job
+from repro.workload.job import SPEC_FIELDS, Job
 from repro.workload.trace import Trace
 
 __all__ = [
@@ -40,10 +39,8 @@ __all__ = [
     "logged_copy_problem",
 ]
 
-#: A job's fields that the engine writes as it runs; every other field is
-#: its spec, fixed when the workload was generated.
-_RUNTIME = ("state", "start_time", "finish_time")
-_spec = attrgetter(*(f.name for f in fields(Job) if f.name not in _RUNTIME))
+#: A job's spec as a tuple, the form a trace's job-spec chunk holds.
+_spec = attrgetter(*SPEC_FIELDS)
 
 
 class Chunk:

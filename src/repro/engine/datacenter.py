@@ -501,17 +501,25 @@ class DatacenterSimulation(ActuatorsMixin):
         self._graceful_stop = False
         self._wall_deadline = None
         clear_global_graceful_stop()
-        detail = ""
-        if self._snapshotter is not None:
-            path = self._snapshotter.write(self)
-            # The interrupt message promises the file exists; wait for
-            # the background writer before making that claim.
-            self._snapshotter.flush()
-            detail = f"; snapshot written to {path}"
+        path = self.snapshot_now()
+        detail = "" if path is None else f"; snapshot written to {path}"
         raise SimulationInterrupted(
             f"run interrupted at t={self.sim.now:.0f}s after "
             f"{self.sim.events_processed} events{detail}"
         )
+
+    def snapshot_now(self) -> Optional[str]:
+        """Write a snapshot now and wait until it is durable.
+
+        Returns its path, or ``None`` when the run has no checkpoint
+        directory.  Callers report the path, so the background writer is
+        joined before this returns.
+        """
+        if self._snapshotter is None:
+            return None
+        path = self._snapshotter.write(self)
+        self._snapshotter.flush()
+        return str(path)
 
     def try_restore(self) -> Optional["DatacenterSimulation"]:
         """Load the newest compatible snapshot of this run, if any.

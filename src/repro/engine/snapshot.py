@@ -197,7 +197,11 @@ __all__ = [
 #:    matrix's slot arrays stop at the high-water mark, and the header
 #:    carries the chunk table and a crc32 of the header and payload.  A
 #:    version-13 payload has none of these.
-SNAPSHOT_VERSION = 14
+#: 15: one round-budget object — a service engine's score policy pickles
+#:    :class:`~repro.service.core.PlacementCore` as its
+#:    ``budget_controller``; a version-14 snapshot pickles a separate
+#:    budget-controller class that no longer exists.
+SNAPSHOT_VERSION = 15
 
 #: First header field; identifies the file format itself.
 SNAPSHOT_MAGIC = "repro-engine-snapshot"
@@ -552,25 +556,33 @@ def resume_from(
     """Restore from the newest loadable snapshot in ``directory``.
 
     Walks newest → oldest so a snapshot torn or corrupted outside the
-    atomic-rename protocol (a copied partial file, a flipped byte, a
-    chunk missing from the log) falls back to its predecessor, with a
-    ``RuntimeWarning`` naming what was wrong.  Guard failures (version or
+    atomic-rename protocol (a garbage header, a copied partial file, a
+    flipped byte, a chunk missing from the log, a payload that fails to
+    unpickle) falls back to its predecessor, with a ``RuntimeWarning``
+    naming the file and what was wrong.  Guard failures (version or
     fingerprint mismatch) propagate — they mean "wrong run", not "bad
     file".  Returns ``None`` when the directory holds no snapshots.
     """
     for path in reversed(list_snapshots(directory)):
         try:
             read_header(path)
-        except StateError:
-            continue  # torn/garbage header: not a guard failure, fall back
+        except StateError as exc:
+            # Torn/garbage header (the message names the file): not a
+            # guard failure, fall back.
+            warnings.warn(f"{exc}; trying an older snapshot", RuntimeWarning)
+            continue
         try:
             return load_snapshot(path, expected_fingerprint=expected_fingerprint)
         except CorruptSnapshotError as exc:
             warnings.warn(f"{exc}; trying an older snapshot", RuntimeWarning)
         except StateError:
             raise  # version/fingerprint mismatch: wrong run, not a bad file
-        except Exception:
-            continue  # unreadable payload: try the previous snapshot
+        except Exception as exc:
+            warnings.warn(
+                f"{path}: payload failed to load "
+                f"({type(exc).__name__}: {exc}); trying an older snapshot",
+                RuntimeWarning,
+            )
     return None
 
 

@@ -61,9 +61,8 @@ class SchedulingContext:
         The SLA fulfilment index (:class:`~repro.sla.monitor.SlaMonitor`)
         SLA-aware policies read per-VM fulfilment and violations from.
         The engine passes its monitor, which it keeps current at
-        O(dirty hosts); a context built without one (a
-        :class:`~repro.service.core.PlacementCore` snapshot, a test)
-        builds its own by one scan of ``placed`` on first read.
+        O(dirty hosts); a context built without one (a test) builds its
+        own by one scan of ``placed`` on first read.
     guard:
         The engine's strict-invariant handler, ``guard(label, verify,
         repair)``, or ``None``.  The engine passes it when strict

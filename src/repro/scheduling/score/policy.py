@@ -95,16 +95,16 @@ class ScoreBasedPolicy(SchedulingPolicy):
         #: (source, hosts, host_id -> row, vector) behind
         #: :meth:`_reliability_vector`.
         self._rel_cache: Optional[tuple] = None
-        #: Anytime-mode hook, wired up by the control-plane service
-        #: (:class:`repro.service.anytime.RoundBudgetController`): when
-        #: set, each round's hill climb runs under the budget/deadline the
-        #: controller hands out and reports the iterations it actually
+        #: Anytime-mode hook: the control plane's
+        #: :class:`repro.service.core.PlacementCore` attaches itself here.
+        #: When set, each round's hill climb runs under the budget/deadline
+        #: the core hands out and reports the iterations it actually
         #: committed back (the journaled replay token).  None — the
         #: default everywhere outside service mode — keeps ``decide``
         #: bit-identical to the plain full climb.  Requires the
         #: ``hill_climb`` solver (metaheuristics have no anytime prefix
         #: property).
-        self.budget_controller: Optional["RoundBudgetController"] = None
+        self.budget_controller: Optional["PlacementCore"] = None
 
     def _long_lived_matrix(self, ctx: SchedulingContext) -> PersistentScoreMatrix:
         """The attached matrix for ``ctx.hosts`` (rebuilt on a new cluster).

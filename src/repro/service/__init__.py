@@ -7,18 +7,17 @@ deterministic replay of the decision journal as the correctness oracle.
 
 Layers (bottom up):
 
-* :mod:`repro.service.anytime` — :class:`RoundBudgetController`, the
-  per-round budget/deadline hand-off between the service and the score
-  policy's anytime hill climb;
-* :mod:`repro.service.core` — :class:`PlacementCore`, the clock-free
-  facade over a :class:`~repro.scheduling.base.SchedulingPolicy` (one-shot
-  budgeted decisions, controller wiring);
+* :mod:`repro.service.core` — :class:`PlacementCore`, the per-round
+  budget/deadline hand-off between the service and the score policy's
+  anytime hill climb (the policy's ``budget_controller``), and the
+  round watermark and reports the journal is written from;
 * :mod:`repro.service.journal` — :class:`DecisionJournal`, the
   crash-consistent JSONL decision log (write-ahead, index-deduplicated
   appends, torn-tail recovery);
 * :mod:`repro.service.engine` — :class:`ServiceEngine`, the synchronous
   admit/settle/drain core shared bit-for-bit by live serving, journal
-  replay, and post-crash catch-up;
+  replay, and post-crash catch-up (one journal re-application method
+  serves the last two);
 * :mod:`repro.service.controlplane` — the asyncio front end (bounded
   admission queue, shedding, graceful drain) plus the synthetic soak
   driver;
@@ -26,7 +25,6 @@ Layers (bottom up):
   resume-from-journal-tail recovery path.
 """
 
-from repro.service.anytime import RoundBudgetController
 from repro.service.controlplane import (
     ControlPlane,
     PlacementRequest,
@@ -44,7 +42,6 @@ __all__ = [
     "DecisionJournal",
     "PlacementCore",
     "PlacementRequest",
-    "RoundBudgetController",
     "ServiceConfig",
     "ServiceCursor",
     "ServiceEngine",

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
+from repro.service.core import check_round_limits
 from repro.service.engine import ServiceEngine
-from repro.workload.job import Job
+from repro.workload.job import SPEC_FIELDS, Job
 
 __all__ = [
     "ControlPlane",
@@ -65,8 +66,10 @@ class ServiceConfig:
         ``None`` disables deadline shedding.
     round_budget / round_deadline_ms:
         Anytime hill-climb limits per scheduling round — the
-        deterministic iteration cap and the live wall deadline (see
-        :class:`~repro.service.anytime.RoundBudgetController`).
+        deterministic iteration cap and the live wall deadline.  Checked
+        by the rule :class:`~repro.service.core.PlacementCore` uses, and
+        installed on the service's core by :class:`ControlPlane`
+        (``None`` keeps the core's own).
     max_retries / retry_base_s:
         Deferred-admission retry schedule (deterministic jitter).
     time_scale:
@@ -88,8 +91,7 @@ class ServiceConfig:
             )
         if self.request_deadline_ms is not None and self.request_deadline_ms <= 0:
             raise ConfigurationError("request_deadline_ms must be positive")
-        if self.round_deadline_ms is not None and self.round_deadline_ms <= 0:
-            raise ConfigurationError("round_deadline_ms must be positive")
+        check_round_limits(self.round_budget, self.round_deadline_s)
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.retry_base_s <= 0:
@@ -128,28 +130,22 @@ class PlacementRequest:
     at: Optional[float] = None
 
 
+#: The job spec a request carries: all of it but the two fields the
+#: control plane assigns.
+_REQUEST_FIELDS = tuple(
+    name for name in SPEC_FIELDS if name not in ("job_id", "submit_time")
+)
+
+
 class ControlPlane:
     """Bounded-queue asyncio admission front end over a ServiceEngine."""
 
     def __init__(self, svc: ServiceEngine, config: Optional[ServiceConfig] = None) -> None:
         self.svc = svc
         self.config = config or ServiceConfig()
-        if (
-            self.config.round_budget is not None
-            or self.config.round_deadline_ms is not None
-        ):
-            controller = svc.core.controller
-            if controller is None:
-                raise ConfigurationError(
-                    "round budgets require an anytime-capable policy "
-                    "(ScoreBasedPolicy with the hill_climb solver)"
-                )
-            # Operational knobs only — the controller's replay watermark
-            # and pending reports are left untouched.
-            if self.config.round_budget is not None:
-                controller.budget = self.config.round_budget
-            if self.config.round_deadline_ms is not None:
-                controller.deadline_s = self.config.round_deadline_s
+        # Operational knobs only — the core's replay watermark and
+        # pending reports are left untouched.
+        svc.core.set_limits(self.config.round_budget, self.config.round_deadline_s)
         self._queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.queue_capacity
         )
@@ -194,12 +190,7 @@ class ControlPlane:
 
     def checkpoint(self) -> Optional[str]:
         """Write a durable engine snapshot now (the SIGTERM handler's job)."""
-        snapshotter = self.svc.engine._snapshotter
-        if snapshotter is None:
-            return None
-        path = snapshotter.write(self.svc.engine)
-        snapshotter.flush()
-        return str(path)
+        return self.svc.engine.snapshot_now()
 
     # ------------------------------------------------------------ submission
 
@@ -271,14 +262,7 @@ class ControlPlane:
             job = Job(
                 job_id=seq,
                 submit_time=self._sim_time_for(request),
-                runtime_s=request.runtime_s,
-                cpu_pct=request.cpu_pct,
-                mem_mb=request.mem_mb,
-                deadline_factor=request.deadline_factor,
-                user=request.user,
-                arch=request.arch,
-                hypervisor=request.hypervisor,
-                fault_tolerance=request.fault_tolerance,
+                **{name: getattr(request, name) for name in _REQUEST_FIELDS},
             )
             try:
                 decision = self.svc.admit(job)
@@ -330,15 +314,8 @@ def serve_synthetic(
                 interrupted = True
                 break
             request = PlacementRequest(
-                runtime_s=job.runtime_s,
-                cpu_pct=job.cpu_pct,
-                mem_mb=job.mem_mb,
-                deadline_factor=job.deadline_factor,
-                user=job.user,
-                arch=job.arch,
-                hypervisor=job.hypervisor,
-                fault_tolerance=job.fault_tolerance,
                 at=job.submit_time,
+                **{name: getattr(job, name) for name in _REQUEST_FIELDS},
             )
             await plane.submit(request)
         if interrupted:

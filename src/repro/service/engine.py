@@ -5,14 +5,15 @@ decision path, shared bit-for-bit by three callers:
 
 * **live serving** — the asyncio control plane admits wall-clock-timed
   requests through it with the journal armed;
-* **replay** — the harness feeds a journal's admissions back through a
-  fresh engine with ``journal=None`` and the journaled per-round budgets
-  imposed, and must land on the identical
-  :meth:`~repro.engine.results.SimulationResult.canonical`;
-* **post-crash catch-up** — a restored engine re-applies the journal
-  tail through the same code with index-deduplicated journaling, so the
-  file converges to exactly the record stream an unkilled process would
-  have written: zero lost, zero duplicated decisions.
+* **replay** — the harness feeds a whole journal through
+  :meth:`ServiceEngine.reapply` on a fresh engine with ``journal=None``
+  and the journaled per-round budgets imposed, and must land on the
+  identical :meth:`~repro.engine.results.SimulationResult.canonical`;
+* **post-crash catch-up** — a restored engine feeds the journal tail
+  through the same :meth:`ServiceEngine.reapply` with index-deduplicated
+  journaling, so the file converges to exactly the record stream an
+  unkilled process would have written: zero lost, zero duplicated
+  decisions.
 
 Sharing the code path is not a convenience — it is the determinism
 argument.  Every simulator interaction (inject at priority ``-1``,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import json
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.vm import VmState
 from repro.engine.datacenter import DatacenterSimulation
@@ -45,37 +46,23 @@ from repro.errors import StateError
 from repro.experiments.resilience import ExecutionPolicy
 from repro.service.core import PlacementCore
 from repro.service.journal import DecisionJournal
-from repro.workload.job import Job
+from repro.workload.job import SPEC_FIELDS, Job
 
 __all__ = ["ServiceCursor", "ServiceEngine", "job_to_detail", "job_from_record"]
 
-#: Job fields carried in an admission record — everything needed to
-#: rebuild the identical Job for replay/catch-up.
-_JOB_FIELDS = (
-    "job_id",
-    "submit_time",
-    "runtime_s",
-    "cpu_pct",
-    "mem_mb",
-    "deadline_factor",
-    "user",
-    "arch",
-    "hypervisor",
-    "fault_tolerance",
-)
-
 
 def job_to_detail(seq: int, job: Job) -> str:
-    """The admission record's detail payload (JSON)."""
+    """The admission record's detail payload (JSON): the job's spec,
+    everything needed to rebuild the identical Job for replay/catch-up."""
     return json.dumps(
-        {"seq": seq, "job": {name: getattr(job, name) for name in _JOB_FIELDS}}
+        {"seq": seq, "job": {name: getattr(job, name) for name in SPEC_FIELDS}}
     )
 
 
 def job_from_record(record: TraceRecord) -> Job:
     """Rebuild the admitted Job from its journal record."""
     payload = json.loads(record.detail)["job"]
-    return Job(**{name: payload[name] for name in _JOB_FIELDS})
+    return Job(**{name: payload[name] for name in SPEC_FIELDS})
 
 
 class ServiceCursor:
@@ -190,7 +177,7 @@ class ServiceEngine:
 
     def _flush_rounds(self) -> None:
         """Journal the rounds the last advance executed, in order."""
-        for round_t, iterations, exhausted in self.core.drain_round_reports():
+        for round_t, iterations, exhausted in self.core.drain_pending():
             self._emit_indexed(
                 round_t,
                 TraceEventKind.SVC_ROUND,
@@ -348,20 +335,29 @@ class ServiceEngine:
 
     # --------------------------------------------------------------- resume
 
-    def catch_up(self) -> int:
+    def catch_up(self) -> List[Dict[str, object]]:
         """Re-apply the journal tail after a snapshot restore.
 
-        Requires a journal opened with ``recover=True``.  Re-settles a
-        half-settled admission first (its arrival is already in the
-        restored heap), then re-admits every journaled admission beyond
-        the cursor watermark — all through the normal code path, with the
-        journaled per-round budgets imposed and every re-write
-        deduplicated by index.  Returns the number of tail admissions
-        re-applied.
+        Requires a journal opened with ``recover=True``: its recovered
+        records go through :meth:`reapply`, every re-write deduplicated
+        by index.  Returns the decisions re-made.
         """
         if self.journal is None:
             raise StateError("catch_up requires a recovery-mode journal")
-        records = self.journal.preexisting
+        return self.reapply(self.journal.preexisting)
+
+    def reapply(self, records: Sequence[TraceRecord]) -> List[Dict[str, object]]:
+        """Re-apply a journal's records beyond this engine's watermarks.
+
+        The one journal re-application rule, shared by replay (a fresh
+        engine, every record) and post-crash catch-up (a restored engine,
+        the tail).  Loads the journaled per-round budgets of the rounds
+        the engine has not yet executed, marks the resume in an armed
+        journal, re-settles a half-settled admission, then re-admits
+        every journaled admission beyond the cursor — all through the
+        normal code path.
+        Returns the decisions made, in admission order.
+        """
         admits = [r for r in records if r.kind is TraceEventKind.SVC_ADMIT]
         rounds = [r for r in records if r.kind is TraceEventKind.SVC_ROUND]
         cursor = self.cursor
@@ -371,32 +367,33 @@ class ServiceEngine:
                 f"admissions applied, {len(admits)} journaled) — wrong "
                 f"journal file?"
             )
-        # Budgets for rounds the snapshot has not yet executed, in global
+        # Budgets for rounds the engine has not yet executed, in global
         # execution order (the journal's file order).
         self.core.load_replay_budgets(
-            [
-                json.loads(r.detail)["iterations"]
-                for r in rounds[self.core.rounds_done :]
-            ]
+            json.loads(r.detail)["iterations"]
+            for r in rounds[self.core.rounds_done :]
         )
-        self.journal.append(
-            TraceRecord(
-                self.engine.sim.now,
-                TraceEventKind.SVC_RESUME,
-                detail=json.dumps(
-                    {
-                        "admits_applied": cursor.admits,
-                        "admits_journaled": len(admits),
-                    }
-                ),
+        if self.journal is not None:
+            self.journal.append(
+                TraceRecord(
+                    self.engine.sim.now,
+                    TraceEventKind.SVC_RESUME,
+                    detail=json.dumps(
+                        {
+                            "admits_applied": cursor.admits,
+                            "admits_journaled": len(admits),
+                        }
+                    ),
+                )
             )
-        )
+        decisions = []
         if cursor.settled < cursor.admits:
             # The crash hit mid-settle: the admission's arrival event is
             # in the restored heap; finish its advance and decision.
             record = admits[cursor.admits - 1]
-            self._settle(job_from_record(record), record.time, None)
-        tail = admits[cursor.admits :]
-        for record in tail:
-            self.admit(job_from_record(record))
-        return len(tail)
+            decisions.append(
+                self._settle(job_from_record(record), record.time, None)
+            )
+        for record in admits[cursor.admits :]:
+            decisions.append(self.admit(job_from_record(record)))
+        return decisions

@@ -30,10 +30,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.engine.datacenter import DatacenterSimulation
 from repro.engine.results import SimulationResult
-from repro.engine.tracing import TraceEventKind, TraceRecord, read_jsonl
-from repro.errors import StateError
+from repro.engine.tracing import TraceEventKind, read_jsonl
 from repro.service.core import PlacementCore
-from repro.service.engine import ServiceEngine, job_from_record
+from repro.service.engine import ServiceEngine
 from repro.service.journal import DecisionJournal
 
 __all__ = ["ReplayReport", "replay_journal", "resume_service"]
@@ -78,8 +77,6 @@ def replay_journal(
     whatever live budgets were in force.
     """
     records = read_jsonl(path)
-    admits = [r for r in records if r.kind is TraceEventKind.SVC_ADMIT]
-    rounds = [r for r in records if r.kind is TraceEventKind.SVC_ROUND]
     drains = [r for r in records if r.kind is TraceEventKind.SVC_DRAIN]
     live_decisions = [
         json.loads(r.detail)
@@ -88,23 +85,16 @@ def replay_journal(
     ]
 
     engine = engine_factory()
-    if engine.trace is not None:
-        raise StateError("replay requires a live-mode engine (trace=None)")
-    core = PlacementCore(engine.policy)
     svc = ServiceEngine(
         engine,
-        core,
+        PlacementCore(engine.policy),
         journal=None,
         max_retries=max_retries,
         retry_base_s=retry_base_s,
     )
-    # Impose every journaled round's committed iteration count — the
+    # Every journaled round's committed iteration count is imposed — the
     # deterministic stand-in for the live run's wall-clock deadlines.
-    core.load_replay_budgets(
-        [json.loads(r.detail)["iterations"] for r in rounds]
-    )
-
-    decisions = [svc.admit(job_from_record(r)) for r in admits]
+    decisions = svc.reapply(records)
 
     if drains:
         # The live run fixed its drain horizon when draining started; an

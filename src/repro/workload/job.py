@@ -16,13 +16,13 @@ Satisfaction follows the paper's equation in §V:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.errors import ConfigurationError, StateError
 from repro.units import CPU_PCT_PER_CORE
 
-__all__ = ["Job", "JobState"]
+__all__ = ["Job", "JobState", "SPEC_FIELDS"]
 
 
 class JobState(enum.Enum):
@@ -161,3 +161,12 @@ class Job:
 
     def __hash__(self) -> int:
         return hash(self.job_id)
+
+
+#: A job's fields that the engine writes as it runs.
+_RUNTIME_FIELDS = ("state", "start_time", "finish_time")
+
+#: Every other field, in declaration order: the job's spec, fixed when the
+#: workload was generated or the request admitted (``Job(*spec)`` rebuilds
+#: the job).
+SPEC_FIELDS = tuple(f.name for f in fields(Job) if f.name not in _RUNTIME_FIELDS)

@@ -28,7 +28,6 @@ from repro.service import (
     ControlPlane,
     DecisionJournal,
     PlacementCore,
-    RoundBudgetController,
     ServiceConfig,
     ServiceEngine,
     ShedError,
@@ -36,6 +35,7 @@ from repro.service import (
     resume_service,
     serve_synthetic,
 )
+from repro.service.engine import job_to_detail
 from repro.units import HOUR
 from repro.workload.job import Job
 from repro.workload.synthetic import Grid5000WeekGenerator, SyntheticConfig
@@ -84,15 +84,6 @@ def canonical_diff(a, b):
 
 
 class TestPlacementCore:
-    def test_decide_once_is_clock_free(self):
-        engine = make_engine()
-        core = PlacementCore(engine.policy)
-        host_objs = list(engine.hosts)
-        from repro.cluster.vm import Vm
-
-        actions = core.decide_once(host_objs, [Vm(make_job(1, 0.0))])
-        assert actions, "a queued VM on an empty cluster must place"
-
     def test_budgets_require_hill_climb_policy(self):
         with pytest.raises(ConfigurationError):
             PlacementCore(BackfillingPolicy(), round_budget=2)
@@ -104,22 +95,41 @@ class TestPlacementCore:
             )
 
     def test_unbudgeted_any_policy_works(self):
-        PlacementCore(BackfillingPolicy())  # no controller, no error
+        core = PlacementCore(BackfillingPolicy())  # no budgets, no error
+        assert core.drain_pending() == [] and core.rounds_done == 0
 
     def test_adopts_existing_controller(self):
+        """A core built on a restored policy takes over the previous
+        core's watermark, pending reports and replay budgets, and only
+        the knobs come from the new one."""
         policy = ScoreBasedPolicy(ScoreConfig.sb())
-        first = PlacementCore(policy, round_budget=3)
-        first.controller.rounds_done = 7
+        first = PlacementCore(policy, round_budget=3, round_deadline_s=0.5)
+        first.rounds_done = 7
+        first.pending.append((60.0, 2, True))
+        first.load_replay_budgets([4, 1])
         second = PlacementCore(policy, round_budget=5)
-        assert second.controller is first.controller
-        assert second.controller.rounds_done == 7  # watermark survives
-        assert second.controller.budget == 5  # knob adopted
+        assert policy.budget_controller is second
+        assert second.rounds_done == 7  # watermark survives
+        assert second.drain_pending() == [(60.0, 2, True)]
+        assert list(second.replay_budgets) == [4, 1]
+        assert (second.budget, second.deadline_s) == (5, None)  # knobs replaced
 
     def test_controller_validation(self):
+        policy = ScoreBasedPolicy(ScoreConfig.sb())
         with pytest.raises(ConfigurationError):
-            RoundBudgetController(budget=-1)
+            PlacementCore(policy, round_budget=-1)
         with pytest.raises(ConfigurationError):
-            RoundBudgetController(deadline_s=0.0)
+            PlacementCore(policy, round_deadline_s=0.0)
+
+    def test_admission_detail_is_the_job_spec(self):
+        """The admission record's job keys, in the order journals hold."""
+        detail = json.loads(job_to_detail(2, make_job(4, 12.0)))
+        assert detail["seq"] == 2
+        assert list(detail["job"]) == [
+            "job_id", "submit_time", "runtime_s", "cpu_pct", "mem_mb",
+            "deadline_factor", "user", "arch", "hypervisor",
+            "fault_tolerance",
+        ]
 
 
 # ------------------------------------------------------------- the journal
@@ -419,6 +429,21 @@ class TestControlPlane:
             ServiceConfig(request_deadline_ms=-1.0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(time_scale=0.0)
+
+    def test_round_limits_checked_like_the_core(self):
+        """ServiceConfig refuses the round limits PlacementCore refuses,
+        by the same rule: a negative budget would have every round's
+        climb commit nothing."""
+        policy = ScoreBasedPolicy(ScoreConfig.sb())
+        for core_kw, config_kw in (
+            ({"round_budget": -1}, {"round_budget": -1}),
+            ({"round_deadline_s": 0.0}, {"round_deadline_ms": 0.0}),
+        ):
+            with pytest.raises(ConfigurationError) as core_exc:
+                PlacementCore(policy, **core_kw)
+            with pytest.raises(ConfigurationError) as config_exc:
+                ServiceConfig(**config_kw)
+            assert str(config_exc.value) == str(core_exc.value)
 
     def test_budget_knobs_require_capable_policy(self):
         engine = make_engine(policy=BackfillingPolicy())

@@ -8,6 +8,7 @@ here (format guards, retention, graceful signals, the CLI surface) exists
 to protect that oracle in production.
 """
 
+import json
 import os
 import pathlib
 import pickle
@@ -35,6 +36,7 @@ from repro.engine.datacenter import DatacenterSimulation
 from repro.engine.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    _header_crc,
     config_fingerprint,
     latest_snapshot,
     list_snapshots,
@@ -346,7 +348,7 @@ class TestRestoreGuards:
             load_snapshot(path)
         assert str(SNAPSHOT_VERSION) in str(exc.value)
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])
     def test_old_snapshot_version_refused_by_name(self, tmp_path, version):
         """A snapshot from before the single score kernel (version 2), the
         single share-solve path (version 3), the tuple-keyed event heap
@@ -355,9 +357,10 @@ class TestRestoreGuards:
         the pickled feed cursor (version 8), the one host mirror
         (version 9), the one score-matrix object (version 10), the
         re-keyed event sequence number (version 11), the retired
-        archive (version 12) or the chunk log (version 13) pickles classes whose
-        layout changed or state the engine now reads differently; it must
-        be refused from its header, never unpickled."""
+        archive (version 12), the chunk log (version 13) or the one
+        round-budget object (version 14) pickles classes whose layout
+        changed or state the engine now reads differently; it must be
+        refused from its header, never unpickled."""
         _, path = self._one_snapshot(tmp_path)
         raw = path.read_bytes()
         header, _ = raw.split(b"\n", 1)
@@ -417,9 +420,34 @@ class TestRestoreGuards:
             restored = resume_from(tmp_path, expected_fingerprint=fp)
         assert restored is not None
         assert restored.sim.now == t_good
-        # Garbage header (not just torn payload) also falls back.
+        # Garbage header (not just torn payload) also falls back, naming
+        # the file.
         newer.write_bytes(b"total garbage, no json here")
-        assert resume_from(tmp_path, expected_fingerprint=fp).sim.now == t_good
+        with pytest.warns(RuntimeWarning, match=re.escape(str(newer))):
+            restored = resume_from(tmp_path, expected_fingerprint=fp)
+        assert restored.sim.now == t_good
+
+    def test_resume_from_names_a_payload_that_fails_to_load(self, tmp_path):
+        """A newest snapshot whose payload passes its crc but does not
+        unpickle falls back to the older one, with a warning naming the
+        newer file and the exception."""
+        engine = build_engine(None)
+        engine.start()
+        engine.sim.run(max_events=40)
+        t_good = engine.sim.now
+        fp = config_fingerprint(engine)
+        write_snapshot(engine, tmp_path, index=1, fingerprint=fp)
+        engine.sim.run(max_events=40)
+        newer, _ = write_snapshot(engine, tmp_path, index=2, fingerprint=fp)
+        header = read_header(newer)
+        payload = b"not a pickle"
+        header["crc"] = _header_crc(header, payload)
+        newer.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.warns(RuntimeWarning) as caught:
+            restored = resume_from(tmp_path, expected_fingerprint=fp)
+        assert restored.sim.now == t_good
+        message = str(caught[0].message)
+        assert str(newer) in message and "UnpicklingError" in message
 
     def test_resume_from_empty_dir_is_none(self, tmp_path):
         assert resume_from(tmp_path) is None
