@@ -33,6 +33,7 @@ from repro import __version__
 from repro.des.random import RandomStreams
 from repro.engine.config import EngineConfig
 from repro.engine.results import results_table
+from repro.errors import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.common import DEFAULT_SEED, paper_cluster, paper_trace, run_policy
 from repro.scheduling.baselines import BackfillingPolicy, RandomPolicy, RoundRobinPolicy
@@ -364,7 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        # An invalid value among the command's own arguments is a usage
+        # error, reported like argparse's own; any other error during a
+        # run keeps its traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         import signal
 

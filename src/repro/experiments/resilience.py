@@ -9,12 +9,16 @@ such a battery to completion on imperfect hardware:
   backoff with *deterministic* seed-derived jitter (no wall-clock RNG:
   the delay is a pure function of ``(seed, task, attempt)``), and a
   per-task wall-clock timeout;
-* :func:`execute_tasks` — the executor.  In parallel mode it manages a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, consumes futures as
-  they complete, recovers from :class:`BrokenProcessPool` by respawning
-  the pool and re-submitting only the lost tasks, reaps hung workers on
-  timeout, and degrades gracefully to serial in-process execution after
-  repeated pool breakage;
+* :func:`execute_tasks` — the executor.  One dispatch loop serves every
+  mode: it keeps a backlog of due attempts, submits at most one task per
+  worker, consumes futures as they complete, journals each outcome and
+  requeues a failed attempt after its backoff.  A parallel sweep submits
+  to a :class:`~concurrent.futures.ProcessPoolExecutor`, recovers from
+  :class:`BrokenProcessPool` by respawning the pool, and reaps hung
+  workers on timeout.  A serial sweep submits to an in-process executor
+  whose futures are complete when ``submit`` returns; after repeated
+  pool breakage a parallel sweep degrades by swapping its pool for that
+  executor;
 * :class:`SweepJournal` — an append-only JSONL record of every attempt
   (task, attempt, outcome, duration, cache key) that makes interrupted
   sweeps resumable;
@@ -24,14 +28,17 @@ such a battery to completion on imperfect hardware:
   (crash-on-nth-attempt, hang, injected raise, corrupted result) carried
   across the process boundary in the ``REPRO_FAULT_PLAN`` environment
   variable, used by the resilience test-suite and the CI fault-injection
-  smoke job.
+  smoke job.  Faults fire only in worker processes, never in the
+  calling process.
 
 Fault attribution note: when a worker dies hard, every in-flight future
 collapses with :class:`BrokenProcessPool` and the culprit cannot be
 identified, so a pool breakage charges one attempt to *every* in-flight
 task.  A timeout, by contrast, is attributable — only the overdue tasks
 are charged; other in-flight tasks lost to the forced pool restart are
-re-submitted at their current attempt number for free.
+re-submitted at their current attempt number for free.  Timeouts apply
+only to tasks in worker processes: a task in the calling process cannot
+be interrupted portably.
 
 Everything here is stdlib-only and every worker entry point is a
 top-level function, picklable under both fork and spawn start methods.
@@ -101,17 +108,17 @@ class ExecutionPolicy:
         Extra attempts allowed per task after the first one fails
         (``0`` keeps the historical fail-fast behaviour).
     task_timeout_s:
-        Per-attempt wall-clock budget.  Only enforceable in parallel
-        mode — a hung task in the calling process cannot be interrupted
-        portably, so serial execution ignores it.
+        Per-attempt wall-clock budget.  It applies only to tasks in
+        worker processes — a hung task in the calling process cannot be
+        interrupted portably, so serial and degraded sweeps ignore it.
     backoff_base_s / backoff_factor / backoff_jitter / backoff_seed:
         Delay before attempt ``n`` (n >= 1) is
         ``base * factor**(n-1) * (1 + jitter * u)`` where ``u`` in [0, 1)
         is derived from ``sha256(seed, task, attempt)`` — deterministic,
         so two runs of the same faulted sweep behave identically.
     max_pool_respawns:
-        Pool breakages tolerated before degrading to serial in-process
-        execution of the remaining tasks.
+        Pool breakages tolerated before the remaining tasks run in the
+        calling process.
     partial:
         Return a :class:`SweepReport` (completed outputs + structured
         failure report) instead of raising on task failure.
@@ -406,10 +413,13 @@ class SweepJournal:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One schedulable experiment invocation."""
+    """One schedulable experiment invocation.
+
+    ``task_id`` is the experiment's registry id; the journal, the report
+    and fault plans name the task by it.
+    """
 
     task_id: str
-    exp_id: str
     scale: float
     seed: Optional[int]
     cache_key: str = ""
@@ -476,11 +486,7 @@ class SweepReport:
 
 
 @contextmanager
-def _checkpoint_env(
-    checkpoint_dir: Optional[str],
-    sim_interval_s: Optional[float],
-    wall_interval_s: Optional[float],
-):
+def _checkpoint_env(policy: ExecutionPolicy, checkpoint_dir: Optional[str]):
     """Export engine checkpoint/restore settings for the enclosed task.
 
     The engine folds ``REPRO_CHECKPOINT_*`` into its config and
@@ -497,10 +503,14 @@ def _checkpoint_env(
         "REPRO_CHECKPOINT_DIR": checkpoint_dir,
         "REPRO_RESTORE": "1",
     }
-    if sim_interval_s is not None:
-        updates["REPRO_CHECKPOINT_INTERVAL"] = repr(float(sim_interval_s))
-    if wall_interval_s is not None:
-        updates["REPRO_CHECKPOINT_WALL_INTERVAL"] = repr(float(wall_interval_s))
+    if policy.checkpoint_sim_interval_s is not None:
+        updates["REPRO_CHECKPOINT_INTERVAL"] = repr(
+            float(policy.checkpoint_sim_interval_s)
+        )
+    if policy.checkpoint_wall_interval_s is not None:
+        updates["REPRO_CHECKPOINT_WALL_INTERVAL"] = repr(
+            float(policy.checkpoint_wall_interval_s)
+        )
     previous = {name: os.environ.get(name) for name in updates}
     os.environ.update(updates)
     try:
@@ -548,42 +558,29 @@ def _graceful_worker_signals(enabled: bool):
                 pass
 
 
-def run_task(
-    task_id: str,
-    exp_id: str,
-    scale: float,
-    seed: Optional[int],
-    attempt: int,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_sim_interval_s: Optional[float] = None,
-    checkpoint_wall_interval_s: Optional[float] = None,
-):
-    """Worker entry point: run one experiment module (picklable).
+def run_task(task: TaskSpec, attempt: int, policy: ExecutionPolicy):
+    """Run one attempt of one task; the entry point of every executor.
 
     Applies any environment fault plan first (worker processes only),
-    then invokes the registry entry exactly as the serial path would —
-    all seeding is explicit, so the rows are attempt-independent.  With
-    ``checkpoint_dir`` set, the task's engines snapshot there and a
-    retried attempt resumes from the newest snapshot instead of
-    recomputing (results stay bit-identical either way).
+    then invokes the registry entry with the task's explicit arguments,
+    so the rows are attempt-independent and the same in every process.
+    With checkpointing on, the task's engines snapshot into its own
+    directory and a retried attempt resumes from the newest snapshot
+    instead of recomputing (results stay bit-identical either way).
     """
-    fault = _apply_worker_fault(task_id, attempt)
+    fault = _apply_worker_fault(task.task_id, attempt)
     from repro.experiments import registry
 
-    kwargs = {"scale": scale}
-    if seed is not None:
-        kwargs["seed"] = seed
-    in_worker = multiprocessing.parent_process() is not None
+    kwargs = {"scale": task.scale}
+    if task.seed is not None:
+        kwargs["seed"] = task.seed
+    checkpoint_dir = policy.task_checkpoint_dir(task.task_id)
     try:
         with _graceful_worker_signals(checkpoint_dir is not None):
-            with _checkpoint_env(
-                checkpoint_dir,
-                checkpoint_sim_interval_s,
-                checkpoint_wall_interval_s,
-            ):
-                out = registry.get(exp_id)(**kwargs)
+            with _checkpoint_env(policy, checkpoint_dir):
+                out = registry.get(task.task_id)(**kwargs)
     except SimulationInterrupted:
-        if in_worker:
+        if multiprocessing.parent_process() is not None:
             # The final snapshot is on disk; die clean so the supervisor
             # reads this as preemption, not failure ("checkpoint, exit 0").
             os._exit(0)
@@ -637,7 +634,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _Sweep:
-    """Mutable bookkeeping shared by the serial and parallel paths."""
+    """Mutable bookkeeping of one sweep: report, journal and stop latch."""
 
     def __init__(
         self,
@@ -742,94 +739,52 @@ class _Sweep:
         return result
 
 
-def _run_serial(
-    sweep: _Sweep, work: List[Tuple[TaskSpec, int]], *, degraded: bool = False
-) -> None:
-    """Run ``(task, first_attempt)`` pairs in-process, with retries.
+class _InProcessExecutor:
+    """Runs each submitted call at once, in the calling process.
 
-    Per-task timeouts are unenforceable here (no portable way to
-    interrupt the calling process); worker faults do not fire in-master,
-    so this is also the safe landing spot after repeated pool breakage.
+    The dispatch loop's executor for serial sweeps and after serial
+    degradation.  ``submit`` returns a future that is already complete,
+    so retries, backoff, the journal and the report stay in the one loop.
+    A ``BaseException`` that is not an ``Exception`` (the
+    ``KeyboardInterrupt`` of a second signal) propagates instead of
+    landing in the future.
     """
-    policy = sweep.policy
-    for task, first_attempt in work:
-        if sweep.stopping():
-            sweep.report.interrupted = True
-            return
-        attempt = first_attempt
-        while True:
-            delay = policy.backoff_s(task.task_id, attempt)
-            if delay > 0:
-                time.sleep(delay)
-            sweep.note_dispatch(task, attempt)
-            t0 = time.monotonic()
-            try:
-                out = sweep.validated(
-                    task,
-                    run_task(
-                        task.task_id,
-                        task.exp_id,
-                        task.scale,
-                        task.seed,
-                        attempt,
-                        checkpoint_dir=policy.task_checkpoint_dir(task.task_id),
-                        checkpoint_sim_interval_s=policy.checkpoint_sim_interval_s,
-                        checkpoint_wall_interval_s=policy.checkpoint_wall_interval_s,
-                    ),
-                )
-            except SimulationInterrupted as exc:
-                # Graceful preemption mid-task: the engine already wrote
-                # its final snapshot, so the attempt is resumable — not a
-                # failure, and not retried now.
-                sweep._journal(
-                    task,
-                    attempt,
-                    "interrupted",
-                    duration_s=time.monotonic() - t0,
-                    error=f"{exc!r}",
-                )
-                sweep.report.interrupted = True
-                return
-            except Exception as exc:
-                if sweep.fail_attempt(
-                    task, attempt, "error", exc, time.monotonic() - t0
-                ):
-                    attempt += 1
-                    continue
-                break
-            sweep.succeed(task, attempt, out, time.monotonic() - t0)
-            break
-    if degraded:
-        sweep.report.degraded_serial = True
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        pass
 
 
-def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int]) -> None:
-    """The fault-tolerant process-pool event loop (see module docstring)."""
+def _dispatch(
+    sweep: _Sweep, tasks: Sequence[TaskSpec], parallel: bool, jobs: Optional[int]
+) -> None:
+    """Run every task to completion or failure (see module docstring)."""
     policy = sweep.policy
     workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
+    workers = max(1, min(workers, len(tasks))) if parallel else 1
+
+    def new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
 
     #: (task, attempt, earliest start in monotonic time).
     backlog: List[Tuple[TaskSpec, int, float]] = [(t, 0, 0.0) for t in tasks]
     #: future -> (task, attempt, deadline, start time).
     pending: Dict[Future, Tuple[TaskSpec, int, float, float]] = {}
-    pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+    pool = new_pool() if parallel else _InProcessExecutor()
     respawns = 0
 
     def submit(task: TaskSpec, attempt: int) -> None:
         now = time.monotonic()
         sweep.note_dispatch(task, attempt)
-        future = pool.submit(
-            run_task,
-            task.task_id,
-            task.exp_id,
-            task.scale,
-            task.seed,
-            attempt,
-            checkpoint_dir=policy.task_checkpoint_dir(task.task_id),
-            checkpoint_sim_interval_s=policy.checkpoint_sim_interval_s,
-            checkpoint_wall_interval_s=policy.checkpoint_wall_interval_s,
-        )
+        future = pool.submit(run_task, task, attempt, policy)
+        # An in-process future is complete by now, so it is never overdue.
         deadline = (
             now + policy.task_timeout_s
             if policy.task_timeout_s is not None
@@ -857,11 +812,13 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
                 _terminate_pool(pool)
                 pool = None
                 return
+            # At most one task per worker is in flight, so a task's
+            # timeout starts when it can start running.
             now = time.monotonic()
             due = [item for item in backlog if item[2] <= now]
-            backlog = [item for item in backlog if item[2] > now]
-            for task, attempt, _ in due:
-                submit(task, attempt)
+            for item in due[: workers - len(pending)]:
+                backlog.remove(item)
+                submit(item[0], item[1])
 
             next_deadline = min(
                 (deadline for _, _, deadline, _ in pending.values()),
@@ -876,7 +833,7 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
 
             if not pending:
                 # Only backoff waits remain; sleep until the nearest one.
-                time.sleep(min(timeout if timeout is not None else 0.01, 0.05))
+                time.sleep(min(timeout, 0.05))
                 continue
 
             done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
@@ -895,6 +852,16 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
                     )
                     if sweep.fail_attempt(task, attempt, "crash", crash, duration):
                         requeue(task, attempt + 1, backoff=True)
+                except SimulationInterrupted as exc:
+                    # Graceful preemption of an in-process task: its engine
+                    # wrote a final snapshot, so the attempt is resumable —
+                    # not a failure, and not retried now.
+                    sweep._journal(
+                        task, attempt, "interrupted",
+                        duration_s=duration, error=f"{exc!r}",
+                    )
+                    sweep._stop["flag"] = True
+                    sweep.report.interrupted = True
                 except Exception as exc:
                     if sweep.fail_attempt(task, attempt, "error", exc, duration):
                         requeue(task, attempt + 1, backoff=True)
@@ -904,7 +871,8 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
             if broken:
                 # Every other in-flight future is doomed too: charge each
                 # an attempt (the culprit is unattributable) and either
-                # respawn the pool or fall back to serial execution.
+                # respawn the pool or degrade to running the remaining
+                # tasks in this process, where worker faults never fire.
                 for future, (task, attempt, _, t0) in list(pending.items()):
                     crash = WorkerCrashError(
                         f"worker pool broke with {task.task_id} in flight "
@@ -919,12 +887,10 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
                 respawns += 1
                 sweep.report.pool_respawns = respawns
                 if respawns > policy.max_pool_respawns:
-                    remaining = [(t, a) for t, a, _ in backlog]
-                    backlog = []
-                    pool = None
-                    _run_serial(sweep, remaining, degraded=True)
-                    return
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+                    workers, pool = 1, _InProcessExecutor()
+                    sweep.report.degraded_serial = True
+                else:
+                    pool = new_pool()
                 continue
 
             now = time.monotonic()
@@ -940,7 +906,7 @@ def _run_parallel(sweep: _Sweep, tasks: Sequence[TaskSpec], jobs: Optional[int])
                 lost = list(pending.items())
                 pending.clear()
                 _terminate_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+                pool = new_pool()
                 for future, (task, attempt, _, t0) in lost:
                     duration = now - t0
                     if future in overdue:
@@ -1023,10 +989,7 @@ def execute_tasks(
         except ValueError:  # not the main thread: run unguarded
             pass
     try:
-        if parallel:
-            _run_parallel(sweep, tasks, jobs)
-        else:
-            _run_serial(sweep, [(t, 0) for t in tasks])
+        _dispatch(sweep, tasks, parallel, jobs)
     finally:
         for signum, old in previous.items():
             try:

@@ -1,29 +1,32 @@
-"""Parallel experiment sweep runner with an on-disk result cache.
+"""Experiment sweep runner with an on-disk result cache.
 
 The registry's 18 experiment modules are mutually independent: each is a
 pure function of ``(exp_id, scale, seed)`` that internally runs several
 full-week simulations.  :func:`run_experiments` exploits that in three
 ways:
 
-* **Fan-out** — with ``parallel=True`` the experiments are dispatched to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker runs the
-  exact same module entry point with the exact same explicit arguments the
-  serial path would use (all seeding is explicit — there is no shared RNG
-  or other cross-experiment state), so the returned rows are bit-identical
-  to a serial sweep; only wall-clock time changes.  Results are reordered
-  to the input order regardless of completion order.
+* **Fan-out** — every sweep runs through the one dispatch loop of
+  :func:`~repro.experiments.resilience.execute_tasks`; with
+  ``parallel=True`` that loop submits to a process pool, otherwise it
+  runs each task in the calling process.  Every task gets the exact same
+  module entry point with the exact same explicit arguments in either
+  mode (all seeding is explicit — there is no shared RNG or other
+  cross-experiment state), so the returned rows are bit-identical; only
+  wall-clock time changes.  Results are reordered to the input order
+  regardless of completion order.
 
 * **Caching** — with ``cache_dir`` set, each experiment's
   :class:`~repro.experiments.common.ExperimentOutput` is pickled under a
   key of ``sha256(version fingerprint, exp_id, scale, seed)``.  The
   version fingerprint folds in the package version and
   :data:`RESULT_VERSION`, so bumping either invalidates every stale entry;
-  identical re-runs are served from disk without simulating.  Writes are
-  atomic (temp file + fsync + rename) so a killed sweep never leaves a
-  torn entry, they happen *as each task completes* (a failure elsewhere
-  in the sweep never throws away a finished result), and a corrupt or
-  truncated entry found mid-sweep is quarantined (renamed aside) and
-  recomputed.
+  identical re-runs are served from disk without simulating.  An entry
+  carries a sha256 digest of its pickle, checked before unpickling.
+  Writes are atomic (temp file + fsync + rename) so a killed sweep never
+  leaves a torn entry, they happen *as each task completes* (a failure
+  elsewhere in the sweep never throws away a finished result), and an
+  entry that fails its digest or does not load is quarantined (renamed
+  aside, with a warning) and recomputed.
 
 * **Fault tolerance** — execution is delegated to
   :mod:`repro.experiments.resilience`: per-task retries with
@@ -40,12 +43,13 @@ both fork and spawn start methods.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import warnings
+from contextlib import nullcontext
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
-
-import hashlib
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.durable import atomic_write
 from repro.errors import ConfigurationError, SimulationInterrupted
@@ -71,8 +75,9 @@ __all__ = [
 #: previously cached :class:`ExperimentOutput` pickles.  2: results grew
 #: the strict-invariant diagnostic fields.  3: results grew the
 #: persistent-matrix ``rescore_stats`` field.  4: results grew the
-#: checkpoint/restore counters.
-RESULT_VERSION = 4
+#: checkpoint/restore counters.  5: entries carry a sha256 digest of
+#: their pickle ahead of it.
+RESULT_VERSION = 5
 
 #: Default sweep-journal filename inside ``cache_dir``.
 JOURNAL_NAME = "sweep-journal.jsonl"
@@ -111,28 +116,43 @@ def comparable_rows(output: ExperimentOutput) -> List[dict]:
 def _cache_load(path: Path) -> Optional[ExperimentOutput]:
     """Load one cache entry; quarantine it (rename aside) when corrupt.
 
-    A torn or overwritten entry is indistinguishable from an arbitrary
-    byte stream, and pickle surfaces corruption through many exception
-    types (UnpicklingError, ValueError, EOFError, ...) depending on
-    which opcode the garbage happens to hit — any failure means "miss".
-    The bad bytes are preserved next to the entry (``*.quarantined``)
-    for post-mortem instead of being silently overwritten.
+    An entry is the sha256 hex digest of its pickle, a newline, and the
+    pickle.  The digest is checked before anything is unpickled, so a
+    flipped byte is caught even where the pickle would still load (a
+    changed float, say).  A mismatch, a pickle that fails to load — pickle
+    surfaces garbage through many exception types — or a payload that is
+    not an :class:`ExperimentOutput` means "miss": the bad bytes are kept
+    next to the entry (``*.quarantined``) for post-mortem, with a
+    :class:`RuntimeWarning` naming the file.
     """
     try:
-        with open(path, "rb") as fh:
-            out = pickle.load(fh)
+        digest, _, payload = path.read_bytes().partition(b"\n")
     except FileNotFoundError:
         return None
-    except Exception:
-        _quarantine(path)
-        return None
+    except OSError as exc:
+        return _quarantine(path, repr(exc))
+    if digest != _digest(payload):
+        return _quarantine(path, "digest mismatch")
+    try:
+        out = pickle.loads(payload)
+    except Exception as exc:
+        return _quarantine(path, repr(exc))
     if not isinstance(out, ExperimentOutput):
-        _quarantine(path)
-        return None
+        return _quarantine(path, f"holds a {type(out).__name__}")
     return out
 
 
-def _quarantine(path: Path) -> None:
+def _digest(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).hexdigest().encode("ascii")
+
+
+def _quarantine(path: Path, reason: str) -> None:
+    warnings.warn(
+        f"{path}: corrupt sweep-cache entry ({reason}); quarantined and "
+        f"recomputing",
+        RuntimeWarning,
+        stacklevel=3,
+    )
     try:
         os.replace(path, path.with_name(path.name + ".quarantined"))
     except OSError:  # pragma: no cover - cache is best-effort
@@ -141,8 +161,9 @@ def _quarantine(path: Path) -> None:
 
 def _cache_store(path: Path, output: ExperimentOutput) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    payload = pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL)
     try:
-        atomic_write(path, pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(path, _digest(payload) + b"\n", payload)
     except OSError:  # pragma: no cover - cache is best-effort
         pass
 
@@ -227,74 +248,42 @@ def run_experiments(
     )
 
     journal = SweepJournal(journal_file) if journal_file is not None else None
-    report = SweepReport()
+    hits: Dict[str, ExperimentOutput] = {}
+    specs: List[TaskSpec] = []
     try:
-        outputs: List[Optional[ExperimentOutput]] = [None] * len(ids)
-        specs: List[TaskSpec] = []
-        for i, exp_id in enumerate(ids):
+        for exp_id in ids:
             key = cache_key(exp_id, scale, seed)
-            if cache is not None:
-                hit = _cache_load(cache / f"{key}.pkl")
-                if hit is not None:
-                    outputs[i] = hit
-                    outcome = "resumed" if exp_id in resumable else "cached"
-                    if journal is not None:
-                        journal.record(exp_id, 0, outcome, cache_key=key)
-                    (report.resumed if exp_id in resumable
-                     else report.cached).append(exp_id)
-                    continue
-            specs.append(
-                TaskSpec(
-                    task_id=exp_id,
-                    exp_id=exp_id,
-                    scale=scale,
-                    seed=seed,
-                    cache_key=key,
-                )
-            )
+            hit = _cache_load(cache / f"{key}.pkl") if cache is not None else None
+            if hit is None:
+                specs.append(TaskSpec(exp_id, scale, seed, cache_key=key))
+                continue
+            hits[exp_id] = hit
+            if journal is not None:
+                outcome = "resumed" if exp_id in resumable else "cached"
+                journal.record(exp_id, 0, outcome, cache_key=key)
 
         def store(task: TaskSpec, output: ExperimentOutput) -> None:
             if cache is not None:
                 _cache_store(cache / f"{task.cache_key}.pkl", output)
 
-        if specs:
-            if fault_plan is not None:
-                with fault_plan.installed():
-                    run = execute_tasks(
-                        specs,
-                        policy=policy,
-                        parallel=parallel,
-                        jobs=jobs,
-                        journal=journal,
-                        on_complete=store,
-                    )
-            else:
-                run = execute_tasks(
-                    specs,
-                    policy=policy,
-                    parallel=parallel,
-                    jobs=jobs,
-                    journal=journal,
-                    on_complete=store,
-                )
-            report.outputs.update(run.outputs)
-            report.failures.extend(run.failures)
-            report.attempts.update(run.attempts)
-            report.pool_respawns = run.pool_respawns
-            report.timeouts = run.timeouts
-            report.degraded_serial = run.degraded_serial
-            report.restored = list(run.restored)
-            report.interrupted = run.interrupted
+        with fault_plan.installed() if fault_plan is not None else nullcontext():
+            report = execute_tasks(
+                specs,
+                policy=policy,
+                parallel=parallel,
+                jobs=jobs,
+                journal=journal,
+                on_complete=store,
+            )
     finally:
         if journal is not None:
             journal.close()
 
     report.order = list(ids)
-    for i, exp_id in enumerate(ids):
-        if outputs[i] is None:
-            outputs[i] = report.outputs.get(exp_id)
-        else:
-            report.outputs[exp_id] = outputs[i]
+    report.outputs.update(hits)
+    report.resumed = [exp_id for exp_id in hits if exp_id in resumable]
+    report.cached = [exp_id for exp_id in hits if exp_id not in resumable]
+    outputs = report.ordered_outputs()
 
     if policy.partial:
         return report
@@ -309,4 +298,4 @@ def run_experiments(
             f"complete; re-run with resume=True to continue"
         )
     report.raise_if_failed()
-    return list(outputs)  # type: ignore[arg-type]
+    return outputs  # type: ignore[return-value]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, make_policy
+from repro.errors import StateError
 from repro.scheduling.baselines import BackfillingPolicy, RandomPolicy, RoundRobinPolicy
 from repro.scheduling.dynamic_backfilling import DynamicBackfillingPolicy
 from repro.scheduling.score.policy import ScoreBasedPolicy
@@ -86,6 +87,36 @@ class TestMain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Wh" in out
+
+
+class TestArgumentErrors:
+    """An invalid argument value is a one-line usage error, exit 2."""
+
+    def test_serve_negative_round_budget(self, tmp_path, capsys):
+        rc = main([
+            "serve", "--journal", str(tmp_path / "j.jsonl"),
+            "--round-budget", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            "repro serve: error: round budget must be >= 0, got -1\n"
+        )
+
+    def test_simulate_chaos_out_of_range(self, capsys):
+        rc = main(["simulate", "--scale", "0.01", "--chaos", "2.0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            "repro simulate: error: FaultConfig.creation_failure_p must be "
+            "in [0, 1], got 2.0\n"
+        )
+
+    def test_state_error_during_a_run_propagates(self, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("garbage\n")
+        with pytest.raises(StateError, match="not a snapshot file"):
+            main(["simulate", "--scale", "0.01", "--restore", str(bad)])
 
 
 class TestNewCliFeatures:

@@ -7,14 +7,19 @@ between any two runs).  The cache must serve identical invocations
 byte-faithfully and invalidate on any key component change.
 """
 
-import pickle
+import warnings
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.common import ExperimentOutput
-from repro.experiments.runner import cache_key, comparable_rows, run_experiments
+from repro.experiments.runner import (
+    _cache_load,
+    cache_key,
+    comparable_rows,
+    run_experiments,
+)
 
 #: Cheap but representative: table1 is the power model (no simulation),
 #: table5 runs three reduced-horizon simulations.
@@ -63,21 +68,25 @@ class TestCache:
             comparable_rows(o) for o in serial_outputs
         ]
 
-    # pickle.load raises different exception types depending on which
-    # opcode the garbage hits: b"not a pickle" is UnpicklingError,
-    # b"garbage\n" parses `g` as a GET opcode and raises ValueError.
+    # Each junk entry fails the digest check before it is unpickled;
+    # unpickled, they would raise three different exception types
+    # (UnpicklingError, ValueError from `g` as a GET opcode, EOFError).
     @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
     def test_corrupt_cache_entry_recomputes(self, tmp_path, junk):
         cache = tmp_path / "c"
         run_experiments(["table1"], scale=SCALE, seed=SEED, cache_dir=str(cache))
         (entry,) = list(cache.glob("*.pkl"))
         entry.write_bytes(junk)
-        outs = run_experiments(
-            ["table1"], scale=SCALE, seed=SEED, cache_dir=str(cache)
-        )
+        with pytest.warns(RuntimeWarning, match=entry.name):
+            outs = run_experiments(
+                ["table1"], scale=SCALE, seed=SEED, cache_dir=str(cache)
+            )
         assert isinstance(outs[0], ExperimentOutput)
-        # The recomputed result overwrites the torn entry.
-        assert pickle.loads(entry.read_bytes()).exp_id == "table1"
+        # The recomputed result overwrites the torn entry with one that
+        # loads cleanly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _cache_load(entry).exp_id == "table1"
 
     def test_cache_key_separates_all_components(self):
         base = cache_key("table1", 0.1, 7)

@@ -8,7 +8,9 @@ to a fault-free serial run, whatever was injected along the way.
 """
 
 import json
+import multiprocessing
 import pathlib
+import struct
 import warnings
 
 import pytest
@@ -16,9 +18,11 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     ExperimentError,
+    SimulationInterrupted,
     StateError,
     TaskTimeoutError,
 )
+from repro.experiments import registry
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.resilience import (
     FAULT_PLAN_ENV,
@@ -435,3 +439,98 @@ class TestFaultsAreWorkerOnly:
             assert FAULT_PLAN_ENV  # plan visible to would-be children
             outs = run_experiments(["table1"], scale=SCALE, seed=SEED)
         assert comparable_rows(outs[0]) == comparable_rows(serial_outputs[0])
+
+
+def _journal_steps(cache, task):
+    """``(attempt, outcome)`` of every journal record of one task."""
+    return [
+        (e["attempt"], e["outcome"])
+        for e in SweepJournal.read_entries(pathlib.Path(cache) / JOURNAL_NAME)
+        if e["task"] == task
+    ]
+
+
+class TestInProcessLoop:
+    """The serial side of the one dispatch loop.  Fault plans never fire
+    in the calling process, so these tests swap a registry entry for one
+    that misbehaves only there."""
+
+    def test_degraded_sweep_winds_down_on_an_in_process_interrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep that degrades after a crash, and whose first in-process
+        task is preempted, reports both the degradation and the stop."""
+        original = registry.REGISTRY["table1"]
+
+        def preempted_in_process(**kwargs):
+            if multiprocessing.parent_process() is None:
+                raise SimulationInterrupted("preempted in process")
+            return original(**kwargs)
+
+        monkeypatch.setitem(registry.REGISTRY, "table1", preempted_in_process)
+        cache = tmp_path / "c"
+        report = run_experiments(
+            ["table1"], scale=SCALE, seed=SEED, parallel=True, jobs=1,
+            cache_dir=str(cache),
+            execution=ExecutionPolicy(
+                retries=3, max_pool_respawns=0, partial=True,
+                backoff_base_s=0.01,
+            ),
+            fault_plan=ReproFaultPlan({"table1": FaultSpec(kind="crash", times=99)}),
+        )
+        assert report.degraded_serial
+        assert report.interrupted
+        assert report.ok and report.outputs == {}
+        assert _journal_steps(cache, "table1") == [(0, "crash"), (1, "interrupted")]
+
+    def test_failed_task_is_retried_after_its_backoff(
+        self, tmp_path, monkeypatch, serial_outputs
+    ):
+        """An in-process task that raises once is retried once its backoff
+        has passed; the task behind it runs in the meantime."""
+        original = registry.REGISTRY["table1"]
+        calls = []
+
+        def flaky(**kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise ExperimentError("first attempt fails")
+            return original(**kwargs)
+
+        monkeypatch.setitem(registry.REGISTRY, "table1", flaky)
+        cache = tmp_path / "c"
+        outs = run_experiments(
+            IDS, scale=SCALE, seed=SEED, cache_dir=str(cache),
+            execution=ExecutionPolicy(retries=1, backoff_base_s=0.01),
+        )
+        assert [comparable_rows(o) for o in outs] == [
+            comparable_rows(o) for o in serial_outputs
+        ]
+        assert _journal_steps(cache, "table1") == [(0, "error"), (1, "ok")]
+        entries = SweepJournal.read_entries(cache / JOURNAL_NAME)
+        assert [(e["task"], e["outcome"]) for e in entries] == [
+            ("table1", "error"), ("table5", "ok"), ("table1", "ok"),
+        ]
+
+
+class TestCacheDigest:
+    def test_flipped_float_byte_is_quarantined_and_recomputed(
+        self, tmp_path, serial_outputs
+    ):
+        """One flipped bit inside a pickled float still unpickles, to a
+        different number; the entry's digest catches it first."""
+        cache = tmp_path / "c"
+        run_experiments(["table1"], scale=SCALE, seed=SEED, cache_dir=str(cache))
+        entry = cache / f"{cache_key('table1', SCALE, SEED)}.pkl"
+        raw = bytearray(entry.read_bytes())
+        value = serial_outputs[0].rows[0]["measured_w"]
+        at = raw.index(b"G" + struct.pack(">d", value)) + 8  # last float byte
+        raw[at] ^= 0x01
+        entry.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match=f"{entry.name}.*digest mismatch"):
+            outs = run_experiments(
+                ["table1"], scale=SCALE, seed=SEED, cache_dir=str(cache)
+            )
+        assert comparable_rows(outs[0]) == comparable_rows(serial_outputs[0])
+        quarantined = entry.with_name(entry.name + ".quarantined")
+        assert quarantined.read_bytes() == bytes(raw)
